@@ -15,15 +15,13 @@ from trafficlab.cli import DEMO_CONFIG, main as cli_main
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out_suite")
-    parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config = out / "scenario.json"
     config.write_text(json.dumps(DEMO_CONFIG, indent=2, sort_keys=True))
-    rc = cli_main(["compare", "--config", str(config), "--out", str(out),
-                   "--jobs", str(args.jobs)])
+    rc = cli_main(["compare", "--config", str(config), "--out", str(out)])
     raise SystemExit(rc)
 
 

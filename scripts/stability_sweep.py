@@ -30,7 +30,8 @@ def main():
         rows = stability_map(make_ovm(T, fd), k_grid)
         n_string = sum(r.report.classic_string_stable for r in rows)
         n_cont = sum(r.report.continuum_linear_stable for r in rows)
-        write_stability_csv(rows, out / f"stability_T{T:g}.csv", extra={"T": T})
+        write_stability_csv(rows, out / f"stability_T{T:g}.csv",
+                            extra={"T": [T] * len(rows)})
         print(f"T={T:5.2f}: string-stable {n_string}/{len(rows)} densities, "
               f"continuum-stable {n_cont}/{len(rows)}")
 

@@ -57,26 +57,49 @@ def write_trajectory_csv(surface: TrajectorySurface, path: Path) -> None:
     _write_rows(path, header, rows)
 
 
+def _input_error(message: str) -> ConfigurationError:
+    return ConfigurationError(message, path="transform.input")
+
+
+def _read_csv_rows(path: Path, header: list[str], kind: str, parse) -> list[tuple]:
+    """Data rows of a CSV whose header starts with ``header``, parsed by ``parse``."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            matches = (next(reader, None) or [])[:len(header)] == header
+            data = [parse(r) for r in reader] if matches else []
+    except (OSError, csv.Error, ValueError, IndexError) as exc:
+        raise _input_error(f"cannot read {path}: {exc}") from exc
+    if not matches:
+        raise _input_error(f"{path} is not a {kind} CSV")
+    if not data:
+        raise _input_error(f"{path} has no data rows")
+    return data
+
+
+def _axis(values, name: str, path: Path) -> tuple[list, dict, float]:
+    """Sorted distinct samples, their indices and their even spacing (1 if single)."""
+    axis = sorted(set(values))
+    steps = np.diff(axis) if len(axis) > 1 else np.ones(1)
+    if not np.allclose(steps, steps[0], rtol=1e-6, atol=0.0):
+        raise _input_error(f"{path} has unevenly spaced {name} samples")
+    return axis, {a: i for i, a in enumerate(axis)}, float(steps[0])
+
+
 def read_trajectory_csv(path: Path) -> TrajectorySurface:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:4] != ["t", "vehicle", "x", "v"]:
-            raise ConfigurationError(f"{path} is not a trajectory CSV",
-                                     path="transform.input")
-        data = [(float(r[0]), int(r[1]), float(r[2]), float(r[3])) for r in reader]
-    times = sorted({r[0] for r in data})
+    data = _read_csv_rows(path, ["t", "vehicle", "x", "v"], "trajectory",
+                          lambda r: (float(r[0]), int(r[1]), float(r[2]), float(r[3])))
+    times, t_index, dt = _axis([r[0] for r in data], "t", path)
     vehicles = sorted({r[1] for r in data})
+    if vehicles != list(range(len(vehicles))):
+        raise _input_error(f"{path} vehicle ids must run 0..N-1 without gaps")
     pos = np.full((len(times), len(vehicles)), math.nan)
     spd = np.full_like(pos, math.nan)
-    t_index = {t: i for i, t in enumerate(times)}
     for t, n, x, v in data:
         pos[t_index[t], n] = x
         spd[t_index[t], n] = v
     if np.any(np.isnan(pos)):
-        raise ConfigurationError("trajectory CSV has missing (t, vehicle) samples",
-                                 path="transform.input")
-    dt = times[1] - times[0] if len(times) > 1 else 1.0
+        raise _input_error("trajectory CSV has missing (t, vehicle) samples")
     return TrajectorySurface(t0=times[0], dt=dt, positions=pos, speeds=spd)
 
 
@@ -94,24 +117,17 @@ def write_field_csv(field: EulerianField, path: Path) -> None:
 
 
 def read_field_csv(path: Path) -> EulerianField:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t", "x", "k", "v", "q"]:
-            raise ConfigurationError(f"{path} is not a field CSV",
-                                     path="transform.input")
-        data = [(float(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in reader]
-    times = sorted({r[0] for r in data})
-    xs = sorted({r[1] for r in data})
-    k = np.zeros((len(times), len(xs)))
+    data = _read_csv_rows(path, ["t", "x", "k", "v", "q"], "field",
+                          lambda r: (float(r[0]), float(r[1]), float(r[2]), float(r[3])))
+    times, t_index, dt = _axis([r[0] for r in data], "t", path)
+    xs, x_index, dx = _axis([r[1] for r in data], "x", path)
+    k = np.full((len(times), len(xs)), math.nan)
     v = np.full_like(k, math.nan)
-    t_index = {t: i for i, t in enumerate(times)}
-    x_index = {x: j for j, x in enumerate(xs)}
     for t, x, kk, vv in data:
         k[t_index[t], x_index[x]] = kk
         v[t_index[t], x_index[x]] = vv
-    dx = xs[1] - xs[0] if len(xs) > 1 else 1.0
-    dt = times[1] - times[0] if len(times) > 1 else 1.0
+    if np.any(np.isnan(k)):
+        raise _input_error("field CSV has missing (t, x) samples")
     return EulerianField(x0=xs[0] - dx / 2, dx=dx, t0=times[0], dt=dt,
                          density=k, speed=v)
 
@@ -160,25 +176,13 @@ def cmd_stability(doc: dict, out: Path) -> int:
         n_stable = sum(1 for r in rows if r.report and r.report.exact_string_stable)
         print(f"stability: {law.name}, {n_stable}/{len(rows)} exact-string-stable -> {path}")
         return 0
-    all_rows = []
+    rows, swept = [], []
     for value in sweep["values"]:
         law = law_from_config({**model_cfg, sweep["param"]: value}, fd)
-        for row in stability_map(law, grid):
-            all_rows.append((value, row))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([sweep["param"], "k", "v0", "psi_v", "psi_s", "psi_dv",
-                         "classic_stable", "exact_stable", "continuum_stable"])
-        for value, row in all_rows:
-            if row.degenerate:
-                writer.writerow([_R(float(value)), _R(row.k)] + ["degenerate"] * 7)
-            else:
-                r = row.report
-                writer.writerow([
-                    _R(float(value)), _R(row.k), _R(r.v0), _R(r.psi_v), _R(r.psi_s),
-                    _R(r.psi_dv), str(r.classic_string_stable).lower(),
-                    str(r.exact_string_stable).lower(),
-                    str(r.continuum_linear_stable).lower()])
+        law_rows = stability_map(law, grid)
+        rows += law_rows
+        swept += [value] * len(law_rows)
+    write_stability_csv(rows, path, extra={sweep["param"]: swept})
     print(f"stability: swept {sweep['param']} over {len(sweep['values'])} values -> {path}")
     return 0
 
@@ -247,9 +251,9 @@ def cmd_transform(doc: dict, out: Path) -> int:
     return 0
 
 
-def cmd_compare(doc: dict, out: Path, jobs: int) -> int:
+def cmd_compare(doc: dict, out: Path) -> int:
     entries, _ = cfgmod.build_suite(doc)
-    reports = run_suite(entries, jobs=jobs)
+    reports = run_suite(entries)
     summary = out / "summary.csv"
     write_summary_csv(reports, summary)
     report_dir = out / "reports"
@@ -337,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=False)
         p.add_argument("--out", default=None)
-        if name == "compare":
-            p.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -367,7 +369,7 @@ def main(argv=None) -> int:
         if args.command == "transform":
             return cmd_transform(doc, out)
         if args.command == "compare":
-            return cmd_compare(doc, out, args.jobs)
+            return cmd_compare(doc, out)
         parser.print_usage(sys.stderr)
         return 2
     except ConfigurationError as exc:

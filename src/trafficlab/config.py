@@ -431,7 +431,7 @@ def build_initial_platoon(sim_cfg: dict) -> PlatoonState:
     return PlatoonState(time=0.0, positions=x, speeds=np.full(n, float(speed)))
 
 
-def build_pde_initial(cfg: dict, grid: SpatialGrid, fd, law):
+def build_pde_initial(cfg: dict, grid: SpatialGrid):
     centers = grid.centers
     init = cfg["initial"]
     if init["kind"] == "uniform":
@@ -460,19 +460,15 @@ def build_pde_scenario(doc: dict):
         boundary = Periodic()
     else:
         boundary = InflowOutflow(k_in=bnd_cfg["k_in"], v_in=bnd_cfg.get("v_in"))
-    k_init = build_pde_initial(cfg, grid, fd, law)
+    k_init = build_pde_initial(cfg, grid)
     v_init = None
     if solver == "second_order":
         v_init = _equilibrium_speeds(law, k_init)
-    try:
-        scenario = EulerianScenario(
-            grid=grid, dt=cfg["dt"], steps=cfg["steps"],
-            initial_density=k_init, initial_speed=v_init,
-            boundary=boundary, fd=fd, law=law,
-            record_every=cfg.get("record_every", 1))
-    except ConfigurationError:
-        raise
-    _precheck_cfl(scenario, solver)
+    scenario = EulerianScenario(
+        grid=grid, dt=cfg["dt"], steps=cfg["steps"],
+        initial_density=k_init, initial_speed=v_init,
+        boundary=boundary, fd=fd, law=law,
+        record_every=cfg.get("record_every", 1))
     return scenario, solver
 
 
@@ -488,16 +484,6 @@ def _equilibrium_speeds(law, k_init):
                 "cannot seed the speed field", path="pde.initial")
         speeds[i] = res.speed
     return speeds
-
-
-def _precheck_cfl(scenario, solver):
-    # Surface a CFL violation as a config fault naming pde.dt.
-    if solver == "lwr":
-        speed = scenario.fd.max_wave_speed()
-        if speed * scenario.dt / scenario.grid.dx > 0.9:
-            raise ConfigurationError(
-                f"CFL number {speed * scenario.dt / scenario.grid.dx:.3f} > 0.9",
-                path="pde.dt")
 
 
 def build_suite(doc: dict) -> tuple[list[SuiteEntry], dict]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,14 +359,13 @@ def compare_second_order(law: AccelerationLaw, scenario: RingScenario,
         pde_field, _ = solve_second_order(pde_scenario)
 
         stride_cf = steps_cf // n_cmp
+        cf_field = to_eulerian(cf_surface.slice_steps(0, None, stride_cf), grid)
         times = scenario.horizon * np.arange(n_cmp + 1) / n_cmp
         amps_cf = np.empty(n_cmp + 1)
         amps_pde = np.empty(n_cmp + 1)
         l1_k = linf_k = l1_v = linf_v = 0.0
         for j in range(n_cmp + 1):
-            cf_slice = cf_surface.slice_steps(j * stride_cf, j * stride_cf + 1)
-            cf_field = to_eulerian(cf_slice, grid)
-            k_cf, v_cf = cf_field.density[0], cf_field.speed[0]
+            k_cf, v_cf = cf_field.density[j], cf_field.speed[j]
             k_pde, v_pde = pde_field.density[j], pde_field.speed[j]
             amps_cf[j] = _mode_amplitude(k_cf)
             amps_pde[j] = _mode_amplitude(k_pde)
@@ -406,7 +404,7 @@ class SuiteEntry:
     cells: int
 
 
-def run_suite(entries: list[SuiteEntry], jobs: int = 1) -> list[EquivalenceReport]:
+def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
     """Execute all suite entries; failures are isolated per report."""
 
     def run_one(entry: SuiteEntry) -> EquivalenceReport:
@@ -421,9 +419,6 @@ def run_suite(entries: list[SuiteEntry], jobs: int = 1) -> list[EquivalenceRepor
                 growth_cf=math.nan, growth_pde=math.nan,
                 verdict="incomparable", fault=str(exc))
 
-    if jobs > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_one, entries))
     return [run_one(e) for e in entries]
 
 

@@ -222,13 +222,13 @@ STABILITY_CSV_COLUMNS = ["k", "v0", "psi_v", "psi_s", "psi_dv",
 
 
 def write_stability_csv(rows: list[StabilityMapRow], path, extra: dict | None = None):
-    """CSV export; ``extra`` adds constant leading columns (e.g. a swept T)."""
+    """CSV export; ``extra`` maps leading columns (e.g. a swept T) to per-row values."""
     extra = extra or {}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(extra) + STABILITY_CSV_COLUMNS)
-        for row in rows:
-            lead = [repr(float(v)) for v in extra.values()]
+        for i, row in enumerate(rows):
+            lead = [repr(float(values[i])) for values in extra.values()]
             if row.degenerate:
                 writer.writerow(lead + [repr(row.k)] + ["degenerate"] * 7)
                 continue

@@ -3,7 +3,8 @@
 A :class:`TrajectorySurface` holds positions X[step][vehicle] with vehicle
 index increasing rearward (vehicle n follows n-1). A :class:`EulerianField`
 holds density/speed matrices on a fixed spatial grid. ``to_eulerian`` and
-``to_trajectories`` convert between them; ``verify_transform_identities`` cross-checks the
+``to_trajectories`` convert between them through the cumulative count N(t, x)
+and its inverse X(t, N); ``verify_transform_identities`` cross-checks the
 derivative transformation identities between the two coordinate systems on a
 smooth surface.
 """
@@ -121,6 +122,7 @@ class TrajectorySurface:
             speeds=None if self.speeds is None else self.speeds[sl],
             accels=None if self.accels is None else self.accels[sl],
             ring_length=self.ring_length,
+            clamp_events=self.clamp_events,
         )
 
 
@@ -209,31 +211,17 @@ def lagrangian_derivatives(surface: TrajectorySurface, step: int, n: int) -> Lag
     return LagrangianDerivatives(X_t=X_t, X_N=X_N, X_tN=X_tN, X_NN=X_NN, X_tt=X_tt)
 
 
-def _deposit(mass, flow_mass, lo, hi, k_pair, v_pair, grid: SpatialGrid):
-    x_end = grid.x0 + grid.span
-    if hi <= grid.x0 or lo >= x_end:
-        return
-    j_lo = max(int(math.floor((lo - grid.x0) / grid.dx)), 0)
-    j_hi = min(int(math.ceil((hi - grid.x0) / grid.dx)), grid.cells)
-    if j_hi <= j_lo:
-        return
-    edges = grid.x0 + grid.dx * np.arange(j_lo, j_hi + 1)
-    overlap = np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1])
-    overlap = np.maximum(overlap, 0.0)
-    mass[j_lo:j_hi] += k_pair * overlap
-    flow_mass[j_lo:j_hi] += k_pair * v_pair * overlap
-
-
 def to_eulerian(surface: TrajectorySurface, grid: SpatialGrid,
                 fd=None, pair_speed: str = "trailing") -> EulerianField:
     """Reconstruct (density, speed) fields from a trajectory surface.
 
-    Each consecutive pair deposits its reciprocal spacing over the segment
-    [X[n], X[n-1]) as a piecewise-constant density (the exact inverse of the
-    cumulative-count relation), cell-averaged. Cell speed is the flow-weighted
-    vehicle speed over the covering segments; ``pair_speed`` selects which
-    vehicle's speed represents a segment (trailing by default). Cells left
-    uncovered get density 0 and NaN speed.
+    The cumulative count N(t, x) is piecewise linear through the knots
+    (X_n, n), numbered from the rearmost vehicle, so a cell's vehicle mass is
+    the difference of N at its edges. The flow integral F steps by the pair
+    speed from knot to knot; ``pair_speed`` picks the trailing (default),
+    leading or mean speed of each pair. Cell speed is flow mass over vehicle
+    mass. On a ring, one knot from each neighbouring lap closes the
+    wrap-around pair. Cells left uncovered get density 0 and NaN speed.
     """
     if pair_speed not in PAIR_SPEED_MODES:
         raise ParameterError(f"pair_speed must be one of {PAIR_SPEED_MODES}")
@@ -244,48 +232,33 @@ def to_eulerian(surface: TrajectorySurface, grid: SpatialGrid,
         raise ParameterError("ring reconstruction needs grid span == ring length")
 
     x = surface.positions
-    speeds = surface.speed_matrix()
-    n_steps = surface.n_steps
-    density = np.zeros((n_steps, grid.cells))
-    speed = np.full((n_steps, grid.cells), math.nan)
+    v = surface.speed_matrix()
+    if ring is not None:
+        x = grid.x0 + np.mod(x - grid.x0, ring)
+    order = np.argsort(x, axis=1)  # rearmost first
+    x = np.take_along_axis(x, order, axis=1)
+    v = np.take_along_axis(v, order, axis=1)
+    if ring is not None:
+        x = np.hstack([x[:, -1:] - ring, x, x[:, :1] + ring])
+        v = np.hstack([v[:, -1:], v, v[:, :1]])
+    if pair_speed == "trailing":
+        v_pair = v[:, :-1]
+    elif pair_speed == "leading":
+        v_pair = v[:, 1:]
+    else:
+        v_pair = 0.5 * (v[:, :-1] + v[:, 1:])
+    count = np.arange(x.shape[1], dtype=float)
+    flow = np.cumsum(np.hstack([np.zeros_like(x[:, :1]), v_pair]), axis=1)
 
-    for t in range(n_steps):
-        mass = np.zeros(grid.cells)
-        flow_mass = np.zeros(grid.cells)
-        hi_all = x[t, :-1]
-        lo_all = x[t, 1:]
-        if pair_speed == "trailing":
-            v_all = speeds[t, 1:]
-        elif pair_speed == "leading":
-            v_all = speeds[t, :-1]
-        else:
-            v_all = 0.5 * (speeds[t, 1:] + speeds[t, :-1])
-        gaps = hi_all - lo_all
-        if ring is not None:
-            gaps = np.mod(gaps, ring)
-        pairs = [(lo_all[i], gaps[i], v_all[i]) for i in range(len(gaps))]
-        if ring is not None:
-            gap0 = (x[t, -1] + ring - x[t, 0]) % ring or ring
-            if pair_speed == "trailing":
-                v0 = speeds[t, 0]
-            elif pair_speed == "leading":
-                v0 = speeds[t, -1]
-            else:
-                v0 = 0.5 * (speeds[t, 0] + speeds[t, -1])
-            pairs.append((x[t, 0], gap0, v0))
-        for lo, gap, v_pair in pairs:
-            k_pair = 1.0 / gap
-            if ring is not None:
-                lo = grid.x0 + (lo - grid.x0) % ring
-                if lo + gap > grid.x0 + ring:
-                    _deposit(mass, flow_mass, lo, grid.x0 + ring, k_pair, v_pair, grid)
-                    _deposit(mass, flow_mass, grid.x0, lo + gap - ring, k_pair,
-                             v_pair, grid)
-                    continue
-            _deposit(mass, flow_mass, lo, lo + gap, k_pair, v_pair, grid)
-        density[t] = mass / grid.dx
-        covered = mass > 0.0
-        speed[t, covered] = flow_mass[covered] / mass[covered]
+    edges = grid.edges
+    mass = np.empty((surface.n_steps, grid.cells))
+    flow_mass = np.empty_like(mass)
+    for t in range(surface.n_steps):
+        mass[t] = np.diff(np.interp(edges, x[t], count))
+        flow_mass[t] = np.diff(np.interp(edges, x[t], flow[t]))
+    density = mass / grid.dx
+    speed = np.divide(flow_mass, mass, out=np.full_like(mass, math.nan),
+                      where=mass > 0.0)
 
     if fd is not None and np.any(density > fd.k_j * (1.0 + 1e-9)):
         raise DomainError("reconstructed density exceeds the diagram's jam density")
@@ -296,8 +269,9 @@ def to_eulerian(surface: TrajectorySurface, grid: SpatialGrid,
 def cumulative_count(field: EulerianField, step: int) -> tuple[np.ndarray, np.ndarray]:
     """Vehicle count downstream of each cell edge: n(t, x) = integral_x^max k.
 
-    Returns (edges, counts); counts decrease with x and reach 0 at the last
-    edge.
+    This is the count N of ``to_eulerian`` read from the downstream end,
+    n(t, x) = N(t, x_max) - N(t, x). Returns (edges, counts); counts decrease
+    with x and reach 0 at the last edge.
     """
     k = field.density[step]
     edges = field.x0 + field.dx * np.arange(field.n_cells + 1)
@@ -309,6 +283,7 @@ def to_trajectories(field: EulerianField, n_vehicles: int,
                     seed_positions: np.ndarray | None = None) -> TrajectorySurface:
     """Invert the cumulative count: X(t, N) is the x where n(t, x) = N.
 
+    n is ``cumulative_count``, the downstream reading of ``to_eulerian``'s N.
     ``seed_positions`` (positions at step 0, leader first) anchor the count
     offset of vehicle 0 so that round trips preserve vehicle labels; without
     seeds vehicle 0 sits at the downstream edge of the density support.

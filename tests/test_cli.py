@@ -16,6 +16,10 @@ def demo_config(tmp_path):
     return path
 
 
+TRAJ_HEADER = "t,vehicle,x,v\n"
+FIELD_HEADER = "t,x,k,v,q\n"
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -66,6 +70,42 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         assert run(["simulate-cf", "--config", path, "--out", tmp_path]) == 1
         assert "CollisionError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("direction, text", [
+        pytest.param("to_eulerian", TRAJ_HEADER + "0,0,10,1\n0,2,0,1\n",
+                     id="vehicle-id-gap"),
+        pytest.param("to_eulerian", TRAJ_HEADER, id="trajectory-header-only"),
+        pytest.param("to_eulerian", "", id="trajectory-empty"),
+        pytest.param("to_eulerian", TRAJ_HEADER + "".join(
+            f"{t},0,{10 + t},1\n{t},1,{t},1\n" for t in (0, 1, 3)),
+            id="trajectory-uneven-t"),
+        pytest.param("to_eulerian", TRAJ_HEADER + "0,0,ten,1\n",
+                     id="trajectory-non-numeric"),
+        pytest.param("to_eulerian", None, id="trajectory-missing-file"),
+        pytest.param("to_trajectories", FIELD_HEADER, id="field-header-only"),
+        pytest.param("to_trajectories", "", id="field-empty"),
+        pytest.param("to_trajectories", FIELD_HEADER + "".join(
+            f"{t},{x},0.1,1,0.1\n" for t in (0, 1, 3) for x in (5, 15)),
+            id="field-uneven-t"),
+        pytest.param("to_trajectories", FIELD_HEADER + "".join(
+            f"{t},{x},0.1,1,0.1\n" for t in (0, 1) for x in (5, 15, 35)),
+            id="field-uneven-x"),
+        pytest.param("to_trajectories", FIELD_HEADER + "0,5,0.1,1,0.1\n"
+                     "0,15,0.1,1,0.1\n1,5,0.1,1,0.1\n", id="field-missing-sample"),
+    ])
+    def test_malformed_transform_input(self, tmp_path, capsys, direction, text):
+        data = tmp_path / "input.csv"
+        if text is not None:
+            data.write_text(text)
+        transform = {"direction": direction, "input": str(data)}
+        if direction == "to_eulerian":
+            transform.update(x0=-50.0, dx=10.0, cells=10)
+        else:
+            transform["n_vehicles"] = 1
+        cfg = tmp_path / "transform.json"
+        cfg.write_text(json.dumps({"transform": transform}))
+        assert run(["transform", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "transform.input" in capsys.readouterr().err
 
 
 class TestOutputs:
@@ -149,8 +189,7 @@ class TestOutputs:
         doc["suite"]["resolutions"] = [10, 20]
         cfg = tmp_path / "suite.json"
         cfg.write_text(json.dumps(doc))
-        assert run(["compare", "--config", cfg, "--out", tmp_path,
-                    "--jobs", "2"]) == 0
+        assert run(["compare", "--config", cfg, "--out", tmp_path]) == 0
         rows = read_csv(tmp_path / "summary.csv")
         assert len(rows) == 5  # 2 entries x 2 resolutions + header
         assert (tmp_path / "reports").is_dir()

@@ -136,12 +136,6 @@ class TestSuite:
         assert reports[0].verdict == "incomparable"
         assert reports[1].verdict != "incomparable"
 
-    def test_parallel_equals_serial(self, tri):
-        entries = self.entries(tri, cells=(10, 20))
-        serial = run_suite(entries, jobs=1)
-        parallel = run_suite(entries, jobs=4)
-        assert serial == parallel
-
     def test_summary_csv(self, tri, tmp_path):
         reports = run_suite(self.entries(tri, cells=(10,)))
         path = tmp_path / "summary.csv"

@@ -106,6 +106,7 @@ class TestContinuous:
                             speeds=np.array([0.0, 5.0]))
         surf = simulate_continuous(law, init, ConstantLeader(0.0), 0.05, 400)
         assert surf.clamp_events >= 1
+        assert surf.slice_steps(0, None, 2).clamp_events == surf.clamp_events
         assert np.all(surf.speeds >= 0.0)
 
     def test_dt_guard(self, tri):

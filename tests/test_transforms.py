@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trafficlab import (DomainError, EulerianField, ParameterError,
                         SpatialGrid, TrajectorySurface, lagrangian_derivatives,
                         to_eulerian, to_trajectories, traveling_wave_surface,
                         verify_transform_identities)
-from trafficlab.transforms import TRANSFORM_IDENTITY_ROWS, cumulative_count
+from trafficlab.transforms import (PAIR_SPEED_MODES, TRANSFORM_IDENTITY_ROWS,
+                                   cumulative_count)
 
 
 def uniform_surface(n_steps=4, n_veh=41, s0=25.0, v0=10.0, dt=1.0, lead_x=1000.0):
@@ -215,3 +217,129 @@ def test_round_trip_spacing_recovery(v0, s0, rel):
     back = to_trajectories(to_eulerian(surf, grid), n,
                            seed_positions=surf.positions[0])
     assert np.max(np.abs(back.positions - surf.positions)) <= dx + 1e-9
+
+
+def _deposit(mass, flow_mass, lo, hi, k_pair, v_pair, grid):
+    x_end = grid.x0 + grid.span
+    if hi <= grid.x0 or lo >= x_end:
+        return
+    j_lo = max(int(math.floor((lo - grid.x0) / grid.dx)), 0)
+    j_hi = min(int(math.ceil((hi - grid.x0) / grid.dx)), grid.cells)
+    if j_hi <= j_lo:
+        return
+    edges = grid.x0 + grid.dx * np.arange(j_lo, j_hi + 1)
+    overlap = np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1])
+    overlap = np.maximum(overlap, 0.0)
+    mass[j_lo:j_hi] += k_pair * overlap
+    flow_mass[j_lo:j_hi] += k_pair * v_pair * overlap
+
+
+def reference_to_eulerian(surface, grid, pair_speed):
+    """(density, speed) by depositing each vehicle pair's segment separately.
+
+    The pair-by-pair construction that ``to_eulerian`` replaced; kept here
+    as the reference that the cumulative count is pinned against.
+    """
+    ring = surface.ring_length
+    x = surface.positions
+    speeds = surface.speed_matrix()
+    density = np.zeros((surface.n_steps, grid.cells))
+    speed = np.full((surface.n_steps, grid.cells), math.nan)
+    for t in range(surface.n_steps):
+        mass = np.zeros(grid.cells)
+        flow_mass = np.zeros(grid.cells)
+        hi_all = x[t, :-1]
+        lo_all = x[t, 1:]
+        if pair_speed == "trailing":
+            v_all = speeds[t, 1:]
+        elif pair_speed == "leading":
+            v_all = speeds[t, :-1]
+        else:
+            v_all = 0.5 * (speeds[t, 1:] + speeds[t, :-1])
+        gaps = hi_all - lo_all
+        if ring is not None:
+            gaps = np.mod(gaps, ring)
+        pairs = [(lo_all[i], gaps[i], v_all[i]) for i in range(len(gaps))]
+        if ring is not None:
+            gap0 = (x[t, -1] + ring - x[t, 0]) % ring or ring
+            if pair_speed == "trailing":
+                v0 = speeds[t, 0]
+            elif pair_speed == "leading":
+                v0 = speeds[t, -1]
+            else:
+                v0 = 0.5 * (speeds[t, 0] + speeds[t, -1])
+            pairs.append((x[t, 0], gap0, v0))
+        for lo, gap, v_pair in pairs:
+            k_pair = 1.0 / gap
+            if ring is not None:
+                lo = grid.x0 + (lo - grid.x0) % ring
+                if lo + gap > grid.x0 + ring:
+                    _deposit(mass, flow_mass, lo, grid.x0 + ring, k_pair, v_pair, grid)
+                    _deposit(mass, flow_mass, grid.x0, lo + gap - ring, k_pair,
+                             v_pair, grid)
+                    continue
+            _deposit(mass, flow_mass, lo, lo + gap, k_pair, v_pair, grid)
+        density[t] = mass / grid.dx
+        covered = mass > 0.0
+        speed[t, covered] = flow_mass[covered] / mass[covered]
+    return density, speed
+
+
+LATTICE = 0.25  # m
+
+
+@st.composite
+def platoon_and_grid(draw):
+    """An open-road or ring surface of up to 3 rows and a grid for it.
+
+    Each row permutes one set of spacings (5-40 m, so a ring keeps its
+    length) behind its own lead position. Positions, the grid origin and
+    the open-road dx lie on a quarter-metre lattice.
+    """
+    ring = draw(st.booleans())
+    n = draw(st.integers(2, 30))
+    quarters = draw(st.lists(st.integers(20, 160), min_size=n, max_size=n))
+    rows = draw(st.lists(st.permutations(quarters), min_size=1, max_size=3))
+    gaps = LATTICE * np.array(rows, dtype=float)
+    lead = LATTICE * np.array(draw(st.lists(st.integers(-2000, 2000),
+                                            min_size=len(rows), max_size=len(rows))))
+    x = lead[:, None] - np.cumsum(gaps, axis=1) + gaps[:, :1]
+    v = draw(hnp.arrays(float, x.shape, elements=st.floats(1.0, 30.0)))
+    if ring:
+        length = float(np.sum(gaps[0]))
+        cells = draw(st.integers(1, min(200, int(length / LATTICE))))
+        x0 = LATTICE * draw(st.integers(-2000, 2000))
+        grid = SpatialGrid(x0, length / cells, cells)
+        surface = TrajectorySurface(t0=0.0, dt=1.0, positions=x, speeds=v,
+                                    ring_length=length)
+    else:
+        x0 = x.min() + LATTICE * draw(st.integers(-200, 200))
+        grid = SpatialGrid(x0, LATTICE * draw(st.integers(1, 200)),
+                           draw(st.integers(1, 300)))
+        surface = TrajectorySurface(t0=0.0, dt=1.0, positions=x, speeds=v)
+    return surface, grid
+
+
+@given(case=platoon_and_grid(), pair_speed=st.sampled_from(PAIR_SPEED_MODES))
+@settings(max_examples=200, deadline=None)
+def test_cumulative_count_matches_pair_deposit(case, pair_speed):
+    """The cumulative count reproduces the pair-by-pair deposit.
+
+    N and F carry an absolute rounding error of about one ulp of the row's
+    vehicle count and summed pair speeds, where the reference keeps relative
+    digits in every cell. The draws keep that below the speed tolerance:
+    the lattice leaves no sliver overlap, and speeds stay within 1-30 m/s.
+    """
+    surface, grid = case
+    field = to_eulerian(surface, grid, pair_speed=pair_speed)
+    density, speed = reference_to_eulerian(surface, grid, pair_speed)
+    np.testing.assert_array_equal(np.isnan(field.speed), np.isnan(speed))
+    np.testing.assert_allclose(field.density, density, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(field.speed, speed, rtol=1e-10)
+
+    vehicles = field.density.sum(axis=1) * grid.dx
+    n = surface.n_vehicles
+    if surface.ring_length is not None:
+        np.testing.assert_allclose(vehicles, n, rtol=1e-12)
+    elif grid.x0 <= surface.positions.min() and grid.edges[-1] >= surface.positions.max():
+        np.testing.assert_allclose(vehicles, n - 1, rtol=1e-12)
