@@ -21,7 +21,7 @@ import numpy as np
 from . import config as cfgmod
 from .continuum import solve_lwr_godunov, solve_second_order, total_vehicles
 from .equivalence import run_suite, write_summary_csv
-from .errors import ConfigurationError, TrafficLabError
+from .errors import ConfigurationError, ParameterError, TrafficLabError
 from .fundamental import cfl_max_dt
 from .laws import law_from_config
 from .platoon import (Ring, simulate_continuous, simulate_newell,
@@ -100,7 +100,10 @@ def read_trajectory_csv(path: Path) -> TrajectorySurface:
         spd[t_index[t], n] = v
     if np.any(np.isnan(pos)):
         raise _input_error("trajectory CSV has missing (t, vehicle) samples")
-    return TrajectorySurface(t0=times[0], dt=dt, positions=pos, speeds=spd)
+    try:
+        return TrajectorySurface(t0=times[0], dt=dt, positions=pos, speeds=spd)
+    except ParameterError as exc:  # e.g. vehicles out of front-to-rear order
+        raise _input_error(f"{path}: {exc}") from exc
 
 
 def write_field_csv(field: EulerianField, path: Path) -> None:
@@ -178,7 +181,7 @@ def cmd_stability(doc: dict, out: Path) -> int:
         return 0
     rows, swept = [], []
     for value in sweep["values"]:
-        law = law_from_config({**model_cfg, sweep["param"]: value}, fd)
+        law = law_from_config(cfgmod.swept_model(model_cfg, sweep["param"], value), fd)
         law_rows = stability_map(law, grid)
         rows += law_rows
         swept += [value] * len(law_rows)

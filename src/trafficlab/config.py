@@ -88,7 +88,7 @@ def validate_document(doc: dict) -> None:
     if "steady" in doc:
         _validate_k_grid(doc["steady"], "steady")
     if "stability" in doc:
-        _validate_stability(doc["stability"])
+        _validate_stability(doc["stability"], doc.get("model"))
     if "sim" in doc:
         _validate_sim(doc["sim"])
     if "pde" in doc:
@@ -180,7 +180,7 @@ def _validate_k_grid(cfg, path):
     _integer(f"{path}.count", cfg["count"], 2)
 
 
-def _validate_stability(cfg):
+def _validate_stability(cfg, model):
     cfg = _section("stability", cfg)
     _check_keys(cfg, "stability", {"k_min", "k_max", "count", "sweep"},
                 {"k_min", "k_max", "count"})
@@ -193,6 +193,39 @@ def _validate_stability(cfg):
             _fail("stability.sweep.values", "must be a non-empty list")
         for i, v in enumerate(sweep["values"]):
             _number(f"stability.sweep.values[{i}]", v, 0, exclusive=True)
+        if model is not None:
+            _validate_sweep(model, sweep["param"], sweep["values"])
+
+
+def _sweepable(model: dict) -> set[str]:
+    if model["name"] == "third_order":
+        return {"t_delay"} | _sweepable(model["inner"])
+    return set(_MODEL_PARAM_SPECS[model["name"]])
+
+
+def _validate_sweep(model, param, values):
+    # ``model`` is already valid; each swept value must keep it valid.
+    takes = _sweepable(model)
+    if param not in takes:
+        _fail("stability.sweep.param",
+              f"model {model['name']!r} takes no parameter {param!r} "
+              f"(one of {sorted(takes)})")
+    for i, value in enumerate(values):
+        try:
+            _validate_model(swept_model(model, param, value), "model")
+        except ConfigurationError as exc:
+            _fail(f"stability.sweep.values[{i}]", f"swept model is invalid: {exc}")
+
+
+def swept_model(model: dict, param: str, value) -> dict:
+    """The ``model`` section with ``param`` set to ``value``.
+
+    A third-order model passes every parameter but ``t_delay`` on to its
+    inner law.
+    """
+    if model["name"] == "third_order" and param != "t_delay":
+        return {**model, "inner": swept_model(model["inner"], param, value)}
+    return {**model, param: value}
 
 
 def _validate_boundary(cfg, path):

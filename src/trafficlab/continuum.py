@@ -154,7 +154,11 @@ def _char_speed_bound(law: AccelerationLaw, v, k_eff) -> float:
 
 
 def solve_second_order(scenario: EulerianScenario) -> tuple[EulerianField, RunStats]:
-    """Upwind method-of-lines for the paired density/speed system."""
+    """Upwind method-of-lines for the paired density/speed system.
+
+    Stops with :class:`SolverFault`, naming the step and cell, on the first
+    substep that leaves a non-finite density or speed.
+    """
     law = scenario.law
     if law is None:
         raise ConfigurationError("second-order solver needs an acceleration law")
@@ -224,12 +228,13 @@ def solve_second_order(scenario: EulerianScenario) -> tuple[EulerianField, RunSt
             elif np.any(k_new < DENSITY_FLOOR):
                 raise SolverFault("vacuum reached and the law declares no free speed",
                                   step=step)
+            if not (np.isfinite(k_new).all() and np.isfinite(v_new).all()):
+                bad = ~(np.isfinite(k_new) & np.isfinite(v_new))
+                raise SolverFault("non-finite solution", step=step,
+                                  cell=int(np.argmax(bad)))
             k, v = k_new, v_new
             stats.substeps += 1
 
-        if np.any(np.isnan(k)) or np.any(np.isnan(v)):
-            cell = int(np.argmax(np.isnan(k) | np.isnan(v)))
-            raise SolverFault("NaN in solution", step=step, cell=cell)
         if np.any(k < -1e-12):
             raise SolverFault("negative density", step=step,
                               cell=int(np.argmin(k)))

@@ -329,37 +329,51 @@ def ring_initial_state(law: AccelerationLaw, scenario: RingScenario) -> PlatoonS
     return PlatoonState(time=0.0, positions=x, speeds=np.full(n, res.speed))
 
 
+def car_following_arm(law: AccelerationLaw,
+                      scenario: RingScenario) -> TrajectorySurface:
+    """RK4 run of the seeded ring platoon over the horizon.
+
+    The arm depends on the law and the ring only, not on the continuum
+    resolution, so one run serves every resolution of a suite entry.
+    """
+    initial = ring_initial_state(law, scenario)
+    steps_cf = _steps_for(scenario.horizon, scenario.dt_cf, "dt_cf")
+    return simulate_continuous(law, initial, Ring(scenario.circumference),
+                               scenario.dt_cf, steps_cf)
+
+
 def compare_second_order(law: AccelerationLaw, scenario: RingScenario,
-                         cells: int) -> EquivalenceReport:
-    """One paired ring run at the given continuum resolution."""
+                         cells: int, *, cf_surface: TrajectorySurface | None = None,
+                         ) -> EquivalenceReport:
+    """One paired ring run at the given continuum resolution.
+
+    ``cf_surface`` is :func:`car_following_arm` of the same law and ring,
+    computed once and shared across resolutions (see :func:`run_suite`);
+    without it the arm runs here. The continuum arm starts from the
+    car-following arm's first row, reconstructed on the resolution's grid.
+    """
     L = scenario.circumference
     resolution = f"cells={cells}"
     try:
-        initial = ring_initial_state(law, scenario)
         n_cmp = scenario.compare_points
         steps_cf = _steps_for(scenario.horizon, scenario.dt_cf, "dt_cf")
         steps_pde = _steps_for(scenario.horizon, scenario.dt_pde, "dt_pde")
         if steps_cf % n_cmp or steps_pde % n_cmp:
             raise ConfigurationError("compare_points must divide both step counts")
-
         grid = SpatialGrid(0.0, L / cells, cells)
-        seed_surface = TrajectorySurface(
-            t0=0.0, dt=1.0, positions=initial.positions[None, :],
-            speeds=initial.speeds[None, :], ring_length=L)
-        init_field = to_eulerian(seed_surface, grid)
+        if cf_surface is None:
+            cf_surface = car_following_arm(law, scenario)
 
-        cf_surface = simulate_continuous(law, initial, Ring(L),
-                                         scenario.dt_cf, steps_cf)
+        stride_cf = steps_cf // n_cmp
+        cf_field = to_eulerian(cf_surface.slice_steps(0, None, stride_cf), grid)
         pde_scenario = EulerianScenario(
             grid=grid, dt=scenario.dt_pde, steps=steps_pde,
-            initial_density=init_field.density[0],
-            initial_speed=init_field.speed[0],
+            initial_density=cf_field.density[0],
+            initial_speed=cf_field.speed[0],
             boundary=Periodic(), law=law,
             record_every=steps_pde // n_cmp)
         pde_field, _ = solve_second_order(pde_scenario)
 
-        stride_cf = steps_cf // n_cmp
-        cf_field = to_eulerian(cf_surface.slice_steps(0, None, stride_cf), grid)
         times = scenario.horizon * np.arange(n_cmp + 1) / n_cmp
         amps_cf = np.empty(n_cmp + 1)
         amps_pde = np.empty(n_cmp + 1)
@@ -405,21 +419,37 @@ class SuiteEntry:
 
 
 def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
-    """Execute all suite entries; failures are isolated per report."""
+    """Execute all suite entries; failures are isolated per report.
 
-    def run_one(entry: SuiteEntry) -> EquivalenceReport:
+    The car-following arm runs once per run of consecutive entries with an
+    equal law and ring -- the resolutions of one suite entry, as
+    ``build_suite`` emits them -- and each resolution compares against that
+    one surface. Only the current surface is held. When the arm fails, each
+    resolution runs it again through :func:`compare_second_order`, so every
+    report carries the same fault as a standalone comparison.
+    """
+    reports = []
+    arm_key = cf_surface = None
+    for entry in entries:
         try:
             ring = RingScenario(**{**entry.ring.__dict__, "name": entry.scenario})
-            return compare_second_order(entry.law, ring, entry.cells)
+            if (entry.law, entry.ring) != arm_key:
+                arm_key, cf_surface = (entry.law, entry.ring), None
+                try:
+                    cf_surface = car_following_arm(entry.law, ring)
+                except Exception:  # reported per resolution by compare_second_order
+                    pass
+            report = compare_second_order(entry.law, ring, entry.cells,
+                                          cf_surface=cf_surface)
         except Exception as exc:  # fault isolation: one entry must not kill the suite
-            return EquivalenceReport(
+            report = EquivalenceReport(
                 scenario=entry.scenario, model=entry.law.name,
                 resolution=f"cells={entry.cells}",
                 l1_k=math.nan, linf_k=math.nan, l1_v=math.nan, linf_v=math.nan,
                 growth_cf=math.nan, growth_pde=math.nan,
                 verdict="incomparable", fault=str(exc))
-
-    return [run_one(e) for e in entries]
+        reports.append(report)
+    return reports
 
 
 SUMMARY_COLUMNS = ["scenario", "model", "resolution", "l1_k", "linf_k",

@@ -187,24 +187,6 @@ def simulate_continuous(law: AccelerationLaw, initial: PlatoonState,
     a = (initial.accels.copy() if initial.accels is not None
          else np.zeros(n)) if third else None
 
-    def follower_rates(t, xf, vf, af, lead_x, lead_v):
-        if ring:
-            s = np.concatenate([[xf[-1] + boundary.length], xf[:-1]]) - xf
-            dv = np.concatenate([[vf[-1]], vf[:-1]]) - vf
-            first_vehicle = 0
-        else:
-            s = np.concatenate([[lead_x], xf[:-1]]) - xf
-            dv = np.concatenate([[lead_v], vf[:-1]]) - vf
-            first_vehicle = 1
-        bad = s <= law.s_min
-        if np.any(bad):
-            raise CollisionError(t, int(np.argmax(bad)) + first_vehicle)
-        v_eval = np.maximum(vf, 0.0)
-        psi = law.evaluate(v_eval, s, dv)
-        if third:
-            return vf, af, (psi - af) / law.t_delay
-        return vf, psi, None
-
     pos_out = np.empty((steps + 1, n))
     spd_out = np.empty((steps + 1, n))
     acc_out = np.empty((steps + 1, n)) if third else None
@@ -217,6 +199,27 @@ def simulate_continuous(law: AccelerationLaw, initial: PlatoonState,
         xf, vf = x[1:].copy(), v[1:].copy()
         af = a[1:].copy() if third else None
         lead_x, lead_v = float(x[0]), boundary.speed_at(0.0)
+
+    # Leader state of each follower at a stage: its predecessor's, and for the
+    # front follower the lead vehicle's (on a ring, the rear vehicle one lap on).
+    lead_xs = np.empty(xf.shape[0])
+    lead_vs = np.empty(xf.shape[0])
+    first_vehicle = 0 if ring else 1
+    s_min, psi = law.s_min, law.psi
+
+    def follower_rates(t, xf, vf, af, lead_x, lead_v):
+        if ring:
+            lead_x, lead_v = xf[-1] + boundary.length, vf[-1]
+        lead_xs[0], lead_xs[1:] = lead_x, xf[:-1]
+        lead_vs[0], lead_vs[1:] = lead_v, vf[:-1]
+        s = lead_xs - xf
+        # fmin skips NaN, so a NaN spacing cannot mask a collision elsewhere.
+        if np.fmin.reduce(s) <= s_min:
+            raise CollisionError(t, int(np.argmax(s <= s_min)) + first_vehicle)
+        accel = psi(np.maximum(vf, 0.0), s, lead_vs - vf)
+        if third:
+            return vf, af, (accel - af) / law.t_delay
+        return vf, accel, None
 
     def record(i):
         if ring:
@@ -233,17 +236,15 @@ def simulate_continuous(law: AccelerationLaw, initial: PlatoonState,
     record(0)
     clamps = 0
     half = 0.5 * dt
+    lx = lv = (None, None, None)
     for i in range(steps):
         t = i * dt
-        if ring:
-            lx = (None, None, None)
-            lv = (None, None, None)
-        else:
+        if not ring:
             d_half = boundary.displacement(t, t + half)
             d_full = boundary.displacement(t, t + dt)
+            v_half = boundary.speed_at(t + half)
             lx = (lead_x + d_half, lead_x + d_half, lead_x + d_full)
-            lv = (boundary.speed_at(t + half), boundary.speed_at(t + half),
-                  boundary.speed_at(t + dt))
+            lv = (v_half, v_half, boundary.speed_at(t + dt))
 
         k1 = follower_rates(t, xf, vf, af, lead_x, lead_v)
         k2 = follower_rates(t + half, xf + half * k1[0], vf + half * k1[1],
@@ -258,12 +259,11 @@ def simulate_continuous(law: AccelerationLaw, initial: PlatoonState,
         if third:
             af = af + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         below = vf < 0.0
-        if np.any(below):
+        if below.any():
             clamps += int(np.count_nonzero(below))
             vf = np.where(below, 0.0, vf)
         if not ring:
-            lead_x = lead_x + boundary.displacement(t, t + dt)
-            lead_v = boundary.speed_at(t + dt)
+            lead_x, lead_v = lx[2], lv[2]
         record(i + 1)
 
     return TrajectorySurface(

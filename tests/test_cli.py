@@ -60,6 +60,24 @@ class TestExitCodes:
         assert run(["simulate-pde", "--config", path, "--out", tmp_path]) == 2
         assert "pde.dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, sweep, path", [
+        pytest.param({"name": "ovm", "T": 0.4}, {"param": "bogus", "values": [0.4]},
+                     "stability.sweep.param", id="unknown-param"),
+        pytest.param({"name": "gfm", "T": 2.0, "T_brake": 0.5, "d": 2.0,
+                      "tau": 1.0, "R": 5.0},
+                     {"param": "T_brake", "values": [0.5, 3.0]},
+                     "stability.sweep.values[1]", id="value-breaks-model"),
+    ])
+    def test_bad_stability_sweep_names_path(self, tmp_path, capsys, model, sweep,
+                                            path):
+        doc = json.loads(json.dumps(DEMO_CONFIG))
+        doc["model"] = model
+        doc["stability"]["sweep"] = sweep
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["stability", "--config", cfg, "--out", tmp_path]) == 2
+        assert path in capsys.readouterr().err
+
     def test_runtime_fault_is_exit_one(self, tmp_path, capsys):
         doc = json.loads(json.dumps(DEMO_CONFIG))
         # two vehicles crammed below the jam spacing: the run must abort
@@ -82,6 +100,8 @@ class TestExitCodes:
         pytest.param("to_eulerian", TRAJ_HEADER + "0,0,ten,1\n",
                      id="trajectory-non-numeric"),
         pytest.param("to_eulerian", None, id="trajectory-missing-file"),
+        pytest.param("to_eulerian", TRAJ_HEADER + "0,0,0,1\n0,1,10,1\n",
+                     id="trajectory-out-of-order"),
         pytest.param("to_trajectories", FIELD_HEADER, id="field-header-only"),
         pytest.param("to_trajectories", "", id="field-empty"),
         pytest.param("to_trajectories", FIELD_HEADER + "".join(

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from trafficlab import (ConfigurationError, EulerianScenario, InflowOutflow,
-                        SpatialGrid, lwr_riemann_density,
+from trafficlab import (AccelerationLaw, ConfigurationError, EulerianScenario,
+                        InflowOutflow, SolverFault, SpatialGrid, lwr_riemann_density,
                         make_linear_gm, make_ovm, make_third_order,
                         rankine_hugoniot_speed, solve_lwr_godunov,
                         solve_second_order, total_vehicles)
@@ -185,7 +185,6 @@ class TestSecondOrder:
         assert measured == pytest.approx(-10.0, rel=0.05)
 
     def test_pure_advection_when_source_vanishes(self):
-        from trafficlab import AccelerationLaw
         null_law = AccelerationLaw("coasting", {}, lambda v, s, dv: 0.0 * v,
                                    v_free=20.0)
         grid = SpatialGrid(0.0, 5.0, 200)
@@ -240,3 +239,19 @@ class TestSecondOrder:
                               initial_density=np.full(10, 0.05), law=law)
         with pytest.raises(ConfigurationError):
             solve_second_order(sc)
+
+    def test_non_finite_substep_faults(self):
+        # the source is infinite in the one sparser cell (index 3): the solver
+        # must stop on that substep, not return a field holding inf
+        law = AccelerationLaw(
+            "blowup", {}, lambda v, s, dv: np.where(s > 22.0, np.inf, 0.0),
+            lambda v, s, dv: (0.0 * v, 0.0 * v, 0.0 * v), v_free=20.0)
+        k0 = np.full(10, 0.05)
+        k0[3] = 0.04
+        sc = EulerianScenario(grid=SpatialGrid(0.0, 10.0, 10), dt=0.1, steps=1,
+                              initial_density=k0, initial_speed=np.full(10, 5.0),
+                              law=law)
+        with pytest.raises(SolverFault) as exc:
+            solve_second_order(sc)
+        assert (exc.value.step, exc.value.cell) == (0, 3)
+        assert "non-finite" in str(exc.value)

@@ -4,11 +4,14 @@ import math
 
 import pytest
 
-from trafficlab import (GaussianBumpProfile, RiemannProfile, RingScenario,
-                        SuiteEntry, UniformProfile, compare_lwr,
-                        compare_second_order, make_fvdm, make_linear_gm,
-                        make_ovm, run_suite, write_summary_csv)
+from trafficlab import (ConfigurationError, GaussianBumpProfile, RiemannProfile,
+                        RingScenario, SuiteEntry, TriangularDiagram,
+                        UniformProfile, compare_lwr, compare_second_order,
+                        make_fvdm, make_linear_gm, make_ovm, run_suite,
+                        write_summary_csv)
 from trafficlab.equivalence import SUMMARY_COLUMNS
+
+from conftest import TRI
 
 
 RING = RingScenario(circumference=1000.0, k0=0.08, amplitude=0.01,
@@ -135,6 +138,52 @@ class TestSuite:
         reports = run_suite(entries)
         assert reports[0].verdict == "incomparable"
         assert reports[1].verdict != "incomparable"
+
+    def test_car_following_arm_shared_across_resolutions(self, tri, monkeypatch):
+        from trafficlab import equivalence
+        ring = RingScenario(**{**RING.__dict__, "horizon": 12.0})
+        laws = {"stable": make_ovm(0.4, tri), "unstable": make_ovm(0.7, tri)}
+        entries = [SuiteEntry(scenario=s, law=laws[s], ring=ring, cells=c)
+                   for s in laws for c in (10, 20, 40)]
+        standalone = [compare_second_order(
+            e.law, RingScenario(**{**ring.__dict__, "name": e.scenario}), e.cells)
+            for e in entries]
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(args[0].name)
+            return simulate(*args, **kwargs)
+
+        simulate = equivalence.simulate_continuous
+        monkeypatch.setattr(equivalence, "simulate_continuous", counting)
+        reports = run_suite(entries)
+        assert len(runs) == 2
+        assert all(math.isfinite(r.growth_cf) for r in reports)
+        assert reports == standalone
+        # an equal law on a different ring gets its own run
+        other = RingScenario(**{**ring.__dict__, "amplitude": 0.02})
+        run_suite(entries[:1] + [SuiteEntry("stable", laws["stable"], other, 10)])
+        assert len(runs) == 4
+
+    @pytest.mark.parametrize("law, amplitude", [
+        pytest.param(make_ovm(0.4, TriangularDiagram(**TRI)), 0.9, id="collision"),
+        pytest.param(make_linear_gm(1.0), 0.01, id="no-steady-state"),
+    ])
+    def test_failing_arm_reported_at_every_resolution(self, law, amplitude):
+        ring = RingScenario(**{**RING.__dict__, "horizon": 12.0,
+                               "amplitude": amplitude, "name": "broken"})
+        entries = [SuiteEntry(scenario="broken", law=law, ring=ring, cells=c)
+                   for c in (10, 20, 40)]
+        reports = run_suite(entries)
+        for entry, report in zip(entries, reports):
+            try:
+                alone = compare_second_order(law, ring, entry.cells)
+                fault = alone.fault
+            except ConfigurationError as exc:
+                fault = str(exc)
+            assert report.verdict == "incomparable"
+            assert report.fault == fault != ""
+            assert report.resolution == f"cells={entry.cells}"
 
     def test_summary_csv(self, tri, tmp_path):
         reports = run_suite(self.entries(tri, cells=(10,)))
