@@ -5,6 +5,9 @@ compare. Each reads a strict JSON scenario config (--config), writes CSV
 files into --out, and prints a one-line summary. Exit codes: 0 success,
 1 runtime/model fault, 2 configuration fault. Float columns use repr's
 shortest round-trip decimals, so identical configs give byte-identical files.
+The CSV writers build each file column by column and call repr once per
+distinct value (bit pattern) of a column, not once per cell; the bytes are
+the same as formatting every cell through csv.writer.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,107 +35,149 @@ from .steady_state import fundamental_diagram_of
 from .transforms import (EulerianField, SpatialGrid, TrajectorySurface,
                          to_eulerian, to_trajectories)
 
-_R = repr  # shortest round-trip float formatting
+
+def _column_text(column: np.ndarray) -> np.ndarray:
+    """Text of each value of ``column``, formatted once per distinct value.
+
+    Values are keyed on their 64-bit pattern, so ``-0.0`` stays apart from
+    ``0.0`` and every NaN reads ``nan``; ``repr`` of a float gives the shortest
+    round-trip decimals.
+    """
+    column = np.ravel(column)
+    column = column.astype(np.float64 if column.dtype.kind == "f" else np.int64,
+                           copy=False)
+    unique, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array([repr(u) for u in unique.view(column.dtype).tolist()], dtype=object)
+    return text[inverse]
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
+def _write_columns(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns as CSV, byte for byte as ``csv.writer`` would.
+
+    A ``repr`` of a number holds no comma, quote or line break, so no field needs
+    quoting; lines end in CR LF, as in the ``excel`` dialect.
+    """
+    rows = map(",".join, zip(*[_column_text(c) for c in columns]))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join([",".join(header), *rows, ""]))
 
 
 def write_trajectory_csv(surface: TrajectorySurface, path: Path) -> None:
-    speeds = surface.speed_matrix()
-    has_accel = surface.accels is not None
-    header = ["t", "vehicle", "x", "v"] + (["a"] if has_accel else [])
-    rows = []
-    times = surface.times
-    for i in range(surface.n_steps):
-        for n in range(surface.n_vehicles):
-            row = [_R(float(times[i])), n, _R(float(surface.positions[i, n])),
-                   _R(float(speeds[i, n]))]
-            if has_accel:
-                row.append(_R(float(surface.accels[i, n])))
-            rows.append(row)
-    _write_rows(path, header, rows)
+    n_steps, n_vehicles = surface.positions.shape
+    header = ["t", "vehicle", "x", "v"]
+    columns = [np.repeat(surface.times, n_vehicles),
+               np.tile(np.arange(n_vehicles), n_steps),
+               surface.positions, surface.speed_matrix()]
+    if surface.accels is not None:
+        header.append("a")
+        columns.append(surface.accels)
+    _write_columns(path, header, columns)
 
 
 def _input_error(message: str) -> ConfigurationError:
     return ConfigurationError(message, path="transform.input")
 
 
-def _read_csv_rows(path: Path, header: list[str], kind: str, parse) -> list[tuple]:
-    """Data rows of a CSV whose header starts with ``header``, parsed by ``parse``."""
+def _read_records(path: Path, header: list[str], dtype: np.dtype,
+                  kind: str) -> np.ndarray:
+    """One ``dtype`` record per data row of a CSV whose header starts with ``header``.
+
+    The file is decoded as ASCII, which is all the writers emit: NumPy's
+    ``loadtxt`` integer parser can crash the interpreter on non-ASCII text.
+    """
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            matches = (next(reader, None) or [])[:len(header)] == header
-            data = [parse(r) for r in reader] if matches else []
-    except (OSError, csv.Error, ValueError, IndexError) as exc:
+        with open(path, newline="", encoding="ascii") as fh:
+            matches = next(csv.reader([fh.readline()]))[:len(header)] == header
+            if matches:
+                with warnings.catch_warnings():
+                    # a header-only file is reported below, not as a warning
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                      usecols=range(len(dtype.names)), quotechar='"',
+                                      ndmin=1)
+    except (OSError, csv.Error, ValueError) as exc:
         raise _input_error(f"cannot read {path}: {exc}") from exc
     if not matches:
         raise _input_error(f"{path} is not a {kind} CSV")
-    if not data:
+    if not data.size:
         raise _input_error(f"{path} has no data rows")
     return data
 
 
-def _axis(values, name: str, path: Path) -> tuple[list, dict, float]:
-    """Sorted distinct samples, their indices and their even spacing (1 if single)."""
-    axis = sorted(set(values))
+def _require_finite(path: Path, data: np.ndarray, names) -> None:
+    for name in names:
+        if not np.all(np.isfinite(data[name])):
+            raise _input_error(f"{path} has non-finite {name} values")
+
+
+def _axis(values: np.ndarray, name: str,
+          path: Path) -> tuple[np.ndarray, np.ndarray, float]:
+    """Sorted distinct samples, each value's index into them and their even
+    spacing (1 if single)."""
+    axis, index = np.unique(values, return_inverse=True)
     steps = np.diff(axis) if len(axis) > 1 else np.ones(1)
     if not np.allclose(steps, steps[0], rtol=1e-6, atol=0.0):
         raise _input_error(f"{path} has unevenly spaced {name} samples")
-    return axis, {a: i for i, a in enumerate(axis)}, float(steps[0])
+    return axis, index, float(steps[0])
+
+
+def _grids(missing: str, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int],
+           *values: np.ndarray) -> list[np.ndarray]:
+    """One ``shape`` matrix per ``values`` column, filled at ``(rows, cols)``.
+
+    Every cell must be given; the first column must be finite, so a NaN left
+    in its matrix marks a missing sample.
+    """
+    if len(rows) < shape[0] * shape[1]:  # also keeps a sparse file from allocating
+        raise _input_error(missing)
+    grids = []
+    for column in values:
+        grid = np.full(shape, math.nan)
+        grid[rows, cols] = column
+        grids.append(grid)
+    if np.any(np.isnan(grids[0])):
+        raise _input_error(missing)
+    return grids
+
+
+_TRAJECTORY_RECORD = np.dtype([("t", float), ("vehicle", np.int64), ("x", float),
+                               ("v", float)])
+_FIELD_RECORD = np.dtype([("t", float), ("x", float), ("k", float), ("v", float)])
 
 
 def read_trajectory_csv(path: Path) -> TrajectorySurface:
-    data = _read_csv_rows(path, ["t", "vehicle", "x", "v"], "trajectory",
-                          lambda r: (float(r[0]), int(r[1]), float(r[2]), float(r[3])))
-    times, t_index, dt = _axis([r[0] for r in data], "t", path)
-    vehicles = sorted({r[1] for r in data})
-    if vehicles != list(range(len(vehicles))):
+    data = _read_records(path, ["t", "vehicle", "x", "v"], _TRAJECTORY_RECORD,
+                         "trajectory")
+    _require_finite(path, data, ("t", "x", "v"))
+    times, t_index, dt = _axis(data["t"], "t", path)
+    vehicles = np.unique(data["vehicle"])
+    if vehicles[0] != 0 or vehicles[-1] != len(vehicles) - 1:
         raise _input_error(f"{path} vehicle ids must run 0..N-1 without gaps")
-    pos = np.full((len(times), len(vehicles)), math.nan)
-    spd = np.full_like(pos, math.nan)
-    for t, n, x, v in data:
-        pos[t_index[t], n] = x
-        spd[t_index[t], n] = v
-    if np.any(np.isnan(pos)):
-        raise _input_error("trajectory CSV has missing (t, vehicle) samples")
+    pos, spd = _grids("trajectory CSV has missing (t, vehicle) samples", t_index,
+                      data["vehicle"], (len(times), len(vehicles)), data["x"], data["v"])
     try:
-        return TrajectorySurface(t0=times[0], dt=dt, positions=pos, speeds=spd)
+        return TrajectorySurface(t0=float(times[0]), dt=dt, positions=pos, speeds=spd)
     except ParameterError as exc:  # e.g. vehicles out of front-to-rear order
         raise _input_error(f"{path}: {exc}") from exc
 
 
 def write_field_csv(field: EulerianField, path: Path) -> None:
-    q = field.flow()
-    rows = []
-    times = field.times
-    centers = field.cell_centers
-    for i in range(field.n_steps):
-        for j in range(field.n_cells):
-            rows.append([_R(float(times[i])), _R(float(centers[j])),
-                         _R(float(field.density[i, j])),
-                         _R(float(field.speed[i, j])), _R(float(q[i, j]))])
-    _write_rows(path, ["t", "x", "k", "v", "q"], rows)
+    n_steps, n_cells = field.density.shape
+    _write_columns(path, ["t", "x", "k", "v", "q"],
+                   [np.repeat(field.times, n_cells), np.tile(field.cell_centers, n_steps),
+                    field.density, field.speed, field.flow()])
 
 
 def read_field_csv(path: Path) -> EulerianField:
-    data = _read_csv_rows(path, ["t", "x", "k", "v", "q"], "field",
-                          lambda r: (float(r[0]), float(r[1]), float(r[2]), float(r[3])))
-    times, t_index, dt = _axis([r[0] for r in data], "t", path)
-    xs, x_index, dx = _axis([r[1] for r in data], "x", path)
-    k = np.full((len(times), len(xs)), math.nan)
-    v = np.full_like(k, math.nan)
-    for t, x, kk, vv in data:
-        k[t_index[t], x_index[x]] = kk
-        v[t_index[t], x_index[x]] = vv
-    if np.any(np.isnan(k)):
-        raise _input_error("field CSV has missing (t, x) samples")
-    return EulerianField(x0=xs[0] - dx / 2, dx=dx, t0=times[0], dt=dt,
+    data = _read_records(path, ["t", "x", "k", "v", "q"], _FIELD_RECORD, "field")
+    _require_finite(path, data, ("t", "x", "k"))
+    if not np.all(np.isfinite(data["v"][data["k"] > 0.0])):
+        raise _input_error(f"{path} has non-finite v values where k > 0")
+    times, t_index, dt = _axis(data["t"], "t", path)
+    xs, x_index, dx = _axis(data["x"], "x", path)
+    k, v = _grids("field CSV has missing (t, x) samples", t_index, x_index,
+                  (len(times), len(xs)), data["k"], data["v"])
+    return EulerianField(x0=float(xs[0]) - dx / 2, dx=dx, t0=float(times[0]), dt=dt,
                          density=k, speed=v)
 
 
@@ -147,9 +193,7 @@ def cmd_fd(doc: dict, out: Path) -> int:
     v[0] = fd.v_f
     v[1:] = fd.eta(k[1:])
     path = out / "fd.csv"
-    _write_rows(path, ["k", "q", "v"],
-                ([_R(float(a)), _R(float(b)), _R(float(c))]
-                 for a, b, c in zip(k, q, v)))
+    _write_columns(path, ["k", "q", "v"], [k, q, v])
     print(f"fd: wrote {len(k)} samples to {path} (capacity {fd.capacity!r} veh/s)")
     return 0
 
@@ -347,12 +391,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_dir(name: str) -> Path:
+    out = Path(name)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names a file, or a path below one
+        raise ConfigurationError(f"cannot create output directory {out}: {exc.strerror}",
+                                 path="--out") from exc
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = Path(getattr(args, "out", None) or ".")
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        out = _output_dir(getattr(args, "out", None) or ".")
         if args.seed_demo:
             return seed_demo(out)
         if args.command is None:

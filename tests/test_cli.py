@@ -2,11 +2,19 @@
 
 import csv
 import json
+import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from trafficlab.cli import DEMO_CONFIG, main
+from trafficlab import ConfigurationError, EulerianField, TrajectorySurface
+from trafficlab.cli import (DEMO_CONFIG, main, read_field_csv, read_trajectory_csv,
+                            write_field_csv, write_trajectory_csv)
 
 
 @pytest.fixture
@@ -27,6 +35,17 @@ def run(args):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def transform_config(directory, direction, data):
+    transform = {"direction": direction, "input": str(data)}
+    if direction == "to_eulerian":
+        transform.update(x0=-50.0, dx=10.0, cells=10)
+    else:
+        transform["n_vehicles"] = 1
+    cfg = Path(directory) / "transform.json"
+    cfg.write_text(json.dumps({"transform": transform}))
+    return cfg
 
 
 class TestExitCodes:
@@ -112,20 +131,62 @@ class TestExitCodes:
             id="field-uneven-x"),
         pytest.param("to_trajectories", FIELD_HEADER + "0,5,0.1,1,0.1\n"
                      "0,15,0.1,1,0.1\n1,5,0.1,1,0.1\n", id="field-missing-sample"),
+        pytest.param("to_eulerian", TRAJ_HEADER + "0,0,10,1\n0,1.5,0,1\n",
+                     id="vehicle-id-fraction"),
+        pytest.param("to_eulerian", TRAJ_HEADER + "0,0,10,1\n0,1e0,0,1\n",
+                     id="vehicle-id-exponent"),
+        pytest.param("to_eulerian", TRAJ_HEADER + "0,0,10,1\n0,\uff11,0,1\n",
+                     id="vehicle-id-non-ascii"),
+        pytest.param("to_eulerian", TRAJ_HEADER + "0,0,inf,1\n0,1,0,1\n",
+                     id="trajectory-inf-x"),
+        pytest.param("to_eulerian", TRAJ_HEADER + "0,0,10,nan\n0,1,0,1\n",
+                     id="trajectory-nan-v"),
+        pytest.param("to_eulerian", TRAJ_HEADER + "inf,0,10,1\ninf,1,0,1\n",
+                     id="trajectory-inf-t"),
+        pytest.param("to_trajectories", FIELD_HEADER + "0,5,0.1,1,0.1\n"
+                     "0,15,inf,1,0.1\n", id="field-inf-k"),
+        pytest.param("to_trajectories", FIELD_HEADER + "0,nan,0.1,1,0.1\n",
+                     id="field-nan-x"),
+        pytest.param("to_trajectories", FIELD_HEADER + "-inf,5,0.1,1,0.1\n"
+                     "-inf,15,0.1,1,0.1\n", id="field-inf-t"),
+        pytest.param("to_trajectories", FIELD_HEADER + "0,5,0.1,nan,0.1\n"
+                     "0,15,0.1,1,0.1\n", id="field-nan-v-where-occupied"),
     ])
     def test_malformed_transform_input(self, tmp_path, capsys, direction, text):
         data = tmp_path / "input.csv"
         if text is not None:
-            data.write_text(text)
-        transform = {"direction": direction, "input": str(data)}
-        if direction == "to_eulerian":
-            transform.update(x0=-50.0, dx=10.0, cells=10)
-        else:
-            transform["n_vehicles"] = 1
-        cfg = tmp_path / "transform.json"
-        cfg.write_text(json.dumps({"transform": transform}))
+            data.write_text(text, encoding="utf-8")
+        cfg = transform_config(tmp_path, direction, data)
         assert run(["transform", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "transform.input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("direction, row", [
+        ("to_eulerian", "{i},{i},{i},1\n"), ("to_trajectories", "{i},{i}5,0.1,1,0.1\n")])
+    def test_sparse_input_rejected_before_allocating(self, tmp_path, capsys, direction,
+                                                     row):
+        """3000 rows on a 3000 x 3000 sample grid: 144 MB of matrices if filled."""
+        data = tmp_path / "input.csv"
+        header = TRAJ_HEADER if direction == "to_eulerian" else FIELD_HEADER
+        data.write_text(header + "".join(row.format(i=i) for i in range(3000)))
+        cfg = transform_config(tmp_path, direction, data)
+        tracemalloc.start()
+        try:
+            code = run(["transform", "--config", cfg, "--out", tmp_path / "o"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "missing" in capsys.readouterr().err
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("below_file", [False, True],
+                             ids=["out-is-file", "out-below-file"])
+    def test_bad_out_names_out(self, demo_config, tmp_path, capsys, below_file):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "x" if below_file else blocker
+        assert run(["fd", "--config", demo_config, "--out", out]) == 2
+        assert "--out" in capsys.readouterr().err
 
 
 class TestOutputs:
@@ -223,3 +284,172 @@ class TestDeterminism:
             run([cmd, "--config", demo_config, "--out", tmp_path / "b"])
         for path in sorted((tmp_path / "a").iterdir()):
             assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Reference writers: the row-by-row csv.writer code the column-wise writers
+# replaced, kept to pin the new files byte for byte.
+
+
+def reference_write_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def reference_write_trajectory_csv(surface, path):
+    speeds = surface.speed_matrix()
+    has_accel = surface.accels is not None
+    header = ["t", "vehicle", "x", "v"] + (["a"] if has_accel else [])
+    rows = []
+    for i in range(surface.n_steps):
+        for n in range(surface.n_vehicles):
+            row = [repr(float(surface.times[i])), n,
+                   repr(float(surface.positions[i, n])), repr(float(speeds[i, n]))]
+            if has_accel:
+                row.append(repr(float(surface.accels[i, n])))
+            rows.append(row)
+    reference_write_rows(path, header, rows)
+
+
+def reference_write_field_csv(field, path):
+    q = field.flow()
+    rows = []
+    for i in range(field.n_steps):
+        for j in range(field.n_cells):
+            rows.append([repr(float(field.times[i])), repr(float(field.cell_centers[j])),
+                         repr(float(field.density[i, j])), repr(float(field.speed[i, j])),
+                         repr(float(q[i, j]))])
+    reference_write_rows(path, ["t", "x", "k", "v", "q"], rows)
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308,
+               -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+FINITE = st.one_of(st.sampled_from(EDGE_VALUES),
+                   st.floats(allow_nan=False, allow_infinity=False))
+ANY_FLOAT = st.one_of(FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))
+SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 4))
+ORIGINS = st.floats(-1e3, 1e3)
+SPACINGS = st.floats(1e-2, 1e2)
+
+
+def assert_bits_equal(a, b):
+    np.testing.assert_array_equal(np.asarray(a).view(np.int64),
+                                  np.asarray(b).view(np.int64))
+
+
+@st.composite
+def surfaces(draw):
+    """Surfaces with extreme finite positions and speeds, with or without accels."""
+    n_steps, n_veh = draw(SHAPES)
+    rows = [np.sort(draw(hnp.arrays(float, n_veh, elements=FINITE, unique=True)))[::-1]
+            for _ in range(n_steps)]
+    speeds = draw(hnp.arrays(float, (n_steps, n_veh), elements=FINITE))
+    accels = draw(st.none() | hnp.arrays(float, (n_steps, n_veh), elements=ANY_FLOAT))
+    with np.errstate(over="ignore"):  # a gap between +-1e308 overflows to inf
+        return TrajectorySurface(t0=draw(ORIGINS), dt=draw(SPACINGS),
+                                 positions=np.array(rows), speeds=speeds, accels=accels)
+
+
+@st.composite
+def fields(draw):
+    """Fields with -0.0, subnormal and near-overflow values and NaN speeds."""
+    shape = draw(SHAPES)
+    return EulerianField(x0=draw(ORIGINS), dx=draw(SPACINGS), t0=draw(ORIGINS),
+                         dt=draw(SPACINGS),
+                         density=draw(hnp.arrays(float, shape, elements=FINITE)),
+                         speed=draw(hnp.arrays(float, shape, elements=ANY_FLOAT)))
+
+
+@given(surface=surfaces())
+@settings(max_examples=60, deadline=None)
+def test_trajectory_csv_matches_reference_and_round_trips(surface):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
+        write_trajectory_csv(surface, path)
+        reference_write_trajectory_csv(surface, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        with np.errstate(over="ignore"):
+            back = read_trajectory_csv(path)
+    assert_bits_equal(back.positions, surface.positions)
+    assert_bits_equal(back.speeds, surface.speeds)
+
+
+@given(field=fields())
+@settings(max_examples=60, deadline=None)
+def test_field_csv_matches_reference_and_round_trips(field):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
+        with np.errstate(over="ignore", invalid="ignore"):  # q = k v may overflow
+            write_field_csv(field, path)
+            reference_write_field_csv(field, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        if not np.all(np.isfinite(field.speed[field.density > 0.0])):
+            with pytest.raises(ConfigurationError, match="transform.input"):
+                read_field_csv(path)
+            return
+        back = read_field_csv(path)
+    assert_bits_equal(back.density, field.density)
+    assert_bits_equal(back.speed, field.speed)
+
+
+# ---------------------------------------------------------------------------
+# The transform contract under malformed input: exit 0, 1 or 2, never a traceback.
+
+VALID_INPUTS = {
+    "to_eulerian": TRAJ_HEADER + "".join(f"{t},{n},{40 - 10 * n + t},1\n"
+                                         for t in (0, 1, 2) for n in range(3)),
+    # the empty cell's NaN speed is what write_field_csv emits there
+    "to_trajectories": FIELD_HEADER + "".join(
+        f"{t},{x},{cell}\n" for t in (0, 1, 2)
+        for x, cell in ((5, "0.05,1,0.05"), (15, "0.05,1,0.05"), (25, "0.05,1,0.05"),
+                        (35, "0.0,nan,0.0"))),
+}
+
+
+@st.composite
+def mutated_inputs(draw):
+    direction = draw(st.sampled_from(sorted(VALID_INPUTS)))
+    lines = VALID_INPUTS[direction].splitlines(keepends=True)
+    kind = draw(st.sampled_from(["none", "truncate", "drop", "duplicate",
+                                 "replace", "add-column", "remove-column"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "truncate":
+        text = "".join(lines)
+        text = text[:draw(st.integers(0, len(text)))]
+        return direction, text
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(draw(st.integers(0, len(lines))), lines[i])
+    elif kind != "none":
+        cells = lines[i].rstrip("\n").split(",")
+        j = draw(st.integers(0, len(cells) - 1))
+        if kind == "replace":
+            cells[j] = draw(st.text(max_size=8))
+        elif kind == "add-column":
+            cells.insert(j, draw(st.sampled_from(["0", "1.5", "x", ""])))
+        else:
+            del cells[j]
+        lines[i] = ",".join(cells) + "\n"
+    return direction, "".join(lines)
+
+
+@given(case=mutated_inputs())
+@settings(max_examples=100, deadline=None)
+def test_transform_exit_code_on_mutated_input(case):
+    direction, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "input.csv"
+        data.write_text(text, encoding="utf-8")
+        cfg = transform_config(tmp, direction, data)
+        assert run(["transform", "--config", cfg, "--out", Path(tmp) / "o"]) in {0, 1, 2}
+
+
+@pytest.mark.parametrize("direction", sorted(VALID_INPUTS))
+def test_transform_accepts_unmutated_fuzz_input(tmp_path, direction):
+    data = tmp_path / "input.csv"
+    data.write_text(VALID_INPUTS[direction])
+    cfg = transform_config(tmp_path, direction, data)
+    assert run(["transform", "--config", cfg, "--out", tmp_path / "o"]) == 0
