@@ -171,6 +171,8 @@ def write_field_csv(field: EulerianField, path: Path) -> None:
 def read_field_csv(path: Path) -> EulerianField:
     data = _read_records(path, ["t", "x", "k", "v", "q"], _FIELD_RECORD, "field")
     _require_finite(path, data, ("t", "x", "k"))
+    if np.any(data["k"] < 0.0):
+        raise _input_error(f"{path} has negative k values")
     if not np.all(np.isfinite(data["v"][data["k"] > 0.0])):
         raise _input_error(f"{path} has non-finite v values where k > 0")
     times, t_index, dt = _axis(data["t"], "t", path)
@@ -291,6 +293,9 @@ def cmd_transform(doc: dict, out: Path) -> int:
         print(f"transform: {surface.n_vehicles} trajectories -> field {path}")
     else:
         field = read_field_csv(Path(cfg["input"]))
+        if field.n_steps < 2:  # speeds are differences of positions in time
+            raise _input_error(f"{cfg['input']} needs at least two time samples "
+                               "for to_trajectories")
         surface = to_trajectories(field, cfg["n_vehicles"])
         path = out / "trajectories.csv"
         write_trajectory_csv(surface, path)

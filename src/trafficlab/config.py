@@ -8,6 +8,7 @@ messages (e.g. ``fd.k_j``) so a bad config fails before anything runs.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -35,6 +36,10 @@ def _is_num(value) -> bool:
 def _number(path, value, minimum=None, exclusive=False):
     if not _is_num(value):
         _fail(path, "must be a number")
+    # json parses NaN, Infinity and 1e999; NaN would also pass every minimum.
+    # Comparing keeps an int too large for a float from overflowing.
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        _fail(path, "must be a finite number")
     if minimum is not None:
         if exclusive and value <= minimum:
             _fail(path, f"must be > {minimum}")

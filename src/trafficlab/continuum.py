@@ -98,8 +98,9 @@ def solve_lwr_godunov(scenario: EulerianScenario) -> tuple[EulerianField, RunSta
     if fd is None:
         raise ConfigurationError("LWR solver needs a fundamental diagram")
     k = scenario.initial_density.copy()
-    if np.any(k < 0) or np.any(k > fd.k_j * (1 + 1e-12)):
-        raise ConfigurationError("initial densities must lie in [0, k_j]")
+    # NaN fails both comparisons, so non-finite densities are refused too.
+    if not np.all((k >= 0) & (k <= fd.k_j * (1 + 1e-12))):
+        raise ConfigurationError("initial densities must be finite and lie in [0, k_j]")
     dx, dt = scenario.grid.dx, scenario.dt
     cfl = fd.max_wave_speed() * dt / dx
     if cfl > INIT_CFL_LIMIT:
@@ -115,18 +116,22 @@ def solve_lwr_godunov(scenario: EulerianScenario) -> tuple[EulerianField, RunSta
         return fd.phi(np.maximum(kk, k_c))
 
     periodic = isinstance(scenario.boundary, Periodic)
+    if not periodic and not math.isfinite(scenario.boundary.k_in):
+        raise ConfigurationError("inflow density k_in must be finite")
     n_rec = _record_shape(scenario)
     density = np.empty((n_rec, scenario.grid.cells))
     density[0] = k
     stats = RunStats()
     row = 1
+    # States left and right of each interface, cell 0's left edge first.
+    left = np.empty(scenario.grid.cells + 1)
+    right = np.empty(scenario.grid.cells + 1)
     for step in range(scenario.steps):
+        left[1:], right[:-1] = k, k
         if periodic:
-            left = np.concatenate([k[-1:], k])
-            right = np.concatenate([k, k[:1]])
+            left[0], right[-1] = k[-1], k[0]
         else:
-            left = np.concatenate([[scenario.boundary.k_in], k])
-            right = np.concatenate([k, k[-1:]])
+            left[0], right[-1] = scenario.boundary.k_in, k[-1]
         flux = np.minimum(demand(left), supply(right))
         k = k - (dt / dx) * (flux[1:] - flux[:-1])
         if not periodic:
@@ -189,6 +194,10 @@ def solve_second_order(scenario: EulerianScenario) -> tuple[EulerianField, RunSt
     density[0], speed[0] = k, v
     stats = RunStats()
     row = 1
+    # Upstream density and speed and downstream speed of each cell.
+    k_up = np.empty(scenario.grid.cells)
+    v_up = np.empty(scenario.grid.cells)
+    v_dn = np.empty(scenario.grid.cells)
 
     for step in range(scenario.steps):
         k_eff = np.maximum(k, DENSITY_FLOOR)
@@ -197,13 +206,12 @@ def solve_second_order(scenario: EulerianScenario) -> tuple[EulerianField, RunSt
         dt_s = dt / n_sub
         for _ in range(n_sub):
             k_eff = np.maximum(k, DENSITY_FLOOR)
+            k_up[1:], v_up[1:], v_dn[:-1] = k[:-1], v[:-1], v[1:]
             if periodic:
-                k_up, v_up = np.roll(k, 1), np.roll(v, 1)
-                v_dn = np.roll(v, -1)
+                k_up[0], v_up[0], v_dn[-1] = k[-1], v[-1], v[0]
             else:
-                k_up = np.concatenate([[scenario.boundary.k_in], k[:-1]])
-                v_up = np.concatenate([[scenario.boundary.v_in], v[:-1]])
-                v_dn = np.concatenate([v[1:], v[-1:]])
+                k_up[0], v_up[0] = scenario.boundary.k_in, scenario.boundary.v_in
+                v_dn[-1] = v[-1]
 
             flux_out = k * v
             flux_in = k_up * v_up
@@ -220,7 +228,7 @@ def solve_second_order(scenario: EulerianScenario) -> tuple[EulerianField, RunSt
             v_new = v + dt_s * (-v * (v - v_up) / dx + psi)
 
             below = v_new < 0.0
-            if np.any(below):
+            if below.any():
                 stats.speed_clamps += int(np.count_nonzero(below))
                 v_new = np.where(below, 0.0, v_new)
             if law.v_free is not None:

@@ -253,20 +253,37 @@ class TabulatedDiagram:
 FundamentalDiagram = TriangularDiagram | GreenshieldsDiagram | TabulatedDiagram
 
 
+def _least(x) -> float:
+    """Smallest non-NaN element of ``x`` as a float; ``inf`` when there is none.
+
+    ``_least(x) < lim`` holds exactly where ``np.any(x < lim)`` does, in one
+    reduction that costs a third as much on the short arrays of the
+    time-stepping loops: ``fmin`` skips NaN, which never compares true, and
+    ``initial`` covers 0-d and empty input. Integers are made float first,
+    since ``initial=inf`` cannot be cast to an integer.
+    """
+    return np.fmin.reduce(np.asarray(x, dtype=float), axis=None, initial=np.inf)
+
+
+def _greatest(x) -> float:
+    """Largest non-NaN element of ``x`` as a float; ``-inf`` when there is none."""
+    return np.fmax.reduce(np.asarray(x, dtype=float), axis=None, initial=-np.inf)
+
+
 def _check_density_range(k: np.ndarray, k_j: float):
-    if np.any(k < -_EDGE_TOL * k_j) or np.any(k > k_j * (1.0 + _EDGE_TOL)):
+    if _least(k) < -_EDGE_TOL * k_j or _greatest(k) > k_j * (1.0 + _EDGE_TOL):
         raise DomainError(f"density outside [0, k_j={k_j:g}]")
 
 
 def _check_density_positive(k: np.ndarray, k_j: float):
-    if np.any(k <= 0):
+    if _least(k) <= 0:
         raise DomainError("density must be > 0 for speed-density evaluation")
-    if np.any(k > k_j * (1.0 + _EDGE_TOL)):
+    if _greatest(k) > k_j * (1.0 + _EDGE_TOL):
         raise DomainError(f"density above jam density {k_j:g}")
 
 
 def _check_spacing_range(s: np.ndarray, s_j: float):
-    if np.any(s < s_j * (1.0 - _EDGE_TOL)):
+    if _least(s) < s_j * (1.0 - _EDGE_TOL):
         raise DomainError(f"spacing below jam spacing {s_j:g}")
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
-from .fundamental import FundamentalDiagram
+from .fundamental import FundamentalDiagram, _least
 
 
 class LawOrder(enum.Enum):
@@ -69,7 +69,7 @@ def _heaviside(x):
 
 
 def _check_spacing_positive(s):
-    if np.any(np.asarray(s) <= 0.0):
+    if _least(s) <= 0.0:
         raise EvaluationError("spacing must be positive")
 
 

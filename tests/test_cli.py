@@ -79,6 +79,19 @@ class TestExitCodes:
         assert run(["simulate-pde", "--config", path, "--out", tmp_path]) == 2
         assert "pde.dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400],
+                             ids=["nan", "inf", "int-beyond-float"])
+    def test_non_finite_config_number_names_path(self, tmp_path, capsys, value):
+        """json reads NaN, Infinity and huge integers; none may reach a solver."""
+        doc = json.loads(json.dumps(DEMO_CONFIG))
+        doc["pde"]["boundary"] = {"kind": "inflow", "k_in": value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["simulate-pde", "--config", path, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "pde.boundary.k_in" in err and "finite" in err
+        assert not (tmp_path / "o" / "field.csv").exists()
+
     @pytest.mark.parametrize("model, sweep, path", [
         pytest.param({"name": "ovm", "T": 0.4}, {"param": "bogus", "values": [0.4]},
                      "stability.sweep.param", id="unknown-param"),
@@ -151,6 +164,11 @@ class TestExitCodes:
                      "-inf,15,0.1,1,0.1\n", id="field-inf-t"),
         pytest.param("to_trajectories", FIELD_HEADER + "0,5,0.1,nan,0.1\n"
                      "0,15,0.1,1,0.1\n", id="field-nan-v-where-occupied"),
+        pytest.param("to_trajectories", FIELD_HEADER + "".join(
+            f"{t},5,-0.05,0,0\n{t},15,0.05,1,0.05\n" for t in (0, 1)),
+            id="field-negative-k"),
+        pytest.param("to_trajectories", FIELD_HEADER + "0,5,0.05,1,0.05\n"
+                     "0,15,0.05,1,0.05\n", id="field-single-time"),
     ])
     def test_malformed_transform_input(self, tmp_path, capsys, direction, text):
         data = tmp_path / "input.csv"
@@ -354,11 +372,16 @@ def surfaces(draw):
 
 @st.composite
 def fields(draw):
-    """Fields with -0.0, subnormal and near-overflow values and NaN speeds."""
+    """Fields with -0.0, subnormal and near-overflow values and NaN speeds.
+
+    Half of them hold negative densities, which are written as given and
+    which the reader must refuse; the other half flip them (-0.0 stays)."""
     shape = draw(SHAPES)
+    density = draw(hnp.arrays(float, shape, elements=FINITE))
+    if draw(st.booleans()):
+        density = np.where(density < 0.0, -density, density)
     return EulerianField(x0=draw(ORIGINS), dx=draw(SPACINGS), t0=draw(ORIGINS),
-                         dt=draw(SPACINGS),
-                         density=draw(hnp.arrays(float, shape, elements=FINITE)),
+                         dt=draw(SPACINGS), density=density,
                          speed=draw(hnp.arrays(float, shape, elements=ANY_FLOAT)))
 
 
@@ -385,7 +408,8 @@ def test_field_csv_matches_reference_and_round_trips(field):
             write_field_csv(field, path)
             reference_write_field_csv(field, reference)
         assert path.read_bytes() == reference.read_bytes()
-        if not np.all(np.isfinite(field.speed[field.density > 0.0])):
+        if (np.any(field.density < 0.0)
+                or not np.all(np.isfinite(field.speed[field.density > 0.0]))):
             with pytest.raises(ConfigurationError, match="transform.input"):
                 read_field_csv(path)
             return

@@ -142,6 +142,19 @@ class TestGodunov:
         with pytest.raises(ConfigurationError):
             solve_lwr_godunov(sc)
 
+    @pytest.mark.parametrize("cell, k_in", [
+        (math.nan, 0.05), (math.inf, 0.05), (0.05, math.nan), (0.05, math.inf)],
+        ids=["nan-density", "inf-density", "nan-k_in", "inf-k_in"])
+    def test_non_finite_input_rejected(self, tri, cell, k_in):
+        # a NaN density or k_in passes a range check written as k < 0
+        k0 = np.full(20, 0.05)
+        k0[7] = cell
+        sc = EulerianScenario(grid=SpatialGrid(0.0, 10.0, 20), dt=0.2, steps=5,
+                              initial_density=k0, boundary=InflowOutflow(k_in=k_in),
+                              fd=tri)
+        with pytest.raises(ConfigurationError, match="finite"):
+            solve_lwr_godunov(sc)
+
 
 class TestSecondOrder:
     def test_equilibrium_stationary(self, tri):

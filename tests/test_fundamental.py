@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from trafficlab import (DomainError, GreenshieldsDiagram, ParameterError,
-                        TabulatedDiagram, TriangularDiagram, cfl_max_dt,
-                        diagram_from_config)
+from trafficlab import (DomainError, EvaluationError, GreenshieldsDiagram,
+                        ParameterError, TabulatedDiagram, TriangularDiagram,
+                        cfl_max_dt, diagram_from_config)
+from trafficlab.fundamental import (_EDGE_TOL, _check_density_positive,
+                                    _check_density_range, _check_spacing_range)
+from trafficlab.laws import _check_spacing_positive
 
 from conftest import GS, TRI
 
@@ -136,3 +140,74 @@ class TestConstruction:
                                   "table": [[0.0, 0.0], [0.1, 1.0], [0.2, 0.0]]})
         assert fd.capacity == 1.0
         assert fd.critical_density == 0.1
+
+
+# The domain checks as they were written with np.any, kept as references for
+# the single-reduction checks of the package.
+
+def reference_check_density_range(k, k_j):
+    if np.any(k < -_EDGE_TOL * k_j) or np.any(k > k_j * (1.0 + _EDGE_TOL)):
+        raise DomainError(f"density outside [0, k_j={k_j:g}]")
+
+
+def reference_check_density_positive(k, k_j):
+    if np.any(k <= 0):
+        raise DomainError("density must be > 0 for speed-density evaluation")
+    if np.any(k > k_j * (1.0 + _EDGE_TOL)):
+        raise DomainError(f"density above jam density {k_j:g}")
+
+
+def reference_check_spacing_range(s, s_j):
+    if np.any(s < s_j * (1.0 - _EDGE_TOL)):
+        raise DomainError(f"spacing below jam spacing {s_j:g}")
+
+
+def reference_check_spacing_positive(s):
+    if np.any(np.asarray(s) <= 0.0):
+        raise EvaluationError("spacing must be positive")
+
+
+# name: (check, reference, the bounds it compares against for a given k_j/s_j)
+DOMAIN_CHECKS = {
+    "density_range": (_check_density_range, reference_check_density_range,
+                      lambda b: (-_EDGE_TOL * b, b * (1.0 + _EDGE_TOL))),
+    "density_positive": (_check_density_positive, reference_check_density_positive,
+                         lambda b: (0.0, b * (1.0 + _EDGE_TOL))),
+    "spacing_range": (_check_spacing_range, reference_check_spacing_range,
+                      lambda b: (b * (1.0 - _EDGE_TOL),)),
+    "spacing_positive": (lambda s, _: _check_spacing_positive(s),
+                         lambda s, _: reference_check_spacing_positive(s),
+                         lambda b: (0.0,)),
+}
+
+
+def check_inputs(bounds):
+    """Python scalars, 0-d, empty and small float or int arrays, drawn around
+    ``bounds``: each bound and its neighbouring floats, NaN, +-inf, +-0.0."""
+    near = [v for b in bounds for v in (np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf))]
+    floats = st.one_of(
+        st.sampled_from(near + [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324]),
+        st.floats())
+    ints = st.one_of(st.integers(-3, 3), st.integers(-2**63, 2**63 - 1))
+    shapes = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)
+    return st.one_of(floats, ints,
+                     hnp.arrays(np.float64, shapes, elements=floats),
+                     hnp.arrays(np.int64, shapes, elements=ints))
+
+
+def raised(check, x, bound):
+    try:
+        check(x, bound)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(DOMAIN_CHECKS)),
+       bound=st.one_of(st.sampled_from([0.2, 5.0, 1.0]),
+                       st.floats(min_value=1e-6, max_value=1e6)))
+@settings(max_examples=400, deadline=None)
+def test_domain_checks_raise_exactly_where_np_any_did(data, name, bound):
+    check, reference, bounds = DOMAIN_CHECKS[name]
+    x = data.draw(check_inputs(bounds(bound)), label="x")
+    assert raised(check, x, bound) == raised(reference, x, bound)
