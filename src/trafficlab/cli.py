@@ -27,7 +27,6 @@ from .continuum import solve_lwr_godunov, solve_second_order, total_vehicles
 from .equivalence import run_suite, write_summary_csv
 from .errors import ConfigurationError, ParameterError, TrafficLabError
 from .fundamental import cfl_max_dt
-from .laws import law_from_config
 from .platoon import (Ring, simulate_continuous, simulate_newell,
                       simulate_pipes_discrete)
 from .stability import stability_map, write_stability_csv
@@ -213,8 +212,7 @@ def cmd_steady(doc: dict, out: Path) -> int:
 
 def cmd_stability(doc: dict, out: Path) -> int:
     section = cfgmod.require_section(doc, "stability")
-    grid = cfgmod.k_grid_from({k: section[k] for k in ("k_min", "k_max", "count")})
-    fd = cfgmod.build_fd(doc) if "fd" in doc else None
+    grid = cfgmod.k_grid_from(section)
     model_cfg = cfgmod.require_section(doc, "model")
     path = out / "stability.csv"
     sweep = section.get("sweep")
@@ -227,7 +225,8 @@ def cmd_stability(doc: dict, out: Path) -> int:
         return 0
     rows, swept = [], []
     for value in sweep["values"]:
-        law = law_from_config(cfgmod.swept_model(model_cfg, sweep["param"], value), fd)
+        law = cfgmod.build_law(
+            {**doc, "model": cfgmod.swept_model(model_cfg, sweep["param"], value)})
         law_rows = stability_map(law, grid)
         rows += law_rows
         swept += [value] * len(law_rows)

@@ -1,14 +1,17 @@
 """Strict scenario-JSON validation and object construction.
 
-Every section is checked key by key: unknown keys are rejected and every
-numeric parameter is range-checked up front, with dotted paths in error
-messages (e.g. ``fd.k_j``) so a bad config fails before anything runs.
+One schema table says what every key of a scenario may hold, and one walker
+enforces it key by key: unknown keys are rejected and every numeric parameter
+is range-checked up front, with dotted paths in error messages (e.g.
+``fd.k_j``) so a bad config fails before anything runs. The checks that relate
+two values are named rules, each run right after the keys of its section.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,64 +22,199 @@ from .fundamental import FundamentalDiagram, diagram_from_config
 from .laws import AccelerationLaw, law_from_config
 from .platoon import (ConstantLeader, PiecewiseConstantLeader, PlatoonState,
                       Ring, SinusoidLeader)
+from .steady_state import EquilibriumStatus, solve_equilibrium_speed
 from .transforms import SpatialGrid
 
-TOP_LEVEL_SECTIONS = ("fd", "model", "steady", "stability", "sim", "pde",
-                      "suite", "transform", "output")
+
+class Leaf(NamedTuple):
+    """What one key of a scenario may hold, and whether it may be absent.
+
+    ``bound`` depends on ``kind``:
+
+    - ``number``, ``integer``: the minimum (a number's may be None);
+      ``strict`` refuses the minimum itself;
+    - ``string``: the allowed values, or () for any string;
+    - ``list``: ``(item, min_len, max_len, message, at)``; a value of any other
+      shape (nested lists included) fails with ``message``, at the sibling key
+      ``at`` when one is named;
+    - ``section``: ``(table, strings)``, the table mapping each key to its
+      leaf; the value may instead be one of ``strings``;
+    - ``variant``: ``(key, {choice: table})``; the value of ``key`` picks one.
+    """
+
+    kind: str
+    bound: object = None
+    required: bool = True
+    strict: bool = False
+
+
+def _num(minimum=None, strict=False) -> Leaf:
+    return Leaf("number", minimum, strict=strict)
+
+
+def _int(minimum: int) -> Leaf:
+    return Leaf("integer", minimum)
+
+
+def _str(*choices: str) -> Leaf:
+    return Leaf("string", choices)
+
+
+def _list(item: Leaf, message: str, min_len=0, max_len=math.inf, at="") -> Leaf:
+    return Leaf("list", (item, min_len, max_len, message, at))
+
+
+def _obj(table: dict, strings=()) -> Leaf:
+    return Leaf("section", (table, strings))
+
+
+def _variant(key: str, tables: dict) -> Leaf:
+    return Leaf("variant", (key, tables))
+
+
+def _opt(leaf: Leaf) -> Leaf:
+    return leaf._replace(required=False)
+
+
+POS, NONNEG, REAL, INT1, STRING = _num(0, strict=True), _num(0), _num(), _int(1), _str()
+_IDM = {"a": POS, "b": POS, "delta": _num(1), "v_f": POS, "tau": POS, "d": POS}
+MODELS = {
+    "linear_gm": {"T": POS},
+    "nonlinear_gm": {"a": POS, "m": _int(0), "l": _int(0)},
+    "ovm": {"T": POS},
+    "gfm": {"T": POS, "T_brake": POS, "d": POS, "tau": POS, "R": POS},
+    "idm": _IDM,
+    "idm_alt": _IDM,
+    "fvdm": {"T": POS, "lambda": NONNEG},
+    "arz": {},
+    "jwz": {"T": POS, "c0": NONNEG},
+}
+# A third-order law wraps a first-order one; wrappers do not nest.
+MODELS["third_order"] = {"t_delay": POS, "inner": _variant("name", dict(MODELS))}
+MODEL = _variant("name", MODELS)
+_K_GRID = {"k_min": POS, "k_max": POS, "count": _int(2)}
+_PAIRED = "times and speeds must be equal-length lists"
+
+SECTIONS = {
+    "fd": _variant("kind", {
+        "triangular": {"v_f": POS, "w": POS, "k_j": POS},
+        "greenshields": {"v_f": POS, "k_j": POS},
+        "tabulated": {"table": _list(_list(NONNEG, "", 2, 2),
+                                     "must be a list of [k, q] pairs, >= 3 rows", 3)},
+    }),
+    "model": MODEL,
+    "steady": _obj(_K_GRID),
+    "stability": _obj({**_K_GRID, "sweep": _opt(_obj({
+        "param": STRING, "values": _list(POS, "must be a non-empty list", 1)}))}),
+    "sim": _obj({
+        "method": _str("rk4", "pipes", "newell"),
+        "dt": _opt(POS),
+        "steps": INT1,
+        "boundary": _variant("kind", {
+            "constant": {"v0": NONNEG},
+            "sinusoid": {"v0": NONNEG, "amplitude": NONNEG, "omega": POS},
+            "piecewise": {"times": _list(NONNEG, _PAIRED, 1),
+                          "speeds": _list(NONNEG, _PAIRED, 1, at="times")},
+            "ring": {"length": POS},
+        }),
+        "initial": _obj({
+            "n_vehicles": _int(2), "spacing": POS, "speed": NONNEG,
+            "lead_position": _opt(REAL),
+            "perturbation": _opt(_obj({"relative_amplitude": NONNEG,
+                                       "waves": _opt(INT1)})),
+        }),
+    }),
+    "pde": _obj({
+        "solver": _str("lwr", "second_order"),
+        "x0": _opt(REAL), "dx": POS, "cells": INT1, "dt": POS, "steps": INT1,
+        "record_every": _opt(INT1),
+        # One object form only, so its kind is a plain key, not a variant.
+        "boundary": _opt(_obj({"kind": _str("inflow"), "k_in": NONNEG,
+                               "v_in": _opt(NONNEG)}, strings=("periodic",))),
+        "initial": _variant("kind", {
+            "uniform": {"k": NONNEG},
+            "riemann": {"k_left": NONNEG, "k_right": NONNEG, "x_jump": REAL},
+            "sine": {"k0": POS, "relative_amplitude": NONNEG, "waves": _opt(INT1)},
+        }),
+    }),
+    "suite": _obj({
+        "ring": _obj({"circumference": POS, "k0": POS, "horizon": POS, "dt_cf": POS,
+                      "dt_pde": POS, "amplitude": NONNEG,
+                      "compare_points": _opt(_int(2)), "threshold": _opt(POS)}),
+        "entries": _list(_obj({"scenario": STRING, "model": MODEL,
+                               "amplitude": _opt(NONNEG)}), "must be a list"),
+        "resolutions": _list(_int(4), "must be a non-empty list of cell counts", 1),
+    }),
+    "transform": _variant("direction", {
+        "to_eulerian": {"input": STRING, "x0": REAL, "dx": POS, "cells": INT1},
+        "to_trajectories": {"input": STRING, "n_vehicles": INT1},
+    }),
+    "output": _obj({"dir": _opt(STRING)}),
+}
 
 
 def _fail(path: str, message: str):
     raise ConfigurationError(message, path=path)
 
 
-def _is_num(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _shaped(leaf: Leaf, value) -> bool:
+    item, min_len, max_len = leaf.bound[:3]
+    return (isinstance(value, list) and min_len <= len(value) <= max_len
+            and (item.kind != "list" or all(_shaped(item, v) for v in value)))
 
 
-def _number(path, value, minimum=None, exclusive=False):
-    if not _is_num(value):
-        _fail(path, "must be a number")
-    # json parses NaN, Infinity and 1e999; NaN would also pass every minimum.
-    # Comparing keeps an int too large for a float from overflowing.
-    if not -sys.float_info.max <= value <= sys.float_info.max:
-        _fail(path, "must be a finite number")
-    if minimum is not None:
-        if exclusive and value <= minimum:
-            _fail(path, f"must be > {minimum}")
-        if not exclusive and value < minimum:
-            _fail(path, f"must be >= {minimum}")
-    return float(value)
-
-
-def _integer(path, value, minimum=None):
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(path, "must be an integer")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}")
-    return value
-
-
-def _string(path, value, choices=None):
-    if not isinstance(value, str):
-        _fail(path, "must be a string")
-    if choices is not None and value not in choices:
-        _fail(path, f"must be one of {sorted(choices)}")
-    return value
-
-
-def _section(path, value):
-    if not isinstance(value, dict):
-        _fail(path, "must be an object")
-    return value
-
-
-def _check_keys(cfg: dict, path: str, known: set[str], required: set[str]):
-    for key in cfg:
-        if key not in known:
-            _fail(f"{path}.{key}", "unknown key")
-    for key in required:
-        if key not in cfg:
-            _fail(f"{path}.{key}", "missing required key")
+def _walk(leaf: Leaf, value, path: str, doc: dict) -> None:
+    """Check ``value`` against ``leaf``; raises at the first fault, with its path."""
+    kind, bound = leaf.kind, leaf.bound
+    if kind == "number":
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            _fail(path, "must be a number")
+        # json parses NaN, Infinity and 1e999; NaN would also pass every minimum.
+        # Comparing keeps an int too large for a float from overflowing.
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            _fail(path, "must be a finite number")
+        if bound is not None and (value <= bound if leaf.strict else value < bound):
+            _fail(path, f"must be {'>' if leaf.strict else '>='} {bound}")
+    elif kind == "integer":
+        if not isinstance(value, int) or isinstance(value, bool):
+            _fail(path, "must be an integer")
+        if value < bound:
+            _fail(path, f"must be >= {bound}")
+    elif kind == "string":
+        if not isinstance(value, str):
+            _fail(path, "must be a string")
+        if bound and value not in bound:
+            _fail(path, f"must be one of {sorted(bound)}")
+    elif kind == "list":
+        item, _, _, message, at = bound
+        if not _shaped(leaf, value):
+            _fail(f"{path.rpartition('.')[0]}.{at}" if at else path, message)
+        for i, member in enumerate(value):
+            _walk(item, member, f"{path}[{i}]", doc)
+    elif kind == "section" and bound[1] and isinstance(value, str):
+        _walk(_str(*bound[1]), value, path, doc)
+    else:
+        if not isinstance(value, dict):
+            _fail(path, "must be an object")
+        if kind == "variant":
+            key, tables = bound
+            name = value.get(key, "")
+            _walk(_str(*tables), name, f"{path}.{key}", doc)
+            table = tables[name]
+        else:
+            key, name, table = None, path, bound[0]
+        for k in value:
+            if k not in table and k != key:
+                _fail(f"{path}.{k}", "unknown key")
+        for k, sub in table.items():
+            if sub.required and k not in value:
+                _fail(f"{path}.{k}", "missing required key")
+        for k, sub in table.items():
+            if k in value:
+                _walk(sub, value[k], f"{path}.{k}", doc)
+        for section, rule in RULES:
+            if section == name:
+                rule(value, path, doc)
 
 
 def validate_document(doc: dict) -> None:
@@ -84,142 +222,45 @@ def validate_document(doc: dict) -> None:
     if not isinstance(doc, dict):
         raise ConfigurationError("config root must be a JSON object")
     for key in doc:
-        if key not in TOP_LEVEL_SECTIONS:
+        if key not in SECTIONS:
             _fail(key, "unknown section")
-    if "fd" in doc:
-        _validate_fd(doc["fd"])
-    if "model" in doc:
-        _validate_model(doc["model"], "model")
-    if "steady" in doc:
-        _validate_k_grid(doc["steady"], "steady")
-    if "stability" in doc:
-        _validate_stability(doc["stability"], doc.get("model"))
-    if "sim" in doc:
-        _validate_sim(doc["sim"])
-    if "pde" in doc:
-        _validate_pde(doc["pde"])
-    if "suite" in doc:
-        _validate_suite(doc["suite"])
-    if "transform" in doc:
-        _validate_transform(doc["transform"])
-    if "output" in doc:
-        out = _section("output", doc["output"])
-        _check_keys(out, "output", {"dir"}, set())
-        if "dir" in out:
-            _string("output.dir", out["dir"])
+    for key, leaf in SECTIONS.items():
+        if key in doc:
+            _walk(leaf, doc[key], key, doc)
 
 
-def _validate_fd(cfg):
-    cfg = _section("fd", cfg)
-    kind = _string("fd.kind", cfg.get("kind", ""),
-                   {"triangular", "greenshields", "tabulated"})
-    if kind == "triangular":
-        _check_keys(cfg, "fd", {"kind", "v_f", "w", "k_j"}, {"v_f", "w", "k_j"})
-        _number("fd.v_f", cfg["v_f"], 0, exclusive=True)
-        _number("fd.w", cfg["w"], 0, exclusive=True)
-        _number("fd.k_j", cfg["k_j"], 0, exclusive=True)
-    elif kind == "greenshields":
-        _check_keys(cfg, "fd", {"kind", "v_f", "k_j"}, {"v_f", "k_j"})
-        _number("fd.v_f", cfg["v_f"], 0, exclusive=True)
-        _number("fd.k_j", cfg["k_j"], 0, exclusive=True)
-    else:
-        _check_keys(cfg, "fd", {"kind", "table"}, {"table"})
-        table = cfg["table"]
-        if (not isinstance(table, list) or len(table) < 3
-                or any(not isinstance(r, list) or len(r) != 2 for r in table)):
-            _fail("fd.table", "must be a list of [k, q] pairs, >= 3 rows")
-        for i, row in enumerate(table):
-            _number(f"fd.table[{i}][0]", row[0], 0)
-            _number(f"fd.table[{i}][1]", row[1], 0)
+# ---------------------------------------------------------------------------
+# Rules relating two values. Each check gets a section whose keys already
+# passed their leaves, the section's path and the whole document.
 
 
-_MODEL_PARAM_SPECS: dict[str, dict[str, tuple]] = {
-    "linear_gm": {"T": ("pos",)},
-    "nonlinear_gm": {"a": ("pos",), "m": ("int0",), "l": ("int0",)},
-    "ovm": {"T": ("pos",)},
-    "gfm": {"T": ("pos",), "T_brake": ("pos",), "d": ("pos",),
-            "tau": ("pos",), "R": ("pos",)},
-    "idm": {"a": ("pos",), "b": ("pos",), "delta": ("min", 1),
-            "v_f": ("pos",), "tau": ("pos",), "d": ("pos",)},
-    "idm_alt": {"a": ("pos",), "b": ("pos",), "delta": ("min", 1),
-                  "v_f": ("pos",), "tau": ("pos",), "d": ("pos",)},
-    "fvdm": {"T": ("pos",), "lambda": ("min", 0)},
-    "arz": {},
-    "jwz": {"T": ("pos",), "c0": ("min", 0)},
-}
-
-
-def _validate_model(cfg, path):
-    cfg = _section(path, cfg)
-    names = set(_MODEL_PARAM_SPECS) | {"third_order"}
-    name = _string(f"{path}.name", cfg.get("name", ""), names)
-    if name == "third_order":
-        _check_keys(cfg, path, {"name", "t_delay", "inner"}, {"t_delay", "inner"})
-        _number(f"{path}.t_delay", cfg["t_delay"], 0, exclusive=True)
-        inner = _section(f"{path}.inner", cfg["inner"])
-        if inner.get("name") == "third_order":
-            _fail(f"{path}.inner.name", "third-order laws cannot nest")
-        _validate_model(inner, f"{path}.inner")
-        return
-    spec = _MODEL_PARAM_SPECS[name]
-    _check_keys(cfg, path, {"name", *spec}, set(spec))
-    for key, rule in spec.items():
-        value = cfg[key]
-        if rule[0] == "pos":
-            _number(f"{path}.{key}", value, 0, exclusive=True)
-        elif rule[0] == "int0":
-            _integer(f"{path}.{key}", value, 0)
-        else:
-            _number(f"{path}.{key}", value, rule[1])
-    if name == "gfm" and cfg["T_brake"] >= cfg["T"]:
-        _fail(f"{path}.T_brake", "must be smaller than T")
-
-
-def _validate_k_grid(cfg, path):
-    cfg = _section(path, cfg)
-    _check_keys(cfg, path, {"k_min", "k_max", "count"}, {"k_min", "k_max", "count"})
-    k_min = _number(f"{path}.k_min", cfg["k_min"], 0, exclusive=True)
-    k_max = _number(f"{path}.k_max", cfg["k_max"], 0, exclusive=True)
-    if k_max <= k_min:
-        _fail(f"{path}.k_max", "must exceed k_min")
-    _integer(f"{path}.count", cfg["count"], 2)
-
-
-def _validate_stability(cfg, model):
-    cfg = _section("stability", cfg)
-    _check_keys(cfg, "stability", {"k_min", "k_max", "count", "sweep"},
-                {"k_min", "k_max", "count"})
-    _validate_k_grid({k: cfg[k] for k in ("k_min", "k_max", "count")}, "stability")
-    if "sweep" in cfg:
-        sweep = _section("stability.sweep", cfg["sweep"])
-        _check_keys(sweep, "stability.sweep", {"param", "values"}, {"param", "values"})
-        _string("stability.sweep.param", sweep["param"])
-        if not isinstance(sweep["values"], list) or not sweep["values"]:
-            _fail("stability.sweep.values", "must be a non-empty list")
-        for i, v in enumerate(sweep["values"]):
-            _number(f"stability.sweep.values[{i}]", v, 0, exclusive=True)
-        if model is not None:
-            _validate_sweep(model, sweep["param"], sweep["values"])
+def _rule(key: str, message: str, broken):
+    """A check that fails at ``key`` with ``message`` when ``broken(section, doc)``."""
+    def check(cfg, path, doc):
+        if broken(cfg, doc):
+            _fail(f"{path}.{key}", message)
+    return check
 
 
 def _sweepable(model: dict) -> set[str]:
-    if model["name"] == "third_order":
-        return {"t_delay"} | _sweepable(model["inner"])
-    return set(_MODEL_PARAM_SPECS[model["name"]])
+    takes = set(MODELS[model["name"]]) - {"inner"}
+    return takes | _sweepable(model["inner"]) if "inner" in model else takes
 
 
-def _validate_sweep(model, param, values):
-    # ``model`` is already valid; each swept value must keep it valid.
+def _sweep(cfg, path, doc):
+    # Each swept value must keep the (already valid) model valid.
+    if "sweep" not in cfg or "model" not in doc:
+        return
+    model, param = doc["model"], cfg["sweep"]["param"]
     takes = _sweepable(model)
     if param not in takes:
-        _fail("stability.sweep.param",
-              f"model {model['name']!r} takes no parameter {param!r} "
-              f"(one of {sorted(takes)})")
-    for i, value in enumerate(values):
+        _fail(f"{path}.sweep.param", f"model {model['name']!r} takes no parameter "
+              f"{param!r} (one of {sorted(takes)})")
+    for i, value in enumerate(cfg["sweep"]["values"]):
         try:
-            _validate_model(swept_model(model, param, value), "model")
+            _walk(MODEL, swept_model(model, param, value), "model", doc)
         except ConfigurationError as exc:
-            _fail(f"stability.sweep.values[{i}]", f"swept model is invalid: {exc}")
+            _fail(f"{path}.sweep.values[{i}]", f"swept model is invalid: {exc}")
 
 
 def swept_model(model: dict, param: str, value) -> dict:
@@ -233,173 +274,37 @@ def swept_model(model: dict, param: str, value) -> dict:
     return {**model, param: value}
 
 
-def _validate_boundary(cfg, path):
-    if isinstance(cfg, str):
-        if cfg != "ring":
-            _fail(path, "string boundary must be 'ring' (with sim.ring_length)")
-        return
-    cfg = _section(path, cfg)
-    kind = _string(f"{path}.kind", cfg.get("kind", ""),
-                   {"constant", "sinusoid", "piecewise", "ring"})
-    if kind == "constant":
-        _check_keys(cfg, path, {"kind", "v0"}, {"v0"})
-        _number(f"{path}.v0", cfg["v0"], 0)
-    elif kind == "sinusoid":
-        _check_keys(cfg, path, {"kind", "v0", "amplitude", "omega"},
-                    {"v0", "amplitude", "omega"})
-        v0 = _number(f"{path}.v0", cfg["v0"], 0)
-        amp = _number(f"{path}.amplitude", cfg["amplitude"], 0)
-        _number(f"{path}.omega", cfg["omega"], 0, exclusive=True)
-        if amp > v0:
-            _fail(f"{path}.amplitude", "must not exceed v0 (speeds stay >= 0)")
-    elif kind == "piecewise":
-        _check_keys(cfg, path, {"kind", "times", "speeds"}, {"times", "speeds"})
-        times, speeds = cfg["times"], cfg["speeds"]
-        if (not isinstance(times, list) or not isinstance(speeds, list)
-                or len(times) != len(speeds) or not times):
-            _fail(f"{path}.times", "times and speeds must be equal-length lists")
-        for i, t in enumerate(times):
-            _number(f"{path}.times[{i}]", t, 0)
-        for i, v in enumerate(speeds):
-            _number(f"{path}.speeds[{i}]", v, 0)
-        if times[0] != 0 or any(b <= a for a, b in zip(times, times[1:])):
-            _fail(f"{path}.times", "must start at 0 and increase")
-    else:
-        _check_keys(cfg, path, {"kind", "length"}, {"length"})
-        _number(f"{path}.length", cfg["length"], 0, exclusive=True)
+def _jam_density(fd: dict) -> float:
+    return fd["k_j"] if "k_j" in fd else fd["table"][-1][0]
 
 
-def _validate_sim(cfg):
-    cfg = _section("sim", cfg)
-    known = {"method", "dt", "steps", "boundary", "initial"}
-    _check_keys(cfg, "sim", known, {"method", "steps", "boundary", "initial"})
-    method = _string("sim.method", cfg["method"], {"rk4", "pipes", "newell"})
-    _integer("sim.steps", cfg["steps"], 1)
-    if method != "newell":
-        if "dt" not in cfg:
-            _fail("sim.dt", "missing required key")
-        _number("sim.dt", cfg["dt"], 0, exclusive=True)
-    _validate_boundary(cfg["boundary"], "sim.boundary")
-    init = _section("sim.initial", cfg["initial"])
-    _check_keys(init, "sim.initial",
-                {"n_vehicles", "spacing", "speed", "lead_position", "perturbation"},
-                {"n_vehicles", "spacing", "speed"})
-    _integer("sim.initial.n_vehicles", init["n_vehicles"], 2)
-    _number("sim.initial.spacing", init["spacing"], 0, exclusive=True)
-    _number("sim.initial.speed", init["speed"], 0)
-    if "lead_position" in init:
-        _number("sim.initial.lead_position", init["lead_position"])
-    if "perturbation" in init:
-        pert = _section("sim.initial.perturbation", init["perturbation"])
-        _check_keys(pert, "sim.initial.perturbation",
-                    {"relative_amplitude", "waves"}, {"relative_amplitude"})
-        _number("sim.initial.perturbation.relative_amplitude",
-                pert["relative_amplitude"], 0)
-        if "waves" in pert:
-            _integer("sim.initial.perturbation.waves", pert["waves"], 1)
+def _rises_from_zero(times: list) -> bool:
+    return times[0] == 0 and all(a < b for a, b in zip(times, times[1:]))
 
 
-def _validate_pde_initial(cfg, path):
-    cfg = _section(path, cfg)
-    kind = _string(f"{path}.kind", cfg.get("kind", ""),
-                   {"uniform", "riemann", "sine"})
-    if kind == "uniform":
-        _check_keys(cfg, path, {"kind", "k"}, {"k"})
-        _number(f"{path}.k", cfg["k"], 0)
-    elif kind == "riemann":
-        _check_keys(cfg, path, {"kind", "k_left", "k_right", "x_jump"},
-                    {"k_left", "k_right", "x_jump"})
-        _number(f"{path}.k_left", cfg["k_left"], 0)
-        _number(f"{path}.k_right", cfg["k_right"], 0)
-        _number(f"{path}.x_jump", cfg["x_jump"])
-    else:
-        _check_keys(cfg, path, {"kind", "k0", "relative_amplitude", "waves"},
-                    {"k0", "relative_amplitude"})
-        _number(f"{path}.k0", cfg["k0"], 0, exclusive=True)
-        _number(f"{path}.relative_amplitude", cfg["relative_amplitude"], 0)
-        if "waves" in cfg:
-            _integer(f"{path}.waves", cfg["waves"], 1)
-
-
-def _validate_pde(cfg):
-    cfg = _section("pde", cfg)
-    known = {"solver", "x0", "dx", "cells", "dt", "steps", "record_every",
-             "boundary", "initial"}
-    _check_keys(cfg, "pde", known, {"solver", "dx", "cells", "dt", "steps", "initial"})
-    _string("pde.solver", cfg["solver"], {"lwr", "second_order"})
-    _number("pde.dx", cfg["dx"], 0, exclusive=True)
-    _integer("pde.cells", cfg["cells"], 1)
-    _number("pde.dt", cfg["dt"], 0, exclusive=True)
-    _integer("pde.steps", cfg["steps"], 1)
-    if "x0" in cfg:
-        _number("pde.x0", cfg["x0"])
-    if "record_every" in cfg:
-        _integer("pde.record_every", cfg["record_every"], 1)
-    if "boundary" in cfg:
-        bnd = cfg["boundary"]
-        if isinstance(bnd, str):
-            _string("pde.boundary", bnd, {"periodic"})
-        else:
-            bnd = _section("pde.boundary", bnd)
-            _check_keys(bnd, "pde.boundary", {"kind", "k_in", "v_in"}, {"kind", "k_in"})
-            _string("pde.boundary.kind", bnd["kind"], {"inflow"})
-            _number("pde.boundary.k_in", bnd["k_in"], 0)
-            if "v_in" in bnd:
-                _number("pde.boundary.v_in", bnd["v_in"], 0)
-    _validate_pde_initial(cfg["initial"], "pde.initial")
-
-
-def _validate_suite(cfg):
-    cfg = _section("suite", cfg)
-    _check_keys(cfg, "suite", {"ring", "entries", "resolutions"},
-                {"ring", "entries", "resolutions"})
-    ring = _section("suite.ring", cfg["ring"])
-    known = {"circumference", "k0", "horizon", "dt_cf", "dt_pde",
-             "compare_points", "threshold", "amplitude"}
-    required = {"circumference", "k0", "horizon", "dt_cf", "dt_pde", "amplitude"}
-    _check_keys(ring, "suite.ring", known, required)
-    for key in ("circumference", "k0", "horizon", "dt_cf", "dt_pde"):
-        _number(f"suite.ring.{key}", ring[key], 0, exclusive=True)
-    _number("suite.ring.amplitude", ring["amplitude"], 0)
-    if "compare_points" in ring:
-        _integer("suite.ring.compare_points", ring["compare_points"], 2)
-    if "threshold" in ring:
-        _number("suite.ring.threshold", ring["threshold"], 0, exclusive=True)
-    entries = cfg["entries"]
-    if not isinstance(entries, list):
-        _fail("suite.entries", "must be a list")
-    for i, entry in enumerate(entries):
-        path = f"suite.entries[{i}]"
-        entry = _section(path, entry)
-        _check_keys(entry, path, {"scenario", "model", "amplitude"},
-                    {"scenario", "model"})
-        _string(f"{path}.scenario", entry["scenario"])
-        _validate_model(entry["model"], f"{path}.model")
-        if "amplitude" in entry:
-            _number(f"{path}.amplitude", entry["amplitude"], 0)
-    res = cfg["resolutions"]
-    if not isinstance(res, list) or not res:
-        _fail("suite.resolutions", "must be a non-empty list of cell counts")
-    for i, r in enumerate(res):
-        _integer(f"suite.resolutions[{i}]", r, 4)
-
-
-def _validate_transform(cfg):
-    cfg = _section("transform", cfg)
-    direction = _string("transform.direction", cfg.get("direction", ""),
-                        {"to_eulerian", "to_trajectories"})
-    if direction == "to_eulerian":
-        _check_keys(cfg, "transform",
-                    {"direction", "input", "x0", "dx", "cells"},
-                    {"direction", "input", "x0", "dx", "cells"})
-        _number("transform.x0", cfg["x0"])
-        _number("transform.dx", cfg["dx"], 0, exclusive=True)
-        _integer("transform.cells", cfg["cells"], 1)
-    else:
-        _check_keys(cfg, "transform", {"direction", "input", "n_vehicles"},
-                    {"direction", "input", "n_vehicles"})
-        _integer("transform.n_vehicles", cfg["n_vehicles"], 1)
-    _string("transform.input", cfg["input"])
+_K_RANGE = _rule("k_max", "must exceed k_min",
+                 lambda c, d: float(c["k_max"]) <= float(c["k_min"]))
+# Each check runs right after the leaves of the section it is listed under: a
+# section's dotted path, or a variant's choice wherever that variant appears.
+RULES = (
+    ("gfm", _rule("T_brake", "must be smaller than T", lambda c, d: c["T_brake"] >= c["T"])),
+    ("steady", _K_RANGE),
+    ("stability", _K_RANGE),
+    ("stability", _sweep),
+    ("sinusoid", _rule("amplitude", "must not exceed v0 (speeds stay >= 0)",
+                       lambda c, d: float(c["amplitude"]) > float(c["v0"]))),
+    ("piecewise", _rule("times", _PAIRED, lambda c, d: len(c["times"]) != len(c["speeds"]))),
+    ("piecewise", _rule("times", "must start at 0 and increase",
+                        lambda c, d: not _rises_from_zero(c["times"]))),
+    ("sim", _rule("dt", "missing required key",
+                  lambda c, d: c["method"] != "newell" and "dt" not in c)),
+    ("pde.boundary", _rule("k_in", "must not exceed the jam density fd.k_j",
+                           lambda c, d: "fd" in d and c["k_in"] > _jam_density(d["fd"]))),
+    ("pde.boundary", _rule("v_in", "missing required key (the second-order solver "
+                           "needs the inflow speed)",
+                           lambda c, d: d["pde"]["solver"] == "second_order"
+                           and "v_in" not in c)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -419,41 +324,39 @@ def build_fd(doc: dict) -> FundamentalDiagram:
         raise ConfigurationError(str(exc), path="fd") from exc
 
 
-def build_law(doc: dict) -> AccelerationLaw:
-    cfg = require_section(doc, "model")
-    fd = build_fd(doc) if "fd" in doc else None
+def _law(cfg: dict, fd: FundamentalDiagram | None, path: str) -> AccelerationLaw:
     try:
         return law_from_config(cfg, fd)
     except ParameterError as exc:
-        raise ConfigurationError(str(exc), path="model") from exc
+        raise ConfigurationError(str(exc), path=path) from exc
+
+
+def build_law(doc: dict) -> AccelerationLaw:
+    return _law(require_section(doc, "model"), build_fd(doc) if "fd" in doc else None,
+                "model")
 
 
 def k_grid_from(cfg: dict) -> np.ndarray:
     return np.linspace(cfg["k_min"], cfg["k_max"], cfg["count"])
 
 
+_LEADERS = {"constant": ConstantLeader, "sinusoid": SinusoidLeader,
+            "piecewise": PiecewiseConstantLeader, "ring": Ring}
+
+
 def build_boundary(cfg):
-    if cfg["kind"] == "constant":
-        return ConstantLeader(v0=cfg["v0"])
-    if cfg["kind"] == "sinusoid":
-        return SinusoidLeader(v0=cfg["v0"], amplitude=cfg["amplitude"],
-                              omega=cfg["omega"])
-    if cfg["kind"] == "piecewise":
-        return PiecewiseConstantLeader(times=tuple(cfg["times"]),
-                                       speeds=tuple(cfg["speeds"]))
-    return Ring(length=cfg["length"])
+    # The keys of each sim.boundary kind are its class's fields.
+    return _LEADERS[cfg["kind"]](**{k: tuple(v) if isinstance(v, list) else v
+                                    for k, v in cfg.items() if k != "kind"})
 
 
 def build_initial_platoon(sim_cfg: dict) -> PlatoonState:
     init = sim_cfg["initial"]
     n = init["n_vehicles"]
     spacing = init["spacing"]
-    speed = init["speed"]
-    lead = init.get("lead_position", 0.0)
-    base = lead - spacing * np.arange(n)
-    boundary = sim_cfg["boundary"]
-    if isinstance(boundary, dict) and boundary.get("kind") == "ring":
-        span = boundary["length"]
+    base = init.get("lead_position", 0.0) - spacing * np.arange(n)
+    if sim_cfg["boundary"]["kind"] == "ring":
+        span = sim_cfg["boundary"]["length"]
         if abs(n * spacing - span) > 1e-9 * span:
             raise ConfigurationError(
                 "n_vehicles * spacing must equal the ring length",
@@ -466,23 +369,20 @@ def build_initial_platoon(sim_cfg: dict) -> PlatoonState:
         waves = pert.get("waves", 1)
         disp = pert["relative_amplitude"] * span / (2 * math.pi * waves)
         x = x + disp * np.sin(2 * math.pi * waves * (base - base[-1]) / span)
-    return PlatoonState(time=0.0, positions=x, speeds=np.full(n, float(speed)))
+    return PlatoonState(time=0.0, positions=x, speeds=np.full(n, float(init["speed"])))
 
 
 def build_pde_initial(cfg: dict, grid: SpatialGrid):
     centers = grid.centers
     init = cfg["initial"]
     if init["kind"] == "uniform":
-        k = np.full(grid.cells, float(init["k"]))
-    elif init["kind"] == "riemann":
-        k = np.where(centers < init["x_jump"], init["k_left"], init["k_right"])
-        k = k.astype(float)
-    else:
-        waves = init.get("waves", 1)
-        k0 = init["k0"]
-        k = k0 * (1.0 + init["relative_amplitude"]
-                  * np.sin(2 * math.pi * waves * (centers - grid.x0) / grid.span))
-    return k
+        return np.full(grid.cells, float(init["k"]))
+    if init["kind"] == "riemann":
+        return np.where(centers < init["x_jump"], init["k_left"],
+                        init["k_right"]).astype(float)
+    waves = init.get("waves", 1)
+    return init["k0"] * (1.0 + init["relative_amplitude"]
+                         * np.sin(2 * math.pi * waves * (centers - grid.x0) / grid.span))
 
 
 def build_pde_scenario(doc: dict):
@@ -499,9 +399,7 @@ def build_pde_scenario(doc: dict):
     else:
         boundary = InflowOutflow(k_in=bnd_cfg["k_in"], v_in=bnd_cfg.get("v_in"))
     k_init = build_pde_initial(cfg, grid)
-    v_init = None
-    if solver == "second_order":
-        v_init = _equilibrium_speeds(law, k_init)
+    v_init = _equilibrium_speeds(law, k_init) if law is not None else None
     scenario = EulerianScenario(
         grid=grid, dt=cfg["dt"], steps=cfg["steps"],
         initial_density=k_init, initial_speed=v_init,
@@ -511,8 +409,6 @@ def build_pde_scenario(doc: dict):
 
 
 def _equilibrium_speeds(law, k_init):
-    from .steady_state import EquilibriumStatus, solve_equilibrium_speed
-
     speeds = np.empty_like(k_init)
     for i, k in enumerate(k_init):
         res = solve_equilibrium_speed(law, max(float(k), 1e-6))
@@ -529,11 +425,8 @@ def build_suite(doc: dict) -> tuple[list[SuiteEntry], dict]:
     fd = build_fd(doc) if "fd" in doc else None
     ring_cfg = cfg["ring"]
     entries: list[SuiteEntry] = []
-    for entry in cfg["entries"]:
-        try:
-            law = law_from_config(entry["model"], fd)
-        except ParameterError as exc:
-            raise ConfigurationError(str(exc), path="suite.entries") from exc
+    for i, entry in enumerate(cfg["entries"]):
+        law = _law(entry["model"], fd, f"suite.entries[{i}].model")
         ring = RingScenario(
             circumference=ring_cfg["circumference"], k0=ring_cfg["k0"],
             amplitude=entry.get("amplitude", ring_cfg["amplitude"]),
@@ -541,7 +434,6 @@ def build_suite(doc: dict) -> tuple[list[SuiteEntry], dict]:
             dt_pde=ring_cfg["dt_pde"],
             compare_points=ring_cfg.get("compare_points", 24),
             threshold=ring_cfg.get("threshold", 0.05))
-        for cells in cfg["resolutions"]:
-            entries.append(SuiteEntry(scenario=entry["scenario"], law=law,
-                                      ring=ring, cells=cells))
+        entries += [SuiteEntry(scenario=entry["scenario"], law=law, ring=ring, cells=cells)
+                    for cells in cfg["resolutions"]]
     return entries, ring_cfg

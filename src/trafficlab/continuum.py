@@ -116,8 +116,8 @@ def solve_lwr_godunov(scenario: EulerianScenario) -> tuple[EulerianField, RunSta
         return fd.phi(np.maximum(kk, k_c))
 
     periodic = isinstance(scenario.boundary, Periodic)
-    if not periodic and not math.isfinite(scenario.boundary.k_in):
-        raise ConfigurationError("inflow density k_in must be finite")
+    if not periodic and not 0 <= scenario.boundary.k_in <= fd.k_j * (1 + 1e-12):
+        raise ConfigurationError("inflow density k_in must be finite and lie in [0, k_j]")
     n_rec = _record_shape(scenario)
     density = np.empty((n_rec, scenario.grid.cells))
     density[0] = k

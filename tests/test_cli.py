@@ -92,23 +92,48 @@ class TestExitCodes:
         assert "pde.boundary.k_in" in err and "finite" in err
         assert not (tmp_path / "o" / "field.csv").exists()
 
-    @pytest.mark.parametrize("model, sweep, path", [
+    @pytest.mark.parametrize("model, sweep, drop, path", [
         pytest.param({"name": "ovm", "T": 0.4}, {"param": "bogus", "values": [0.4]},
-                     "stability.sweep.param", id="unknown-param"),
+                     (), "stability.sweep.param", id="unknown-param"),
         pytest.param({"name": "gfm", "T": 2.0, "T_brake": 0.5, "d": 2.0,
                       "tau": 1.0, "R": 5.0},
                      {"param": "T_brake", "values": [0.5, 3.0]},
-                     "stability.sweep.values[1]", id="value-breaks-model"),
+                     (), "stability.sweep.values[1]", id="value-breaks-model"),
+        pytest.param({"name": "ovm", "T": 0.4}, {"param": "T", "values": [0.4]},
+                     ("fd",), "model: model 'ovm' requires an fd section",
+                     id="model-needs-fd"),
     ])
     def test_bad_stability_sweep_names_path(self, tmp_path, capsys, model, sweep,
-                                            path):
+                                            drop, path):
         doc = json.loads(json.dumps(DEMO_CONFIG))
         doc["model"] = model
         doc["stability"]["sweep"] = sweep
+        for section in drop:
+            del doc[section]
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(doc))
         assert run(["stability", "--config", cfg, "--out", tmp_path]) == 2
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, change, path", [
+        pytest.param("simulate-cf", {"sim": {**DEMO_CONFIG["sim"], "boundary": "ring"}},
+                     "sim.boundary: must be an object", id="string-ring-boundary"),
+        pytest.param("simulate-pde", {"pde": {**DEMO_CONFIG["pde"], "boundary": {
+            "kind": "inflow", "k_in": 0.5}}}, "pde.boundary.k_in", id="k_in-above-k_j"),
+        pytest.param("simulate-pde", {"pde": {**DEMO_CONFIG["pde"], "solver": "second_order",
+                                              "boundary": {"kind": "inflow", "k_in": 0.05}}},
+                     "pde.boundary.v_in", id="second-order-inflow-without-v_in"),
+        pytest.param("compare", {"fd": None},
+                     "suite.entries[0].model: model 'ovm' requires an fd section",
+                     id="suite-model-needs-fd"),
+    ])
+    def test_config_fault_names_path(self, tmp_path, capsys, command, change, path):
+        doc = {k: v for k, v in {**DEMO_CONFIG, **change}.items() if v is not None}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert path in capsys.readouterr().err
+        assert not any((tmp_path / "o").glob("*.csv"))
 
     def test_runtime_fault_is_exit_one(self, tmp_path, capsys):
         doc = json.loads(json.dumps(DEMO_CONFIG))

@@ -143,8 +143,9 @@ class TestGodunov:
             solve_lwr_godunov(sc)
 
     @pytest.mark.parametrize("cell, k_in", [
-        (math.nan, 0.05), (math.inf, 0.05), (0.05, math.nan), (0.05, math.inf)],
-        ids=["nan-density", "inf-density", "nan-k_in", "inf-k_in"])
+        (math.nan, 0.05), (math.inf, 0.05), (0.05, math.nan), (0.05, math.inf),
+        (0.05, 0.5)],
+        ids=["nan-density", "inf-density", "nan-k_in", "inf-k_in", "above-jam"])
     def test_non_finite_input_rejected(self, tri, cell, k_in):
         # a NaN density or k_in passes a range check written as k < 0
         k0 = np.full(20, 0.05)
