@@ -6,8 +6,10 @@ files into --out, and prints a one-line summary. Exit codes: 0 success,
 1 runtime/model fault, 2 configuration fault. Float columns use repr's
 shortest round-trip decimals, so identical configs give byte-identical files.
 The CSV writers build each file column by column and call repr once per
-distinct value (bit pattern) of a column, not once per cell; the bytes are
-the same as formatting every cell through csv.writer.
+distinct value (bit pattern) of a column within a block, not once per cell;
+rows are formatted and written one fixed-size block at a time, so no file's
+whole text is held in memory. The bytes are the same as formatting every
+cell through csv.writer.
 """
 
 from __future__ import annotations
@@ -50,15 +52,24 @@ def _column_text(column: np.ndarray) -> np.ndarray:
     return text[inverse]
 
 
+# Rows formatted and written at a time; bounds the text held for one file.
+_BLOCK_ROWS = 8192
+
+
 def _write_columns(path: Path, header: list[str], columns) -> None:
     """Write equal-length columns as CSV, byte for byte as ``csv.writer`` would.
 
-    A ``repr`` of a number holds no comma, quote or line break, so no field needs
-    quoting; lines end in CR LF, as in the ``excel`` dialect.
+    Rows are formatted and written one block of ``_BLOCK_ROWS`` at a time, so
+    only one block's text is held, never the whole file's. A ``repr`` of a
+    number holds no comma, quote or line break, so no field needs quoting;
+    lines end in CR LF, as in the ``excel`` dialect.
     """
-    rows = map(",".join, zip(*[_column_text(c) for c in columns]))
+    columns = [np.ravel(c) for c in columns]
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *rows, ""]))
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [_column_text(c[start:start + _BLOCK_ROWS]) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def write_trajectory_csv(surface: TrajectorySurface, path: Path) -> None:
@@ -375,6 +386,8 @@ def _load_config(path: str | None) -> dict:
         raise ConfigurationError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigurationError("config is nested too deeply")
     cfgmod.validate_document(doc)
     return doc
 

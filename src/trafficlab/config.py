@@ -32,7 +32,8 @@ class Leaf(NamedTuple):
     ``bound`` depends on ``kind``:
 
     - ``number``, ``integer``: the minimum (a number's may be None);
-      ``strict`` refuses the minimum itself;
+      ``strict`` refuses the minimum itself; an integer is also at most
+      ``INT_CAP``;
     - ``string``: the allowed values, or () for any string;
     - ``list``: ``(item, min_len, max_len, message, at)``; a value of any other
       shape (nested lists included) fails with ``message``, at the sibling key
@@ -46,6 +47,11 @@ class Leaf(NamedTuple):
     bound: object = None
     required: bool = True
     strict: bool = False
+
+
+# The largest integer value, and the most samples a run may record: larger
+# sizes are refused here, before they reach NumPy's allocator.
+INT_CAP = 10**8
 
 
 def _num(minimum=None, strict=False) -> Leaf:
@@ -180,6 +186,8 @@ def _walk(leaf: Leaf, value, path: str, doc: dict) -> None:
             _fail(path, "must be an integer")
         if value < bound:
             _fail(path, f"must be >= {bound}")
+        if value > INT_CAP:
+            _fail(path, f"must be <= {INT_CAP}")
     elif kind == "string":
         if not isinstance(value, str):
             _fail(path, "must be a string")
@@ -298,6 +306,11 @@ RULES = (
                         lambda c, d: not _rises_from_zero(c["times"]))),
     ("sim", _rule("dt", "missing required key",
                   lambda c, d: c["method"] != "newell" and "dt" not in c)),
+    ("sim", _rule("steps", f"(steps + 1) * initial.n_vehicles must be <= {INT_CAP}",
+                  lambda c, d: (c["steps"] + 1) * c["initial"]["n_vehicles"] > INT_CAP)),
+    ("pde", _rule("steps", f"(steps // record_every + 1) * cells must be <= {INT_CAP}",
+                  lambda c, d: (c["steps"] // c.get("record_every", 1) + 1) * c["cells"]
+                  > INT_CAP)),
     ("pde.boundary", _rule("k_in", "must not exceed the jam density fd.k_j",
                            lambda c, d: "fd" in d and c["k_in"] > _jam_density(d["fd"]))),
     ("pde.boundary", _rule("v_in", "missing required key (the second-order solver "

@@ -6,13 +6,14 @@ import math
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from trafficlab import ConfigurationError, EulerianField, TrajectorySurface
+from trafficlab import ConfigurationError, EulerianField, TrajectorySurface, cli
 from trafficlab.cli import (DEMO_CONFIG, main, read_field_csv, read_trajectory_csv,
                             write_field_csv, write_trajectory_csv)
 
@@ -92,6 +93,12 @@ class TestExitCodes:
         assert "pde.boundary.k_in" in err and "finite" in err
         assert not (tmp_path / "o" / "field.csv").exists()
 
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text('{"fd": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert run(["fd", "--config", cfg, "--out", tmp_path]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
     @pytest.mark.parametrize("model, sweep, drop, path", [
         pytest.param({"name": "ovm", "T": 0.4}, {"param": "bogus", "values": [0.4]},
                      (), "stability.sweep.param", id="unknown-param"),
@@ -126,6 +133,20 @@ class TestExitCodes:
         pytest.param("compare", {"fd": None},
                      "suite.entries[0].model: model 'ovm' requires an fd section",
                      id="suite-model-needs-fd"),
+        # sizes beyond the cap are refused before NumPy tries to allocate them
+        pytest.param("simulate-pde", {"pde": {**DEMO_CONFIG["pde"], "steps": 10**12}},
+                     "pde.steps: must be <=", id="huge-pde-steps"),
+        pytest.param("simulate-pde", {"pde": {**DEMO_CONFIG["pde"], "cells": 10**12}},
+                     "pde.cells: must be <=", id="huge-pde-cells"),
+        pytest.param("simulate-pde", {"pde": {**DEMO_CONFIG["pde"], "steps": 10**400}},
+                     "pde.steps: must be <=", id="pde-steps-beyond-float"),
+        pytest.param("simulate-cf", {"sim": {**DEMO_CONFIG["sim"], "steps": 10**12}},
+                     "sim.steps: must be <=", id="huge-sim-steps"),
+        pytest.param("simulate-pde", {"pde": {**DEMO_CONFIG["pde"], "steps": 10**6,
+                                              "record_every": 1}},
+                     "pde.steps: (steps // record_every + 1) * cells", id="pde-records"),
+        pytest.param("simulate-cf", {"sim": {**DEMO_CONFIG["sim"], "steps": 3 * 10**6}},
+                     "sim.steps: (steps + 1) * initial.n_vehicles", id="sim-records"),
     ])
     def test_config_fault_names_path(self, tmp_path, capsys, command, change, path):
         doc = {k: v for k, v in {**DEMO_CONFIG, **change}.items() if v is not None}
@@ -410,14 +431,22 @@ def fields(draw):
                          speed=draw(hnp.arrays(float, shape, elements=ANY_FLOAT)))
 
 
+def assert_blockwise_equal(write, data, path, reference):
+    """``write`` gives ``reference``'s bytes at the default block size and at
+    sizes small enough that the drawn files (at most 20 rows) cross blocks."""
+    for rows in (cli._BLOCK_ROWS, 1, 2, 3):
+        with mock.patch.object(cli, "_BLOCK_ROWS", rows):
+            write(data, path)
+        assert path.read_bytes() == reference.read_bytes(), rows
+
+
 @given(surface=surfaces())
 @settings(max_examples=60, deadline=None)
 def test_trajectory_csv_matches_reference_and_round_trips(surface):
     with tempfile.TemporaryDirectory() as tmp:
         path, reference = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
-        write_trajectory_csv(surface, path)
         reference_write_trajectory_csv(surface, reference)
-        assert path.read_bytes() == reference.read_bytes()
+        assert_blockwise_equal(write_trajectory_csv, surface, path, reference)
         with np.errstate(over="ignore"):
             back = read_trajectory_csv(path)
     assert_bits_equal(back.positions, surface.positions)
@@ -430,9 +459,8 @@ def test_field_csv_matches_reference_and_round_trips(field):
     with tempfile.TemporaryDirectory() as tmp:
         path, reference = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
         with np.errstate(over="ignore", invalid="ignore"):  # q = k v may overflow
-            write_field_csv(field, path)
             reference_write_field_csv(field, reference)
-        assert path.read_bytes() == reference.read_bytes()
+            assert_blockwise_equal(write_field_csv, field, path, reference)
         if (np.any(field.density < 0.0)
                 or not np.all(np.isfinite(field.speed[field.density > 0.0]))):
             with pytest.raises(ConfigurationError, match="transform.input"):
@@ -441,6 +469,38 @@ def test_field_csv_matches_reference_and_round_trips(field):
         back = read_field_csv(path)
     assert_bits_equal(back.density, field.density)
     assert_bits_equal(back.speed, field.speed)
+
+
+def distinct_field(n_steps, n_cells):
+    """A field whose densities are all distinct, with every seventh speed NaN."""
+    rng = np.random.default_rng(0)
+    density = rng.permutation(n_steps * n_cells).reshape(n_steps, n_cells) * 1e-6 + 1e-3
+    speed = rng.uniform(0.0, 30.0, (n_steps, n_cells))
+    speed.flat[::7] = math.nan
+    return EulerianField(x0=-12.5, dx=2.5, t0=0.0, dt=0.1, density=density, speed=speed)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["one-short", "exact", "one-over"])
+def test_field_csv_at_block_boundary(tmp_path, extra):
+    field = distinct_field(1, cli._BLOCK_ROWS + extra)
+    path, reference = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_field_csv(field, path)
+    reference_write_field_csv(field, reference)
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def test_field_csv_write_memory_is_bounded(tmp_path):
+    """The writer holds one block's text, not the file's (9.4 MB here).
+
+    Writing the whole text at once peaked at 62 MB on this field."""
+    field = distinct_field(301, 500)
+    tracemalloc.start()
+    try:
+        write_field_csv(field, tmp_path / "field.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 # ---------------------------------------------------------------------------

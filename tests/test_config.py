@@ -505,8 +505,13 @@ def expected(doc):
         return fault("sim.boundary", "must be an object")  # the string form is gone
     if (isinstance(s, dict) and s.get("method") == "newell" and "dt" in s
             and ref[0] == 0):  # sim.dt is checked when present, whatever the method
-        return outcome(lambda d: _number("sim.dt", d["sim"]["dt"], 0, exclusive=True),
-                       doc)
+        dt = outcome(lambda d: _number("sim.dt", d["sim"]["dt"], 0, exclusive=True), doc)
+        if dt[0]:
+            return dt
+    huge = [path for path, value in nodes(doc)
+            if type(value) is int and value > config.INT_CAP]
+    if ref[0] == 0 and huge:  # integer values are capped
+        return fault(dotted(huge[0]), f"must be <= {config.INT_CAP}")
     if ref[0] == 0 and isinstance(p, dict) and isinstance(p.get("boundary"), dict):
         bnd = p["boundary"]
         if "fd" in doc and bnd["k_in"] > jam_density(doc["fd"]):
@@ -522,14 +527,20 @@ def expected(doc):
 
 
 def nodes(value, path=()):
-    yield path
+    """Each (path, value) pair of a document, the root first."""
+    yield path, value
     items = (value.items() if isinstance(value, dict)
              else enumerate(value) if isinstance(value, list) else ())
     for key, member in items:
         yield from nodes(member, path + (key,))
 
 
-NODES = [(i, path) for i, base in enumerate(BASES) for path in nodes(base)]
+def dotted(path):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in path).lstrip(".")
+
+
+NODES = [(i, path) for i, base in enumerate(BASES) for path, _ in nodes(base)]
 REPLACEMENTS = [
     # other types
     "bogus", "ring", "periodic", "third_order", True, None, [], [1.0], {"bogus": 1}, 0.5, 7,
@@ -641,6 +652,8 @@ def with_change(base, path, value):
     (4, ("sim", "boundary", "speeds"), [], 2),
     (2, ("fd", "table", 1), [0.05], 2),
     (2, ("fd", "table", 1), [0.05, 0.5, 0.0], 2),
+    (0, ("stability", "count"), config.INT_CAP, 0),
+    (0, ("stability", "count"), config.INT_CAP + 1, 2),
 ])
 def test_edges_match_reference(base, path, value, code):
     """Each rule at its boundary, and the list shapes the reference reports at
@@ -672,11 +685,26 @@ def test_edges_match_reference(base, path, value, code):
                  fault("model.inner.name", "third-order laws cannot nest"),
                  fault("model.inner.name", f"must be one of {sorted(_MODEL_PARAM_SPECS)}"),
                  id="nested-third-order"),
+    pytest.param(with_change(1, ("pde", "steps"), 10**400), (0, None, None),
+                 fault("pde.steps", f"must be <= {config.INT_CAP}"), id="capped-integer"),
 ])
 def test_deliberate_changes(doc, reference, walker):
     assert outcome(validate_document, doc) == reference
     assert outcome(config.validate_document, doc) == walker
     assert expected(doc) == walker
+
+
+@pytest.mark.parametrize("path, value, verdict", [
+    (("pde", "steps"), config.INT_CAP // 20 - 1, (0, None)),  # 20 cells x INT_CAP / 20
+    (("pde", "steps"), config.INT_CAP // 20, (2, "pde.steps")),
+    (("sim", "steps"), config.INT_CAP // 3 - 1, (0, None)),  # 3 vehicles
+    (("sim", "steps"), config.INT_CAP // 3, (2, "sim.steps")),
+])
+def test_recorded_samples_are_capped(path, value, verdict):
+    """A run may record at most INT_CAP samples; the reference had no cap."""
+    doc = with_change(1, path, value)
+    assert outcome(validate_document, doc) == (0, None, None)
+    assert outcome(config.validate_document, doc)[:2] == verdict
 
 
 def test_k_in_at_jam_density_and_newell_without_dt_stay_valid():
