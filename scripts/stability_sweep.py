@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from trafficlab import TriangularDiagram, make_ovm, stability_map
-from trafficlab.stability import write_stability_csv
+from trafficlab.cli import write_stability_csv
 
 
 def main():

@@ -36,7 +36,6 @@ from .equivalence import (EquivalenceReport, GaussianBumpProfile,
                           LwrEquivalenceReport, RiemannProfile, RingScenario,
                           SuiteEntry, UniformProfile, compare_lwr,
                           compare_second_order, lwr_riemann_density,
-                          rankine_hugoniot_speed, run_suite,
-                          write_summary_csv)
+                          rankine_hugoniot_speed, run_suite)
 
 __version__ = "0.1.0"

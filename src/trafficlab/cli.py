@@ -5,10 +5,11 @@ compare. Each reads a strict JSON scenario config (--config), writes CSV
 files into --out, and prints a one-line summary. Exit codes: 0 success,
 1 runtime/model fault, 2 configuration fault. Float columns use repr's
 shortest round-trip decimals, so identical configs give byte-identical files.
-The CSV writers build each file column by column and call repr once per
-distinct value (bit pattern) of a column within a block, not once per cell;
-rows are formatted and written one fixed-size block at a time, so no file's
-whole text is held in memory. The bytes are the same as formatting every
+Every CSV goes through one writer, which builds the file column by column and
+calls repr once per distinct value (bit pattern) of a numeric column within a
+block, not once per cell; rows are formatted and written one fixed-size block
+at a time, so no file's whole text is held in memory. Text fields are quoted
+where csv.writer quotes them, so the bytes are the same as formatting every
 cell through csv.writer.
 """
 
@@ -26,15 +27,25 @@ import numpy as np
 
 from . import config as cfgmod
 from .continuum import solve_lwr_godunov, solve_second_order, total_vehicles
-from .equivalence import run_suite, write_summary_csv
+from .equivalence import EquivalenceReport, run_suite
 from .errors import ConfigurationError, ParameterError, TrafficLabError
 from .fundamental import cfl_max_dt
 from .platoon import (Ring, simulate_continuous, simulate_newell,
                       simulate_pipes_discrete)
-from .stability import stability_map, write_stability_csv
+from .stability import StabilityMapRow, stability_map
 from .steady_state import fundamental_diagram_of
 from .transforms import (EulerianField, SpatialGrid, TrajectorySurface,
                          to_eulerian, to_trajectories)
+
+
+def _field(value) -> str:
+    """One value of a text column: a string, quoted where ``csv.writer`` quotes
+    it (it holds a comma, a quote, CR or LF); a bool as true/false; a number
+    as ``repr`` of its float."""
+    if isinstance(value, str):
+        quote = any(c in value for c in ',"\r\n')
+        return '"' + value.replace('"', '""') + '"' if quote else value
+    return str(value).lower() if isinstance(value, bool) else repr(float(value))
 
 
 def _column_text(column: np.ndarray) -> np.ndarray:
@@ -42,9 +53,11 @@ def _column_text(column: np.ndarray) -> np.ndarray:
 
     Values are keyed on their 64-bit pattern, so ``-0.0`` stays apart from
     ``0.0`` and every NaN reads ``nan``; ``repr`` of a float gives the shortest
-    round-trip decimals.
+    round-trip decimals. A text column is formatted value by value (``_field``).
     """
     column = np.ravel(column)
+    if column.dtype.kind in "OU":
+        return np.array([_field(v) for v in column.tolist()], dtype=object)
     column = column.astype(np.float64 if column.dtype.kind == "f" else np.int64,
                            copy=False)
     unique, inverse = np.unique(column.view(np.int64), return_inverse=True)
@@ -61,12 +74,12 @@ def _write_columns(path: Path, header: list[str], columns) -> None:
 
     Rows are formatted and written one block of ``_BLOCK_ROWS`` at a time, so
     only one block's text is held, never the whole file's. A ``repr`` of a
-    number holds no comma, quote or line break, so no field needs quoting;
-    lines end in CR LF, as in the ``excel`` dialect.
+    number holds no comma, quote or line break, so only text fields can need
+    quoting; lines end in CR LF, as in the ``excel`` dialect.
     """
     columns = [np.ravel(c) for c in columns]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(map(_field, header)) + "\r\n")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
             block = [_column_text(c[start:start + _BLOCK_ROWS]) for c in columns]
             fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
@@ -82,6 +95,35 @@ def write_trajectory_csv(surface: TrajectorySurface, path: Path) -> None:
         header.append("a")
         columns.append(surface.accels)
     _write_columns(path, header, columns)
+
+
+SUMMARY_COLUMNS = ["scenario", "model", "resolution", "l1_k", "linf_k",
+                   "l1_v", "linf_v", "growth_cf", "growth_pde", "verdict"]
+
+
+def write_summary_csv(reports: list[EquivalenceReport], path: Path) -> None:
+    _write_columns(path, SUMMARY_COLUMNS,
+                   [np.array([getattr(r, name) for r in reports], dtype=object)
+                    for name in SUMMARY_COLUMNS])
+
+
+STABILITY_CSV_COLUMNS = ["k", "v0", "psi_v", "psi_s", "psi_dv",
+                         "classic_stable", "exact_stable", "continuum_stable"]
+_STABILITY_FIELDS = ("v0", "psi_v", "psi_s", "psi_dv", "classic_string_stable",
+                     "exact_string_stable", "continuum_linear_stable")
+
+
+def write_stability_csv(rows: list[StabilityMapRow], path: Path,
+                        extra: dict | None = None) -> None:
+    """Stability-map CSV; ``extra`` maps leading columns (e.g. a swept T) to
+    per-row values. A degenerate row reads ``degenerate`` after its k."""
+    extra = extra or {}
+    _write_columns(path, list(extra) + STABILITY_CSV_COLUMNS,
+                   [np.asarray(v, dtype=float) for v in extra.values()]
+                   + [np.array([row.k for row in rows], dtype=float)]
+                   + [np.array(["degenerate" if row.degenerate else getattr(row.report, name)
+                                for row in rows], dtype=object)
+                      for name in _STABILITY_FIELDS])
 
 
 def _input_error(message: str) -> ConfigurationError:
@@ -215,7 +257,7 @@ def cmd_steady(doc: dict, out: Path) -> int:
     grid = cfgmod.k_grid_from(cfgmod.require_section(doc, "steady"))
     curve = fundamental_diagram_of(law, grid)
     path = out / "steady.csv"
-    curve.write_csv(path)
+    _write_columns(path, ["k", "v", "q"], [curve.k, curve.v, curve.q])
     tag = "degenerate" if curve.degenerate else "ok"
     print(f"steady: {law.name} over {len(grid)} densities -> {path} ({tag})")
     return 0
@@ -292,10 +334,17 @@ def cmd_simulate_pde(doc: dict, out: Path) -> int:
     return 0
 
 
+def _cap_samples(n_steps: int, cfg: dict, key: str) -> None:
+    if n_steps * cfg[key] > cfgmod.INT_CAP:  # refused before NumPy allocates the output
+        raise ConfigurationError(f"the input's {n_steps} time samples * {key} must be "
+                                 f"<= {cfgmod.INT_CAP}", path=f"transform.{key}")
+
+
 def cmd_transform(doc: dict, out: Path) -> int:
     cfg = cfgmod.require_section(doc, "transform")
     if cfg["direction"] == "to_eulerian":
         surface = read_trajectory_csv(Path(cfg["input"]))
+        _cap_samples(surface.n_steps, cfg, "cells")
         grid = SpatialGrid(cfg["x0"], cfg["dx"], cfg["cells"])
         field = to_eulerian(surface, grid)
         path = out / "field.csv"
@@ -306,6 +355,7 @@ def cmd_transform(doc: dict, out: Path) -> int:
         if field.n_steps < 2:  # speeds are differences of positions in time
             raise _input_error(f"{cfg['input']} needs at least two time samples "
                                "for to_trajectories")
+        _cap_samples(field.n_steps, cfg, "n_vehicles")
         surface = to_trajectories(field, cfg["n_vehicles"])
         path = out / "trajectories.csv"
         write_trajectory_csv(surface, path)
@@ -392,6 +442,11 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+COMMANDS = {"fd": cmd_fd, "steady": cmd_steady, "stability": cmd_stability,
+            "simulate-cf": cmd_simulate_cf, "simulate-pde": cmd_simulate_pde,
+            "transform": cmd_transform, "compare": cmd_compare}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trafficlab",
@@ -400,8 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write a complete worked scenario file and exit")
     parser.add_argument("--out", default=".", help="output directory")
     sub = parser.add_subparsers(dest="command")
-    for name in ("fd", "steady", "stability", "simulate-cf", "simulate-pde",
-                 "transform", "compare"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=False)
         p.add_argument("--out", default=None)
@@ -428,23 +482,7 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
-        doc = _load_config(args.config)
-        if args.command == "fd":
-            return cmd_fd(doc, out)
-        if args.command == "steady":
-            return cmd_steady(doc, out)
-        if args.command == "stability":
-            return cmd_stability(doc, out)
-        if args.command == "simulate-cf":
-            return cmd_simulate_cf(doc, out)
-        if args.command == "simulate-pde":
-            return cmd_simulate_pde(doc, out)
-        if args.command == "transform":
-            return cmd_transform(doc, out)
-        if args.command == "compare":
-            return cmd_compare(doc, out)
-        parser.print_usage(sys.stderr)
-        return 2
+        return COMMANDS[args.command](_load_config(args.config), out)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

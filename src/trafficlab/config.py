@@ -10,6 +10,7 @@ two values are named rules, each run right after the keys of its section.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from typing import NamedTuple
 
@@ -438,15 +439,19 @@ def build_suite(doc: dict) -> tuple[list[SuiteEntry], dict]:
     fd = build_fd(doc) if "fd" in doc else None
     ring_cfg = cfg["ring"]
     entries: list[SuiteEntry] = []
+    stems = set()  # each report is written to <scenario>_<model>_cells<n>.csv
     for i, entry in enumerate(cfg["entries"]):
-        law = _law(entry["model"], fd, f"suite.entries[{i}].model")
-        ring = RingScenario(
-            circumference=ring_cfg["circumference"], k0=ring_cfg["k0"],
-            amplitude=entry.get("amplitude", ring_cfg["amplitude"]),
-            horizon=ring_cfg["horizon"], dt_cf=ring_cfg["dt_cf"],
-            dt_pde=ring_cfg["dt_pde"],
-            compare_points=ring_cfg.get("compare_points", 24),
-            threshold=ring_cfg.get("threshold", 0.05))
-        entries += [SuiteEntry(scenario=entry["scenario"], law=law, ring=ring, cells=cells)
+        path, name = f"suite.entries[{i}]", entry["scenario"]
+        if not re.fullmatch(r"[A-Za-z0-9_.-]+", name):
+            _fail(f"{path}.scenario", "must match [A-Za-z0-9_.-]+ (it names report files)")
+        law = _law(entry["model"], fd, f"{path}.model")
+        stem = f"{name}_{law.name}"
+        if stem in stems:
+            _fail(f"{path}.scenario", f"with model {law.name!r} names the report files "
+                  "of an earlier entry")
+        stems.add(stem)
+        ring = RingScenario(**{**ring_cfg, "amplitude": entry.get("amplitude",
+                                                                  ring_cfg["amplitude"])})
+        entries += [SuiteEntry(scenario=name, law=law, ring=ring, cells=cells)
                     for cells in cfg["resolutions"]]
     return entries, ring_cfg

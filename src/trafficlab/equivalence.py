@@ -16,7 +16,6 @@ needs a boundary condition, which would otherwise dominate the discrepancy.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -160,14 +159,14 @@ class LwrEquivalenceReport:
         return abs(front - self.front_predicted) / travel
 
 
-def _seed_platoon_from_profile(fd, profile, x_lo: float, x_hi: float,
-                               horizon: float, seed_dx: float) -> PlatoonState:
-    ext_x = np.arange(x_lo, x_hi + seed_dx, seed_dx)
-    k_row = profile.density(ext_x[:-1] + 0.5 * seed_dx)
-    grid_field = EulerianField(x0=x_lo, dx=seed_dx, t0=0.0, dt=1.0,
+def _seed_platoon_from_profile(fd, profile, x_lo: float, x_hi: float) -> PlatoonState:
+    dx = 0.5  # m; cells of the density row that is inverted into the platoon
+    ext_x = np.arange(x_lo, x_hi + dx, dx)
+    k_row = profile.density(ext_x[:-1] + 0.5 * dx)
+    grid_field = EulerianField(x0=x_lo, dx=dx, t0=0.0, dt=1.0,
                                density=k_row[None, :],
                                speed=np.zeros_like(k_row)[None, :])
-    total = float(np.sum(k_row) * seed_dx)
+    total = float(np.sum(k_row) * dx)
     n_veh = int(math.floor(total))
     surface = to_trajectories(grid_field, n_veh)
     x0_positions = surface.positions[0]
@@ -176,8 +175,7 @@ def _seed_platoon_from_profile(fd, profile, x_lo: float, x_hi: float,
 
 
 def compare_lwr(fd: FundamentalDiagram, profile, x_lo: float, x_hi: float,
-                horizon: float, resolutions, seed_dx: float = 0.5,
-                ) -> LwrEquivalenceReport:
+                horizon: float, resolutions) -> LwrEquivalenceReport:
     """Run the platoon and Godunov arms of the first-order model side by side.
 
     The platoon is seeded by inverting the initial density over a domain
@@ -204,8 +202,7 @@ def compare_lwr(fd: FundamentalDiagram, profile, x_lo: float, x_hi: float,
         k_mid = math.nan
 
     upstream_ext = fd.v_f * horizon + 20.0 * fd.jam_spacing
-    initial = _seed_platoon_from_profile(fd, profile, x_lo - upstream_ext,
-                                         x_hi, horizon, seed_dx)
+    initial = _seed_platoon_from_profile(fd, profile, x_lo - upstream_ext, x_hi)
     v_lead = float(fd.eta(float(np.atleast_1d(profile.density(x_hi))[0])))
     newell_surface = simulate_newell(fd, initial, ConstantLeader(v_lead),
                                      steps_newell)
@@ -295,6 +292,16 @@ class EquivalenceReport:
     fault: str = ""
 
 
+def _incomparable(scenario: str, model: str, resolution: str,
+                  exc: Exception) -> EquivalenceReport:
+    """The report of a run that could not be compared: NaN norms and the fault."""
+    nan = math.nan
+    return EquivalenceReport(scenario=scenario, model=model, resolution=resolution,
+                             l1_k=nan, linf_k=nan, l1_v=nan, linf_v=nan,
+                             growth_cf=nan, growth_pde=nan,
+                             verdict="incomparable", fault=str(exc))
+
+
 def _steps_for(total: float, dt: float, what: str) -> int:
     steps = int(round(total / dt))
     if steps < 1 or abs(steps * dt - total) > 1e-9 * max(total, 1.0):
@@ -302,8 +309,9 @@ def _steps_for(total: float, dt: float, what: str) -> int:
     return steps
 
 
-def _mode_amplitude(k_row: np.ndarray) -> float:
-    return 2.0 * abs(np.fft.rfft(k_row)[1]) / k_row.size
+def _mode_amplitude(k_rows: np.ndarray) -> np.ndarray:
+    # One rfft per row: a batched rfft(axis=1) rounds differently in the last digits.
+    return np.array([2.0 * abs(np.fft.rfft(row)[1]) / row.size for row in k_rows])
 
 
 def _fit_growth(times: np.ndarray, amps: np.ndarray, k0: float) -> float:
@@ -375,22 +383,14 @@ def compare_second_order(law: AccelerationLaw, scenario: RingScenario,
         pde_field, _ = solve_second_order(pde_scenario)
 
         times = scenario.horizon * np.arange(n_cmp + 1) / n_cmp
-        amps_cf = np.empty(n_cmp + 1)
-        amps_pde = np.empty(n_cmp + 1)
-        l1_k = linf_k = l1_v = linf_v = 0.0
-        for j in range(n_cmp + 1):
-            k_cf, v_cf = cf_field.density[j], cf_field.speed[j]
-            k_pde, v_pde = pde_field.density[j], pde_field.speed[j]
-            amps_cf[j] = _mode_amplitude(k_cf)
-            amps_pde[j] = _mode_amplitude(k_pde)
-            if j == n_cmp:
-                dx = grid.dx
-                l1_k = float(np.sum(np.abs(k_cf - k_pde)) * dx)
-                linf_k = float(np.max(np.abs(k_cf - k_pde)))
-                l1_v = float(np.nansum(np.abs(v_cf - v_pde)) * dx)
-                linf_v = float(np.nanmax(np.abs(v_cf - v_pde)))
-        growth_cf = _fit_growth(times, amps_cf, scenario.k0)
-        growth_pde = _fit_growth(times, amps_pde, scenario.k0)
+        growth_cf = _fit_growth(times, _mode_amplitude(cf_field.density), scenario.k0)
+        growth_pde = _fit_growth(times, _mode_amplitude(pde_field.density), scenario.k0)
+        dk = np.abs(cf_field.density[-1] - pde_field.density[-1])
+        dv = np.abs(cf_field.speed[-1] - pde_field.speed[-1])
+        l1_k = float(np.sum(dk) * grid.dx)
+        linf_k = float(np.max(dk))
+        l1_v = float(np.nansum(dv) * grid.dx)
+        linf_v = float(np.nanmax(dv))
         verdict = ("within-threshold"
                    if linf_k <= scenario.threshold * scenario.k0
                    else "exceeds-threshold")
@@ -399,11 +399,7 @@ def compare_second_order(law: AccelerationLaw, scenario: RingScenario,
             l1_k=l1_k, linf_k=linf_k, l1_v=l1_v, linf_v=linf_v,
             growth_cf=growth_cf, growth_pde=growth_pde, verdict=verdict)
     except (CollisionError, SolverFault, DomainError, EvaluationError) as exc:
-        return EquivalenceReport(
-            scenario=scenario.name, model=law.name, resolution=resolution,
-            l1_k=math.nan, linf_k=math.nan, l1_v=math.nan, linf_v=math.nan,
-            growth_cf=math.nan, growth_pde=math.nan,
-            verdict="incomparable", fault=str(exc))
+        return _incomparable(scenario.name, law.name, resolution, exc)
 
 
 # ---------------------------------------------------------------------------
@@ -442,26 +438,7 @@ def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
             report = compare_second_order(entry.law, ring, entry.cells,
                                           cf_surface=cf_surface)
         except Exception as exc:  # fault isolation: one entry must not kill the suite
-            report = EquivalenceReport(
-                scenario=entry.scenario, model=entry.law.name,
-                resolution=f"cells={entry.cells}",
-                l1_k=math.nan, linf_k=math.nan, l1_v=math.nan, linf_v=math.nan,
-                growth_cf=math.nan, growth_pde=math.nan,
-                verdict="incomparable", fault=str(exc))
+            report = _incomparable(entry.scenario, entry.law.name,
+                                   f"cells={entry.cells}", exc)
         reports.append(report)
     return reports
-
-
-SUMMARY_COLUMNS = ["scenario", "model", "resolution", "l1_k", "linf_k",
-                   "l1_v", "linf_v", "growth_cf", "growth_pde", "verdict"]
-
-
-def write_summary_csv(reports: list[EquivalenceReport], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for r in reports:
-            writer.writerow([r.scenario, r.model, r.resolution,
-                             repr(r.l1_k), repr(r.linf_k), repr(r.l1_v),
-                             repr(r.linf_v), repr(r.growth_cf),
-                             repr(r.growth_pde), r.verdict])

@@ -279,26 +279,6 @@ def _require_triangular(fd) -> TriangularDiagram:
     return fd
 
 
-def _spacing_rule_run(fd: TriangularDiagram, initial: PlatoonState,
-                      leader: LeaderProfile, dt: float, steps: int) -> np.ndarray:
-    v_f, tau, s_j = fd.v_f, fd.time_gap, fd.jam_spacing
-    x = np.empty((steps + 1, initial.n_vehicles))
-    x[0] = initial.positions
-    newell_step = dt == tau
-    for i in range(steps):
-        t = i * dt
-        lead, foll = x[i, :-1], x[i, 1:]
-        if newell_step:
-            # dt equal to the time gap collapses the update algebraically to
-            # min(X + dt v_f, X_lead - S_j); evaluating that form keeps the
-            # discrete rule bitwise-identical to the Newell rule.
-            x[i + 1, 1:] = np.minimum(foll + dt * v_f, lead - s_j)
-        else:
-            x[i + 1, 1:] = foll + dt * np.minimum(v_f, (lead - foll - s_j) / tau)
-        x[i + 1, 0] = x[i, 0] + leader.displacement(t, t + dt)
-    return x
-
-
 def simulate_pipes_discrete(fd, initial: PlatoonState, leader: LeaderProfile,
                             dt: float, steps: int) -> TrajectorySurface:
     """Explicit spacing-rule update X += dt * min(v_f, (spacing - S_j)/tau).
@@ -314,16 +294,26 @@ def simulate_pipes_discrete(fd, initial: PlatoonState, leader: LeaderProfile,
         raise ConfigurationError(
             f"dt={dt:g} violates the vehicle-information bound {max_dt:g}")
     _validate_ordering(initial, leader)
-    x = _spacing_rule_run(fd, initial, leader, dt, steps)
+    v_f, tau, s_j = fd.v_f, fd.time_gap, fd.jam_spacing
+    x = np.empty((steps + 1, initial.n_vehicles))
+    x[0] = initial.positions
+    newell_step = dt == tau
+    for i in range(steps):
+        t = i * dt
+        lead, foll = x[i, :-1], x[i, 1:]
+        if newell_step:
+            # dt equal to the time gap collapses the update algebraically to
+            # Newell's rule min(X + dt v_f, X_lead - S_j), which is evaluated
+            # in that form: this branch is simulate_newell.
+            x[i + 1, 1:] = np.minimum(foll + dt * v_f, lead - s_j)
+        else:
+            x[i + 1, 1:] = foll + dt * np.minimum(v_f, (lead - foll - s_j) / tau)
+        x[i + 1, 0] = x[i, 0] + leader.displacement(t, t + dt)
     return TrajectorySurface(t0=initial.time, dt=dt, positions=x)
 
 
 def simulate_newell(fd, initial: PlatoonState, leader: LeaderProfile,
                     steps: int) -> TrajectorySurface:
     """Spacing rule at exactly the time-gap step: X' = min(X + tau v_f, X_lead - S_j)."""
-    fd = _require_triangular(fd)
-    if steps < 1:
-        raise ConfigurationError("need steps >= 1")
-    _validate_ordering(initial, leader)
-    x = _spacing_rule_run(fd, initial, leader, fd.time_gap, steps)
-    return TrajectorySurface(t0=initial.time, dt=fd.time_gap, positions=x)
+    return simulate_pipes_discrete(fd, initial, leader, _require_triangular(fd).time_gap,
+                                   steps)

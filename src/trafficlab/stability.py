@@ -33,7 +33,6 @@ A direct quadratic-root solve is kept as an independent oracle.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -78,14 +77,12 @@ class ExactStringStability:
     margin: float  # psi_v^2 - 2 psi_v psi_dv - 2 psi_s; stable iff > 0
 
 
-def string_stability_exact(law: AccelerationLaw, v0: float, s0: float,
-                           omega_range: tuple[float, float] = OMEGA_RANGE,
-                           ) -> ExactStringStability:
+def string_stability_exact(law: AccelerationLaw, v0: float, s0: float) -> ExactStringStability:
     """Frequency-uniform criterion plus a numeric sweep of the worst ratio.
 
     The verdict comes from the closed-form margin; the sweep (log-spaced
-    probes refined by golden section) locates the maximizing frequency, which
-    the closed form does not provide.
+    probes over ``OMEGA_RANGE`` refined by golden section) locates the
+    maximizing frequency, which the closed form does not provide.
     """
     p_v, p_s, p_dv = (float(p) for p in partials_at(law, v0, s0, 0.0))
     margin = p_v**2 - 2.0 * p_v * p_dv - 2.0 * p_s
@@ -93,7 +90,7 @@ def string_stability_exact(law: AccelerationLaw, v0: float, s0: float,
     def ratio_mag(log_w: float) -> float:
         return abs(amplification_ratio(law, v0, s0, math.exp(log_w)))
 
-    lo, hi = math.log(omega_range[0]), math.log(omega_range[1])
+    lo, hi = math.log(OMEGA_RANGE[0]), math.log(OMEGA_RANGE[1])
     probes = np.linspace(lo, hi, _N_PROBE)
     mags = np.array([ratio_mag(lw) for lw in probes])
     i_best = int(np.argmax(mags))
@@ -216,26 +213,3 @@ def stability_map(law: AccelerationLaw, k_grid) -> list[StabilityMapRow]:
             report=stability_report(law, float(k), v0=res.speed)))
     return rows
 
-
-STABILITY_CSV_COLUMNS = ["k", "v0", "psi_v", "psi_s", "psi_dv",
-                         "classic_stable", "exact_stable", "continuum_stable"]
-
-
-def write_stability_csv(rows: list[StabilityMapRow], path, extra: dict | None = None):
-    """CSV export; ``extra`` maps leading columns (e.g. a swept T) to per-row values."""
-    extra = extra or {}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(extra) + STABILITY_CSV_COLUMNS)
-        for i, row in enumerate(rows):
-            lead = [repr(float(values[i])) for values in extra.values()]
-            if row.degenerate:
-                writer.writerow(lead + [repr(row.k)] + ["degenerate"] * 7)
-                continue
-            r = row.report
-            writer.writerow(lead + [
-                repr(row.k), repr(r.v0), repr(r.psi_v), repr(r.psi_s),
-                repr(r.psi_dv), str(r.classic_string_stable).lower(),
-                str(r.exact_string_stable).lower(),
-                str(r.continuum_linear_stable).lower(),
-            ])

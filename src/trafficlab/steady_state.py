@@ -8,7 +8,6 @@ speed-density relation and are reported as degenerate.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -75,8 +74,7 @@ def _bisect(g, lo: float, hi: float, g_lo: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_equilibrium_speed(law: AccelerationLaw, k: float,
-                            v_max: float | None = None) -> EquilibriumResult:
+def solve_equilibrium_speed(law: AccelerationLaw, k: float) -> EquilibriumResult:
     """Solve psi(v, 1/k, 0) = 0 for v by bracket scan, bisection, Newton polish.
 
     Returns DEGENERATE when psi is independent of v on the bracket (the whole
@@ -87,8 +85,7 @@ def solve_equilibrium_speed(law: AccelerationLaw, k: float,
     if k <= 0:
         raise DomainError("density must be > 0")
     s = 1.0 / k
-    if v_max is None:
-        v_max = _speed_bracket(law)
+    v_max = _speed_bracket(law)
 
     scale = acceleration_scale(law, s, v_max)
     grid = np.linspace(0.0, v_max, _SCAN_POINTS)
@@ -151,20 +148,12 @@ class SteadyStateCurve:
     """Equilibrium samples; ``monotone_violations`` counts grid intervals
     where the speed increases with density (reported, not rejected)."""
 
-    law_name: str
     k: np.ndarray
     v: np.ndarray
     q: np.ndarray
     degenerate: bool
     statuses: tuple[EquilibriumStatus, ...]
     monotone_violations: int = 0
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "v", "q"])
-            for k, v, q in zip(self.k, self.v, self.q):
-                writer.writerow([repr(float(k)), repr(float(v)), repr(float(q))])
 
 
 def fundamental_diagram_of(law: AccelerationLaw, k_grid) -> SteadyStateCurve:
@@ -183,7 +172,7 @@ def fundamental_diagram_of(law: AccelerationLaw, k_grid) -> SteadyStateCurve:
     dv = np.diff(speeds)
     violations = int(np.count_nonzero(dv[np.isfinite(dv)] > 1e-9))
     return SteadyStateCurve(
-        law_name=law.name, k=k_grid, v=speeds, q=k_grid * speeds,
+        k=k_grid, v=speeds, q=k_grid * speeds,
         degenerate=degenerate, statuses=tuple(statuses),
         monotone_violations=violations,
     )

@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from trafficlab import ConfigurationError, EulerianField, TrajectorySurface, cli
-from trafficlab.cli import (DEMO_CONFIG, main, read_field_csv, read_trajectory_csv,
-                            write_field_csv, write_trajectory_csv)
+from trafficlab import (ConfigurationError, EquivalenceReport, EulerianField,
+                        StabilityReport, SteadyStateCurve, TrajectorySurface, cli)
+from trafficlab.cli import (DEMO_CONFIG, STABILITY_CSV_COLUMNS, SUMMARY_COLUMNS, main,
+                            read_field_csv, read_trajectory_csv, write_field_csv,
+                            write_stability_csv, write_summary_csv, write_trajectory_csv)
+from trafficlab.stability import StabilityMapRow
 
 
 @pytest.fixture
@@ -38,12 +41,13 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def transform_config(directory, direction, data):
+def transform_config(directory, direction, data, **settings):
     transform = {"direction": direction, "input": str(data)}
     if direction == "to_eulerian":
         transform.update(x0=-50.0, dx=10.0, cells=10)
     else:
         transform["n_vehicles"] = 1
+    transform.update(settings)
     cfg = Path(directory) / "transform.json"
     cfg.write_text(json.dumps({"transform": transform}))
     return cfg
@@ -242,6 +246,39 @@ class TestExitCodes:
         assert code == 2
         assert "missing" in capsys.readouterr().err
         assert peak < 16e6
+
+    @pytest.mark.parametrize("direction, text, key", [
+        pytest.param("to_eulerian", TRAJ_HEADER + "0,0,10,1\n0,1,0,1\n1,0,11,1\n1,1,1,1\n",
+                     "cells", id="cells"),
+        pytest.param("to_trajectories", FIELD_HEADER + "".join(
+            f"{t},{x},0.05,1,0.05\n" for t in (0, 1) for x in (5, 15)),
+            "n_vehicles", id="n-vehicles"),
+    ])
+    def test_transform_output_cap_names_key(self, tmp_path, capsys, direction, text, key):
+        """2 time samples x 10**8 cells or vehicles: over INT_CAP, refused before
+        the output is allocated."""
+        data = tmp_path / "input.csv"
+        data.write_text(text)
+        cfg = transform_config(tmp_path, direction, data, **{key: 10**8})
+        assert run(["transform", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert f"transform.{key}" in capsys.readouterr().err
+        assert not any((tmp_path / "o").glob("*.csv"))
+
+    @pytest.mark.parametrize("scenarios, index", [
+        pytest.param(["a/b"], 0, id="slash"),
+        pytest.param(["../escape"], 0, id="parent-dir"),
+        pytest.param(["stable", "stable"], 1, id="repeated-report-name"),
+    ])
+    def test_suite_scenario_names_report_files_safely(self, tmp_path, capsys, scenarios,
+                                                       index):
+        doc = json.loads(json.dumps(DEMO_CONFIG))
+        doc["suite"]["entries"] = [{"scenario": name, "model": {"name": "ovm", "T": T}}
+                                   for name, T in zip(scenarios, (0.4, 0.7))]
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["compare", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert f"suite.entries[{index}].scenario" in capsys.readouterr().err
+        assert not list((tmp_path / "o").rglob("*.csv"))
 
     @pytest.mark.parametrize("below_file", [False, True],
                              ids=["out-is-file", "out-below-file"])
@@ -469,6 +506,115 @@ def test_field_csv_matches_reference_and_round_trips(field):
         back = read_field_csv(path)
     assert_bits_equal(back.density, field.density)
     assert_bits_equal(back.speed, field.speed)
+
+
+def reference_write_summary_csv(reports, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SUMMARY_COLUMNS)
+        for r in reports:
+            writer.writerow([r.scenario, r.model, r.resolution,
+                             repr(r.l1_k), repr(r.linf_k), repr(r.l1_v),
+                             repr(r.linf_v), repr(r.growth_cf),
+                             repr(r.growth_pde), r.verdict])
+
+
+def reference_write_stability_csv(rows, path, extra=None):
+    extra = extra or {}
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(extra) + STABILITY_CSV_COLUMNS)
+        for i, row in enumerate(rows):
+            lead = [repr(float(values[i])) for values in extra.values()]
+            if row.degenerate:
+                writer.writerow(lead + [repr(row.k)] + ["degenerate"] * 7)
+                continue
+            r = row.report
+            writer.writerow(lead + [
+                repr(row.k), repr(r.v0), repr(r.psi_v), repr(r.psi_s),
+                repr(r.psi_dv), str(r.classic_string_stable).lower(),
+                str(r.exact_string_stable).lower(),
+                str(r.continuum_linear_stable).lower(),
+            ])
+
+
+def reference_write_steady_csv(curve, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "v", "q"])
+        for k, v, q in zip(curve.k, curve.v, curve.q):
+            writer.writerow([repr(float(k)), repr(float(v)), repr(float(q))])
+
+
+@st.composite
+def summaries(draw):
+    """Reports with any text (commas, quotes, line breaks) and any float."""
+    floats = ("l1_k", "linf_k", "l1_v", "linf_v", "growth_cf", "growth_pde")
+    return [EquivalenceReport(scenario=draw(st.text()), model=draw(st.text(max_size=6)),
+                              resolution=draw(st.text(max_size=6)),
+                              verdict=draw(st.text(max_size=6)),
+                              **{name: draw(ANY_FLOAT) for name in floats})
+            for _ in range(draw(st.integers(0, 6)))]
+
+
+@st.composite
+def stability_maps(draw):
+    """Degenerate and judged rows, with or without swept leading columns."""
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        k = draw(ANY_FLOAT)
+        if draw(st.booleans()):
+            rows.append(StabilityMapRow(k=k, degenerate=True, report=None))
+            continue
+        flags = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+        numbers = {name: draw(ANY_FLOAT) for name in ("v0", "s0", "psi_v", "psi_s",
+                                                      "psi_dv", "worst_omega",
+                                                      "worst_ratio")}
+        report = StabilityReport(classic_string_stable=flags[0],
+                                 exact_string_stable=flags[1],
+                                 continuum_linear_stable=flags[2], **numbers)
+        rows.append(StabilityMapRow(k=k, degenerate=False, report=report))
+    swept = st.lists(ANY_FLOAT | st.integers(-10**6, 10**6), min_size=len(rows),
+                     max_size=len(rows))
+    return rows, draw(st.dictionaries(st.text(max_size=4), swept, max_size=2))
+
+
+@given(reports=summaries())
+@settings(max_examples=100, deadline=None)
+def test_summary_csv_matches_reference(reports):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
+        reference_write_summary_csv(reports, reference)
+        assert_blockwise_equal(write_summary_csv, reports, path, reference)
+
+
+@given(case=stability_maps())
+@settings(max_examples=100, deadline=None)
+def test_stability_csv_matches_reference(case):
+    rows, extra = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
+        reference_write_stability_csv(rows, reference, extra=extra)
+        assert_blockwise_equal(lambda rows, path: write_stability_csv(rows, path, extra),
+                               rows, path, reference)
+
+
+STEADY_DOC = {"fd": {"kind": "triangular", "v_f": 20.0, "w": 5.0, "k_j": 0.2},
+              "model": {"name": "ovm", "T": 1.0},
+              "steady": {"k_min": 0.05, "k_max": 0.15, "count": 3}}
+
+
+@given(kvq=hnp.arrays(float, st.tuples(st.just(3), st.integers(0, 12)), elements=ANY_FLOAT))
+@settings(max_examples=60, deadline=None)
+def test_steady_csv_matches_reference(kvq):
+    """``cmd_steady`` writes the curve's k, v and q as the old row writer did."""
+    curve = SteadyStateCurve(k=kvq[0], v=kvq[1], q=kvq[2], degenerate=False, statuses=())
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "fundamental_diagram_of", return_value=curve):
+        path, reference = Path(tmp) / "steady.csv", Path(tmp) / "ref.csv"
+        reference_write_steady_csv(curve, reference)
+        assert_blockwise_equal(lambda doc, path: cli.cmd_steady(doc, path.parent),
+                               STEADY_DOC, path, reference)
 
 
 def distinct_field(n_steps, n_cells):

@@ -7,9 +7,8 @@ import pytest
 from trafficlab import (ConfigurationError, GaussianBumpProfile, RiemannProfile,
                         RingScenario, SuiteEntry, TriangularDiagram,
                         UniformProfile, compare_lwr, compare_second_order,
-                        make_fvdm, make_linear_gm, make_ovm, run_suite,
-                        write_summary_csv)
-from trafficlab.equivalence import SUMMARY_COLUMNS
+                        make_fvdm, make_linear_gm, make_ovm, run_suite)
+from trafficlab.cli import SUMMARY_COLUMNS, write_summary_csv
 
 from conftest import TRI
 

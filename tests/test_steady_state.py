@@ -8,6 +8,9 @@ from trafficlab import (AccelerationLaw, DomainError, EquilibriumStatus,
                         make_arz_cf, make_fvdm, make_gfm, make_idm,
                         make_idm_alt, make_linear_gm, make_nonlinear_gm,
                         make_ovm, solve_equilibrium_speed)
+from trafficlab import cli
+
+from conftest import TRI
 
 
 class TestSolve:
@@ -118,10 +121,10 @@ class TestCurves:
         assert curve.degenerate
         assert all(st is EquilibriumStatus.DEGENERATE for st in curve.statuses)
 
-    def test_csv_export(self, tri, tmp_path):
-        curve = fundamental_diagram_of(make_ovm(1.0, tri), np.linspace(0.05, 0.15, 3))
-        path = tmp_path / "curve.csv"
-        curve.write_csv(path)
-        lines = path.read_text().strip().splitlines()
+    def test_csv_export(self, tmp_path):
+        doc = {"fd": {"kind": "triangular", **TRI}, "model": {"name": "ovm", "T": 1.0},
+               "steady": {"k_min": 0.05, "k_max": 0.15, "count": 3}}
+        assert cli.cmd_steady(doc, tmp_path) == 0
+        lines = (tmp_path / "steady.csv").read_text().strip().splitlines()
         assert lines[0] == "k,v,q"
         assert len(lines) == 4

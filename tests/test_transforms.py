@@ -12,7 +12,7 @@ from trafficlab import (DomainError, EulerianField, ParameterError,
                         to_eulerian, to_trajectories, traveling_wave_surface,
                         verify_transform_identities)
 from trafficlab.transforms import (PAIR_SPEED_MODES, TRANSFORM_IDENTITY_ROWS,
-                                   cumulative_count)
+                                   LagrangianDerivatives, cumulative_count)
 
 
 def uniform_surface(n_steps=4, n_veh=41, s0=25.0, v0=10.0, dt=1.0, lead_x=1000.0):
@@ -21,21 +21,22 @@ def uniform_surface(n_steps=4, n_veh=41, s0=25.0, v0=10.0, dt=1.0, lead_x=1000.0
     return TrajectorySurface(t0=0.0, dt=dt, positions=lead_x + v0 * t - s0 * n)
 
 
+def identity_level_case(r):
+    """Wavy surface and grid of the r-th joint refinement (criterion 09)."""
+    scale = 2 ** r
+    n_veh = 40 * scale
+    s0, v0, eps = 20.0, 8.0, 6.0
+    alpha = 2 * math.pi / (20.0 * scale)
+    beta = 2 * math.pi / 24.0 / scale
+    surf = traveling_wave_surface(n_veh, 9, 0.4, v0, s0, eps, alpha, beta)
+    dx = 25.0  # at least one spacing per cell: averages stay smooth
+    span = s0 * n_veh + 60.0
+    return surf, SpatialGrid(-s0 * n_veh - 30.0, dx, int(math.ceil(span / dx)))
+
+
 def identity_row_levels(levels=3):
     """Residuals of the identity rows at successive joint refinements."""
-    out = []
-    for r in range(levels):
-        scale = 2 ** r
-        n_veh = 40 * scale
-        s0, v0, eps = 20.0, 8.0, 6.0
-        alpha = 2 * math.pi / (20.0 * scale)
-        beta = 2 * math.pi / 24.0 / scale
-        surf = traveling_wave_surface(n_veh, 9, 0.4, v0, s0, eps, alpha, beta)
-        dx = 25.0  # at least one spacing per cell: averages stay smooth
-        span = s0 * n_veh + 60.0
-        grid = SpatialGrid(-s0 * n_veh - 30.0, dx, int(math.ceil(span / dx)))
-        out.append(verify_transform_identities(surf, grid))
-    return out
+    return [verify_transform_identities(*identity_level_case(r)) for r in range(levels)]
 
 
 class TestSurfaceValidation:
@@ -82,6 +83,20 @@ class TestLagrangianDerivatives:
             lagrangian_derivatives(surf, 0, 2)
         with pytest.raises(DomainError):
             lagrangian_derivatives(surf, 1, 0)
+
+    def test_array_arguments_match_per_sample_reference(self):
+        surf = traveling_wave_surface(12, 6, 0.5, 8.0, 20.0, 3.0, 0.3, 0.2)
+        step, n = np.meshgrid(np.arange(1, 5), np.arange(1, 12), indexing="ij")
+        d = lagrangian_derivatives(surf, step, n)
+        for name in ("X_t", "X_N", "X_tN", "X_NN", "X_tt"):
+            expected = [[getattr(reference_lagrangian_derivatives(surf, s, m), name)
+                         for m in range(1, 12)] for s in range(1, 5)]
+            np.testing.assert_array_equal(getattr(d, name), expected)  # NaN at n == 1
+            assert getattr(lagrangian_derivatives(surf, 3, 7), name) == expected[2][6]
+        with pytest.raises(DomainError):
+            lagrangian_derivatives(surf, step, n + 1)  # reaches vehicle 12 of 0..11
+        with pytest.raises(DomainError):
+            lagrangian_derivatives(surf, step + 1, n)  # reaches the last step
 
 
 class TestToEulerian:
@@ -181,6 +196,112 @@ class TestToTrajectories:
         assert np.all(np.diff(counts) <= 0)
 
 
+def reference_lagrangian_derivatives(surface, step, n):
+    """The one-sample derivatives that the array form replaced, kept as its reference."""
+    x = surface.positions
+    last = surface.n_steps - 1
+    if not 1 <= n <= surface.n_vehicles - 1:
+        raise DomainError(f"vehicle index {n} needs a leader (1 <= n <= {surface.n_vehicles - 1})")
+    if not 1 <= step <= last - 1:
+        raise DomainError(f"step {step} outside central-difference range [1, {last - 1}]")
+    dt = surface.dt
+    x_n = x[:, n]
+    x_lead = x[:, n - 1]
+    X_N = x_n[step] - x_lead[step]
+    X_t = (x_n[step + 1] - x_n[step - 1]) / (2 * dt)
+    X_tt = (x_n[step + 1] - 2 * x_n[step] + x_n[step - 1]) / dt**2
+    xn_diff = x_n - x_lead
+    X_tN = (xn_diff[step + 1] - xn_diff[step - 1]) / (2 * dt)
+    if n >= 2:
+        X_NN = x_n[step] + x[step, n - 2] - 2 * x_lead[step]
+    else:
+        X_NN = math.nan
+    return LagrangianDerivatives(X_t=X_t, X_N=X_N, X_tN=X_tN, X_NN=X_NN, X_tt=X_tt)
+
+
+def _sample_linear(values, x, x0, dx):
+    """Linear interpolation over cell centers; NaN near undefined cells."""
+    pos = (x - x0) / dx - 0.5
+    i0 = int(math.floor(pos))
+    if i0 < 0 or i0 + 1 >= values.shape[0]:
+        return math.nan
+    w = pos - i0
+    return (1.0 - w) * values[i0] + w * values[i0 + 1]
+
+
+def reference_verify_transform_identities(surface, grid, pair_speed="trailing"):
+    """The per-sample identity loop that the array form replaced, kept as its
+    reference."""
+    field = to_eulerian(surface, grid, pair_speed=pair_speed)
+    k = field.density.copy()
+    v = field.speed
+    k[np.isnan(v)] = math.nan  # exclude uncovered cells from differencing
+    for row in range(k.shape[0]):
+        covered = np.flatnonzero(np.isfinite(k[row]))
+        if covered.size and covered.size < k.shape[1]:
+            # Outermost covered cells are only partially covered by the
+            # platoon; their averages are biased and would poison gradients.
+            k[row, covered[0]] = math.nan
+            k[row, covered[-1]] = math.nan
+    dx, dt = field.dx, surface.dt
+    k_x = np.gradient(k, dx, axis=1)
+    k_t = np.gradient(k, dt, axis=0)
+    v_x = np.gradient(v, dx, axis=1)
+    v_t = np.gradient(v, dt, axis=0)
+
+    residuals = {row: 0.0 for row in TRANSFORM_IDENTITY_ROWS}
+    samples = 0
+    margin = 2.5 * dx
+    x_lo, x_hi = field.x0 + margin, field.x0 + grid.span - margin
+    x = surface.positions
+    for step in range(1, surface.n_steps - 1):
+        for n in range(2, surface.n_vehicles - 1):
+            pos = x[step, n]
+            if not x_lo <= pos <= x_hi:
+                continue
+            lp = reference_lagrangian_derivatives(surface, step, n)
+            es = {name: _sample_linear(arr[step], pos, field.x0, dx)
+                  for name, arr in (("k", k), ("v", v), ("k_x", k_x),
+                                    ("k_t", k_t), ("v_x", v_x), ("v_t", v_t))}
+            if any(math.isnan(val) for val in es.values()):
+                continue
+            samples += 1
+            pairs = {
+                "density": (es["k"], -1.0 / lp.X_N),
+                "speed": (es["v"], lp.X_t),
+                "flow": (es["k"] * es["v"], -lp.X_t / lp.X_N),
+                "speed_rate": (es["v_t"], lp.X_tt - lp.X_t / lp.X_N * lp.X_tN),
+                "speed_gradient": (es["v_x"], lp.X_tN / lp.X_N),
+                "density_rate": (es["k_t"],
+                                 (lp.X_tN * lp.X_N - lp.X_t * lp.X_NN) / lp.X_N**3),
+                "density_gradient": (es["k_x"], lp.X_NN / lp.X_N**3),
+                "acceleration": (es["v_t"] + es["v"] * es["v_x"], lp.X_tt),
+                "speed_difference": (-es["v_x"] / es["k"], lp.X_tN),
+                "spacing_difference": (-es["k_x"] / es["k"] ** 3, lp.X_NN),
+            }
+            for row, (lhs, rhs) in pairs.items():
+                residuals[row] = max(residuals[row], abs(lhs - rhs))
+    if samples == 0:
+        raise DomainError("no interior samples: grid does not cover the platoon")
+    return residuals
+
+
+@st.composite
+def wave_cases(draw):
+    """A traveling-wave surface and a grid around it, of any cell width."""
+    n, steps = draw(st.integers(3, 60)), draw(st.integers(3, 12))
+    v0, s0 = draw(st.floats(2.0, 25.0)), draw(st.floats(8.0, 40.0))
+    alpha, beta = draw(st.floats(0.05, 1.5)), draw(st.floats(0.05, 1.5))
+    # eps * alpha < s0 and eps * beta < v0 keep the surface valid
+    eps = draw(st.floats(0.0, 0.9)) * min(s0 / alpha, v0 / beta)
+    surface = traveling_wave_surface(n, steps, draw(st.floats(0.05, 1.0)), v0, s0, eps,
+                                     alpha, beta)
+    dx = draw(st.floats(0.3, 3.0)) * s0
+    x0 = surface.positions.min() - draw(st.floats(0.0, 6.0)) * dx
+    cells = math.ceil((surface.positions.max() - x0) / dx) + draw(st.integers(0, 6))
+    return surface, SpatialGrid(x0, dx, cells)
+
+
 class TestTransformIdentities:
     def test_linear_surface_residuals_vanish(self):
         surf = uniform_surface(n_steps=5, n_veh=30, s0=20.0, v0=9.0, dt=0.5,
@@ -200,6 +321,28 @@ class TestTransformIdentities:
         for row in TRANSFORM_IDENTITY_ROWS:
             order = math.log2(r0[row] / r1[row])
             assert order >= 1.0, (row, order)
+
+    @pytest.mark.parametrize("level", range(3))
+    def test_residuals_equal_per_sample_reference(self, level):
+        surf, grid = identity_level_case(level)
+        assert (verify_transform_identities(surf, grid)
+                == reference_verify_transform_identities(surf, grid))
+
+
+@given(case=wave_cases(), pair_speed=st.sampled_from(PAIR_SPEED_MODES))
+@settings(max_examples=150, deadline=None)
+def test_identity_residuals_match_per_sample_reference(case, pair_speed):
+    """Equal up to the last digits: ``k ** 3`` of an array and of a scalar may
+    round apart by one ulp (seen in spacing_difference)."""
+    surface, grid = case
+    try:
+        expected = reference_verify_transform_identities(surface, grid, pair_speed)
+    except (DomainError, ValueError) as exc:  # a one-cell grid has no gradient
+        with pytest.raises(type(exc)):
+            verify_transform_identities(surface, grid, pair_speed)
+        return
+    assert (verify_transform_identities(surface, grid, pair_speed)
+            == pytest.approx(expected, rel=1e-12, abs=0.0))
 
 
 @given(v0=st.floats(min_value=2.0, max_value=25.0),
@@ -289,14 +432,12 @@ LATTICE = 0.25  # m
 
 
 @st.composite
-def platoon_and_grid(draw):
-    """An open-road or ring surface of up to 3 rows and a grid for it.
+def lattice_platoon(draw):
+    """Gaps, positions and speeds of up to 3 rows of 2-30 vehicles.
 
     Each row permutes one set of spacings (5-40 m, so a ring keeps its
-    length) behind its own lead position. Positions, the grid origin and
-    the open-road dx lie on a quarter-metre lattice.
+    length) behind its own lead position, on a quarter-metre lattice.
     """
-    ring = draw(st.booleans())
     n = draw(st.integers(2, 30))
     quarters = draw(st.lists(st.integers(20, 160), min_size=n, max_size=n))
     rows = draw(st.lists(st.permutations(quarters), min_size=1, max_size=3))
@@ -304,7 +445,17 @@ def platoon_and_grid(draw):
     lead = LATTICE * np.array(draw(st.lists(st.integers(-2000, 2000),
                                             min_size=len(rows), max_size=len(rows))))
     x = lead[:, None] - np.cumsum(gaps, axis=1) + gaps[:, :1]
-    v = draw(hnp.arrays(float, x.shape, elements=st.floats(1.0, 30.0)))
+    return gaps, x, draw(hnp.arrays(float, x.shape, elements=st.floats(1.0, 30.0)))
+
+
+@st.composite
+def platoon_and_grid(draw):
+    """An open-road or ring ``lattice_platoon`` and a grid for it.
+
+    The grid origin and the open-road dx lie on the quarter-metre lattice.
+    """
+    ring = draw(st.booleans())
+    gaps, x, v = draw(lattice_platoon())
     if ring:
         length = float(np.sum(gaps[0]))
         cells = draw(st.integers(1, min(200, int(length / LATTICE))))
@@ -343,3 +494,27 @@ def test_cumulative_count_matches_pair_deposit(case, pair_speed):
         np.testing.assert_allclose(vehicles, n, rtol=1e-12)
     elif grid.x0 <= surface.positions.min() and grid.edges[-1] >= surface.positions.max():
         np.testing.assert_allclose(vehicles, n - 1, rtol=1e-12)
+
+
+@st.composite
+def open_platoon_and_covering_grid(draw):
+    """An open-road ``lattice_platoon`` on a lattice grid that covers it."""
+    _, x, v = draw(lattice_platoon())
+    dx = LATTICE * draw(st.integers(1, 200))
+    x0 = x.min() - LATTICE * draw(st.integers(0, 200))
+    cells = math.ceil((x.max() - x0) / dx) + draw(st.integers(0, 20))
+    return (TrajectorySurface(t0=0.0, dt=1.0, positions=x, speeds=v),
+            SpatialGrid(x0, dx, max(cells, 1)))
+
+
+@given(case=open_platoon_and_covering_grid())
+@settings(max_examples=200, deadline=None)
+def test_round_trip_conserves_vehicles(case):
+    """to_eulerian holds the n - 1 vehicles between the n knots, and
+    to_trajectories puts each vehicle back within one cell."""
+    surface, grid = case
+    field = to_eulerian(surface, grid)
+    n = surface.n_vehicles
+    np.testing.assert_allclose(field.density.sum(axis=1) * grid.dx, n - 1, rtol=1e-12)
+    back = to_trajectories(field, n)
+    assert np.max(np.abs(back.positions - surface.positions)) <= grid.dx
