@@ -364,7 +364,7 @@ def cmd_transform(doc: dict, out: Path) -> int:
 
 
 def cmd_compare(doc: dict, out: Path) -> int:
-    entries, _ = cfgmod.build_suite(doc)
+    entries = cfgmod.build_suite(doc)
     reports = run_suite(entries)
     summary = out / "summary.csv"
     write_summary_csv(reports, summary)

@@ -434,7 +434,7 @@ def _equilibrium_speeds(law, k_init):
     return speeds
 
 
-def build_suite(doc: dict) -> tuple[list[SuiteEntry], dict]:
+def build_suite(doc: dict) -> list[SuiteEntry]:
     cfg = require_section(doc, "suite")
     fd = build_fd(doc) if "fd" in doc else None
     ring_cfg = cfg["ring"]
@@ -454,4 +454,4 @@ def build_suite(doc: dict) -> tuple[list[SuiteEntry], dict]:
                                                                   ring_cfg["amplitude"])})
         entries += [SuiteEntry(scenario=name, law=law, ring=ring, cells=cells)
                     for cells in cfg["resolutions"]]
-    return entries, ring_cfg
+    return entries

@@ -41,7 +41,7 @@ class CollisionError(TrafficLabError, RuntimeError):
 
 
 class SolverFault(TrafficLabError, RuntimeError):
-    """A field solver produced an invalid state (NaN, negative density)."""
+    """A solver produced an invalid state (NaN, negative density)."""
 
     def __init__(self, message: str, step: int | None = None, cell: int | None = None):
         self.step = step

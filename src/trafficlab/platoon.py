@@ -4,6 +4,8 @@ Three integrators share the same state and output conventions:
 
 * :func:`simulate_continuous` -- classic fixed-step RK4 on any acceleration
   law (second- or third-order), with a prescribed lead vehicle or a ring road.
+  Its state is one (order, followers) array, the lead column comes from the
+  profile, and a non-finite state stops it with :class:`SolverFault`.
 * :func:`simulate_pipes_discrete` -- the explicit spacing-rule update for a
   triangular diagram, one row per time step.
 * :func:`simulate_newell` -- the spacing rule stepped at exactly the time gap,
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollisionError, ConfigurationError, ParameterError
+from .errors import CollisionError, ConfigurationError, ParameterError, SolverFault
 from .fundamental import TriangularDiagram, cfl_max_dt
 from .laws import AccelerationLaw, LawOrder
 from .transforms import TrajectorySurface
@@ -70,6 +72,9 @@ class ConstantLeader:
     def speed_at(self, t: float) -> float:
         return self.v0
 
+    def accel_at(self, t: float) -> float:
+        return 0.0
+
     def displacement(self, t0: float, t1: float) -> float:
         return self.v0 * (t1 - t0)
 
@@ -90,6 +95,9 @@ class SinusoidLeader:
 
     def speed_at(self, t: float) -> float:
         return self.v0 + self.amplitude * math.sin(self.omega * t)
+
+    def accel_at(self, t: float) -> float:
+        return self.amplitude * self.omega * math.cos(self.omega * t)
 
     def displacement(self, t0: float, t1: float) -> float:
         return (self.v0 * (t1 - t0)
@@ -118,6 +126,9 @@ class PiecewiseConstantLeader:
             if t >= brk:
                 idx = i
         return self.speeds[idx]
+
+    def accel_at(self, t: float) -> float:
+        return 0.0  # zero between breakpoints; the steps themselves are not resolved
 
     def displacement(self, t0: float, t1: float) -> float:
         total = 0.0
@@ -160,14 +171,16 @@ def simulate_continuous(law: AccelerationLaw, initial: PlatoonState,
                         boundary, dt: float, steps: int) -> TrajectorySurface:
     """Fixed-step RK4 integration of the coupled car-following system.
 
-    With a leader profile, vehicle 0 follows the profile exactly (its position
-    is advanced by the profile's exact displacement integral each step) and
-    appears as column 0 of the returned surface. On a ring every vehicle
-    follows its predecessor, wrapping modulo the circumference.
+    The state is one array of shape (order, followers): position, speed and,
+    for a third-order law, acceleration. On a ring every vehicle follows its
+    predecessor, wrapping modulo the circumference. Behind a leader profile
+    the followers are vehicles 1..n-1, and vehicle 0 (column 0 of the surface)
+    takes the profile's exact displacement, speed and acceleration.
 
     Speeds are clamped at zero after each step; clamp counts are reported on
     the surface. A spacing at or below the law's minimum at any stage aborts
-    with :class:`CollisionError`.
+    with :class:`CollisionError`; a non-finite spacing at any stage, or a
+    non-finite state after the last step, with :class:`SolverFault`.
     """
     if dt <= 0 or steps < 1:
         raise ConfigurationError("need dt > 0 and steps >= 1")
@@ -182,95 +195,68 @@ def simulate_continuous(law: AccelerationLaw, initial: PlatoonState,
     if not ring and n < 2:
         raise ConfigurationError("linear-road run needs the leader plus a follower")
 
-    x = initial.positions.copy()
-    v = initial.speeds.copy()
-    a = (initial.accels.copy() if initial.accels is not None
-         else np.zeros(n)) if third else None
-
-    pos_out = np.empty((steps + 1, n))
-    spd_out = np.empty((steps + 1, n))
-    acc_out = np.empty((steps + 1, n)) if third else None
-
-    if ring:
-        xf, vf = x, v
-        af = a
-        lead_x = lead_v = None
-    else:
-        xf, vf = x[1:].copy(), v[1:].copy()
-        af = a[1:].copy() if third else None
-        lead_x, lead_v = float(x[0]), boundary.speed_at(0.0)
-
-    # Leader state of each follower at a stage: its predecessor's, and for the
-    # front follower the lead vehicle's (on a ring, the rear vehicle one lap on).
-    lead_xs = np.empty(xf.shape[0])
-    lead_vs = np.empty(xf.shape[0])
-    first_vehicle = 0 if ring else 1
+    first = 0 if ring else 1  # vehicle number of the front follower
+    order = law.order.value
+    accels = initial.accels if initial.accels is not None else np.zeros(n)
+    y = np.array((initial.positions, initial.speeds, accels)[:order])[:, first:]
+    traj = np.empty((order, steps + 1, n))
+    lead = np.empty((2, n - first))  # position and speed of each follower's leader
+    k1, k2, k3, k4 = np.empty((4,) + y.shape)
     s_min, psi = law.s_min, law.psi
 
-    def follower_rates(t, xf, vf, af, lead_x, lead_v):
-        if ring:
-            lead_x, lead_v = xf[-1] + boundary.length, vf[-1]
-        lead_xs[0], lead_xs[1:] = lead_x, xf[:-1]
-        lead_vs[0], lead_vs[1:] = lead_v, vf[:-1]
-        s = lead_xs - xf
-        # fmin skips NaN, so a NaN spacing cannot mask a collision elsewhere.
-        if np.fmin.reduce(s) <= s_min:
-            raise CollisionError(t, int(np.argmax(s <= s_min)) + first_vehicle)
-        accel = psi(np.maximum(vf, 0.0), s, lead_vs - vf)
-        if third:
-            return vf, af, (accel - af) / law.t_delay
-        return vf, accel, None
+    def fault(what, t, ok):  # ok: False where a vehicle's value is not finite
+        return SolverFault(f"non-finite {what} at t={t:.6g} s, vehicle {np.argmin(ok) + first}")
+
+    def rates(t, y, front, out):
+        # The front follower's leader: the lead vehicle, or the rear one a lap on.
+        lead[:, 0] = (y[0, -1] + boundary.length, y[1, -1]) if ring else front
+        lead[:, 1:] = y[:2, :-1]
+        s = lead[0] - y[0]
+        # The minimum is NaN when any spacing is, so one reduction checks both.
+        if not np.minimum.reduce(s) > s_min:
+            finite = np.isfinite(s)
+            if not finite.all():
+                raise fault("spacing", t, finite)
+            raise CollisionError(t, int(np.argmax(s <= s_min)) + first)
+        accel = psi(np.maximum(y[1], 0.0), s, lead[1] - y[1])
+        out[:-1] = y[1:]
+        out[-1] = (accel - y[2]) / law.t_delay if third else accel
 
     def record(i):
-        if ring:
-            pos_out[i], spd_out[i] = xf, vf
-            if third:
-                acc_out[i] = af
-        else:
-            pos_out[i, 0], spd_out[i, 0] = lead_x, boundary.speed_at(i * dt)
-            pos_out[i, 1:], spd_out[i, 1:] = xf, vf
-            if third:
-                acc_out[i, 0] = 0.0
-                acc_out[i, 1:] = af
+        traj[:, i, first:] = y
+        if not ring:
+            traj[:, i, 0] = (front[0], boundary.speed_at(i * dt),
+                             boundary.accel_at(i * dt))[:order]
 
+    fronts = (None,) * 4  # lead vehicle's (position, speed) per stage; front: at step start
+    front = None if ring else (float(initial.positions[0]), boundary.speed_at(0.0))
     record(0)
-    clamps = 0
-    half = 0.5 * dt
-    lx = lv = (None, None, None)
+    clamps, half = 0, 0.5 * dt
     for i in range(steps):
         t = i * dt
         if not ring:
-            d_half = boundary.displacement(t, t + half)
-            d_full = boundary.displacement(t, t + dt)
+            x_half = front[0] + boundary.displacement(t, t + half)
             v_half = boundary.speed_at(t + half)
-            lx = (lead_x + d_half, lead_x + d_half, lead_x + d_full)
-            lv = (v_half, v_half, boundary.speed_at(t + dt))
-
-        k1 = follower_rates(t, xf, vf, af, lead_x, lead_v)
-        k2 = follower_rates(t + half, xf + half * k1[0], vf + half * k1[1],
-                            None if not third else af + half * k1[2], lx[0], lv[0])
-        k3 = follower_rates(t + half, xf + half * k2[0], vf + half * k2[1],
-                            None if not third else af + half * k2[2], lx[1], lv[1])
-        k4 = follower_rates(t + dt, xf + dt * k3[0], vf + dt * k3[1],
-                            None if not third else af + dt * k3[2], lx[2], lv[2])
-
-        xf = xf + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        vf = vf + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if third:
-            af = af + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        below = vf < 0.0
+            fronts = (front, (x_half, v_half), (x_half, v_half),
+                      (front[0] + boundary.displacement(t, t + dt), boundary.speed_at(t + dt)))
+        rates(t, y, fronts[0], k1)
+        rates(t + half, y + half * k1, fronts[1], k2)
+        rates(t + half, y + half * k2, fronts[2], k3)
+        rates(t + dt, y + dt * k3, fronts[3], k4)
+        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        below = y[1] < 0.0
         if below.any():
             clamps += int(np.count_nonzero(below))
-            vf = np.where(below, 0.0, vf)
-        if not ring:
-            lead_x, lead_v = lx[2], lv[2]
+            y[1, below] = 0.0
+        front = fronts[3]
         record(i + 1)
-
+    finite = np.isfinite(y).all(axis=0)
+    if not finite.all():
+        raise fault("state", steps * dt, finite)
     return TrajectorySurface(
-        t0=initial.time, dt=dt, positions=pos_out, speeds=spd_out,
-        accels=acc_out, ring_length=boundary.length if ring else None,
-        clamp_events=clamps,
-    )
+        t0=initial.time, dt=dt, positions=traj[0], speeds=traj[1],
+        accels=traj[2] if third else None,
+        ring_length=boundary.length if ring else None, clamp_events=clamps)
 
 
 def _require_triangular(fd) -> TriangularDiagram:

@@ -347,6 +347,8 @@ def verify_transform_identities(surface: TrajectorySurface, grid: SpatialGrid,
     better as the surface and grid refine together. Rows involving third
     derivatives (speed curvature, jerk) are not implemented.
     """
+    if surface.n_steps < 2 or grid.cells < 2:
+        raise DomainError("identity residuals need two time samples and two cells")
     field = to_eulerian(surface, grid, pair_speed=pair_speed)
     k = field.density.copy()
     v = field.speed

@@ -171,6 +171,19 @@ class TestExitCodes:
         assert run(["simulate-cf", "--config", path, "--out", tmp_path]) == 1
         assert "CollisionError" in capsys.readouterr().err
 
+    def test_non_finite_rk4_state_is_exit_one(self, tmp_path, capsys):
+        # v**400 overflows at 7.5 m/s, and inf * (dv = 0) makes the law NaN
+        doc = {"model": {"name": "nonlinear_gm", "a": 1.0, "m": 400, "l": 1},
+               "sim": {"method": "rk4", "dt": 0.01, "steps": 50,
+                       "boundary": {"kind": "ring", "length": 500.0},
+                       "initial": {"n_vehicles": 40, "spacing": 12.5, "speed": 7.5}}}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["simulate-cf", "--config", path, "--out", tmp_path / "o"]) == 1
+        assert "SolverFault" in capsys.readouterr().err
+        assert not any((tmp_path / "o").glob("*.csv"))
+
     @pytest.mark.parametrize("direction, text", [
         pytest.param("to_eulerian", TRAJ_HEADER + "0,0,10,1\n0,2,0,1\n",
                      id="vehicle-id-gap"),

@@ -1,17 +1,25 @@
 """Platoon simulators: equilibrium fixed points, reductions, convergence."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import GS, TRI
 from trafficlab import (CollisionError, ConfigurationError, ConstantLeader,
-                        PiecewiseConstantLeader, PlatoonState, Ring,
-                        SinusoidLeader,
-                        make_linear_gm, make_ovm, make_third_order,
+                        GreenshieldsDiagram, PiecewiseConstantLeader,
+                        PlatoonState, Ring, SinusoidLeader, SolverFault,
+                        TrafficLabError, TriangularDiagram, make_fvdm, make_gfm,
+                        make_idm, make_idm_alt, make_jwz_cf, make_linear_gm,
+                        make_nonlinear_gm, make_ovm, make_third_order,
                         rankine_hugoniot_speed, simulate_continuous,
                         simulate_newell, simulate_pipes_discrete,
                         uniform_platoon)
+from trafficlab.laws import AccelerationLaw, LawOrder
+from trafficlab.platoon import RK4_DT_FRACTION, _validate_ordering
+from trafficlab.transforms import TrajectorySurface
 
 
 class TestContinuous:
@@ -124,6 +132,240 @@ class TestContinuous:
         b = simulate_continuous(wrapped, init, leader, 0.001, 8000)
         assert np.max(np.abs(a.positions - b.positions)) < 0.2
         assert b.accels is not None
+
+    def test_lead_column_records_profile_acceleration(self, tri):
+        leader = SinusoidLeader(7.5, 2.0, 1.0)
+        law = make_third_order(make_ovm(0.4, tri), 0.3)
+        surf = simulate_continuous(law, uniform_platoon(3, 20.0, 7.5), leader, 0.01, 400)
+        t = surf.times
+        assert np.array_equal(surf.accels[:, 0], [leader.accel_at(ti) for ti in t])
+        assert np.allclose(surf.accels[:, 0], 2.0 * np.cos(t), rtol=0, atol=1e-12)
+        # the recorded acceleration is the derivative of the recorded speed
+        assert np.allclose(np.gradient(surf.speeds[:, 0], 0.01)[1:-1],
+                           surf.accels[1:-1, 0], rtol=0, atol=1e-3)
+
+    def test_stepwise_profiles_record_zero_acceleration(self):
+        for leader in (ConstantLeader(5.0), PiecewiseConstantLeader((0.0, 1.0), (5.0, 2.0))):
+            assert [leader.accel_at(t) for t in (0.0, 0.5, 1.0, 2.0)] == [0.0] * 4
+
+    @pytest.mark.parametrize("boundary", [Ring(500.0), ConstantLeader(7.5)],
+                             ids=["ring", "open-road"])
+    def test_non_finite_state_stops_with_solver_fault(self, boundary):
+        # v**400 overflows to inf and inf * (dv = 0) is NaN at the first stage
+        law = make_nonlinear_gm(1.0, 400, 1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SolverFault, match=r"non-finite spacing at t=0.005 s, vehicle"):
+            simulate_continuous(law, uniform_platoon(40, 12.5, 7.5, 487.5), boundary, 0.01, 50)
+
+    def test_non_finite_last_step_stops_with_solver_fault(self):
+        # Only the last stage (speed 7.51) reaches the surge, so the infinite
+        # speed is in the final state and never in a spacing.
+        law = AccelerationLaw("surge", {}, lambda v, s, dv: np.where(v > 7.507, np.inf, 1.0))
+        init = uniform_platoon(3, 12.5, 7.5)
+        with pytest.raises(SolverFault, match=r"^non-finite state at t=0.01 s, vehicle 1$"):
+            simulate_continuous(law, init, ConstantLeader(7.5), 0.01, 1)
+        stale = reference_simulate_continuous(law, init, ConstantLeader(7.5), 0.01, 1)
+        assert np.isinf(stale.speeds[-1, 1:]).all()
+
+
+# The RK4 integrator as it stood before its state was stacked into one
+# array, kept verbatim as the reference for the stacked version.
+def reference_simulate_continuous(law: AccelerationLaw, initial: PlatoonState,
+                                  boundary, dt: float, steps: int) -> TrajectorySurface:
+    """Fixed-step RK4 integration of the coupled car-following system.
+
+    With a leader profile, vehicle 0 follows the profile exactly (its position
+    is advanced by the profile's exact displacement integral each step) and
+    appears as column 0 of the returned surface. On a ring every vehicle
+    follows its predecessor, wrapping modulo the circumference.
+
+    Speeds are clamped at zero after each step; clamp counts are reported on
+    the surface. A spacing at or below the law's minimum at any stage aborts
+    with :class:`CollisionError`.
+    """
+    if dt <= 0 or steps < 1:
+        raise ConfigurationError("need dt > 0 and steps >= 1")
+    guard = RK4_DT_FRACTION * law.time_scale
+    if dt > guard * (1 + 1e-12):
+        raise ConfigurationError(
+            f"dt={dt:g} exceeds stability guard {guard:g} for {law.name}")
+    _validate_ordering(initial, boundary)
+    ring = isinstance(boundary, Ring)
+    third = law.order is LawOrder.THIRD
+    n = initial.n_vehicles
+    if not ring and n < 2:
+        raise ConfigurationError("linear-road run needs the leader plus a follower")
+
+    x = initial.positions.copy()
+    v = initial.speeds.copy()
+    a = (initial.accels.copy() if initial.accels is not None
+         else np.zeros(n)) if third else None
+
+    pos_out = np.empty((steps + 1, n))
+    spd_out = np.empty((steps + 1, n))
+    acc_out = np.empty((steps + 1, n)) if third else None
+
+    if ring:
+        xf, vf = x, v
+        af = a
+        lead_x = lead_v = None
+    else:
+        xf, vf = x[1:].copy(), v[1:].copy()
+        af = a[1:].copy() if third else None
+        lead_x, lead_v = float(x[0]), boundary.speed_at(0.0)
+
+    # Leader state of each follower at a stage: its predecessor's, and for the
+    # front follower the lead vehicle's (on a ring, the rear vehicle one lap on).
+    lead_xs = np.empty(xf.shape[0])
+    lead_vs = np.empty(xf.shape[0])
+    first_vehicle = 0 if ring else 1
+    s_min, psi = law.s_min, law.psi
+
+    def follower_rates(t, xf, vf, af, lead_x, lead_v):
+        if ring:
+            lead_x, lead_v = xf[-1] + boundary.length, vf[-1]
+        lead_xs[0], lead_xs[1:] = lead_x, xf[:-1]
+        lead_vs[0], lead_vs[1:] = lead_v, vf[:-1]
+        s = lead_xs - xf
+        # fmin skips NaN, so a NaN spacing cannot mask a collision elsewhere.
+        if np.fmin.reduce(s) <= s_min:
+            raise CollisionError(t, int(np.argmax(s <= s_min)) + first_vehicle)
+        accel = psi(np.maximum(vf, 0.0), s, lead_vs - vf)
+        if third:
+            return vf, af, (accel - af) / law.t_delay
+        return vf, accel, None
+
+    def record(i):
+        if ring:
+            pos_out[i], spd_out[i] = xf, vf
+            if third:
+                acc_out[i] = af
+        else:
+            pos_out[i, 0], spd_out[i, 0] = lead_x, boundary.speed_at(i * dt)
+            pos_out[i, 1:], spd_out[i, 1:] = xf, vf
+            if third:
+                acc_out[i, 0] = 0.0
+                acc_out[i, 1:] = af
+
+    record(0)
+    clamps = 0
+    half = 0.5 * dt
+    lx = lv = (None, None, None)
+    for i in range(steps):
+        t = i * dt
+        if not ring:
+            d_half = boundary.displacement(t, t + half)
+            d_full = boundary.displacement(t, t + dt)
+            v_half = boundary.speed_at(t + half)
+            lx = (lead_x + d_half, lead_x + d_half, lead_x + d_full)
+            lv = (v_half, v_half, boundary.speed_at(t + dt))
+
+        k1 = follower_rates(t, xf, vf, af, lead_x, lead_v)
+        k2 = follower_rates(t + half, xf + half * k1[0], vf + half * k1[1],
+                            None if not third else af + half * k1[2], lx[0], lv[0])
+        k3 = follower_rates(t + half, xf + half * k2[0], vf + half * k2[1],
+                            None if not third else af + half * k2[2], lx[1], lv[1])
+        k4 = follower_rates(t + dt, xf + dt * k3[0], vf + dt * k3[1],
+                            None if not third else af + dt * k3[2], lx[2], lv[2])
+
+        xf = xf + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        vf = vf + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        if third:
+            af = af + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        below = vf < 0.0
+        if below.any():
+            clamps += int(np.count_nonzero(below))
+            vf = np.where(below, 0.0, vf)
+        if not ring:
+            lead_x, lead_v = lx[2], lv[2]
+        record(i + 1)
+
+    return TrajectorySurface(
+        t0=initial.time, dt=dt, positions=pos_out, speeds=spd_out,
+        accels=acc_out, ring_length=boundary.length if ring else None,
+        clamp_events=clamps,
+    )
+
+
+TRI_FD, GS_FD = TriangularDiagram(**TRI), GreenshieldsDiagram(**GS)
+REFERENCE_LAWS = (
+    make_ovm(0.6, TRI_FD), make_ovm(1.0, GS_FD), make_fvdm(0.6, 0.5, TRI_FD),
+    make_idm(1.0, 1.5, 4.0, 20.0, 1.0, 2.0), make_idm_alt(1.0, 1.5, 4.0, 20.0, 1.0, 2.0),
+    make_gfm(2.0, 0.5, 2.0, 1.0, 5.0, TRI_FD), make_nonlinear_gm(1.0, 1, 1),
+    make_nonlinear_gm(1.0, 400, 1),  # v**400 overflows above about 5.9 m/s
+    make_jwz_cf(1.0, 2.0, GS_FD), make_linear_gm(0.5),
+)
+
+
+@st.composite
+def platoon_runs(draw):
+    """A law, a ring or leader profile, a perturbed platoon and a step size."""
+    law = draw(st.sampled_from(REFERENCE_LAWS))
+    if draw(st.booleans()):  # with t_delay > T/4 the linear GM is underdamped and clamps
+        law = make_third_order(law, draw(st.sampled_from((0.3, 1.0))))
+    n = draw(st.integers(2, 12))
+    spacing = draw(st.floats(3.0, 40.0))  # below s_min too: tight platoons collide
+    speed = draw(st.floats(0.0, 15.0))
+    jitter = st.just([0.0] * n) | st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n)
+    positions = spacing * (n - 1 - np.arange(n) + np.array(draw(jitter)))
+    speeds = speed * (1.0 + np.array(draw(jitter)))
+    accels = draw(st.none() | st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    initial = PlatoonState(time=0.0, positions=positions, speeds=speeds, accels=accels)
+    v0 = draw(st.floats(0.0, 15.0))
+    boundary = draw(st.sampled_from((
+        Ring(n * spacing), ConstantLeader(v0),
+        SinusoidLeader(v0, 0.5 * v0, 0.7) if v0 > 0 else ConstantLeader(v0),
+        PiecewiseConstantLeader((0.0, 0.6), (v0, 0.0)))))
+    dt = RK4_DT_FRACTION * law.time_scale * draw(st.sampled_from((0.25, 0.5, 1.0)))
+    return law, initial, boundary, dt, draw(st.integers(1, 40))
+
+
+def outcome(simulate, *args):
+    try:
+        return simulate(*args), None
+    except TrafficLabError as exc:
+        return None, exc
+
+
+@settings(max_examples=120, deadline=None)
+@given(platoon_runs())
+def test_stacked_rk4_matches_reference(run):
+    law, initial, boundary, dt, steps = run
+    non_finite = []  # non-empty once the reference's law sees or returns a non-finite value
+
+    def watched_psi(v, s, dv):
+        accel = law.psi(v, s, dv)
+        if not all(np.isfinite(z).all() for z in (v, s, dv, accel)):
+            non_finite.append(True)
+        return accel
+
+    watched = dataclasses.replace(law, psi=watched_psi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref, ref_exc = outcome(reference_simulate_continuous, watched, initial, boundary,
+                               dt, steps)
+        new, new_exc = outcome(simulate_continuous, law, initial, boundary, dt, steps)
+    if ref is not None and not all(np.isfinite(m).all() for m in
+                                   (ref.positions, ref.speeds, ref.accels)
+                                   if m is not None):
+        assert isinstance(new_exc, SolverFault)
+        return
+    if non_finite and isinstance(new_exc, SolverFault):
+        return  # the reference ran on through a non-finite state
+    assert type(new_exc) is type(ref_exc) and str(new_exc) == str(ref_exc)
+    if ref is None:
+        return
+    lead = 0 if isinstance(boundary, Ring) else 1
+    assert new.positions.tobytes() == ref.positions.tobytes()
+    assert new.speeds.tobytes() == ref.speeds.tobytes()
+    assert (new.accels is None) == (ref.accels is None)
+    if new.accels is not None:
+        assert new.accels[:, lead:].tobytes() == ref.accels[:, lead:].tobytes()
+        if lead:
+            profile = [boundary.accel_at(i * dt) for i in range(steps + 1)]
+            assert new.accels[:, 0].tolist() == profile
+            assert not ref.accels[:, 0].any()  # the reference wrote 0.0
+    assert new.clamp_events == ref.clamp_events
+    assert new.ring_length == ref.ring_length
 
 
 class TestSpacingRule:
