@@ -28,7 +28,7 @@ from .stability import (StabilityReport, amplification_ratio,
                         string_stability_classic)
 from .platoon import (ConstantLeader, PiecewiseConstantLeader, PlatoonState,
                       Ring, SinusoidLeader, simulate_continuous,
-                      simulate_newell, simulate_pipes_discrete,
+                      simulate_newell, simulate_pipes_discrete, simulate_platoons,
                       uniform_platoon)
 from .continuum import (EulerianScenario, InflowOutflow, Periodic,
                         solve_lwr_godunov, solve_second_order, total_vehicles)

@@ -482,7 +482,10 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
-        return COMMANDS[args.command](_load_config(args.config), out)
+        # The solvers stop on non-finite states themselves, so NumPy's own
+        # floating-point warnings would only repeat that fault on stderr.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return COMMANDS[args.command](_load_config(args.config), out)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

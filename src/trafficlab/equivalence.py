@@ -27,8 +27,8 @@ from .errors import (CollisionError, ConfigurationError, DomainError,
                      EvaluationError, SolverFault)
 from .fundamental import FundamentalDiagram, GreenshieldsDiagram, TriangularDiagram
 from .laws import AccelerationLaw
-from .platoon import (ConstantLeader, PlatoonState, Ring, simulate_continuous,
-                      simulate_newell)
+from .platoon import (ConstantLeader, PlatoonState, Ring, simulate_newell,
+                      simulate_platoons)
 from .steady_state import EquilibriumStatus, solve_equilibrium_speed
 from .transforms import (EulerianField, SpatialGrid, TrajectorySurface,
                          to_eulerian, to_trajectories)
@@ -337,17 +337,24 @@ def ring_initial_state(law: AccelerationLaw, scenario: RingScenario) -> PlatoonS
     return PlatoonState(time=0.0, positions=x, speeds=np.full(n, res.speed))
 
 
+def _arm_run(law: AccelerationLaw, scenario: RingScenario):
+    """The batch member, step count and record stride of a car-following arm."""
+    steps_cf = _steps_for(scenario.horizon, scenario.dt_cf, "dt_cf")
+    if steps_cf % scenario.compare_points:
+        raise ConfigurationError("compare_points must divide both step counts")
+    member = (law, ring_initial_state(law, scenario), Ring(scenario.circumference))
+    return member, steps_cf, steps_cf // scenario.compare_points
+
+
 def car_following_arm(law: AccelerationLaw,
                       scenario: RingScenario) -> TrajectorySurface:
-    """RK4 run of the seeded ring platoon over the horizon.
+    """RK4 run of the seeded ring platoon, recorded at the compare points.
 
     The arm depends on the law and the ring only, not on the continuum
     resolution, so one run serves every resolution of a suite entry.
     """
-    initial = ring_initial_state(law, scenario)
-    steps_cf = _steps_for(scenario.horizon, scenario.dt_cf, "dt_cf")
-    return simulate_continuous(law, initial, Ring(scenario.circumference),
-                               scenario.dt_cf, steps_cf)
+    member, steps_cf, stride = _arm_run(law, scenario)
+    return simulate_platoons([member], scenario.dt_cf, steps_cf, stride)[0]
 
 
 def compare_second_order(law: AccelerationLaw, scenario: RingScenario,
@@ -356,9 +363,10 @@ def compare_second_order(law: AccelerationLaw, scenario: RingScenario,
     """One paired ring run at the given continuum resolution.
 
     ``cf_surface`` is :func:`car_following_arm` of the same law and ring,
-    computed once and shared across resolutions (see :func:`run_suite`);
-    without it the arm runs here. The continuum arm starts from the
-    car-following arm's first row, reconstructed on the resolution's grid.
+    recorded at the compare points and shared across resolutions (see
+    :func:`run_suite`); without it the arm runs here. The continuum arm
+    starts from the car-following arm's first row, reconstructed on the
+    resolution's grid.
     """
     L = scenario.circumference
     resolution = f"cells={cells}"
@@ -372,8 +380,7 @@ def compare_second_order(law: AccelerationLaw, scenario: RingScenario,
         if cf_surface is None:
             cf_surface = car_following_arm(law, scenario)
 
-        stride_cf = steps_cf // n_cmp
-        cf_field = to_eulerian(cf_surface.slice_steps(0, None, stride_cf), grid)
+        cf_field = to_eulerian(cf_surface, grid)
         pde_scenario = EulerianScenario(
             grid=grid, dt=scenario.dt_pde, steps=steps_pde,
             initial_density=cf_field.density[0],
@@ -417,24 +424,16 @@ class SuiteEntry:
 def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
     """Execute all suite entries; failures are isolated per report.
 
-    The car-following arm runs once per run of consecutive entries with an
-    equal law and ring -- the resolutions of one suite entry, as
-    ``build_suite`` emits them -- and each resolution compares against that
-    one surface. Only the current surface is held. When the arm fails, each
-    resolution runs it again through :func:`compare_second_order`, so every
+    Each distinct (law, ring) car-following arm runs once, and each
+    resolution compares against that one surface (see
+    :func:`_car_following_arms`). Where an arm could not run, its
+    resolutions run it again through :func:`compare_second_order`, so every
     report carries the same fault as a standalone comparison.
     """
     reports = []
-    arm_key = cf_surface = None
-    for entry in entries:
+    for entry, cf_surface in zip(entries, _car_following_arms(entries)):
         try:
             ring = RingScenario(**{**entry.ring.__dict__, "name": entry.scenario})
-            if (entry.law, entry.ring) != arm_key:
-                arm_key, cf_surface = (entry.law, entry.ring), None
-                try:
-                    cf_surface = car_following_arm(entry.law, ring)
-                except Exception:  # reported per resolution by compare_second_order
-                    pass
             report = compare_second_order(entry.law, ring, entry.cells,
                                           cf_surface=cf_surface)
         except Exception as exc:  # fault isolation: one entry must not kill the suite
@@ -442,3 +441,45 @@ def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
                                    f"cells={entry.cells}", exc)
         reports.append(report)
     return reports
+
+
+def _car_following_arms(entries: list[SuiteEntry]) -> list[TrajectorySurface | None]:
+    """Each entry's car-following surface, or None where its arm cannot run.
+
+    Entries with an equal law and ring share one arm. Arms with the same
+    step size, step count, stride, vehicle count and law order run as one
+    batch of :func:`simulate_platoons`. An arm whose initial state cannot be
+    built stays out of its batch; when a batch raises, each of its arms runs
+    again alone, so one failing arm does not take the others down.
+    """
+    arms: list[tuple[AccelerationLaw, RingScenario]] = []
+    arm_of = []  # per entry: its arm's index in arms
+    for entry in entries:
+        key = (entry.law, entry.ring)
+        if key not in arms:
+            arms.append(key)
+        arm_of.append(arms.index(key))
+    batches: dict[tuple, list[tuple[int, tuple]]] = {}
+    for a, (law, ring) in enumerate(arms):
+        try:
+            member, steps, stride = _arm_run(law, ring)
+        except Exception:  # reported per resolution by compare_second_order
+            continue
+        key = (ring.dt_cf, steps, stride, member[1].n_vehicles, law.order)
+        batches.setdefault(key, []).append((a, member))
+    surfaces: list[TrajectorySurface | None] = [None] * len(arms)
+    for (dt, steps, stride, _, _), batch in batches.items():
+        members = [member for _, member in batch]
+        runs = _try_platoons(members, dt, steps, stride)
+        if runs is None and len(members) > 1:
+            runs = [(_try_platoons([m], dt, steps, stride) or [None])[0] for m in members]
+        for (a, _), surface in zip(batch, runs or [None]):
+            surfaces[a] = surface
+    return [surfaces[a] for a in arm_of]
+
+
+def _try_platoons(members, dt: float, steps: int, stride: int):
+    try:
+        return simulate_platoons(members, dt, steps, stride)
+    except Exception:  # reported per resolution by compare_second_order
+        return None

@@ -34,10 +34,12 @@ class ConfigurationError(TrafficLabError, ValueError):
 class CollisionError(TrafficLabError, RuntimeError):
     """A simulated vehicle closed below the minimum spacing."""
 
-    def __init__(self, time: float, vehicle: int):
+    def __init__(self, time: float, vehicle: int, member: int | None = None):
         self.time = time
         self.vehicle = vehicle
-        super().__init__(f"spacing below minimum at t={time:.6g} s, vehicle {vehicle}")
+        self.member = member  # the platoon's place in a batch run, if it names one
+        named = "" if member is None else f"member {member}, "
+        super().__init__(f"spacing below minimum at t={time:.6g} s, {named}vehicle {vehicle}")
 
 
 class SolverFault(TrafficLabError, RuntimeError):

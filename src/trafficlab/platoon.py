@@ -2,10 +2,12 @@
 
 Three integrators share the same state and output conventions:
 
-* :func:`simulate_continuous` -- classic fixed-step RK4 on any acceleration
-  law (second- or third-order), with a prescribed lead vehicle or a ring road.
-  Its state is one (order, followers) array, the lead column comes from the
-  profile, and a non-finite state stops it with :class:`SolverFault`.
+* :func:`simulate_platoons` -- classic fixed-step RK4 on any acceleration
+  law (second- or third-order), with a prescribed lead vehicle or a ring road,
+  for a batch of platoons at once. Its state is one (order, members,
+  1 + followers) array, the lead column comes from the profile, and a
+  non-finite state stops it with :class:`SolverFault`.
+  :func:`simulate_continuous` is its one-member form.
 * :func:`simulate_pipes_discrete` -- the explicit spacing-rule update for a
   triangular diagram, one row per time step.
 * :func:`simulate_newell` -- the spacing rule stepped at exactly the time gap,
@@ -16,6 +18,7 @@ All runs are deterministic: identical inputs give bitwise-identical surfaces.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import CollisionError, ConfigurationError, ParameterError, SolverFault
 from .fundamental import TriangularDiagram, cfl_max_dt
-from .laws import AccelerationLaw, LawOrder
+from .laws import AccelerationLaw
 from .transforms import TrajectorySurface
 
 # Fraction of the law's smallest time constant allowed as an RK4 step.
@@ -167,96 +170,205 @@ def _validate_ordering(state: PlatoonState, boundary) -> None:
             raise ParameterError("platoon must be ordered front to rear")
 
 
-def simulate_continuous(law: AccelerationLaw, initial: PlatoonState,
-                        boundary, dt: float, steps: int) -> TrajectorySurface:
-    """Fixed-step RK4 integration of the coupled car-following system.
+def simulate_platoons(members, dt: float, steps: int,
+                      record_every: int = 1) -> list[TrajectorySurface]:
+    """Fixed-step RK4 integration of a batch of coupled car-following systems.
 
-    The state is one array of shape (order, followers): position, speed and,
-    for a third-order law, acceleration. On a ring every vehicle follows its
-    predecessor, wrapping modulo the circumference. Behind a leader profile
-    the followers are vehicles 1..n-1, and vehicle 0 (column 0 of the surface)
-    takes the profile's exact displacement, speed and acceleration.
+    Each member is ``(law, initial, boundary)``. Members share ``dt``,
+    ``steps``, the vehicle count, the law order and the boundary kind (ring
+    or leader profile). The result holds one surface per member, recorded at
+    every ``record_every``-th step from step 0: it equals ``slice_steps(0,
+    None, record_every)`` of the fully recorded run.
+
+    The state is one array of shape (order, members, 1 + followers):
+    position, speed and, for a third-order law, acceleration, behind one
+    column for the front follower's leader. On a ring every vehicle
+    follows its predecessor, wrapping modulo the circumference. Behind a
+    leader profile the followers are vehicles 1..n-1, and vehicle 0 (column 0
+    of the surface) takes the profile's exact displacement, speed and
+    acceleration. Everything but the law runs once for the whole batch, and
+    each distinct law is evaluated once per stage on a view of its members,
+    so every member is bitwise its own one-member run.
 
     Speeds are clamped at zero after each step; clamp counts are reported on
-    the surface. A spacing at or below the law's minimum at any stage aborts
+    each surface. A spacing at or below a law's minimum at any stage aborts
     with :class:`CollisionError`; a non-finite spacing at any stage, or a
-    non-finite state after the last step, with :class:`SolverFault`.
+    non-finite state after the last step, with :class:`SolverFault`. In a
+    batch of more than one, the error names the member and the vehicle.
     """
     if dt <= 0 or steps < 1:
         raise ConfigurationError("need dt > 0 and steps >= 1")
-    guard = RK4_DT_FRACTION * law.time_scale
-    if dt > guard * (1 + 1e-12):
-        raise ConfigurationError(
-            f"dt={dt:g} exceeds stability guard {guard:g} for {law.name}")
-    _validate_ordering(initial, boundary)
-    ring = isinstance(boundary, Ring)
-    third = law.order is LawOrder.THIRD
-    n = initial.n_vehicles
+    if int(record_every) != record_every or record_every < 1:
+        raise ConfigurationError("record_every must be a whole number >= 1")
+    members = [tuple(m) for m in members]
+    for law, initial, boundary in members:
+        guard = RK4_DT_FRACTION * law.time_scale
+        if dt > guard * (1 + 1e-12):
+            raise ConfigurationError(
+                f"dt={dt:g} exceeds stability guard {guard:g} for {law.name}")
+        _validate_ordering(initial, boundary)
+    if not members:
+        return []
+    # The state keeps the members of one law side by side (batch row p holds
+    # member perm[p]), so each law is evaluated on a view of its rows.
+    groups = _law_groups([law for law, _, _ in members])
+    perm = [b for _, rows in groups for b in rows]
+    laws, initials, boundaries = zip(*(members[b] for b in perm))
+    ring = isinstance(boundaries[0], Ring)
+    n, order = initials[0].n_vehicles, laws[0].order
     if not ring and n < 2:
         raise ConfigurationError("linear-road run needs the leader plus a follower")
+    if any(initial.n_vehicles != n for initial in initials) or any(
+            law.order is not order for law in laws) or any(
+            isinstance(b, Ring) != ring for b in boundaries):
+        raise ConfigurationError(
+            "batch members must share the vehicle count, law order and boundary kind")
 
+    batch, order = len(perm), order.value
+    third = order == 3
     first = 0 if ring else 1  # vehicle number of the front follower
-    order = law.order.value
-    accels = initial.accels if initial.accels is not None else np.zeros(n)
-    y = np.array((initial.positions, initial.speeds, accels)[:order])[:, first:]
-    traj = np.empty((order, steps + 1, n))
-    lead = np.empty((2, n - first))  # position and speed of each follower's leader
-    k1, k2, k3, k4 = np.empty((4,) + y.shape)
-    s_min, psi = law.s_min, law.psi
+    # The state at a step's start (y) and the one a stage sees, padded in front
+    # by one column that holds the front follower's leader. The rates leave
+    # that column at zero, so the stage sums carry it unchanged.
+    y, work, k1, k2, k3, k4 = np.zeros((6, order, batch, n - first + 1))
+    base, staged = [(f[:2, :, 0], f[:2, :, -1], f[:2, :, :-1], f[:, :, 1:]) for f in (y, work)]
+    followers = base[3]
+    for p, initial in enumerate(initials):
+        followers[0, p], followers[1, p] = initial.positions[first:], initial.speeds[first:]
+        if third and initial.accels is not None:
+            followers[2, p] = initial.accels[first:]
+    s, v, dv = np.empty((3, batch, n - first))  # spacing, clamped speed, speed gap
+    s_flat = s.reshape(-1)  # a view: a 1-d reduction costs less than axis=None
+    evals, lo = [], 0  # each law with its rows, as an int (one member) or a slice
+    for law, rows in groups:
+        idx = lo if len(rows) == 1 else slice(lo, lo + len(rows))
+        evals.append((law, idx, v[idx], s[idx], dv[idx]))
+        lo += len(rows)
+    s_min = np.array([law.s_min for law in laws])[:, None]
+    s_floor = s_min.max()  # a spacing above every member's minimum needs no closer look
+    if ring:
+        lengths = np.array([b.length for b in boundaries])
+    else:  # the lead vehicle's (position, speed) at every step and half step
+        fronts = np.empty((steps + 1, 2, batch))
+        halves = np.empty((steps, 2, batch))
+        for p, (initial, leader) in enumerate(zip(initials, boundaries)):
+            (fronts[:, 0, p], fronts[:, 1, p], halves[:, 0, p],
+             halves[:, 1, p]) = _lead_track(leader, float(initial.positions[0]), dt, steps)
 
-    def fault(what, t, ok):  # ok: False where a vehicle's value is not finite
-        return SolverFault(f"non-finite {what} at t={t:.6g} s, vehicle {np.argmin(ok) + first}")
+    def where(bad):  # the first faulty (member, vehicle), as an error names it
+        p, j = divmod(int(np.argmax(bad)), bad.shape[1])
+        return (None if batch == 1 else perm[p]), j + first
 
-    def rates(t, y, front, out):
+    def fault(what, t, bad):
+        member, vehicle = where(bad)
+        named = "" if member is None else f"member {member}, "
+        return SolverFault(f"non-finite {what} at t={t:.6g} s, {named}vehicle {vehicle}")
+
+    def rates(t, frame, lead, out):
+        column, rear, leaders, x = frame
         # The front follower's leader: the lead vehicle, or the rear one a lap on.
-        lead[:, 0] = (y[0, -1] + boundary.length, y[1, -1]) if ring else front
-        lead[:, 1:] = y[:2, :-1]
-        s = lead[0] - y[0]
+        if ring:
+            np.add(rear[0], lengths, column[0])
+            column[1] = rear[1]
+        else:
+            column[...] = lead
+        np.subtract(leaders[0], x[0], s)
         # The minimum is NaN when any spacing is, so one reduction checks both.
-        if not np.minimum.reduce(s) > s_min:
+        if not np.minimum.reduce(s_flat) > s_floor:
             finite = np.isfinite(s)
             if not finite.all():
-                raise fault("spacing", t, finite)
-            raise CollisionError(t, int(np.argmax(s <= s_min)) + first)
-        accel = psi(np.maximum(y[1], 0.0), s, lead[1] - y[1])
-        out[:-1] = y[1:]
-        out[-1] = (accel - y[2]) / law.t_delay if third else accel
+                raise fault("spacing", t, ~finite)
+            closed = s <= s_min
+            if closed.any():
+                member, vehicle = where(closed)
+                raise CollisionError(t, vehicle, member)
+        np.maximum(x[1], 0.0, out=v)
+        np.subtract(leaders[1], x[1], dv)
+        for law, idx, *args in evals:
+            accel = law.psi(*args)
+            out[-1, idx, 1:] = (accel - x[2, idx]) / law.t_delay if third else accel
+        out[:-1, :, 1:] = x[1:]
 
-    def record(i):
-        traj[:, i, first:] = y
-        if not ring:
-            traj[:, i, 0] = (front[0], boundary.speed_at(i * dt),
-                             boundary.accel_at(i * dt))[:order]
+    def stage(h, k):  # the staged state becomes y + h * k
+        np.add(y, np.multiply(k, h, work), work)
+        return staged
 
-    fronts = (None,) * 4  # lead vehicle's (position, speed) per stage; front: at step start
-    front = None if ring else (float(initial.positions[0]), boundary.speed_at(0.0))
-    record(0)
-    clamps, half = 0, 0.5 * dt
+    recorded = range(0, steps + 1, record_every)
+    traj = np.empty((order, batch, len(recorded), n))  # traj[:, p] is member perm[p]'s
+    traj[:, :, 0, first:] = followers
+    if not ring:
+        for p, leader in enumerate(boundaries):
+            traj[0, p, :, 0] = fronts[::record_every, 0, p]
+            for o, profile in enumerate((leader.speed_at, leader.accel_at)[:order - 1], 1):
+                traj[o, p, :, 0] = np.fromiter((profile(i * dt) for i in recorded), float,
+                                               len(recorded))
+    speeds = followers[1]
+    clamps, half = np.zeros(batch, dtype=int), 0.5 * dt
+    leads = (None,) * 3  # lead vehicle at the step's start, midpoint and end
     for i in range(steps):
         t = i * dt
         if not ring:
-            x_half = front[0] + boundary.displacement(t, t + half)
-            v_half = boundary.speed_at(t + half)
-            fronts = (front, (x_half, v_half), (x_half, v_half),
-                      (front[0] + boundary.displacement(t, t + dt), boundary.speed_at(t + dt)))
-        rates(t, y, fronts[0], k1)
-        rates(t + half, y + half * k1, fronts[1], k2)
-        rates(t + half, y + half * k2, fronts[2], k3)
-        rates(t + dt, y + dt * k3, fronts[3], k4)
-        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        below = y[1] < 0.0
+            leads = fronts[i], halves[i], fronts[i + 1]
+        rates(t, base, leads[0], k1)
+        rates(t + half, stage(half, k1), leads[1], k2)
+        rates(t + half, stage(half, k2), leads[1], k3)
+        rates(t + dt, stage(dt, k3), leads[2], k4)
+        y += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        below = speeds < 0.0
         if below.any():
-            clamps += int(np.count_nonzero(below))
-            y[1, below] = 0.0
-        front = fronts[3]
-        record(i + 1)
-    finite = np.isfinite(y).all(axis=0)
+            clamps += np.count_nonzero(below, axis=1)
+            speeds[below] = 0.0
+        if (i + 1) % record_every == 0:
+            traj[:, :, (i + 1) // record_every, first:] = followers
+    fronts = halves = leads = None  # free the lead tables before the surfaces check gaps
+    finite = np.isfinite(followers).all(axis=0)
     if not finite.all():
-        raise fault("state", steps * dt, finite)
-    return TrajectorySurface(
-        t0=initial.time, dt=dt, positions=traj[0], speeds=traj[1],
-        accels=traj[2] if third else None,
-        ring_length=boundary.length if ring else None, clamp_events=clamps)
+        raise fault("state", steps * dt, ~finite)
+    surfaces = [None] * batch
+    for p, (initial, boundary) in enumerate(zip(initials, boundaries)):
+        surfaces[perm[p]] = TrajectorySurface(
+            t0=initial.time, dt=dt * record_every, positions=traj[0, p],
+            speeds=traj[1, p], accels=traj[2, p] if third else None,
+            ring_length=boundary.length if ring else None, clamp_events=int(clamps[p]))
+    return surfaces
+
+
+def _law_groups(laws) -> list[tuple[AccelerationLaw, list[int]]]:
+    """Each distinct law, in order of first appearance, with its members' indices."""
+    groups: list[tuple[AccelerationLaw, list[int]]] = []
+    for b, law in enumerate(laws):
+        for known, rows in groups:
+            if known == law:
+                rows.append(b)
+                break
+        else:
+            groups.append((law, [b]))
+    return groups
+
+
+def _lead_track(leader: LeaderProfile, x0: float, dt: float, steps: int):
+    """The lead vehicle's position and speed at every step and half step.
+
+    Each value comes from the same ``displacement``/``speed_at`` call and the
+    same sum as a step-by-step integration makes: the position at step i + 1
+    is the one at step i plus the profile's displacement over the step.
+    """
+    half = 0.5 * dt
+    x = np.fromiter(itertools.accumulate(
+        (leader.displacement(i * dt, i * dt + dt) for i in range(steps)), initial=x0),
+        float, steps + 1)
+    v = np.fromiter(itertools.chain((leader.speed_at(0.0),), (
+        leader.speed_at(i * dt + dt) for i in range(steps))), float, steps + 1)
+    x_half = x[:-1] + np.fromiter(
+        (leader.displacement(i * dt, i * dt + half) for i in range(steps)), float, steps)
+    v_half = np.fromiter((leader.speed_at(i * dt + half) for i in range(steps)), float, steps)
+    return x, v, x_half, v_half
+
+
+def simulate_continuous(law: AccelerationLaw, initial: PlatoonState,
+                        boundary, dt: float, steps: int) -> TrajectorySurface:
+    """RK4 run of one platoon: :func:`simulate_platoons` with one member."""
+    return simulate_platoons([(law, initial, boundary)], dt, steps)[0]
 
 
 def _require_triangular(fd) -> TriangularDiagram:

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -183,6 +186,22 @@ class TestExitCodes:
             assert run(["simulate-cf", "--config", path, "--out", tmp_path / "o"]) == 1
         assert "SolverFault" in capsys.readouterr().err
         assert not any((tmp_path / "o").glob("*.csv"))
+
+    def test_numpy_warnings_stay_off_stderr(self, tmp_path):
+        # v**600 overflows on the demo ring, and inf * (dv = 0) is NaN: NumPy
+        # would warn twice before the solver stops on the non-finite spacing
+        doc = {"fd": DEMO_CONFIG["fd"], "sim": DEMO_CONFIG["sim"],
+               "model": {"name": "nonlinear_gm", "a": 1.0, "m": 600, "l": 1}}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "trafficlab.cli", "simulate-cf", "--config", str(path),
+             "--out", str(tmp_path / "o")], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "runtime error: SolverFault: non-finite spacing at t=0.02 s, vehicle 0"]
 
     @pytest.mark.parametrize("direction, text", [
         pytest.param("to_eulerian", TRAJ_HEADER + "0,0,10,1\n0,2,0,1\n",

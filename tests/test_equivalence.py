@@ -147,22 +147,23 @@ class TestSuite:
         standalone = [compare_second_order(
             e.law, RingScenario(**{**ring.__dict__, "name": e.scenario}), e.cells)
             for e in entries]
-        runs = []
+        batches = []
 
-        def counting(*args, **kwargs):
-            runs.append(args[0].name)
-            return simulate(*args, **kwargs)
+        def counting(members, *args, **kwargs):
+            batches.append([law.name for law, _, _ in members])
+            return simulate(members, *args, **kwargs)
 
-        simulate = equivalence.simulate_continuous
-        monkeypatch.setattr(equivalence, "simulate_continuous", counting)
+        simulate = equivalence.simulate_platoons
+        monkeypatch.setattr(equivalence, "simulate_platoons", counting)
         reports = run_suite(entries)
-        assert len(runs) == 2
+        # one batched integration, with one member per distinct (law, ring)
+        assert batches == [["ovm", "ovm"]]
         assert all(math.isfinite(r.growth_cf) for r in reports)
         assert reports == standalone
-        # an equal law on a different ring gets its own run
+        # an equal law on a different ring is still its own member
         other = RingScenario(**{**ring.__dict__, "amplitude": 0.02})
         run_suite(entries[:1] + [SuiteEntry("stable", laws["stable"], other, 10)])
-        assert len(runs) == 4
+        assert batches[1:] == [["ovm", "ovm"]]
 
     @pytest.mark.parametrize("law, amplitude", [
         pytest.param(make_ovm(0.4, TriangularDiagram(**TRI)), 0.9, id="collision"),

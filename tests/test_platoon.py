@@ -16,7 +16,7 @@ from trafficlab import (CollisionError, ConfigurationError, ConstantLeader,
                         make_nonlinear_gm, make_ovm, make_third_order,
                         rankine_hugoniot_speed, simulate_continuous,
                         simulate_newell, simulate_pipes_discrete,
-                        uniform_platoon)
+                        simulate_platoons, uniform_platoon)
 from trafficlab.laws import AccelerationLaw, LawOrder
 from trafficlab.platoon import RK4_DT_FRACTION, _validate_ordering
 from trafficlab.transforms import TrajectorySurface
@@ -366,6 +366,190 @@ def test_stacked_rk4_matches_reference(run):
             assert not ref.accels[:, 0].any()  # the reference wrote 0.0
     assert new.clamp_events == ref.clamp_events
     assert new.ring_length == ref.ring_length
+
+
+def assert_same_surface(batched, alone):
+    assert batched.positions.tobytes() == alone.positions.tobytes()
+    assert batched.speeds.tobytes() == alone.speeds.tobytes()
+    assert (batched.accels is None) == (alone.accels is None)
+    if alone.accels is not None:
+        assert batched.accels.tobytes() == alone.accels.tobytes()
+    assert batched.clamp_events == alone.clamp_events
+    assert (batched.t0, batched.dt, batched.ring_length) == (alone.t0, alone.dt,
+                                                             alone.ring_length)
+
+
+BOUNDARIES = {
+    "ring": lambda b: Ring(6 * 12.5),
+    "constant": lambda b: ConstantLeader(5.0 + b),
+    "sinusoid": lambda b: SinusoidLeader(6.0, 1.5, 0.4 + 0.3 * b),
+    "piecewise": lambda b: PiecewiseConstantLeader((0.0, 1.0 + b), (6.0, 2.0 + b)),
+}
+
+
+class TestBatch:
+    """Every member of a batch is bitwise its own one-member run."""
+
+    @staticmethod
+    def members(kind, third):
+        ovm = make_ovm(0.6, TRI_FD)
+        laws = [ovm, make_idm(1.0, 1.5, 4.0, 20.0, 1.0, 2.0), ovm, make_fvdm(0.6, 0.5, GS_FD)]
+        if third:
+            laws = [make_third_order(law, 0.3) for law in laws]
+        members = []
+        for b, law in enumerate(laws):
+            jitter = 0.2 * np.sin(np.arange(6) * (b + 1.0))
+            initial = PlatoonState(time=0.0, positions=12.5 * (5 - np.arange(6) + jitter),
+                                   speeds=np.full(6, 6.0) + jitter,
+                                   accels=np.full(6, 0.1 * b) if third else None)
+            members.append((law, initial, BOUNDARIES[kind](b)))
+        return members
+
+    @pytest.mark.parametrize("third", [False, True], ids=["second", "third"])
+    @pytest.mark.parametrize("kind", list(BOUNDARIES))
+    def test_members_match_their_own_runs(self, kind, third):
+        members = self.members(kind, third)
+        alone = [simulate_continuous(*m, 0.02, 150) for m in members]
+        for batched, own in zip(simulate_platoons(members, 0.02, 150), alone):
+            assert_same_surface(batched, own)
+        for batched, own in zip(simulate_platoons(members, 0.02, 150, record_every=7),
+                                alone):
+            assert_same_surface(batched, own.slice_steps(0, None, 7))
+
+    def test_each_distinct_law_is_evaluated_once_per_stage(self):
+        shapes = {}
+
+        def counted(law):
+            def psi(v, s, dv):
+                shapes.setdefault(law.name, []).append(np.shape(v))
+                return law.psi(v, s, dv)
+            return dataclasses.replace(law, psi=psi)
+
+        ovm, idm = counted(make_ovm(0.6, TRI_FD)), counted(make_idm(1.0, 1.5, 4.0, 20.0, 1.0, 2.0))
+        members = [(law, uniform_platoon(6, 12.5, 6.0), Ring(75.0)) for law in (ovm, idm, ovm)]
+        simulate_platoons(members, 0.02, 10)
+        assert shapes == {"ovm": [(2, 6)] * 40, "idm": [(6,)] * 40}
+        shapes.clear()
+        simulate_platoons(members[::2], 0.02, 10)  # one law: one call on the whole batch
+        assert shapes == {"ovm": [(2, 6)] * 40}
+
+    def test_clamps_are_counted_per_member(self):
+        law = make_third_order(make_linear_gm(0.5), 1.0)  # underdamped: overshoots below 0
+        chasing = PlatoonState(time=0.0, positions=np.array([1e4, 0.0]),
+                               speeds=np.array([0.0, 5.0]))
+        cruising = PlatoonState(time=0.0, positions=np.array([1e4, 0.0]),
+                                speeds=np.array([0.0, 0.0]))
+        members = [(law, cruising, ConstantLeader(0.0)), (law, chasing, ConstantLeader(0.0))]
+        batched = simulate_platoons(members, 0.05, 400)
+        alone = [simulate_continuous(*m, 0.05, 400) for m in members]
+        assert [s.clamp_events for s in batched] == [s.clamp_events for s in alone]
+        assert batched[0].clamp_events == 0 < batched[1].clamp_events
+        for b, own in zip(batched, alone):
+            assert_same_surface(b, own)
+
+    def test_collision_names_member_and_vehicle(self):
+        law = make_linear_gm(2.0)  # too sluggish to avoid the stopped leader
+        crash = PlatoonState(time=0.0, positions=np.array([0.0, -10.0]),
+                             speeds=np.array([0.0, 20.0]))
+        calm = PlatoonState(time=0.0, positions=np.array([0.0, -100.0]),
+                            speeds=np.array([0.0, 0.0]))
+        with pytest.raises(CollisionError) as alone:
+            simulate_continuous(law, crash, ConstantLeader(0.0), 0.1, 100)
+        members = [(law, calm, ConstantLeader(0.0)),
+                   (make_ovm(0.6, TRI_FD), calm, ConstantLeader(0.0)),
+                   (law, crash, ConstantLeader(0.0))]
+        with pytest.raises(CollisionError) as batched:
+            simulate_platoons(members, 0.05, 200)  # the OVM's guard: dt <= 0.06
+        assert batched.value.member == 2 and batched.value.vehicle == 1
+        with pytest.raises(CollisionError) as batched:
+            simulate_platoons(members[::2], 0.1, 100)
+        assert (batched.value.member, batched.value.vehicle) == (1, alone.value.vehicle)
+        assert str(batched.value) == str(alone.value).replace(
+            "vehicle", "member 1, vehicle")
+        assert alone.value.member is None
+
+    @pytest.mark.parametrize("boundary", [Ring(500.0), ConstantLeader(7.5)],
+                             ids=["ring", "open-road"])
+    def test_non_finite_state_names_member_and_vehicle(self, boundary):
+        platoon = uniform_platoon(40, 12.5, 7.5, 487.5)
+        overflow = make_nonlinear_gm(1.0, 400, 1)  # v**400 overflows at 7.5 m/s
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverFault) as alone:
+                simulate_continuous(overflow, platoon, boundary, 0.01, 50)
+            with pytest.raises(SolverFault) as batched:
+                simulate_platoons([(make_nonlinear_gm(1.0, 1, 1), platoon, boundary),
+                                   (overflow, platoon, boundary)], 0.01, 50)
+        assert str(alone.value).startswith("non-finite spacing at t=0.005 s, vehicle ")
+        assert str(batched.value) == str(alone.value).replace("vehicle", "member 1, vehicle")
+
+    def test_non_finite_last_step_names_member(self):
+        surge = AccelerationLaw("surge", {}, lambda v, s, dv: np.where(v > 7.507, np.inf, 1.0))
+        steady = make_linear_gm(0.5)
+        members = [(steady, uniform_platoon(3, 12.5, 7.5), ConstantLeader(7.5)),
+                   (surge, uniform_platoon(3, 12.5, 7.5), ConstantLeader(7.5))]
+        with pytest.raises(SolverFault, match=r"^non-finite state at t=0.01 s, "
+                                              r"member 1, vehicle 1$"):
+            simulate_platoons(members, 0.01, 1)
+
+    def test_members_must_share_shape(self):
+        law = make_ovm(0.6, TRI_FD)
+        one = (law, uniform_platoon(3, 12.5, 6.0), ConstantLeader(6.0))
+        assert simulate_platoons([], 0.02, 10) == []
+        for other in [(law, uniform_platoon(4, 12.5, 6.0), ConstantLeader(6.0)),
+                      (make_third_order(law, 0.3), uniform_platoon(3, 12.5, 6.0),
+                       ConstantLeader(6.0)),
+                      (law, uniform_platoon(3, 12.5, 6.0, 25.0), Ring(37.5))]:
+            with pytest.raises(ConfigurationError, match="must share"):
+                simulate_platoons([one, other], 0.02, 10)
+        for record_every in (0, 1.5):
+            with pytest.raises(ConfigurationError, match="record_every"):
+                simulate_platoons([one], 0.02, 10, record_every)
+
+
+@st.composite
+def platoon_batches(draw):
+    """Members that share a vehicle count, law order and boundary kind."""
+    size, n = draw(st.integers(1, 4)), draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(list(BOUNDARIES)))
+    t_delay = draw(st.none() | st.sampled_from((0.3, 1.0)))
+    members = []
+    for _ in range(size):  # a law drawn twice is one law, evaluated once per stage
+        law = draw(st.sampled_from(REFERENCE_LAWS))
+        if t_delay is not None:
+            law = make_third_order(law, t_delay)
+        spacing, speed = draw(st.floats(3.0, 40.0)), draw(st.floats(0.0, 15.0))
+        jitter = st.just([0.0] * n) | st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n)
+        initial = PlatoonState(time=0.0,
+                               positions=spacing * (n - 1 - np.arange(n) + np.array(draw(jitter))),
+                               speeds=speed * (1.0 + np.array(draw(jitter))))
+        boundary = (Ring(n * spacing) if kind == "ring"
+                    else BOUNDARIES[kind](draw(st.floats(0.0, 3.0))))
+        members.append((law, initial, boundary))
+    guard = min(law.time_scale for law, _, _ in members)
+    dt = RK4_DT_FRACTION * guard * draw(st.sampled_from((0.25, 0.5, 1.0)))
+    return members, dt, draw(st.integers(1, 40)), draw(st.integers(1, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(platoon_batches())
+def test_batch_matches_one_member_runs(batch):
+    members, dt, steps, record_every = batch
+    with np.errstate(all="ignore"):
+        alone = [outcome(simulate_continuous, *m, dt, steps) for m in members]
+        surfaces, exc = outcome(simulate_platoons, members, dt, steps, record_every)
+    faults = [(b, e) for b, (_, e) in enumerate(alone) if e is not None]
+    if not faults:
+        assert exc is None
+        for batched, (own, _) in zip(surfaces, alone):
+            assert_same_surface(batched, own.slice_steps(0, None, record_every))
+        return
+    # The batch stops at a fault that one of its members meets alone; with
+    # more than one member, the message names that member.
+    assert exc is not None
+    named = [type(e) is type(exc) and str(exc) == (
+        str(e) if len(members) == 1 else str(e).replace("vehicle", f"member {b}, vehicle"))
+        for b, e in faults]
+    assert any(named)
 
 
 class TestSpacingRule:
