@@ -31,7 +31,8 @@ from .platoon import (ConstantLeader, PiecewiseConstantLeader, PlatoonState,
                       simulate_newell, simulate_pipes_discrete, simulate_platoons,
                       uniform_platoon)
 from .continuum import (EulerianScenario, InflowOutflow, Periodic,
-                        solve_lwr_godunov, solve_second_order, total_vehicles)
+                        solve_lwr_godunov, solve_second_order,
+                        solve_second_order_batch, total_vehicles)
 from .equivalence import (EquivalenceReport, GaussianBumpProfile,
                           LwrEquivalenceReport, RiemannProfile, RingScenario,
                           SuiteEntry, UniformProfile, compare_lwr,

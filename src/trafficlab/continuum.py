@@ -11,7 +11,9 @@ with the demand/supply interface flux for a concave diagram.
 by method of lines: donor-cell flux for k, first-order upwind for the v v_x
 advection, and a downstream one-sided difference for the v_x inside psi (the
 source's car-following origin is the leader's state, which sits downstream).
-Explicit Euler sub-steps keep the inner CFL number at 0.25.
+Explicit Euler sub-steps keep the inner CFL number at 0.25. It is the
+one-member form of ``solve_second_order_batch``, which advances a batch of
+scenarios on one grid as one (members, cells) state.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SolverFault
-from .laws import AccelerationLaw, LawOrder, partials_at
+from .laws import AccelerationLaw, LawOrder, law_spans, partials_at
 from .transforms import EulerianField, SpatialGrid
 
 DENSITY_FLOOR = 1e-8
@@ -150,20 +152,21 @@ def solve_lwr_godunov(scenario: EulerianScenario) -> tuple[EulerianField, RunSta
     return field, stats
 
 
-def _char_speed_bound(law: AccelerationLaw, v, k_eff) -> float:
-    # Advection speed of the speed equation is v - psi_dv / k after
-    # linearizing the source in v_x; bound both split terms.
-    s = np.maximum(1.0 / k_eff, law.s_min)
-    _, _, p_dv = partials_at(law, np.maximum(v, 0.0), s, np.zeros_like(v))
-    return float(np.max(np.maximum(v, 0.0) + np.abs(p_dv) / k_eff))
-
-
 def solve_second_order(scenario: EulerianScenario) -> tuple[EulerianField, RunStats]:
     """Upwind method-of-lines for the paired density/speed system.
 
-    Stops with :class:`SolverFault`, naming the step and cell, on the first
-    substep that leaves a non-finite density or speed.
+    The one-member form of :func:`solve_second_order_batch`. A non-finite or
+    negative initial state is refused with :class:`ConfigurationError`. The
+    run stops with :class:`SolverFault`, naming the step (and cell), on a
+    non-finite speed bound or a substep that leaves a non-finite state.
     """
+    (result,) = solve_second_order_batch([scenario])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _check_second_order(scenario: EulerianScenario) -> None:
     law = scenario.law
     if law is None:
         raise ConfigurationError("second-order solver needs an acceleration law")
@@ -171,86 +174,175 @@ def solve_second_order(scenario: EulerianScenario) -> tuple[EulerianField, RunSt
         raise ConfigurationError("third-order continuum systems are not solved")
     if scenario.initial_speed is None:
         raise ConfigurationError("second-order solver needs an initial speed profile")
-    k = scenario.initial_density.copy()
-    v = scenario.initial_speed.copy()
-    if np.any(k < 0):
-        raise ConfigurationError("initial densities must be >= 0")
-    if np.any(v < 0):
-        raise ConfigurationError("initial speeds must be >= 0")
-    dx, dt = scenario.grid.dx, scenario.dt
-    k_eff0 = np.maximum(k, DENSITY_FLOOR)
-    cfl = _char_speed_bound(law, v, k_eff0) * dt / dx
-    if cfl > INIT_CFL_LIMIT:
-        raise ConfigurationError(
-            f"CFL number {cfl:.3f} exceeds {INIT_CFL_LIMIT} (reduce pde.dt)")
+    for name, x in (("densities", scenario.initial_density),
+                    ("speeds", scenario.initial_speed)):
+        if not (np.isfinite(x).all() and (x >= 0).all()):
+            raise ConfigurationError(f"initial {name} must be finite and >= 0")
 
-    periodic = isinstance(scenario.boundary, Periodic)
-    if not periodic and scenario.boundary.v_in is None:
-        raise ConfigurationError("inflow boundary needs v_in for the second-order solver")
 
-    n_rec = _record_shape(scenario)
-    density = np.empty((n_rec, scenario.grid.cells))
-    speed = np.empty((n_rec, scenario.grid.cells))
-    density[0], speed[0] = k, v
-    stats = RunStats()
-    row = 1
-    # Upstream density and speed and downstream speed of each cell.
-    k_up = np.empty(scenario.grid.cells)
-    v_up = np.empty(scenario.grid.cells)
-    v_dn = np.empty(scenario.grid.cells)
+def solve_second_order_batch(scenarios) -> list:
+    """:func:`solve_second_order` for a batch of scenarios, as one state.
 
-    for step in range(scenario.steps):
+    Members share the grid, ``dt``, ``steps``, ``record_every`` and boundary
+    kind; the state has shape (members, cells). The result holds per scenario
+    its ``(field, stats)`` or the exception its one-member run raises: a
+    faulty member leaves the batch and the others run on. Each member takes
+    its own substep count and ``dt_s`` each step and is masked once it has
+    taken them. Everything but the law runs once for the batch, and each
+    distinct law once per substep on its members' rows, so every member is
+    bitwise its own one-member run.
+    """
+    results: list = [None] * len(scenarios)
+    if len({(sc.grid, sc.dt, sc.steps, sc.record_every, type(sc.boundary))
+            for sc in scenarios}) > 1:
+        raise ConfigurationError("batch members must share the grid, dt, steps, "
+                                 "record_every and boundary kind")
+    for b, sc in enumerate(scenarios):
+        try:
+            _check_second_order(sc)
+        except ConfigurationError as exc:
+            results[b] = exc
+    members = [b for b, r in enumerate(results) if r is None]
+    if not members:
+        return results
+    perm, spans = law_spans([scenarios[b].law for b in members])
+    perm = [members[p] for p in perm]
+    runs = [scenarios[b] for b in perm]  # batch row p is scenario perm[p]
+    n, grid, dt, every = len(runs), runs[0].grid, runs[0].dt, runs[0].record_every
+    cells, dx, periodic = grid.cells, grid.dx, isinstance(runs[0].boundary, Periodic)
+    k = np.array([sc.initial_density for sc in runs])
+    v = np.array([sc.initial_speed for sc in runs])
+    s_min = np.array([[sc.law.s_min] for sc in runs])
+    free = np.array([[sc.law.v_free is not None] for sc in runs])
+    v_free = np.array([[sc.law.v_free or 0.0] for sc in runs])
+    if not periodic:
+        k_in, v_in = np.array([[sc.boundary.k_in, sc.boundary.v_in or 0.0] for sc in runs]).T
+    live, intact = np.ones(n, dtype=bool), True
+    zeros, p_dv, psi = np.zeros((3, n, cells))
+
+    def retire(p, exc):
+        nonlocal intact
+        results[perm[p]] = exc
+        live[p] = intact = False
+
+    def fault(rows, make):  # each live member among rows leaves with make(row)
+        for p in np.flatnonzero(rows & live):
+            retire(p, make(p))
+
+    def by_law(mask, out, fn, x, y, z):
+        # out[rows] = fn(law, x, y, z) on each law's rows in mask (None: all
+        # rows). A law that raises is evaluated again member by member, and a
+        # member whose own rows raise leaves the batch with that exception.
+        for law, lo, hi in spans:
+            rows = range(lo, hi) if mask is None else np.flatnonzero(mask[lo:hi]) + lo
+            if len(rows) == 0:
+                continue
+            idx = rows[0] if len(rows) == 1 else slice(lo, hi) if len(rows) == hi - lo else rows
+            try:
+                out[idx] = fn(law, x[idx], y[idx], z[idx])
+            except Exception:
+                for p in rows:
+                    try:
+                        out[p] = fn(law, x[p], y[p], z[p])
+                    except Exception as exc:
+                        retire(p, exc)
+
+    def derive():  # the state's arrays that the speed bound and a substep share
         k_eff = np.maximum(k, DENSITY_FLOOR)
-        bound = _char_speed_bound(law, v, k_eff)
-        n_sub = max(int(math.ceil(dt * bound / (SUBSTEP_CFL * dx))), 1)
-        dt_s = dt / n_sub
-        for _ in range(n_sub):
-            k_eff = np.maximum(k, DENSITY_FLOOR)
-            k_up[1:], v_up[1:], v_dn[:-1] = k[:-1], v[:-1], v[1:]
+        s_raw = 1.0 / k_eff
+        return k_eff, s_raw, np.maximum(s_raw, s_min), np.maximum(v, 0.0)
+
+    def speed_bound(k_eff, s_raw, s_arg, v_pos):
+        # Advection speed of the speed equation is v - psi_dv / k after
+        # linearizing the source in v_x; bound both split terms.
+        by_law(None if intact else live, p_dv, lambda law, *a: partials_at(law, *a)[2],
+               v_pos, s_arg, zeros)
+        return np.maximum.reduce(v_pos + np.abs(p_dv) / k_eff, axis=1).tolist()
+
+    shared = derive()
+    bound = speed_bound(*shared)
+    cfl = np.array(bound) * dt / dx
+    fault(cfl > INIT_CFL_LIMIT, lambda p: ConfigurationError(
+        f"CFL number {cfl[p]:.3f} exceeds {INIT_CFL_LIMIT} (reduce pde.dt)"))
+    if not periodic:
+        fault(np.array([sc.boundary.v_in is None for sc in runs]), lambda p: ConfigurationError(
+            "inflow boundary needs v_in for the second-order solver"))
+    density, speed = np.empty((2, n, _record_shape(runs[0]), cells))
+    density[:, 0], speed[:, 0] = k, v
+    inflow, outflow = np.zeros((2, n))
+    substeps, speed_clamps, dense_clamps = np.zeros((3, n), dtype=int)
+    # Upstream density and speed and downstream speed of each cell.
+    k_up, v_up, v_dn = np.empty((3, n, cells))
+
+    for step in range(runs[0].steps):
+        if step:  # step 0 reuses the bound of the CFL check
+            shared = derive()
+            bound = speed_bound(*shared)
+        subs = []  # each member's substep count this step; 0 once it has left
+        for p, b in enumerate(bound):
+            if live[p] and not math.isfinite(b):
+                retire(p, SolverFault("non-finite characteristic speed bound", step=step))
+            subs.append(max(math.ceil(dt * b / (SUBSTEP_CFL * dx)), 1) if live[p] else 0)
+        if not any(subs):
+            break
+        dt_s, n_sub = np.array([dt / max(m, 1) for m in subs]), np.array(subs)
+        ratio, dt_col = (dt_s / dx)[:, None], dt_s[:, None]
+        n_all = min(subs)  # substeps that every member takes while none has left
+        for j in range(max(subs)):
+            full = intact and j < n_all
+            active = live if full else live & (n_sub > j)
+            k_eff, s_raw, s_arg, v_pos = derive() if j else shared
+            k_up[:, 1:], v_up[:, 1:], v_dn[:, :-1] = k[:, :-1], v[:, :-1], v[:, 1:]
             if periodic:
-                k_up[0], v_up[0], v_dn[-1] = k[-1], v[-1], v[0]
+                k_up[:, 0], v_up[:, 0], v_dn[:, -1] = k[:, -1], v[:, -1], v[:, 0]
             else:
-                k_up[0], v_up[0] = scenario.boundary.k_in, scenario.boundary.v_in
-                v_dn[-1] = v[-1]
+                k_up[:, 0], v_up[:, 0], v_dn[:, -1] = k_in, v_in, v[:, -1]
 
             flux_out = k * v
             flux_in = k_up * v_up
-            k_new = k - (dt_s / dx) * (flux_out - flux_in)
-            if not periodic:
-                stats.inflow += flux_in[0] * dt_s
-                stats.outflow += flux_out[-1] * dt_s
-
-            s_raw = 1.0 / k_eff
-            s_arg = np.maximum(s_raw, law.s_min)
-            stats.dense_spacing_clamps += int(np.count_nonzero(s_arg > s_raw))
+            k_new = k - ratio * (flux_out - flux_in)
             grad_fwd = (v_dn - v) / dx
-            psi = law.evaluate(np.maximum(v, 0.0), s_arg, grad_fwd / k_eff)
-            v_new = v + dt_s * (-v * (v - v_up) / dx + psi)
+            by_law(None if full else active, psi, AccelerationLaw.evaluate,
+                   v_pos, s_arg, grad_fwd / k_eff)
+            v_new = v + dt_col * (-v * (v - v_up) / dx + psi)
 
             below = v_new < 0.0
-            if below.any():
-                stats.speed_clamps += int(np.count_nonzero(below))
+            clamped = below.any()
+            if clamped:
                 v_new = np.where(below, 0.0, v_new)
-            if law.v_free is not None:
-                v_new = np.where(k_new < DENSITY_FLOOR, law.v_free, v_new)
-            elif np.any(k_new < DENSITY_FLOOR):
-                raise SolverFault("vacuum reached and the law declares no free speed",
-                                  step=step)
+            vacuum = k_new < DENSITY_FLOOR
+            if vacuum.any():
+                v_new = np.where(vacuum & free, v_free, v_new)
+                fault(active & vacuum.any(axis=1) & ~free[:, 0], lambda p: SolverFault(
+                    "vacuum reached and the law declares no free speed", step=step))
             if not (np.isfinite(k_new).all() and np.isfinite(v_new).all()):
                 bad = ~(np.isfinite(k_new) & np.isfinite(v_new))
-                raise SolverFault("non-finite solution", step=step,
-                                  cell=int(np.argmax(bad)))
-            k, v = k_new, v_new
-            stats.substeps += 1
+                fault(active & bad.any(axis=1), lambda p: SolverFault(
+                    "non-finite solution", step=step, cell=int(np.argmax(bad[p]))))
 
-        if np.any(k < -1e-12):
-            raise SolverFault("negative density", step=step,
-                              cell=int(np.argmin(k)))
-        if (step + 1) % scenario.record_every == 0:
-            density[row], speed[row] = k, v
-            row += 1
+            took = True if full and intact else active & live
+            substeps += took
+            dense_clamps += (s_arg > s_raw).sum(axis=1) * took
+            if clamped:
+                speed_clamps += below.sum(axis=1) * took
+            if not periodic:
+                np.add(inflow, flux_in[:, 0] * dt_s, inflow, where=took)
+                np.add(outflow, flux_out[:, -1] * dt_s, outflow, where=took)
+            if took is True:
+                k, v = k_new, v_new
+            else:
+                k, v = np.where(took[:, None], k_new, k), np.where(took[:, None], v_new, v)
 
-    field = EulerianField(x0=scenario.grid.x0, dx=dx, t0=0.0,
-                          dt=dt * scenario.record_every,
-                          density=density, speed=speed)
-    return field, stats
+        if (k < -1e-12).any():
+            fault((k < -1e-12).any(axis=1), lambda p: SolverFault(
+                "negative density", step=step, cell=int(np.argmin(k[p]))))
+        if (step + 1) % every == 0:
+            density[:, (step + 1) // every], speed[:, (step + 1) // every] = k, v
+
+    for p in np.flatnonzero(live):
+        field = EulerianField(x0=grid.x0, dx=dx, t0=0.0, dt=dt * every,
+                              density=density[p], speed=speed[p])
+        results[perm[p]] = field, RunStats(
+            float(inflow[p]), float(outflow[p]), int(substeps[p]),
+            int(speed_clamps[p]), int(dense_clamps[p]))
+    return results

@@ -17,12 +17,12 @@ needs a boundary condition, which would otherwise dominate the discrepancy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuum import (EulerianScenario, Periodic, InflowOutflow,
-                        solve_lwr_godunov, solve_second_order)
+from .continuum import (EulerianScenario, Periodic, InflowOutflow, solve_lwr_godunov,
+                        solve_second_order, solve_second_order_batch)
 from .errors import (CollisionError, ConfigurationError, DomainError,
                      EvaluationError, SolverFault)
 from .fundamental import FundamentalDiagram, GreenshieldsDiagram, TriangularDiagram
@@ -295,10 +295,7 @@ class EquivalenceReport:
 def _incomparable(scenario: str, model: str, resolution: str,
                   exc: Exception) -> EquivalenceReport:
     """The report of a run that could not be compared: NaN norms and the fault."""
-    nan = math.nan
-    return EquivalenceReport(scenario=scenario, model=model, resolution=resolution,
-                             l1_k=nan, linf_k=nan, l1_v=nan, linf_v=nan,
-                             growth_cf=nan, growth_pde=nan,
+    return EquivalenceReport(scenario, model, resolution, *[math.nan] * 6,
                              verdict="incomparable", fault=str(exc))
 
 
@@ -346,67 +343,62 @@ def _arm_run(law: AccelerationLaw, scenario: RingScenario):
     return member, steps_cf, steps_cf // scenario.compare_points
 
 
-def car_following_arm(law: AccelerationLaw,
-                      scenario: RingScenario) -> TrajectorySurface:
-    """RK4 run of the seeded ring platoon, recorded at the compare points.
-
-    The arm depends on the law and the ring only, not on the continuum
-    resolution, so one run serves every resolution of a suite entry.
-    """
-    member, steps_cf, stride = _arm_run(law, scenario)
-    return simulate_platoons([member], scenario.dt_cf, steps_cf, stride)[0]
-
-
 def compare_second_order(law: AccelerationLaw, scenario: RingScenario,
                          cells: int, *, cf_surface: TrajectorySurface | None = None,
                          ) -> EquivalenceReport:
     """One paired ring run at the given continuum resolution.
 
-    ``cf_surface`` is :func:`car_following_arm` of the same law and ring,
-    recorded at the compare points and shared across resolutions (see
-    :func:`run_suite`); without it the arm runs here. The continuum arm
-    starts from the car-following arm's first row, reconstructed on the
-    resolution's grid.
+    ``cf_surface`` is the car-following arm of the same law and ring, recorded
+    at the compare points (see :func:`run_suite`); without it the arm runs
+    here. The continuum arm starts from the car-following arm's first row,
+    reconstructed on the resolution's grid.
     """
-    L = scenario.circumference
-    resolution = f"cells={cells}"
     try:
-        n_cmp = scenario.compare_points
-        steps_cf = _steps_for(scenario.horizon, scenario.dt_cf, "dt_cf")
-        steps_pde = _steps_for(scenario.horizon, scenario.dt_pde, "dt_pde")
-        if steps_cf % n_cmp or steps_pde % n_cmp:
-            raise ConfigurationError("compare_points must divide both step counts")
-        grid = SpatialGrid(0.0, L / cells, cells)
-        if cf_surface is None:
-            cf_surface = car_following_arm(law, scenario)
-
-        cf_field = to_eulerian(cf_surface, grid)
-        pde_scenario = EulerianScenario(
-            grid=grid, dt=scenario.dt_pde, steps=steps_pde,
-            initial_density=cf_field.density[0],
-            initial_speed=cf_field.speed[0],
-            boundary=Periodic(), law=law,
-            record_every=steps_pde // n_cmp)
+        cf_field, pde_scenario = _prepare_second_order(law, scenario, cells, cf_surface)
         pde_field, _ = solve_second_order(pde_scenario)
-
-        times = scenario.horizon * np.arange(n_cmp + 1) / n_cmp
-        growth_cf = _fit_growth(times, _mode_amplitude(cf_field.density), scenario.k0)
-        growth_pde = _fit_growth(times, _mode_amplitude(pde_field.density), scenario.k0)
-        dk = np.abs(cf_field.density[-1] - pde_field.density[-1])
-        dv = np.abs(cf_field.speed[-1] - pde_field.speed[-1])
-        l1_k = float(np.sum(dk) * grid.dx)
-        linf_k = float(np.max(dk))
-        l1_v = float(np.nansum(dv) * grid.dx)
-        linf_v = float(np.nanmax(dv))
-        verdict = ("within-threshold"
-                   if linf_k <= scenario.threshold * scenario.k0
-                   else "exceeds-threshold")
-        return EquivalenceReport(
-            scenario=scenario.name, model=law.name, resolution=resolution,
-            l1_k=l1_k, linf_k=linf_k, l1_v=l1_v, linf_v=linf_v,
-            growth_cf=growth_cf, growth_pde=growth_pde, verdict=verdict)
+        return _finish_second_order(law, scenario, cells, cf_field, pde_field)
     except (CollisionError, SolverFault, DomainError, EvaluationError) as exc:
-        return _incomparable(scenario.name, law.name, resolution, exc)
+        return _incomparable(scenario.name, law.name, f"cells={cells}", exc)
+
+
+def _prepare_second_order(law: AccelerationLaw, scenario: RingScenario, cells: int,
+                          cf_surface) -> tuple[EulerianField, EulerianScenario]:
+    """The car-following field on the resolution's grid, and the continuum run.
+    ``cf_surface`` may be the exception the arm raised: it is raised here, where
+    the arm would have run."""
+    n_cmp = scenario.compare_points
+    steps_cf = _steps_for(scenario.horizon, scenario.dt_cf, "dt_cf")
+    steps_pde = _steps_for(scenario.horizon, scenario.dt_pde, "dt_pde")
+    if steps_cf % n_cmp or steps_pde % n_cmp:
+        raise ConfigurationError("compare_points must divide both step counts")
+    grid = SpatialGrid(0.0, scenario.circumference / cells, cells)
+    if cf_surface is None:
+        (cf_surface,) = _car_following_arms([(law, scenario)])
+    if isinstance(cf_surface, Exception):
+        raise cf_surface
+    cf_field = to_eulerian(cf_surface, grid)
+    return cf_field, EulerianScenario(
+        grid=grid, dt=scenario.dt_pde, steps=steps_pde,
+        initial_density=cf_field.density[0], initial_speed=cf_field.speed[0],
+        boundary=Periodic(), law=law, record_every=steps_pde // n_cmp)
+
+
+def _finish_second_order(law: AccelerationLaw, scenario: RingScenario, cells: int,
+                         cf_field: EulerianField, pde_field: EulerianField) -> EquivalenceReport:
+    """Growth fits, terminal norms and verdict of the two arms' fields."""
+    n_cmp, dx = scenario.compare_points, cf_field.dx
+    times = scenario.horizon * np.arange(n_cmp + 1) / n_cmp
+    dk = np.abs(cf_field.density[-1] - pde_field.density[-1])
+    dv = np.abs(cf_field.speed[-1] - pde_field.speed[-1])
+    linf_k = float(np.max(dk))
+    return EquivalenceReport(
+        scenario=scenario.name, model=law.name, resolution=f"cells={cells}",
+        l1_k=float(np.sum(dk) * dx), linf_k=linf_k,
+        l1_v=float(np.nansum(dv) * dx), linf_v=float(np.nanmax(dv)),
+        growth_cf=_fit_growth(times, _mode_amplitude(cf_field.density), scenario.k0),
+        growth_pde=_fit_growth(times, _mode_amplitude(pde_field.density), scenario.k0),
+        verdict=("within-threshold" if linf_k <= scenario.threshold * scenario.k0
+                 else "exceeds-threshold"))
 
 
 # ---------------------------------------------------------------------------
@@ -421,65 +413,70 @@ class SuiteEntry:
     cells: int
 
 
+def _outcome(fn, *args):
+    """``fn(*args)``, or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # fault isolation: one run must not stop the others
+        return exc
+
+
 def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
     """Execute all suite entries; failures are isolated per report.
 
-    Each distinct (law, ring) car-following arm runs once, and each
-    resolution compares against that one surface (see
-    :func:`_car_following_arms`). Where an arm could not run, its
-    resolutions run it again through :func:`compare_second_order`, so every
-    report carries the same fault as a standalone comparison.
+    Each distinct car-following arm runs once, and the continuum arms of one
+    resolution run as one :func:`solve_second_order_batch`. Every report,
+    faults included, equals the standalone :func:`compare_second_order`.
     """
-    reports = []
-    for entry, cf_surface in zip(entries, _car_following_arms(entries)):
-        try:
-            ring = RingScenario(**{**entry.ring.__dict__, "name": entry.scenario})
-            report = compare_second_order(entry.law, ring, entry.cells,
-                                          cf_surface=cf_surface)
-        except Exception as exc:  # fault isolation: one entry must not kill the suite
-            report = _incomparable(entry.scenario, entry.law.name,
-                                   f"cells={entry.cells}", exc)
-        reports.append(report)
-    return reports
+    rings = [replace(e.ring, name=e.scenario) for e in entries]
+    arms = _car_following_arms([(e.law, e.ring) for e in entries])
+    # Per entry: (car-following field, continuum run), then the report; or its fault.
+    runs = [_outcome(_prepare_second_order, e.law, ring, e.cells, arm)
+            for e, ring, arm in zip(entries, rings, arms)]
+    batches: dict[tuple, list[int]] = {}
+    for i, run in enumerate(runs):
+        if not isinstance(run, Exception):
+            pde = run[1]
+            batches.setdefault((pde.grid, pde.dt, pde.steps, pde.record_every), []).append(i)
+    for batch in batches.values():
+        for i, solved in zip(batch, solve_second_order_batch([runs[i][1] for i in batch])):
+            runs[i] = solved if isinstance(solved, Exception) else _outcome(
+                _finish_second_order, entries[i].law, rings[i], entries[i].cells,
+                runs[i][0], solved[0])
+    return [run if isinstance(run, EquivalenceReport) else
+            _incomparable(ring.name, e.law.name, f"cells={e.cells}", run)
+            for e, ring, run in zip(entries, rings, runs)]
 
 
-def _car_following_arms(entries: list[SuiteEntry]) -> list[TrajectorySurface | None]:
-    """Each entry's car-following surface, or None where its arm cannot run.
-
-    Entries with an equal law and ring share one arm. Arms with the same
-    step size, step count, stride, vehicle count and law order run as one
-    batch of :func:`simulate_platoons`. An arm whose initial state cannot be
-    built stays out of its batch; when a batch raises, each of its arms runs
-    again alone, so one failing arm does not take the others down.
-    """
-    arms: list[tuple[AccelerationLaw, RingScenario]] = []
-    arm_of = []  # per entry: its arm's index in arms
-    for entry in entries:
-        key = (entry.law, entry.ring)
-        if key not in arms:
-            arms.append(key)
-        arm_of.append(arms.index(key))
-    batches: dict[tuple, list[tuple[int, tuple]]] = {}
-    for a, (law, ring) in enumerate(arms):
-        try:
-            member, steps, stride = _arm_run(law, ring)
-        except Exception:  # reported per resolution by compare_second_order
-            continue
-        key = (ring.dt_cf, steps, stride, member[1].n_vehicles, law.order)
-        batches.setdefault(key, []).append((a, member))
-    surfaces: list[TrajectorySurface | None] = [None] * len(arms)
+def _car_following_arms(arms: list[tuple[AccelerationLaw, RingScenario]]) -> list:
+    """Each (law, ring) arm's surface, recorded at the compare points, or the
+    exception the arm raised. Equal arms run once. Arms with the same step size,
+    step count, stride, vehicle count and law order run as one batch of
+    :func:`simulate_platoons`; when a batch raises, each of its arms runs again
+    alone, so a faulty arm keeps its standalone exception."""
+    distinct: list[tuple[AccelerationLaw, RingScenario]] = []
+    for arm in arms:
+        if arm not in distinct:
+            distinct.append(arm)
+    surfaces = [_outcome(_arm_run, law, ring) for law, ring in distinct]
+    batches: dict[tuple, list[int]] = {}
+    for a, run in enumerate(surfaces):
+        if not isinstance(run, Exception):
+            (law, initial, _), steps, stride = run
+            key = (distinct[a][1].dt_cf, steps, stride, initial.n_vehicles, law.order)
+            batches.setdefault(key, []).append(a)
     for (dt, steps, stride, _, _), batch in batches.items():
-        members = [member for _, member in batch]
-        runs = _try_platoons(members, dt, steps, stride)
-        if runs is None and len(members) > 1:
-            runs = [(_try_platoons([m], dt, steps, stride) or [None])[0] for m in members]
-        for (a, _), surface in zip(batch, runs or [None]):
+        for a, surface in zip(batch, _platoon_runs([surfaces[a][0] for a in batch],
+                                                   dt, steps, stride)):
             surfaces[a] = surface
-    return [surfaces[a] for a in arm_of]
+    return [surfaces[distinct.index(arm)] for arm in arms]
 
 
-def _try_platoons(members, dt: float, steps: int, stride: int):
+def _platoon_runs(members, dt: float, steps: int, stride: int) -> list:
+    """Each member's surface, or the exception of its one-member run."""
     try:
         return simulate_platoons(members, dt, steps, stride)
-    except Exception:  # reported per resolution by compare_second_order
-        return None
+    except Exception as exc:
+        if len(members) == 1:
+            return [exc]
+        return [_platoon_runs([m], dt, steps, stride)[0] for m in members]

@@ -353,6 +353,20 @@ def partials_at(law: AccelerationLaw, v, s, dv):
     return p_v, p_s, p_dv
 
 
+def law_spans(laws) -> tuple[list[int], list[tuple[AccelerationLaw, int, int]]]:
+    """An order of the members that puts equal laws side by side, and each
+    distinct law (in order of first appearance) with the first and the
+    past-the-end place of its members in that order."""
+    perm: list[int] = []
+    spans: list[tuple[AccelerationLaw, int, int]] = []
+    for b, law in enumerate(laws):
+        if all(law != known for known, _, _ in spans):
+            rows = [c for c in range(b, len(laws)) if laws[c] == law]
+            spans.append((law, len(perm), len(perm) + len(rows)))
+            perm += rows
+    return perm, spans
+
+
 @dataclass(frozen=True)
 class ModelCatalogEntry:
     factory: Callable[..., AccelerationLaw]

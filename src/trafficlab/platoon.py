@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CollisionError, ConfigurationError, ParameterError, SolverFault
 from .fundamental import TriangularDiagram, cfl_max_dt
-from .laws import AccelerationLaw
+from .laws import AccelerationLaw, law_spans
 from .transforms import TrajectorySurface
 
 # Fraction of the law's smallest time constant allowed as an RK4 step.
@@ -211,8 +211,7 @@ def simulate_platoons(members, dt: float, steps: int,
         return []
     # The state keeps the members of one law side by side (batch row p holds
     # member perm[p]), so each law is evaluated on a view of its rows.
-    groups = _law_groups([law for law, _, _ in members])
-    perm = [b for _, rows in groups for b in rows]
+    perm, spans = law_spans([law for law, _, _ in members])
     laws, initials, boundaries = zip(*(members[b] for b in perm))
     ring = isinstance(boundaries[0], Ring)
     n, order = initials[0].n_vehicles, laws[0].order
@@ -239,11 +238,10 @@ def simulate_platoons(members, dt: float, steps: int,
             followers[2, p] = initial.accels[first:]
     s, v, dv = np.empty((3, batch, n - first))  # spacing, clamped speed, speed gap
     s_flat = s.reshape(-1)  # a view: a 1-d reduction costs less than axis=None
-    evals, lo = [], 0  # each law with its rows, as an int (one member) or a slice
-    for law, rows in groups:
-        idx = lo if len(rows) == 1 else slice(lo, lo + len(rows))
+    evals = []  # each law with its rows, as an int (one member) or a slice
+    for law, lo, hi in spans:
+        idx = lo if hi - lo == 1 else slice(lo, hi)
         evals.append((law, idx, v[idx], s[idx], dv[idx]))
-        lo += len(rows)
     s_min = np.array([law.s_min for law in laws])[:, None]
     s_floor = s_min.max()  # a spacing above every member's minimum needs no closer look
     if ring:
@@ -331,19 +329,6 @@ def simulate_platoons(members, dt: float, steps: int,
             speeds=traj[1, p], accels=traj[2, p] if third else None,
             ring_length=boundary.length if ring else None, clamp_events=int(clamps[p]))
     return surfaces
-
-
-def _law_groups(laws) -> list[tuple[AccelerationLaw, list[int]]]:
-    """Each distinct law, in order of first appearance, with its members' indices."""
-    groups: list[tuple[AccelerationLaw, list[int]]] = []
-    for b, law in enumerate(laws):
-        for known, rows in groups:
-            if known == law:
-                rows.append(b)
-                break
-        else:
-            groups.append((law, [b]))
-    return groups
 
 
 def _lead_track(leader: LeaderProfile, x0: float, dt: float, steps: int):

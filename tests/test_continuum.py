@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trafficlab import (AccelerationLaw, ConfigurationError, EulerianScenario,
-                        InflowOutflow, SolverFault, SpatialGrid, lwr_riemann_density,
+                        EvaluationError, InflowOutflow, Periodic, SolverFault, SpatialGrid,
+                        TriangularDiagram, lwr_riemann_density, make_fvdm, make_idm,
                         make_linear_gm, make_ovm, make_third_order,
                         rankine_hugoniot_speed, solve_lwr_godunov,
-                        solve_second_order, total_vehicles)
+                        solve_second_order, solve_second_order_batch, total_vehicles)
 from trafficlab.equivalence import front_position
+
+from conftest import TRI
 
 
 def riemann_scenario(fd, k_l, k_r, x_jump, dx, length, horizon, cfl=0.45):
@@ -269,3 +273,170 @@ class TestSecondOrder:
             solve_second_order(sc)
         assert (exc.value.step, exc.value.cell) == (0, 3)
         assert "non-finite" in str(exc.value)
+
+    @pytest.mark.parametrize("what, cell, value", [
+        ("densities", 4, math.nan), ("densities", 0, math.inf), ("speeds", 7, math.nan),
+        ("speeds", 9, -math.inf)])
+    def test_non_finite_initial_state_rejected(self, tri, what, cell, value):
+        # NaN used to reach math.ceil in the substep count as a bare ValueError
+        k, v = np.full(10, 0.05), np.full(10, 5.0)
+        (k if what == "densities" else v)[cell] = value
+        sc = EulerianScenario(grid=SpatialGrid(0.0, 10.0, 10), dt=0.1, steps=5,
+                              initial_density=k, initial_speed=v, law=make_ovm(1.0, tri))
+        with pytest.raises(ConfigurationError, match=f"initial {what} must be finite"):
+            solve_second_order(sc)
+
+    def test_non_finite_speed_bound_faults_with_its_step(self):
+        # the speed derivative turns NaN once a speed passes 6 m/s: under the
+        # constant acceleration of 1 m/s^2 that is 6.1 m/s at the start of step 11
+        law = AccelerationLaw(
+            "nan-bound", {}, lambda v, s, dv: 1.0 + 0.0 * v,
+            lambda v, s, dv: (0.0 * v, 0.0 * v, np.where(v > 6.0, np.nan, 0.0)),
+            v_free=20.0)
+        sc = EulerianScenario(grid=SpatialGrid(0.0, 10.0, 10), dt=0.1, steps=40,
+                              initial_density=np.full(10, 0.05),
+                              initial_speed=np.full(10, 5.0), law=law)
+        with pytest.raises(SolverFault, match="speed bound") as exc:
+            solve_second_order(sc)
+        assert exc.value.step == 11
+
+
+def assert_same_run(got, want):
+    """Bitwise equal fields and equal run statistics."""
+    (field, stats), (field_0, stats_0) = got, want
+    assert stats == stats_0
+    assert (field.x0, field.dx, field.t0, field.dt) == (field_0.x0, field_0.dx,
+                                                        field_0.t0, field_0.dt)
+    for name in ("density", "speed"):
+        a, b = getattr(field, name), getattr(field_0, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def standalone(scenario):
+    """A one-member run's result, or the exception it raised."""
+    try:
+        return solve_second_order(scenario)
+    except Exception as exc:
+        return exc
+
+
+def assert_members_match(scenarios, faults=False):
+    """Each batch member equals its own run, faults (where allowed) included:
+    a faulty member's exception has the type and text of its own run's."""
+    results = solve_second_order_batch(scenarios)
+    assert len(results) == len(scenarios)
+    for sc, got in zip(scenarios, results):
+        want = standalone(sc)
+        if isinstance(want, Exception):
+            assert faults, want
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert_same_run(got, want)
+    return results
+
+
+def ring_member(law, k0, amplitude, speed, cells=20, dx=10.0, dt=0.5, steps=40,
+                record_every=4, boundary=Periodic()):
+    x = np.arange(cells)
+    return EulerianScenario(
+        grid=SpatialGrid(0.0, dx, cells), dt=dt, steps=steps,
+        initial_density=k0 * (1 + amplitude * np.sin(2 * np.pi * x / cells)),
+        initial_speed=np.full(cells, speed), law=law, record_every=record_every,
+        boundary=boundary)
+
+
+TRI_FD = TriangularDiagram(**TRI)
+OVM, FVDM = make_ovm(0.4, TRI_FD), make_fvdm(0.6, 0.5, TRI_FD)
+IDM = make_idm(2.0, 2.0, 4, 30.0, 1.0, 2.0)
+
+
+class TestBatch:
+    def test_mixed_laws_with_different_substep_counts(self):
+        members = [ring_member(OVM, 0.08, 0.05, 3.0), ring_member(FVDM, 0.08, 0.05, 3.0),
+                   ring_member(IDM, 0.05, 0.05, 9.0)]
+        # the members take different substep counts within the first step
+        first = [solve_second_order(EulerianScenario(**{**sc.__dict__, "steps": 1,
+                                                        "record_every": 1}))[1].substeps
+                 for sc in members]
+        assert len(set(first)) == 3
+        assert_members_match(members)
+
+    def test_inflow_batch(self, tri):
+        members = [ring_member(law, 0.06, 0.1, float(tri.eta(0.06)), dt=0.25,
+                               boundary=InflowOutflow(k_in=k_in, v_in=float(tri.eta(k_in))))
+                   for law, k_in in ((OVM, 0.08), (FVDM, 0.05), (OVM, 0.07))]
+        for field, stats in assert_members_match(members):
+            change = total_vehicles(field, -1) - total_vehicles(field, 0)
+            assert change == pytest.approx(stats.inflow - stats.outflow, abs=1e-10)
+
+    def test_members_sharing_a_law_are_evaluated_together(self):
+        shapes = []
+
+        def psi(v, s, dv):
+            shapes.append(np.shape(v))
+            return OVM.psi(v, s, dv)
+
+        law = AccelerationLaw("ovm-counted", OVM.params, psi, OVM.partials,
+                              s_min=OVM.s_min, v_free=OVM.v_free)
+        one = ring_member(law, 0.08, 0.05, 3.0)
+        # the same state a quarter lap on: the same speed bound and substep counts
+        other = EulerianScenario(**{**one.__dict__,
+                                    "initial_density": np.roll(one.initial_density, 5)})
+        (_, stats), _ = assert_members_match([one, other])
+        shapes.clear()
+        solve_second_order_batch([one, other])
+        assert shapes == [(2, 20)] * stats.substeps
+
+    def test_faulty_members_leave_and_the_others_run_on(self):
+        def raise_fast(v, s, dv):
+            if np.max(v) > 6.0:
+                raise EvaluationError("speed above 6 m/s")
+            return np.where(v > 4.0, 0.5, 0.5 * (3.0 - v))
+
+        flat = (lambda v, s, dv: (0.0 * v, 0.0 * v, 0.0 * v))
+        raiser = AccelerationLaw("raiser", {}, raise_fast, flat, v_free=20.0)
+        blowup = AccelerationLaw("blowup", {}, lambda v, s, dv: np.where(v > 7.0, np.inf, 0.5),
+                                 flat, v_free=20.0)
+        # cells so wide that every member takes one substep per step: the two
+        # raiser members are evaluated together when the first one raises
+        members = [ring_member(OVM, 0.08, 0.05, 3.0, dx=40.0),
+                   ring_member(raiser, 0.05, 0.0, 5.0, dx=40.0),  # raises after 2 s
+                   ring_member(raiser, 0.05, 0.0, 1.0, dx=40.0),  # settles at 3 m/s
+                   ring_member(blowup, 0.05, 0.0, 5.0, dx=40.0),  # non-finite after 4 s
+                   ring_member(OVM, 0.08, 0.05, 80.0, dx=40.0),  # refused by the CFL check
+                   ring_member(FVDM, 0.08, 0.05, 3.0, dx=40.0)]
+        results = assert_members_match(members, faults=True)
+        faults = [type(r).__name__ for r in results if isinstance(r, Exception)]
+        assert faults == ["EvaluationError", "SolverFault", "ConfigurationError"]
+        assert str(results[1]) == "speed above 6 m/s"
+        assert str(results[3]) == "non-finite solution (step 9, cell 0)"
+
+    def test_members_must_share_grid_and_steps(self):
+        one = ring_member(OVM, 0.08, 0.05, 3.0)
+        for change in ({"steps": 20}, {"dt": 0.25}, {"record_every": 2},
+                       {"boundary": InflowOutflow(k_in=0.08, v_in=5.0)}):
+            with pytest.raises(ConfigurationError, match="must share"):
+                solve_second_order_batch([one, EulerianScenario(**{**one.__dict__, **change})])
+        assert solve_second_order_batch([]) == []
+
+
+@st.composite
+def continuum_batches(draw):
+    """Members on one grid, with laws drawn (and sometimes repeated) at random."""
+    cells, size = draw(st.sampled_from((5, 10, 20))), draw(st.integers(1, 4))
+    dt, steps = draw(st.sampled_from((0.125, 0.25, 0.5))), draw(st.integers(1, 30))
+    record_every = draw(st.integers(1, 4))
+    members = []
+    for _ in range(size):
+        law = draw(st.sampled_from((OVM, FVDM, IDM, make_linear_gm(1.0))))
+        k0, amplitude = draw(st.floats(0.02, 0.15)), draw(st.sampled_from((0.0, 0.05, 0.6)))
+        members.append(ring_member(law, k0, amplitude, draw(st.floats(0.0, 15.0)),
+                                   cells=cells, dt=dt, steps=steps,
+                                   record_every=record_every))
+    return members
+
+
+@settings(max_examples=40, deadline=None)
+@given(continuum_batches())
+def test_batch_matches_one_member_runs(members):
+    assert_members_match(members, faults=True)

@@ -147,17 +147,25 @@ class TestSuite:
         standalone = [compare_second_order(
             e.law, RingScenario(**{**ring.__dict__, "name": e.scenario}), e.cells)
             for e in entries]
-        batches = []
+        batches, continuum = [], []
 
         def counting(members, *args, **kwargs):
             batches.append([law.name for law, _, _ in members])
             return simulate(members, *args, **kwargs)
 
+        def counting_continuum(scenarios):
+            continuum.append([sc.grid.cells for sc in scenarios])
+            return solve(scenarios)
+
         simulate = equivalence.simulate_platoons
+        solve = equivalence.solve_second_order_batch
         monkeypatch.setattr(equivalence, "simulate_platoons", counting)
+        monkeypatch.setattr(equivalence, "solve_second_order_batch", counting_continuum)
         reports = run_suite(entries)
         # one batched integration, with one member per distinct (law, ring)
         assert batches == [["ovm", "ovm"]]
+        # one continuum batch per resolution, with one member per law
+        assert continuum == [[10, 10], [20, 20], [40, 40]]
         assert all(math.isfinite(r.growth_cf) for r in reports)
         assert reports == standalone
         # an equal law on a different ring is still its own member
@@ -184,6 +192,51 @@ class TestSuite:
             assert report.verdict == "incomparable"
             assert report.fault == fault != ""
             assert report.resolution == f"cells={entry.cells}"
+
+    def test_failing_arm_integrated_once(self, monkeypatch):
+        from trafficlab import equivalence
+        law = make_ovm(0.4, TriangularDiagram(**TRI))
+        ring = RingScenario(**{**RING.__dict__, "horizon": 12.0, "amplitude": 0.9,
+                               "name": "broken"})
+        calls = []
+
+        def counting(members, *args, **kwargs):
+            calls.append(len(members))
+            return simulate(members, *args, **kwargs)
+
+        simulate = equivalence.simulate_platoons
+        monkeypatch.setattr(equivalence, "simulate_platoons", counting)
+        reports = run_suite([SuiteEntry("broken", law, ring, c) for c in (10, 20, 40)])
+        # the arm's collision is carried to all three reports, not run again
+        assert calls == [1]
+        assert len({r.fault for r in reports}) == 1
+        assert reports[0].fault.startswith("spacing below minimum")
+
+    def test_failing_arm_in_a_batch_keeps_its_own_fault(self, tri, monkeypatch):
+        from trafficlab import equivalence
+        broken = make_ovm(0.4, TriangularDiagram(**TRI))
+        ring = RingScenario(**{**RING.__dict__, "horizon": 12.0})
+        crash = RingScenario(**{**ring.__dict__, "amplitude": 0.9})
+        entries = [SuiteEntry("stable", make_ovm(0.4, tri), ring, 10),
+                   SuiteEntry("broken", broken, crash, 10),
+                   SuiteEntry("unstable", make_ovm(0.7, tri), ring, 10)]
+        standalone = [compare_second_order(
+            e.law, RingScenario(**{**e.ring.__dict__, "name": e.scenario}), e.cells)
+            for e in entries]
+        calls = []
+
+        def counting(members, *args, **kwargs):
+            calls.append(len(members))
+            return simulate(members, *args, **kwargs)
+
+        simulate = equivalence.simulate_platoons
+        monkeypatch.setattr(equivalence, "simulate_platoons", counting)
+        reports = run_suite(entries)
+        assert reports == standalone
+        assert [r.verdict == "incomparable" for r in reports] == [False, True, False]
+        assert "member" not in reports[1].fault
+        # the batch, then each arm alone: the failing arm runs twice
+        assert calls == [3, 1, 1, 1]
 
     def test_summary_csv(self, tri, tmp_path):
         reports = run_suite(self.entries(tri, cells=(10,)))
