@@ -160,10 +160,7 @@ def solve_second_order(scenario: EulerianScenario) -> tuple[EulerianField, RunSt
     run stops with :class:`SolverFault`, naming the step (and cell), on a
     non-finite speed bound or a substep that leaves a non-finite state.
     """
-    (result,) = solve_second_order_batch([scenario])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return solve_second_order_batch([scenario])[0]
 
 
 def _check_second_order(scenario: EulerianScenario) -> None:
@@ -184,29 +181,23 @@ def solve_second_order_batch(scenarios) -> list:
     """:func:`solve_second_order` for a batch of scenarios, as one state.
 
     Members share the grid, ``dt``, ``steps``, ``record_every`` and boundary
-    kind; the state has shape (members, cells). The result holds per scenario
-    its ``(field, stats)`` or the exception its one-member run raises: a
-    faulty member leaves the batch and the others run on. Each member takes
-    its own substep count and ``dt_s`` each step and is masked once it has
-    taken them. Everything but the law runs once for the batch, and each
-    distinct law once per substep on its members' rows, so every member is
-    bitwise its own one-member run.
+    kind; the state has shape (members, cells), and the result holds each
+    scenario's ``(field, stats)``. The batch stops at the first fault that one
+    of its members meets in its own run, with that run's exception (type and
+    text). Each member takes its own substep count and ``dt_s`` each step and
+    is masked once it has taken them. Everything but the law runs once for
+    the batch, and each distinct law once per substep on its members' rows, so
+    every member is bitwise its own one-member run.
     """
-    results: list = [None] * len(scenarios)
     if len({(sc.grid, sc.dt, sc.steps, sc.record_every, type(sc.boundary))
             for sc in scenarios}) > 1:
         raise ConfigurationError("batch members must share the grid, dt, steps, "
                                  "record_every and boundary kind")
-    for b, sc in enumerate(scenarios):
-        try:
-            _check_second_order(sc)
-        except ConfigurationError as exc:
-            results[b] = exc
-    members = [b for b, r in enumerate(results) if r is None]
-    if not members:
-        return results
-    perm, spans = law_spans([scenarios[b].law for b in members])
-    perm = [members[p] for p in perm]
+    if not scenarios:
+        return []
+    for sc in scenarios:
+        _check_second_order(sc)
+    perm, spans = law_spans([sc.law for sc in scenarios])
     runs = [scenarios[b] for b in perm]  # batch row p is scenario perm[p]
     n, grid, dt, every = len(runs), runs[0].grid, runs[0].dt, runs[0].record_every
     cells, dx, periodic = grid.cells, grid.dx, isinstance(runs[0].boundary, Periodic)
@@ -217,35 +208,15 @@ def solve_second_order_batch(scenarios) -> list:
     v_free = np.array([[sc.law.v_free or 0.0] for sc in runs])
     if not periodic:
         k_in, v_in = np.array([[sc.boundary.k_in, sc.boundary.v_in or 0.0] for sc in runs]).T
-    live, intact = np.ones(n, dtype=bool), True
     zeros, p_dv, psi = np.zeros((3, n, cells))
 
-    def retire(p, exc):
-        nonlocal intact
-        results[perm[p]] = exc
-        live[p] = intact = False
-
-    def fault(rows, make):  # each live member among rows leaves with make(row)
-        for p in np.flatnonzero(rows & live):
-            retire(p, make(p))
-
     def by_law(mask, out, fn, x, y, z):
-        # out[rows] = fn(law, x, y, z) on each law's rows in mask (None: all
-        # rows). A law that raises is evaluated again member by member, and a
-        # member whose own rows raise leaves the batch with that exception.
+        # out[rows] = fn(law, x, y, z) on each law's rows in mask (True: all rows)
         for law, lo, hi in spans:
-            rows = range(lo, hi) if mask is None else np.flatnonzero(mask[lo:hi]) + lo
-            if len(rows) == 0:
-                continue
-            idx = rows[0] if len(rows) == 1 else slice(lo, hi) if len(rows) == hi - lo else rows
-            try:
+            rows = range(lo, hi) if mask is True else np.flatnonzero(mask[lo:hi]) + lo
+            if len(rows):
+                idx = rows[0] if len(rows) == 1 else slice(lo, hi) if len(rows) == hi - lo else rows
                 out[idx] = fn(law, x[idx], y[idx], z[idx])
-            except Exception:
-                for p in rows:
-                    try:
-                        out[p] = fn(law, x[p], y[p], z[p])
-                    except Exception as exc:
-                        retire(p, exc)
 
     def derive():  # the state's arrays that the speed bound and a substep share
         k_eff = np.maximum(k, DENSITY_FLOOR)
@@ -255,18 +226,17 @@ def solve_second_order_batch(scenarios) -> list:
     def speed_bound(k_eff, s_raw, s_arg, v_pos):
         # Advection speed of the speed equation is v - psi_dv / k after
         # linearizing the source in v_x; bound both split terms.
-        by_law(None if intact else live, p_dv, lambda law, *a: partials_at(law, *a)[2],
-               v_pos, s_arg, zeros)
+        by_law(True, p_dv, lambda law, *a: partials_at(law, *a)[2], v_pos, s_arg, zeros)
         return np.maximum.reduce(v_pos + np.abs(p_dv) / k_eff, axis=1).tolist()
 
     shared = derive()
     bound = speed_bound(*shared)
     cfl = np.array(bound) * dt / dx
-    fault(cfl > INIT_CFL_LIMIT, lambda p: ConfigurationError(
-        f"CFL number {cfl[p]:.3f} exceeds {INIT_CFL_LIMIT} (reduce pde.dt)"))
-    if not periodic:
-        fault(np.array([sc.boundary.v_in is None for sc in runs]), lambda p: ConfigurationError(
-            "inflow boundary needs v_in for the second-order solver"))
+    if (cfl > INIT_CFL_LIMIT).any():
+        raise ConfigurationError(f"CFL number {cfl[np.argmax(cfl > INIT_CFL_LIMIT)]:.3f} "
+                                 f"exceeds {INIT_CFL_LIMIT} (reduce pde.dt)")
+    if not periodic and any(sc.boundary.v_in is None for sc in runs):
+        raise ConfigurationError("inflow boundary needs v_in for the second-order solver")
     density, speed = np.empty((2, n, _record_shape(runs[0]), cells))
     density[:, 0], speed[:, 0] = k, v
     inflow, outflow = np.zeros((2, n))
@@ -278,19 +248,14 @@ def solve_second_order_batch(scenarios) -> list:
         if step:  # step 0 reuses the bound of the CFL check
             shared = derive()
             bound = speed_bound(*shared)
-        subs = []  # each member's substep count this step; 0 once it has left
-        for p, b in enumerate(bound):
-            if live[p] and not math.isfinite(b):
-                retire(p, SolverFault("non-finite characteristic speed bound", step=step))
-            subs.append(max(math.ceil(dt * b / (SUBSTEP_CFL * dx)), 1) if live[p] else 0)
-        if not any(subs):
-            break
-        dt_s, n_sub = np.array([dt / max(m, 1) for m in subs]), np.array(subs)
+        if not all(map(math.isfinite, bound)):
+            raise SolverFault("non-finite characteristic speed bound", step=step)
+        subs = [max(math.ceil(dt * b / (SUBSTEP_CFL * dx)), 1) for b in bound]
+        dt_s, n_sub = np.array([dt / m for m in subs]), np.array(subs)
         ratio, dt_col = (dt_s / dx)[:, None], dt_s[:, None]
-        n_all = min(subs)  # substeps that every member takes while none has left
+        n_all = min(subs)  # substeps that every member takes
         for j in range(max(subs)):
-            full = intact and j < n_all
-            active = live if full else live & (n_sub > j)
+            took = True if j < n_all else n_sub > j  # True: every member
             k_eff, s_raw, s_arg, v_pos = derive() if j else shared
             k_up[:, 1:], v_up[:, 1:], v_dn[:, :-1] = k[:, :-1], v[:, :-1], v[:, 1:]
             if periodic:
@@ -302,8 +267,7 @@ def solve_second_order_batch(scenarios) -> list:
             flux_in = k_up * v_up
             k_new = k - ratio * (flux_out - flux_in)
             grad_fwd = (v_dn - v) / dx
-            by_law(None if full else active, psi, AccelerationLaw.evaluate,
-                   v_pos, s_arg, grad_fwd / k_eff)
+            by_law(took, psi, AccelerationLaw.evaluate, v_pos, s_arg, grad_fwd / k_eff)
             v_new = v + dt_col * (-v * (v - v_up) / dx + psi)
 
             below = v_new < 0.0
@@ -313,14 +277,16 @@ def solve_second_order_batch(scenarios) -> list:
             vacuum = k_new < DENSITY_FLOOR
             if vacuum.any():
                 v_new = np.where(vacuum & free, v_free, v_new)
-                fault(active & vacuum.any(axis=1) & ~free[:, 0], lambda p: SolverFault(
-                    "vacuum reached and the law declares no free speed", step=step))
+                if (took & vacuum.any(axis=1) & ~free[:, 0]).any():
+                    raise SolverFault("vacuum reached and the law declares no free speed",
+                                      step=step)
             if not (np.isfinite(k_new).all() and np.isfinite(v_new).all()):
                 bad = ~(np.isfinite(k_new) & np.isfinite(v_new))
-                fault(active & bad.any(axis=1), lambda p: SolverFault(
-                    "non-finite solution", step=step, cell=int(np.argmax(bad[p]))))
+                rows = took & bad.any(axis=1)
+                if rows.any():
+                    raise SolverFault("non-finite solution", step=step,
+                                      cell=int(np.argmax(bad[np.argmax(rows)])))
 
-            took = True if full and intact else active & live
             substeps += took
             dense_clamps += (s_arg > s_raw).sum(axis=1) * took
             if clamped:
@@ -333,16 +299,18 @@ def solve_second_order_batch(scenarios) -> list:
             else:
                 k, v = np.where(took[:, None], k_new, k), np.where(took[:, None], v_new, v)
 
-        if (k < -1e-12).any():
-            fault((k < -1e-12).any(axis=1), lambda p: SolverFault(
-                "negative density", step=step, cell=int(np.argmin(k[p]))))
+        negative = (k < -1e-12).any(axis=1)
+        if negative.any():
+            raise SolverFault("negative density", step=step,
+                              cell=int(np.argmin(k[np.argmax(negative)])))
         if (step + 1) % every == 0:
             density[:, (step + 1) // every], speed[:, (step + 1) // every] = k, v
 
-    for p in np.flatnonzero(live):
+    results: list = [None] * n
+    for p, b in enumerate(perm):
         field = EulerianField(x0=grid.x0, dx=dx, t0=0.0, dt=dt * every,
                               density=density[p], speed=speed[p])
-        results[perm[p]] = field, RunStats(
+        results[b] = field, RunStats(
             float(inflow[p]), float(outflow[p]), int(substeps[p]),
             int(speed_clamps[p]), int(dense_clamps[p]))
     return results

@@ -421,11 +421,23 @@ def _outcome(fn, *args):
         return exc
 
 
+def _isolated(run, members, *args) -> list:
+    """``run(members, *args)``, a list with one result per member; when that
+    raises, each member's own ``run([member], *args)`` result or exception."""
+    try:
+        return run(members, *args)
+    except Exception as exc:  # a batch stops at its first fault
+        if len(members) == 1:
+            return [exc]
+    return [_isolated(run, [member], *args)[0] for member in members]
+
+
 def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
     """Execute all suite entries; failures are isolated per report.
 
     Each distinct car-following arm runs once, and the continuum arms of one
-    resolution run as one :func:`solve_second_order_batch`. Every report,
+    resolution run as one :func:`solve_second_order_batch`; a batch of either
+    arm that raises runs each member alone (:func:`_isolated`). Every report,
     faults included, equals the standalone :func:`compare_second_order`.
     """
     rings = [replace(e.ring, name=e.scenario) for e in entries]
@@ -439,10 +451,11 @@ def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
             pde = run[1]
             batches.setdefault((pde.grid, pde.dt, pde.steps, pde.record_every), []).append(i)
     for batch in batches.values():
-        for i, solved in zip(batch, solve_second_order_batch([runs[i][1] for i in batch])):
-            runs[i] = solved if isinstance(solved, Exception) else _outcome(
+        solved = _isolated(solve_second_order_batch, [runs[i][1] for i in batch])
+        for i, result in zip(batch, solved):
+            runs[i] = result if isinstance(result, Exception) else _outcome(
                 _finish_second_order, entries[i].law, rings[i], entries[i].cells,
-                runs[i][0], solved[0])
+                runs[i][0], result[0])
     return [run if isinstance(run, EquivalenceReport) else
             _incomparable(ring.name, e.law.name, f"cells={e.cells}", run)
             for e, ring, run in zip(entries, rings, runs)]
@@ -466,17 +479,7 @@ def _car_following_arms(arms: list[tuple[AccelerationLaw, RingScenario]]) -> lis
             key = (distinct[a][1].dt_cf, steps, stride, initial.n_vehicles, law.order)
             batches.setdefault(key, []).append(a)
     for (dt, steps, stride, _, _), batch in batches.items():
-        for a, surface in zip(batch, _platoon_runs([surfaces[a][0] for a in batch],
-                                                   dt, steps, stride)):
+        members = [surfaces[a][0] for a in batch]
+        for a, surface in zip(batch, _isolated(simulate_platoons, members, dt, steps, stride)):
             surfaces[a] = surface
     return [surfaces[distinct.index(arm)] for arm in arms]
-
-
-def _platoon_runs(members, dt: float, steps: int, stride: int) -> list:
-    """Each member's surface, or the exception of its one-member run."""
-    try:
-        return simulate_platoons(members, dt, steps, stride)
-    except Exception as exc:
-        if len(members) == 1:
-            return [exc]
-        return [_platoon_runs([m], dt, steps, stride)[0] for m in members]

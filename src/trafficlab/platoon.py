@@ -192,9 +192,11 @@ def simulate_platoons(members, dt: float, steps: int,
 
     Speeds are clamped at zero after each step; clamp counts are reported on
     each surface. A spacing at or below a law's minimum at any stage aborts
-    with :class:`CollisionError`; a non-finite spacing at any stage, or a
-    non-finite state after the last step, with :class:`SolverFault`. In a
-    batch of more than one, the error names the member and the vehicle.
+    with :class:`CollisionError`; a NaN or -inf spacing at any stage (+inf
+    where that member's smallest spacing is at most its minimum), or a
+    non-finite state after the last step, with :class:`SolverFault`. A batch
+    stops at the first fault that one of its members meets in its own run; in
+    a batch of more than one, the error names the member and the vehicle.
     """
     if dt <= 0 or steps < 1:
         raise ConfigurationError("need dt > 0 and steps >= 1")
@@ -273,9 +275,11 @@ def simulate_platoons(members, dt: float, steps: int,
         np.subtract(leaders[0], x[0], s)
         # The minimum is NaN when any spacing is, so one reduction checks both.
         if not np.minimum.reduce(s_flat) > s_floor:
-            finite = np.isfinite(s)
-            if not finite.all():
-                raise fault("spacing", t, ~finite)
+            # A non-finite spacing counts only where its member's own test fails.
+            looks = ~(np.minimum.reduce(s, axis=1) > s_min[:, 0])
+            bad = ~np.isfinite(s) & looks[:, None]
+            if bad.any():
+                raise fault("spacing", t, bad)
             closed = s <= s_min
             if closed.any():
                 member, vehicle = where(closed)

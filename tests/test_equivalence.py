@@ -1,16 +1,22 @@
 """Paired vehicle/continuum runs and the suite machinery."""
 
+import copy
 import math
 
+import numpy as np
 import pytest
 
-from trafficlab import (ConfigurationError, GaussianBumpProfile, RiemannProfile,
-                        RingScenario, SuiteEntry, TriangularDiagram,
-                        UniformProfile, compare_lwr, compare_second_order,
-                        make_fvdm, make_linear_gm, make_ovm, run_suite)
-from trafficlab.cli import SUMMARY_COLUMNS, write_summary_csv
+from trafficlab import (AccelerationLaw, ConfigurationError, EvaluationError,
+                        GaussianBumpProfile, RiemannProfile, RingScenario, SuiteEntry,
+                        TriangularDiagram, UniformProfile, compare_lwr,
+                        compare_second_order, make_fvdm, make_linear_gm, make_ovm,
+                        run_suite, solve_second_order_batch)
+from trafficlab.cli import DEMO_CONFIG, SUMMARY_COLUMNS, write_summary_csv
+from trafficlab.config import build_suite
+from trafficlab.equivalence import _isolated
 
 from conftest import TRI
+from test_continuum import FVDM, OVM, assert_same_run, ring_member, standalone
 
 
 RING = RingScenario(circumference=1000.0, k0=0.08, amplitude=0.01,
@@ -237,6 +243,64 @@ class TestSuite:
         assert "member" not in reports[1].fault
         # the batch, then each arm alone: the failing arm runs twice
         assert calls == [3, 1, 1, 1]
+
+    def test_faulty_continuum_members_keep_their_own_outcomes(self):
+        def raise_fast(v, s, dv):
+            if np.max(v) > 6.0:
+                raise EvaluationError("speed above 6 m/s")
+            return np.where(v > 4.0, 0.5, 0.5 * (3.0 - v))
+
+        flat = (lambda v, s, dv: (0.0 * v, 0.0 * v, 0.0 * v))
+        raiser = AccelerationLaw("raiser", {}, raise_fast, flat, v_free=20.0)
+        blowup = AccelerationLaw("blowup", {}, lambda v, s, dv: np.where(v > 7.0, np.inf, 0.5),
+                                 flat, v_free=20.0)
+        # cells so wide that every member takes one substep per step
+        members = [ring_member(OVM, 0.08, 0.05, 3.0, dx=40.0),
+                   ring_member(raiser, 0.05, 0.0, 5.0, dx=40.0),  # raises after 2 s
+                   ring_member(raiser, 0.05, 0.0, 1.0, dx=40.0),  # settles at 3 m/s
+                   ring_member(blowup, 0.05, 0.0, 5.0, dx=40.0),  # non-finite after 4 s
+                   ring_member(OVM, 0.08, 0.05, 80.0, dx=40.0),  # refused by the CFL check
+                   ring_member(FVDM, 0.08, 0.05, 3.0, dx=40.0)]
+        # the batch stops at the first fault, the CFL check before any step
+        with pytest.raises(ConfigurationError, match="^CFL number"):
+            solve_second_order_batch(members)
+        results = _isolated(solve_second_order_batch, members)
+        for sc, got in zip(members, results):
+            own = standalone(sc)
+            if isinstance(own, Exception):
+                assert type(got) is type(own) and str(got) == str(own)
+            else:
+                assert_same_run(got, own)
+        faults = [type(r).__name__ for r in results if isinstance(r, Exception)]
+        assert faults == ["EvaluationError", "SolverFault", "ConfigurationError"]
+        assert str(results[1]) == "speed above 6 m/s"
+        assert str(results[3]) == "non-finite solution (step 9, cell 0)"
+
+    def test_faulty_continuum_arm_keeps_its_own_fault(self, monkeypatch):
+        from trafficlab import equivalence
+        doc = copy.deepcopy(DEMO_CONFIG)
+        doc["suite"]["ring"].update(horizon=12.0, compare_points=4, dt_pde=1.5)
+        doc["suite"]["resolutions"] = [40]
+        entries = build_suite(doc)
+        alone = [compare_second_order(
+            e.law, RingScenario(**{**e.ring.__dict__, "name": e.scenario}), e.cells)
+            for e in entries[:4] + entries[5:]]
+        calls = []
+
+        def counting(scenarios):
+            calls.append(len(scenarios))
+            return solve(scenarios)
+
+        solve = equivalence.solve_second_order_batch
+        monkeypatch.setattr(equivalence, "solve_second_order_batch", counting)
+        reports = run_suite(entries)
+        # at dt_pde 1.5 s only the stable IDM arm breaks the continuum CFL limit
+        assert (reports[4].model, reports[4].verdict) == ("idm", "incomparable")
+        assert reports[4].fault == "CFL number 1.251 exceeds 0.9 (reduce pde.dt)"
+        assert reports[:4] + reports[5:] == alone
+        assert all(r.verdict == "within-threshold" for r in alone)
+        # the batch, then each arm alone
+        assert calls == [6, 1, 1, 1, 1, 1, 1]
 
     def test_summary_csv(self, tri, tmp_path):
         reports = run_suite(self.entries(tri, cells=(10,)))

@@ -482,6 +482,24 @@ class TestBatch:
         assert str(alone.value).startswith("non-finite spacing at t=0.005 s, vehicle ")
         assert str(batched.value) == str(alone.value).replace("vehicle", "member 1, vehicle")
 
+    def test_infinite_spacing_counts_only_where_its_member_looks_closer(self):
+        # the third member's rear vehicle runs off to -inf at t=0.015 s, where
+        # only the first member's tight spacing takes the batch's closer look;
+        # alone, the third member's own check first fails at t=0.03 s
+        lead = SinusoidLeader(6.0, 1.5, 0.5)
+        runaway = PlatoonState(time=0.0, positions=np.array([38.0, -3.0]),
+                               speeds=np.array([10.0, 9.0]))
+        members = [(make_nonlinear_gm(1.0, 1, 1), uniform_platoon(2, 3.0, 8.0), lead),
+                   (make_ovm(0.6, TRI_FD), uniform_platoon(2, 12.5, 6.0), lead),
+                   (make_nonlinear_gm(1.0, 400, 1), runaway, lead)]
+        with np.errstate(all="ignore"):
+            with pytest.raises(SolverFault) as alone:
+                simulate_continuous(*members[2], 0.03, 30)
+            with pytest.raises(SolverFault) as batched:
+                simulate_platoons(members, 0.03, 30)
+        assert str(alone.value) == "non-finite spacing at t=0.03 s, vehicle 1"
+        assert str(batched.value) == "non-finite spacing at t=0.03 s, member 2, vehicle 1"
+
     def test_non_finite_last_step_names_member(self):
         surge = AccelerationLaw("surge", {}, lambda v, s, dv: np.where(v > 7.507, np.inf, 1.0))
         steady = make_linear_gm(0.5)
