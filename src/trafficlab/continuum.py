@@ -267,7 +267,8 @@ def solve_second_order_batch(scenarios) -> list:
             flux_in = k_up * v_up
             k_new = k - ratio * (flux_out - flux_in)
             grad_fwd = (v_dn - v) / dx
-            by_law(took, psi, AccelerationLaw.evaluate, v_pos, s_arg, grad_fwd / k_eff)
+            # s_arg >= s_min, inside the law's domain: the bare formula suffices.
+            by_law(took, psi, lambda law, *a: law.psi(*a), v_pos, s_arg, grad_fwd / k_eff)
             v_new = v + dt_col * (-v * (v - v_up) / dx + psi)
 
             below = v_new < 0.0

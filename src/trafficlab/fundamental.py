@@ -35,8 +35,24 @@ def _ret(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
+class _SpacingForm:
+    """Every diagram's jam spacing and ``theta``: the spacing check, then ``_theta``."""
+
+    @property
+    def jam_spacing(self) -> float:
+        return 1.0 / self.k_j
+
+    def _check_spacing(self, s):
+        _check_spacing_range(s, self.jam_spacing)
+
+    def theta(self, s):
+        s, scalar = _as_array(s)
+        self._check_spacing(s)
+        return _ret(self._theta(s), scalar)
+
+
 @dataclass(frozen=True)
-class TriangularDiagram:
+class TriangularDiagram(_SpacingForm):
     """Two-branch diagram: free-flow slope ``v_f``, congested slope ``-w``."""
 
     v_f: float
@@ -48,10 +64,6 @@ class TriangularDiagram:
     def __post_init__(self):
         if self.v_f <= 0 or self.w <= 0 or self.k_j <= 0:
             raise ParameterError("triangular diagram needs v_f, w, k_j > 0")
-
-    @property
-    def jam_spacing(self) -> float:
-        return 1.0 / self.k_j
 
     @property
     def time_gap(self) -> float:
@@ -71,14 +83,12 @@ class TriangularDiagram:
         _check_density_range(k, self.k_j)
         return _ret(np.minimum(self.v_f * k, self.w * (self.k_j - k)), scalar)
 
-    def theta(self, s):
-        s, scalar = _as_array(s)
-        _check_spacing_range(s, self.jam_spacing)
-        return _ret(np.minimum(self.v_f, self.w * (self.k_j * s - 1.0)), scalar)
+    def _theta(self, s):
+        return np.minimum(self.v_f, self.w * (self.k_j * s - 1.0))
 
     def theta_prime(self, s):
         s, scalar = _as_array(s)
-        _check_spacing_range(s, self.jam_spacing)
+        self._check_spacing(s)
         s_break = (self.v_f / self.w + 1.0) / self.k_j
         # Kink at s_break: report the congested-branch slope there.
         return _ret(np.where(s <= s_break, self.w * self.k_j, 0.0), scalar)
@@ -102,7 +112,7 @@ class TriangularDiagram:
 
 
 @dataclass(frozen=True)
-class GreenshieldsDiagram:
+class GreenshieldsDiagram(_SpacingForm):
     """Parabolic diagram ``phi(k) = v_f k (1 - k/k_j)``."""
 
     v_f: float
@@ -113,10 +123,6 @@ class GreenshieldsDiagram:
     def __post_init__(self):
         if self.v_f <= 0 or self.k_j <= 0:
             raise ParameterError("greenshields diagram needs v_f, k_j > 0")
-
-    @property
-    def jam_spacing(self) -> float:
-        return 1.0 / self.k_j
 
     @property
     def critical_density(self) -> float:
@@ -131,15 +137,13 @@ class GreenshieldsDiagram:
         _check_density_range(k, self.k_j)
         return _ret(self.v_f * k * (1.0 - k / self.k_j), scalar)
 
-    def theta(self, s):
+    def _theta(self, s):
         # Analytic extension for every s >= 1/k_j; tends to v_f as s -> inf.
-        s, scalar = _as_array(s)
-        _check_spacing_range(s, self.jam_spacing)
-        return _ret(self.v_f * (1.0 - 1.0 / (s * self.k_j)), scalar)
+        return self.v_f * (1.0 - 1.0 / (s * self.k_j))
 
     def theta_prime(self, s):
         s, scalar = _as_array(s)
-        _check_spacing_range(s, self.jam_spacing)
+        self._check_spacing(s)
         return _ret(self.v_f / (s**2 * self.k_j), scalar)
 
     def eta(self, k):
@@ -161,7 +165,7 @@ class GreenshieldsDiagram:
 
 
 @dataclass(frozen=True)
-class TabulatedDiagram:
+class TabulatedDiagram(_SpacingForm):
     """Monotone piecewise-linear interpolation of sorted (k, q) samples.
 
     The table must start at (0, 0) and end at (k_j, 0); linear interpolation
@@ -195,10 +199,6 @@ class TabulatedDiagram:
         return float(self.k_table[-1])
 
     @property
-    def jam_spacing(self) -> float:
-        return 1.0 / self.k_j
-
-    @property
     def critical_density(self) -> float:
         # Piecewise-linear flow peaks at a vertex.
         return float(self.k_table[int(np.argmax(self.q_table))])
@@ -212,18 +212,15 @@ class TabulatedDiagram:
         _check_density_range(k, self.k_j)
         return _ret(np.interp(k, self.k_table, self.q_table), scalar)
 
-    def theta(self, s):
-        s, scalar = _as_array(s)
-        _check_spacing_range(s, self.jam_spacing)
-        k = 1.0 / s
-        return _ret(s * np.interp(k, self.k_table, self.q_table), scalar)
+    def _theta(self, s):
+        return s * np.interp(1.0 / s, self.k_table, self.q_table)
 
     def theta_prime(self, s):
         s, scalar = _as_array(s)
-        _check_spacing_range(s, self.jam_spacing)
+        self._check_spacing(s)
         h = 1e-6 * self.jam_spacing
         lo = np.maximum(s - h, self.jam_spacing)
-        return _ret((self.theta(s + h) - self.theta(lo)) / (s + h - lo), scalar)
+        return _ret((self._theta(s + h) - self._theta(lo)) / (s + h - lo), scalar)
 
     def eta(self, k):
         k, scalar = _as_array(k)

@@ -6,7 +6,10 @@ is its own speed, ``s`` the spacing to the immediate leader, and
 sign convention is used everywhere in the package.
 
 Laws are immutable value objects; evaluation is pure and numpy-vectorized,
-so evaluators accept scalars or equal-shaped arrays.
+so evaluators accept scalars or equal-shaped arrays. ``psi`` is the bare
+formula: ``evaluate``, ``jerk`` and :func:`partials_at` run the law's domain
+``check`` first, and the solvers call ``psi`` on spacings that their own test
+keeps at or above ``s_min``, which every built-in law puts inside its domain.
 """
 
 from __future__ import annotations
@@ -31,11 +34,15 @@ class LawOrder(enum.Enum):
 class AccelerationLaw:
     """A car-following rule ``accel = psi(v, s, dv)`` plus metadata.
 
-    ``partials`` (when present) returns the analytic gradient
-    ``(psi_v, psi_s, psi_dv)``; otherwise :func:`partials_at` falls back to
-    central differences. ``time_scale`` is the smallest relaxation-like
-    time constant, used to guard explicit integrator steps. ``s_min`` is the
-    smallest spacing at which the law may be evaluated during a simulation.
+    ``psi`` is the bare formula and ``check(s)`` raises where the law is
+    undefined; :meth:`evaluate` runs both. ``partials`` (when present)
+    returns the analytic gradient ``(psi_v, psi_s, psi_dv)``; otherwise
+    :func:`partials_at` falls back to central differences. ``time_scale`` is
+    the smallest relaxation-like time constant, used to guard explicit
+    integrator steps. ``s_min`` is the smallest spacing at which the law may
+    be evaluated during a simulation: the solvers call ``psi`` unchecked at
+    and above it, so a law whose ``s_min`` lies outside its domain must check
+    inside its own ``psi``.
     """
 
     name: str
@@ -48,16 +55,18 @@ class AccelerationLaw:
     time_scale: float = 1.0
     inner: "AccelerationLaw | None" = None
     t_delay: float | None = None
+    check: Callable = lambda s: None
 
     def evaluate(self, v, s, dv):
         """Acceleration (m/s^2) at speed ``v``, spacing ``s``, speed gap ``dv``."""
+        self.check(s)
         return self.psi(v, s, dv)
 
     def jerk(self, v, s, dv, accel):
         """Third-order laws: jerk relaxing ``accel`` toward the inner target."""
         if self.order is not LawOrder.THIRD:
             raise EvaluationError(f"{self.name} is not a third-order law")
-        return (self.inner.psi(v, s, dv) - accel) / self.t_delay
+        return (self.evaluate(v, s, dv) - accel) / self.t_delay
 
     @property
     def has_analytic_partials(self) -> bool:
@@ -102,11 +111,9 @@ def make_nonlinear_gm(a: float, m: int, l: int) -> AccelerationLaw:
     m, l = int(m), int(l)
 
     def psi(v, s, dv):
-        _check_spacing_positive(s)
         return a * np.power(v, m) * dv / np.power(s, l)
 
     def partials(v, s, dv):
-        _check_spacing_positive(s)
         v = np.asarray(v, dtype=float)
         p_v = a * m * np.power(v, m - 1) * dv / np.power(s, l) if m > 0 else np.zeros_like(v)
         p_s = -a * l * np.power(v, m) * dv / np.power(s, l + 1)
@@ -114,7 +121,8 @@ def make_nonlinear_gm(a: float, m: int, l: int) -> AccelerationLaw:
         return p_v, p_s + np.zeros_like(v), p_dv + np.zeros_like(v)
 
     return AccelerationLaw(
-        "nonlinear_gm", {"a": a, "m": m, "l": l}, psi, partials, time_scale=1.0 / a
+        "nonlinear_gm", {"a": a, "m": m, "l": l}, psi, partials, time_scale=1.0 / a,
+        check=_check_spacing_positive,
     )
 
 
@@ -124,7 +132,7 @@ def make_ovm(T: float, fd: FundamentalDiagram) -> AccelerationLaw:
         raise ParameterError("OVM needs T > 0")
 
     def psi(v, s, dv):
-        return (fd.theta(s) - v) / T
+        return (fd._theta(s) - v) / T
 
     def partials(v, s, dv):
         z = np.zeros_like(np.asarray(v, dtype=float))
@@ -132,7 +140,7 @@ def make_ovm(T: float, fd: FundamentalDiagram) -> AccelerationLaw:
 
     return AccelerationLaw(
         "ovm", {"T": T}, psi, partials,
-        s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T,
+        s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T, check=fd._check_spacing,
     )
 
 
@@ -152,7 +160,7 @@ def make_gfm(T: float, T_brake: float, d: float, tau: float, R: float,
     def psi(v, s, dv):
         gate = _heaviside(-np.asarray(dv, dtype=float))
         exp_term = np.exp(-(s - (d + tau * v)) / R)
-        return (fd.theta(s) - v) / T + dv * gate / T_brake * exp_term
+        return (fd._theta(s) - v) / T + dv * gate / T_brake * exp_term
 
     def partials(v, s, dv):
         # Kinked at dv = 0; the closing-side contribution is gated off there.
@@ -168,6 +176,7 @@ def make_gfm(T: float, T_brake: float, d: float, tau: float, R: float,
     return AccelerationLaw(
         "gfm", {"T": T, "T_brake": T_brake, "d": d, "tau": tau, "R": R},
         psi, partials, s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T_brake,
+        check=fd._check_spacing,
     )
 
 
@@ -183,11 +192,9 @@ def _make_idm(name: str, a: float, b: float, delta: float, v_f: float,
         return d + tau * v + closing_sign * v * dv / two_sqrt_ab
 
     def psi(v, s, dv):
-        _check_spacing_positive(s)
         return a * (1.0 - np.power(v / v_f, delta) - (gap(v, dv) / s) ** 2)
 
     def partials(v, s, dv):
-        _check_spacing_positive(s)
         v = np.asarray(v, dtype=float)
         g = gap(v, dv)
         p_v = a * (-delta * np.power(v / v_f, delta - 1.0) / v_f
@@ -199,6 +206,7 @@ def _make_idm(name: str, a: float, b: float, delta: float, v_f: float,
     return AccelerationLaw(
         name, {"a": a, "b": b, "delta": delta, "v_f": v_f, "tau": tau, "d": d},
         psi, partials, s_min=0.1, v_free=v_f, time_scale=min(tau, v_f / a),
+        check=_check_spacing_positive,
     )
 
 
@@ -231,7 +239,7 @@ def make_fvdm(T: float, lam: float, fd: FundamentalDiagram) -> AccelerationLaw:
         raise ParameterError("FVDM needs lambda >= 0")
 
     def psi(v, s, dv):
-        return (fd.theta(s) - v) / T + lam * dv
+        return (fd._theta(s) - v) / T + lam * dv
 
     def partials(v, s, dv):
         z = np.zeros_like(np.asarray(v, dtype=float))
@@ -241,6 +249,7 @@ def make_fvdm(T: float, lam: float, fd: FundamentalDiagram) -> AccelerationLaw:
     return AccelerationLaw(
         "fvdm", {"T": T, "lambda": lam}, psi, partials,
         s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=time_scale,
+        check=fd._check_spacing,
     )
 
 
@@ -260,17 +269,20 @@ def make_aw_rascle_cf(T_of_k: Callable | float, p_prime: Callable,
             raise ParameterError("aw_rascle needs T > 0")
         T_fn = lambda k: T_const
 
-    def psi(v, s, dv):
+    def check(s):
         _check_spacing_positive(s)
+        fd._check_spacing(s)
+
+    def psi(v, s, dv):
         k = 1.0 / np.asarray(s, dtype=float)
-        return (fd.theta(s) - v) / T_fn(k) + p_prime(k) * dv / s**2
+        return (fd._theta(s) - v) / T_fn(k) + p_prime(k) * dv / s**2
 
     probe_T = float(T_fn(0.5 * fd.k_j))
     if probe_T <= 0:
         raise ParameterError("aw_rascle needs T(k) > 0 on the density domain")
     return AccelerationLaw(
         "aw_rascle", {}, psi, None,
-        s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=probe_T,
+        s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=probe_T, check=check,
     )
 
 
@@ -278,18 +290,18 @@ def make_arz_cf(fd: FundamentalDiagram) -> AccelerationLaw:
     """Pure anticipation law -eta'(1/s) * dv / s^2 (no relaxation term).
 
     Has no unique steady-state speed: any uniform-speed platoon is an
-    equilibrium, whatever the spacing.
+    equilibrium, whatever the spacing. ``eta'`` keeps its density check, so
+    ``psi`` raises itself at a spacing below the jam spacing or of +inf.
     """
 
     def psi(v, s, dv):
-        _check_spacing_positive(s)
         k = 1.0 / np.asarray(s, dtype=float)
         return -fd.eta_prime(k) * dv / s**2
 
     return AccelerationLaw(
         "arz", {}, psi, None,
         s_min=_guarded_s_min(fd), v_free=fd.v_f,
-        time_scale=1.0 / fd.max_theta_slope(),
+        time_scale=1.0 / fd.max_theta_slope(), check=_check_spacing_positive,
     )
 
 
@@ -301,7 +313,7 @@ def make_jwz_cf(T: float, c0: float, fd: FundamentalDiagram) -> AccelerationLaw:
         raise ParameterError("JWZ needs c0 >= 0")
 
     def psi(v, s, dv):
-        return (fd.theta(s) - v) / T + c0 * dv / s
+        return (fd._theta(s) - v) / T + c0 * dv / s
 
     def partials(v, s, dv):
         z = np.zeros_like(np.asarray(v, dtype=float))
@@ -309,7 +321,7 @@ def make_jwz_cf(T: float, c0: float, fd: FundamentalDiagram) -> AccelerationLaw:
 
     return AccelerationLaw(
         "jwz", {"T": T, "c0": c0}, psi, partials,
-        s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T,
+        s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T, check=fd._check_spacing,
     )
 
 
@@ -329,17 +341,19 @@ def make_third_order(inner: AccelerationLaw, t_delay: float) -> AccelerationLaw:
         inner.psi, inner.partials, order=LawOrder.THIRD,
         s_min=inner.s_min, v_free=inner.v_free,
         time_scale=min(inner.time_scale, t_delay),
-        inner=inner, t_delay=t_delay,
+        inner=inner, t_delay=t_delay, check=inner.check,
     )
 
 
 def partials_at(law: AccelerationLaw, v, s, dv):
     """Gradient (psi_v, psi_s, psi_dv) at a point, analytic when available.
 
-    Finite-difference steps are relative with absolute floors since model
-    scales span several orders of magnitude.
+    Both run the law's domain check at ``s``. Finite-difference steps are
+    relative with absolute floors since model scales span several orders of
+    magnitude.
     """
     if law.partials is not None:
+        law.check(s)
         return law.partials(v, s, dv)
     v = np.asarray(v, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -347,9 +361,9 @@ def partials_at(law: AccelerationLaw, v, s, dv):
     h_v = np.maximum(1e-6 * np.abs(v), 1e-8)
     h_s = np.maximum(1e-6 * np.abs(s), 1e-8)
     h_dv = np.maximum(1e-6 * np.maximum(np.abs(dv), np.abs(v)), 1e-8)
-    p_v = (law.psi(v + h_v, s, dv) - law.psi(v - h_v, s, dv)) / (2 * h_v)
-    p_s = (law.psi(v, s + h_s, dv) - law.psi(v, s - h_s, dv)) / (2 * h_s)
-    p_dv = (law.psi(v, s, dv + h_dv) - law.psi(v, s, dv - h_dv)) / (2 * h_dv)
+    p_v = (law.evaluate(v + h_v, s, dv) - law.evaluate(v - h_v, s, dv)) / (2 * h_v)
+    p_s = (law.evaluate(v, s + h_s, dv) - law.evaluate(v, s - h_s, dv)) / (2 * h_s)
+    p_dv = (law.evaluate(v, s, dv + h_dv) - law.evaluate(v, s, dv - h_dv)) / (2 * h_dv)
     return p_v, p_s, p_dv
 
 

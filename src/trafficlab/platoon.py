@@ -228,18 +228,24 @@ def simulate_platoons(members, dt: float, steps: int,
     batch, order = len(perm), order.value
     third = order == 3
     first = 0 if ring else 1  # vehicle number of the front follower
-    # The state at a step's start (y) and the one a stage sees, padded in front
-    # by one column that holds the front follower's leader. The rates leave
-    # that column at zero, so the stage sums carry it unchanged.
-    y, work, k1, k2, k3, k4 = np.zeros((6, order, batch, n - first + 1))
-    base, staged = [(f[:2, :, 0], f[:2, :, -1], f[:2, :, :-1], f[:, :, 1:]) for f in (y, work)]
-    followers = base[3]
+    # One buffer per RK4 stage: rows [:order] hold the state the stage sees
+    # (for the first stage, the state y at the step's start) and rows [1:] its
+    # rates, so a state row is the rate of the row before it. Column 0 holds
+    # the front follower's leader, which each stage writes before it reads it.
+    stages = np.zeros((4, order + 1, batch, n - first + 1))
+    states, rates_of = list(stages[:, :order]), list(stages[:, 1:])
+    y = states[0]
+    frames = [(b[:2, :, 0], b[:2, :, -1], b[:2, :, :-1], b[:2, :, 1:], b[2, :, 1:],
+               b[order, :, 1:]) for b in stages]
+    followers = y[:, :, 1:]
     for p, initial in enumerate(initials):
         followers[0, p], followers[1, p] = initial.positions[first:], initial.speeds[first:]
         if third and initial.accels is not None:
             followers[2, p] = initial.accels[first:]
-    s, v, dv = np.empty((3, batch, n - first))  # spacing, clamped speed, speed gap
+    gaps, v = np.empty((2, batch, n - first)), np.empty((batch, n - first))
+    s, dv = gaps  # spacing and speed gap; v is the clamped speed
     s_flat = s.reshape(-1)  # a view: a 1-d reduction costs less than axis=None
+    total, twice = np.empty((2,) + y.shape)  # the RK4 sum and a doubled rate
     evals = []  # each law with its rows, as an int (one member) or a slice
     for law, lo, hi in spans:
         idx = lo if hi - lo == 1 else slice(lo, hi)
@@ -264,15 +270,15 @@ def simulate_platoons(members, dt: float, steps: int,
         named = "" if member is None else f"member {member}, "
         return SolverFault(f"non-finite {what} at t={t:.6g} s, {named}vehicle {vehicle}")
 
-    def rates(t, frame, lead, out):
-        column, rear, leaders, x = frame
+    def rates(t, frame, lead):  # fills the frame's last rate row
+        column, rear, leaders, x, accel, out = frame
         # The front follower's leader: the lead vehicle, or the rear one a lap on.
         if ring:
             np.add(rear[0], lengths, column[0])
             column[1] = rear[1]
         else:
             column[...] = lead
-        np.subtract(leaders[0], x[0], s)
+        np.subtract(leaders, x, gaps)
         # The minimum is NaN when any spacing is, so one reduction checks both.
         if not np.minimum.reduce(s_flat) > s_floor:
             # A non-finite spacing counts only where its member's own test fails.
@@ -285,15 +291,13 @@ def simulate_platoons(members, dt: float, steps: int,
                 member, vehicle = where(closed)
                 raise CollisionError(t, vehicle, member)
         np.maximum(x[1], 0.0, out=v)
-        np.subtract(leaders[1], x[1], dv)
         for law, idx, *args in evals:
-            accel = law.psi(*args)
-            out[-1, idx, 1:] = (accel - x[2, idx]) / law.t_delay if third else accel
-        out[:-1, :, 1:] = x[1:]
+            target = law.psi(*args)
+            out[idx] = (target - accel[idx]) / law.t_delay if third else target
 
-    def stage(h, k):  # the staged state becomes y + h * k
-        np.add(y, np.multiply(k, h, work), work)
-        return staged
+    def stage(j, h):  # stage j sees y + h * (stage j - 1's rates)
+        np.add(y, np.multiply(rates_of[j - 1], h, states[j]), states[j])
+        return frames[j]
 
     recorded = range(0, steps + 1, record_every)
     traj = np.empty((order, batch, len(recorded), n))  # traj[:, p] is member perm[p]'s
@@ -311,13 +315,17 @@ def simulate_platoons(members, dt: float, steps: int,
         t = i * dt
         if not ring:
             leads = fronts[i], halves[i], fronts[i + 1]
-        rates(t, base, leads[0], k1)
-        rates(t + half, stage(half, k1), leads[1], k2)
-        rates(t + half, stage(half, k2), leads[1], k3)
-        rates(t + dt, stage(dt, k3), leads[2], k4)
-        y += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        below = speeds < 0.0
-        if below.any():
+        rates(t, frames[0], leads[0])
+        rates(t + half, stage(1, half), leads[1])
+        rates(t + half, stage(2, half), leads[1])
+        rates(t + dt, stage(3, dt), leads[2])
+        # y += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), in that order
+        np.add(rates_of[0], np.multiply(rates_of[1], 2, total), total)
+        total += np.multiply(rates_of[2], 2, twice)
+        total += rates_of[3]
+        y += np.multiply(total, dt / 6.0, total)
+        if np.fmin.reduce(speeds, axis=None) < 0.0:  # fmin skips NaN, as < does
+            below = speeds < 0.0
             clamps += np.count_nonzero(below, axis=1)
             speeds[below] = 0.0
         if (i + 1) % record_every == 0:

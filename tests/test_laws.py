@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trafficlab import (EvaluationError, LawOrder, ParameterError,
-                        TriangularDiagram, idm_closed_form_density,
+from conftest import GS, TRI
+from trafficlab import (DomainError, EvaluationError, GreenshieldsDiagram,
+                        LawOrder, ParameterError, TabulatedDiagram,
+                        TrafficLabError, TriangularDiagram, idm_closed_form_density,
                         law_from_config,
                         make_arz_cf, make_aw_rascle_cf, make_fvdm, make_gfm,
                         make_idm, make_idm_alt, make_jwz_cf, make_linear_gm,
@@ -268,22 +270,23 @@ def test_evaluation_finite_on_domain(v, s, dv):
         assert math.isfinite(float(law.evaluate(v, s, dv))), law.name
 
 
+CATALOG_PARAMS = {
+    "linear_gm": {"T": 1.0},
+    "nonlinear_gm": {"a": 1.0, "m": 1, "l": 1},
+    "ovm": {"T": 1.0},
+    "gfm": {"T": 1.0, "T_brake": 0.5, "d": 2.0, "tau": 1.0, "R": 10.0},
+    "idm": {"a": 1.0, "b": 1.5, "delta": 4, "v_f": 30.0, "tau": 1.0, "d": 2.0},
+    "idm_alt": {"a": 1.0, "b": 1.5, "delta": 4, "v_f": 30.0, "tau": 1.0, "d": 2.0},
+    "fvdm": {"T": 1.0, "lambda": 0.5},
+    "arz": {},
+    "jwz": {"T": 1.0, "c0": 5.0},
+}
+
+
 class TestCatalog:
     def test_every_entry_buildable(self, tri):
-        params = {
-            "linear_gm": {"T": 1.0},
-            "nonlinear_gm": {"a": 1.0, "m": 1, "l": 1},
-            "ovm": {"T": 1.0},
-            "gfm": {"T": 1.0, "T_brake": 0.5, "d": 2.0, "tau": 1.0, "R": 10.0},
-            "idm": {"a": 1.0, "b": 1.5, "delta": 4, "v_f": 30.0, "tau": 1.0, "d": 2.0},
-            "idm_alt": {"a": 1.0, "b": 1.5, "delta": 4, "v_f": 30.0,
-                          "tau": 1.0, "d": 2.0},
-            "fvdm": {"T": 1.0, "lambda": 0.5},
-            "arz": {},
-            "jwz": {"T": 1.0, "c0": 5.0},
-        }
         for name, entry in MODEL_CATALOG.items():
-            law = law_from_config({"name": name, **params[name]}, tri)
+            law = law_from_config({"name": name, **CATALOG_PARAMS[name]}, tri)
             assert law.name == name
             assert entry.continuum_family
 
@@ -291,3 +294,95 @@ class TestCatalog:
         law = law_from_config({"name": "third_order", "t_delay": 0.5,
                                "inner": {"name": "ovm", "T": 1.0}}, tri)
         assert law.order is LawOrder.THIRD
+
+
+# -- Domain checks ---------------------------------------------------------
+#
+# Where a law is undefined, evaluate, jerk and partials_at raise, and each
+# raises the exception (type and text) that the law's family calls for: a
+# spacing at or below zero for the laws that divide by it, a spacing below
+# the jam spacing for the laws that read theta(s), and a density above the
+# jam density for the pure-anticipation law, which reads eta'(1/s). A NaN
+# spacing passes every check.
+
+DIAGRAMS = {
+    "tri": TriangularDiagram(**TRI),
+    "gs": GreenshieldsDiagram(**GS),
+    "tab": TabulatedDiagram(k_table=np.array([0.0, 0.03, 0.06, 0.2]),
+                            q_table=np.array([0.0, 0.6, 0.75, 0.0])),
+}
+DIVIDES_BY_SPACING = {"nonlinear_gm", "idm", "idm_alt", "aw_rascle", "arz"}
+READS_THETA = {"ovm", "gfm", "fvdm", "jwz", "aw_rascle"}
+
+
+def domain_laws():
+    """Every catalog law (on each diagram where it needs one), the general
+    anticipation law, and the third-order wrap of each, with its diagram."""
+    for name, entry in MODEL_CATALOG.items():
+        for fd_name, fd in DIAGRAMS.items() if entry.needs_fd else [("tri", DIAGRAMS["tri"])]:
+            law = law_from_config({"name": name, **CATALOG_PARAMS[name]}, fd)
+            yield f"{name}-{fd_name}", law, fd
+    for fd_name, fd in DIAGRAMS.items():
+        yield (f"aw_rascle-{fd_name}",
+               make_aw_rascle_cf(lambda k: 1.0 + k, lambda k: -2.0 * k, fd), fd)
+
+
+DOMAIN_LAWS = [(f"{tag}{suffix}", law if wrap is None else make_third_order(law, wrap), fd)
+               for tag, law, fd in domain_laws()
+               for suffix, wrap in (("", None), ("+delay", 0.5))]
+
+
+def expected_fault(name: str, fd, point: str):
+    """The (type, text) that a law named ``name`` raises at the spacing
+    ``point``, or None where it evaluates."""
+    if point == "nan":
+        return None
+    if point == "zero" and name in DIVIDES_BY_SPACING:
+        return EvaluationError, "spacing must be positive"
+    if name in READS_THETA:
+        return DomainError, f"spacing below jam spacing {fd.jam_spacing:g}"
+    if point == "below_jam" and name == "arz":
+        return DomainError, f"density above jam density {fd.k_j:g}"
+    return None
+
+
+def fault_of(fn, *args):
+    try:
+        fn(*args)
+    except TrafficLabError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("point", ["zero", "below_jam", "nan"])
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("law, fd", [case[1:] for case in DOMAIN_LAWS],
+                         ids=[case[0] for case in DOMAIN_LAWS])
+def test_domain_checks_raise_where_the_law_is_undefined(law, fd, point, vector):
+    bad = {"zero": 0.0, "below_jam": fd.jam_spacing * (1.0 - 1e-9), "nan": math.nan}[point]
+    args = (5.0, bad, 0.5)
+    if vector:  # the bad spacing beside a good one
+        args = (np.array([6.0, 5.0]), np.array([3.0 * fd.jam_spacing, bad]),
+                np.array([-0.5, 0.5]))
+    base = law.inner.name if law.inner is not None else law.name
+    want = expected_fault(base, fd, point)
+    with np.errstate(all="ignore"):
+        assert fault_of(law.evaluate, *args) == want
+        assert fault_of(partials_at, law, *args) == want
+        jerk = fault_of(law.jerk, *args, np.zeros_like(args[0]))
+    if law.order is LawOrder.THIRD:
+        assert jerk == want
+    else:
+        assert jerk == (EvaluationError, f"{law.name} is not a third-order law")
+
+
+@pytest.mark.parametrize("law", [case[1] for case in DOMAIN_LAWS],
+                         ids=[case[0] for case in DOMAIN_LAWS])
+def test_domain_check_accepts_s_min(law):
+    """The solvers call the bare psi on spacings at or above s_min, so the
+    check must pass there, and psi must equal the checked evaluate."""
+    s = np.array([law.s_min, law.s_min * (1.0 + 1e-12), 2.0 * law.s_min, 40.0])
+    law.check(law.s_min)
+    law.check(s)
+    args = (np.array([0.0, 3.0, 8.0, 15.0]), s, np.array([-1.0, 0.0, 0.5, 2.0]))
+    assert law.evaluate(*args).tobytes() == law.psi(*args).tobytes()

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import GS, TRI
 from trafficlab import (CollisionError, ConfigurationError, ConstantLeader,
-                        GreenshieldsDiagram, PiecewiseConstantLeader,
+                        EvaluationError, GreenshieldsDiagram, PiecewiseConstantLeader,
                         PlatoonState, Ring, SinusoidLeader, SolverFault,
-                        TrafficLabError, TriangularDiagram, make_fvdm, make_gfm,
+                        TabulatedDiagram, TrafficLabError, TriangularDiagram,
+                        make_arz_cf, make_aw_rascle_cf, make_fvdm, make_gfm,
                         make_idm, make_idm_alt, make_jwz_cf, make_linear_gm,
                         make_nonlinear_gm, make_ovm, make_third_order,
                         rankine_hugoniot_speed, simulate_continuous,
@@ -104,6 +105,20 @@ class TestContinuous:
             simulate_continuous(law, init, ConstantLeader(0.0), 0.1, 100)
         assert exc.value.vehicle == 1
         assert 0.0 < exc.value.time < 2.0
+
+    def test_custom_law_check_inside_psi_propagates(self):
+        # The solver calls psi unchecked above s_min, so a law whose s_min lies
+        # outside its domain raises from its own psi, and that error escapes.
+        def psi(v, s, dv):
+            if np.fmin.reduce(s, axis=None) < 8.0:
+                raise EvaluationError("custom law needs s >= 8")
+            return dv / 2.0
+
+        law = AccelerationLaw("custom", {}, psi, s_min=0.1)
+        init = PlatoonState(time=0.0, positions=np.array([0.0, -10.0, -20.0]),
+                            speeds=np.array([0.0, 5.0, 5.0]))
+        with pytest.raises(EvaluationError, match="custom law needs s >= 8"):
+            simulate_platoons([(law, init, ConstantLeader(0.0))] * 2, 0.1, 100)
 
     def test_speed_clamping_counted(self):
         # an acceleration-delayed speed-difference follower is underdamped
@@ -288,12 +303,16 @@ def reference_simulate_continuous(law: AccelerationLaw, initial: PlatoonState,
 
 
 TRI_FD, GS_FD = TriangularDiagram(**TRI), GreenshieldsDiagram(**GS)
+TAB_FD = TabulatedDiagram(k_table=np.array([0.0, 0.03, 0.06, 0.2]),
+                          q_table=np.array([0.0, 0.6, 0.75, 0.0]))
 REFERENCE_LAWS = (
     make_ovm(0.6, TRI_FD), make_ovm(1.0, GS_FD), make_fvdm(0.6, 0.5, TRI_FD),
     make_idm(1.0, 1.5, 4.0, 20.0, 1.0, 2.0), make_idm_alt(1.0, 1.5, 4.0, 20.0, 1.0, 2.0),
     make_gfm(2.0, 0.5, 2.0, 1.0, 5.0, TRI_FD), make_nonlinear_gm(1.0, 1, 1),
     make_nonlinear_gm(1.0, 400, 1),  # v**400 overflows above about 5.9 m/s
-    make_jwz_cf(1.0, 2.0, GS_FD), make_linear_gm(0.5),
+    make_jwz_cf(1.0, 2.0, GS_FD), make_linear_gm(0.5), make_ovm(0.8, TAB_FD),
+    make_aw_rascle_cf(lambda k: 0.5 + 2.0 * k, lambda k: -3.0 * k, TRI_FD),
+    make_arz_cf(GS_FD),
 )
 
 
