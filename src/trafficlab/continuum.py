@@ -186,8 +186,8 @@ def solve_second_order_batch(scenarios) -> list:
     of its members meets in its own run, with that run's exception (type and
     text). Each member takes its own substep count and ``dt_s`` each step and
     is masked once it has taken them. Everything but the law runs once for
-    the batch, and each distinct law once per substep on its members' rows, so
-    every member is bitwise its own one-member run.
+    the batch, and each stack of laws (see :func:`law_spans`) once per substep
+    on its members' rows, so every member is bitwise its own one-member run.
     """
     if len({(sc.grid, sc.dt, sc.steps, sc.record_every, type(sc.boundary))
             for sc in scenarios}) > 1:
@@ -211,12 +211,14 @@ def solve_second_order_batch(scenarios) -> list:
     zeros, p_dv, psi = np.zeros((3, n, cells))
 
     def by_law(mask, out, fn, x, y, z):
-        # out[rows] = fn(law, x, y, z) on each law's rows in mask (True: all rows)
-        for law, lo, hi in spans:
-            rows = range(lo, hi) if mask is True else np.flatnonzero(mask[lo:hi]) + lo
+        # out[rows] = fn(law, x, y, z, **columns) on each stack's rows in mask (True: all)
+        for law, lo, hi, columns in spans:
+            rows = range(hi - lo) if mask is True else np.flatnonzero(mask[lo:hi])
+            idx, cols = (lo if hi - lo == 1 else slice(lo, hi)), columns
+            if len(rows) < hi - lo:  # the columns follow the rows
+                idx, cols = rows + lo, {name: c[rows] for name, c in columns.items()}
             if len(rows):
-                idx = rows[0] if len(rows) == 1 else slice(lo, hi) if len(rows) == hi - lo else rows
-                out[idx] = fn(law, x[idx], y[idx], z[idx])
+                out[idx] = fn(law, x[idx], y[idx], z[idx], **cols)
 
     def derive():  # the state's arrays that the speed bound and a substep share
         k_eff = np.maximum(k, DENSITY_FLOOR)
@@ -226,7 +228,7 @@ def solve_second_order_batch(scenarios) -> list:
     def speed_bound(k_eff, s_raw, s_arg, v_pos):
         # Advection speed of the speed equation is v - psi_dv / k after
         # linearizing the source in v_x; bound both split terms.
-        by_law(True, p_dv, lambda law, *a: partials_at(law, *a)[2], v_pos, s_arg, zeros)
+        by_law(True, p_dv, lambda *a, **c: partials_at(*a, **c)[2], v_pos, s_arg, zeros)
         return np.maximum.reduce(v_pos + np.abs(p_dv) / k_eff, axis=1).tolist()
 
     shared = derive()
@@ -268,7 +270,8 @@ def solve_second_order_batch(scenarios) -> list:
             k_new = k - ratio * (flux_out - flux_in)
             grad_fwd = (v_dn - v) / dx
             # s_arg >= s_min, inside the law's domain: the bare formula suffices.
-            by_law(took, psi, lambda law, *a: law.psi(*a), v_pos, s_arg, grad_fwd / k_eff)
+            by_law(took, psi, lambda law, *a, **c: law.psi(*a, **c), v_pos, s_arg,
+                   grad_fwd / k_eff)
             v_new = v + dt_col * (-v * (v - v_up) / dx + psi)
 
             below = v_new < 0.0

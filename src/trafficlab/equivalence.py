@@ -292,6 +292,10 @@ class EquivalenceReport:
     fault: str = ""
 
 
+# The faults that make a report "incomparable"; any other exception propagates.
+_RUN_FAULTS = (CollisionError, SolverFault, DomainError, EvaluationError)
+
+
 def _incomparable(scenario: str, model: str, resolution: str,
                   exc: Exception) -> EquivalenceReport:
     """The report of a run that could not be compared: NaN norms and the fault."""
@@ -357,7 +361,7 @@ def compare_second_order(law: AccelerationLaw, scenario: RingScenario,
         cf_field, pde_scenario = _prepare_second_order(law, scenario, cells, cf_surface)
         pde_field, _ = solve_second_order(pde_scenario)
         return _finish_second_order(law, scenario, cells, cf_field, pde_field)
-    except (CollisionError, SolverFault, DomainError, EvaluationError) as exc:
+    except _RUN_FAULTS as exc:
         return _incomparable(scenario.name, law.name, f"cells={cells}", exc)
 
 
@@ -433,12 +437,14 @@ def _isolated(run, members, *args) -> list:
 
 
 def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
-    """Execute all suite entries; failures are isolated per report.
+    """Execute all suite entries; run faults are isolated per report.
 
     Each distinct car-following arm runs once, and the continuum arms of one
     resolution run as one :func:`solve_second_order_batch`; a batch of either
-    arm that raises runs each member alone (:func:`_isolated`). Every report,
-    faults included, equals the standalone :func:`compare_second_order`.
+    arm that raises runs each member alone (:func:`_isolated`). Every report
+    equals the standalone :func:`compare_second_order`, faults included; where
+    that raises (a :class:`ConfigurationError`), the suite raises the first
+    such entry's exception.
     """
     rings = [replace(e.ring, name=e.scenario) for e in entries]
     arms = _car_following_arms([(e.law, e.ring) for e in entries])
@@ -456,6 +462,9 @@ def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
             runs[i] = result if isinstance(result, Exception) else _outcome(
                 _finish_second_order, entries[i].law, rings[i], entries[i].cells,
                 runs[i][0], result[0])
+    for run in runs:
+        if isinstance(run, Exception) and not isinstance(run, _RUN_FAULTS):
+            raise run
     return [run if isinstance(run, EquivalenceReport) else
             _incomparable(ring.name, e.law.name, f"cells={e.cells}", run)
             for e, ring, run in zip(entries, rings, runs)]

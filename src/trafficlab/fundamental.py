@@ -36,7 +36,8 @@ def _ret(arr: np.ndarray, scalar: bool):
 
 
 class _SpacingForm:
-    """Every diagram's jam spacing and ``theta``: the spacing check, then ``_theta``."""
+    """Every diagram's jam spacing, ``theta`` and ``theta_prime``: the spacing
+    check, then the bare ``_theta`` or ``_theta_prime``."""
 
     @property
     def jam_spacing(self) -> float:
@@ -49,6 +50,11 @@ class _SpacingForm:
         s, scalar = _as_array(s)
         self._check_spacing(s)
         return _ret(self._theta(s), scalar)
+
+    def theta_prime(self, s):
+        s, scalar = _as_array(s)
+        self._check_spacing(s)
+        return _ret(self._theta_prime(s), scalar)
 
 
 @dataclass(frozen=True)
@@ -86,12 +92,10 @@ class TriangularDiagram(_SpacingForm):
     def _theta(self, s):
         return np.minimum(self.v_f, self.w * (self.k_j * s - 1.0))
 
-    def theta_prime(self, s):
-        s, scalar = _as_array(s)
-        self._check_spacing(s)
+    def _theta_prime(self, s):
         s_break = (self.v_f / self.w + 1.0) / self.k_j
         # Kink at s_break: report the congested-branch slope there.
-        return _ret(np.where(s <= s_break, self.w * self.k_j, 0.0), scalar)
+        return np.where(s <= s_break, self.w * self.k_j, 0.0)
 
     def eta(self, k):
         k, scalar = _as_array(k)
@@ -141,10 +145,8 @@ class GreenshieldsDiagram(_SpacingForm):
         # Analytic extension for every s >= 1/k_j; tends to v_f as s -> inf.
         return self.v_f * (1.0 - 1.0 / (s * self.k_j))
 
-    def theta_prime(self, s):
-        s, scalar = _as_array(s)
-        self._check_spacing(s)
-        return _ret(self.v_f / (s**2 * self.k_j), scalar)
+    def _theta_prime(self, s):
+        return self.v_f / (s * s * self.k_j)  # a float's s**2 is pow(), not s * s
 
     def eta(self, k):
         k, scalar = _as_array(k)
@@ -215,12 +217,10 @@ class TabulatedDiagram(_SpacingForm):
     def _theta(self, s):
         return s * np.interp(1.0 / s, self.k_table, self.q_table)
 
-    def theta_prime(self, s):
-        s, scalar = _as_array(s)
-        self._check_spacing(s)
+    def _theta_prime(self, s):
         h = 1e-6 * self.jam_spacing
         lo = np.maximum(s - h, self.jam_spacing)
-        return _ret((self._theta(s + h) - self._theta(lo)) / (s + h - lo), scalar)
+        return (self._theta(s + h) - self._theta(lo)) / (s + h - lo)
 
     def eta(self, k):
         k, scalar = _as_array(k)

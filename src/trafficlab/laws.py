@@ -10,11 +10,17 @@ so evaluators accept scalars or equal-shaped arrays. ``psi`` is the bare
 formula: ``evaluate``, ``jerk`` and :func:`partials_at` run the law's domain
 ``check`` first, and the solvers call ``psi`` on spacings that their own test
 keeps at or above ``s_min``, which every built-in law puts inside its domain.
+The batch solvers call ``psi`` once per stack of laws (:func:`law_spans`):
+laws of one form (linear and nonlinear GM, OVM, GFM, both IDMs, FVDM, JWZ;
+one diagram object) stack with their constants as columns. Third-order,
+Aw-Rascle, ARZ and custom laws, and a law whose ``psi`` was replaced, stack
+only with equal laws.
 """
 
 from __future__ import annotations
 
 import enum
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -35,7 +41,9 @@ class AccelerationLaw:
     """A car-following rule ``accel = psi(v, s, dv)`` plus metadata.
 
     ``psi`` is the bare formula and ``check(s)`` raises where the law is
-    undefined; :meth:`evaluate` runs both. ``partials`` (when present)
+    undefined; :meth:`evaluate` runs both. A built-in ``psi`` and ``partials``
+    take the law's float constants as keyword-only arguments, which default
+    to its own values (see :func:`law_spans`). ``partials`` (when present)
     returns the analytic gradient ``(psi_v, psi_s, psi_dv)``; otherwise
     :func:`partials_at` falls back to central differences. ``time_scale`` is
     the smallest relaxation-like time constant, used to guard explicit
@@ -92,13 +100,14 @@ def make_linear_gm(T: float) -> AccelerationLaw:
     if T <= 0:
         raise ParameterError("linear GM needs T > 0")
 
-    def psi(v, s, dv):
+    def psi(v, s, dv, *, T=T):
         return dv / T
 
-    def partials(v, s, dv):
+    def partials(v, s, dv, *, T=T):
         z = np.zeros_like(np.asarray(v, dtype=float))
         return z, z, z + 1.0 / T
 
+    psi.stack_key = partials.stack_key = ("linear_gm",)
     return AccelerationLaw("linear_gm", {"T": T}, psi, partials, time_scale=T)
 
 
@@ -110,16 +119,17 @@ def make_nonlinear_gm(a: float, m: int, l: int) -> AccelerationLaw:
         raise ParameterError("nonlinear GM exponents m, l must be nonnegative integers")
     m, l = int(m), int(l)
 
-    def psi(v, s, dv):
+    def psi(v, s, dv, *, a=a):
         return a * np.power(v, m) * dv / np.power(s, l)
 
-    def partials(v, s, dv):
+    def partials(v, s, dv, *, a=a):
         v = np.asarray(v, dtype=float)
         p_v = a * m * np.power(v, m - 1) * dv / np.power(s, l) if m > 0 else np.zeros_like(v)
         p_s = -a * l * np.power(v, m) * dv / np.power(s, l + 1)
         p_dv = a * np.power(v, m) / np.power(s, l)
         return p_v, p_s + np.zeros_like(v), p_dv + np.zeros_like(v)
 
+    psi.stack_key = partials.stack_key = ("nonlinear_gm", m, l)
     return AccelerationLaw(
         "nonlinear_gm", {"a": a, "m": m, "l": l}, psi, partials, time_scale=1.0 / a,
         check=_check_spacing_positive,
@@ -131,13 +141,14 @@ def make_ovm(T: float, fd: FundamentalDiagram) -> AccelerationLaw:
     if T <= 0:
         raise ParameterError("OVM needs T > 0")
 
-    def psi(v, s, dv):
+    def psi(v, s, dv, *, T=T):
         return (fd._theta(s) - v) / T
 
-    def partials(v, s, dv):
+    def partials(v, s, dv, *, T=T):
         z = np.zeros_like(np.asarray(v, dtype=float))
-        return z - 1.0 / T, fd.theta_prime(s) / T + z, z
+        return z - 1.0 / T, fd._theta_prime(s) / T + z, z
 
+    psi.stack_key = partials.stack_key = ("ovm", id(fd))
     return AccelerationLaw(
         "ovm", {"T": T}, psi, partials,
         s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T, check=fd._check_spacing,
@@ -157,22 +168,23 @@ def make_gfm(T: float, T_brake: float, d: float, tau: float, R: float,
     if d <= 0 or tau <= 0 or R <= 0:
         raise ParameterError("GFM needs d, tau, R > 0")
 
-    def psi(v, s, dv):
+    def psi(v, s, dv, *, T=T, T_brake=T_brake, d=d, tau=tau, R=R):
         gate = _heaviside(-np.asarray(dv, dtype=float))
         exp_term = np.exp(-(s - (d + tau * v)) / R)
         return (fd._theta(s) - v) / T + dv * gate / T_brake * exp_term
 
-    def partials(v, s, dv):
+    def partials(v, s, dv, *, T=T, T_brake=T_brake, d=d, tau=tau, R=R):
         # Kinked at dv = 0; the closing-side contribution is gated off there.
         v = np.asarray(v, dtype=float)
         gate = _heaviside(-np.asarray(dv, dtype=float))
         exp_term = np.exp(-(s - (d + tau * v)) / R)
         brake = dv * gate / T_brake * exp_term
         p_v = -1.0 / T + brake * tau / R
-        p_s = fd.theta_prime(s) / T - brake / R
+        p_s = fd._theta_prime(s) / T - brake / R
         p_dv = gate / T_brake * exp_term
         return p_v + 0 * v, p_s + 0 * v, p_dv + 0 * v
 
+    psi.stack_key = partials.stack_key = ("gfm", id(fd))
     return AccelerationLaw(
         "gfm", {"T": T, "T_brake": T_brake, "d": d, "tau": tau, "R": R},
         psi, partials, s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T_brake,
@@ -188,21 +200,20 @@ def _make_idm(name: str, a: float, b: float, delta: float, v_f: float,
         raise ParameterError("IDM needs delta >= 1")
     two_sqrt_ab = 2.0 * math.sqrt(a * b)
 
-    def gap(v, dv):
-        return d + tau * v + closing_sign * v * dv / two_sqrt_ab
+    def psi(v, s, dv, *, a=a, v_f=v_f, tau=tau, d=d, two_sqrt_ab=two_sqrt_ab):
+        g = d + tau * v + closing_sign * v * dv / two_sqrt_ab
+        return a * (1.0 - np.power(v / v_f, delta) - (g / s) ** 2)
 
-    def psi(v, s, dv):
-        return a * (1.0 - np.power(v / v_f, delta) - (gap(v, dv) / s) ** 2)
-
-    def partials(v, s, dv):
+    def partials(v, s, dv, *, a=a, v_f=v_f, tau=tau, d=d, two_sqrt_ab=two_sqrt_ab):
         v = np.asarray(v, dtype=float)
-        g = gap(v, dv)
+        g = d + tau * v + closing_sign * v * dv / two_sqrt_ab
         p_v = a * (-delta * np.power(v / v_f, delta - 1.0) / v_f
                    - 2.0 * g / s**2 * (tau + closing_sign * dv / two_sqrt_ab))
         p_s = 2.0 * a * g**2 / s**3
         p_dv = -2.0 * a * g / s**2 * (closing_sign * v / two_sqrt_ab)
         return p_v, p_s + 0 * v, p_dv + 0 * v
 
+    psi.stack_key = partials.stack_key = (name, delta, closing_sign)
     return AccelerationLaw(
         name, {"a": a, "b": b, "delta": delta, "v_f": v_f, "tau": tau, "d": d},
         psi, partials, s_min=0.1, v_free=v_f, time_scale=min(tau, v_f / a),
@@ -238,13 +249,14 @@ def make_fvdm(T: float, lam: float, fd: FundamentalDiagram) -> AccelerationLaw:
     if lam < 0:
         raise ParameterError("FVDM needs lambda >= 0")
 
-    def psi(v, s, dv):
+    def psi(v, s, dv, *, T=T, lam=lam):
         return (fd._theta(s) - v) / T + lam * dv
 
-    def partials(v, s, dv):
+    def partials(v, s, dv, *, T=T, lam=lam):
         z = np.zeros_like(np.asarray(v, dtype=float))
-        return z - 1.0 / T, fd.theta_prime(s) / T + z, z + lam
+        return z - 1.0 / T, fd._theta_prime(s) / T + z, z + lam
 
+    psi.stack_key = partials.stack_key = ("fvdm", id(fd))
     time_scale = min(T, 1.0 / lam) if lam > 0 else T
     return AccelerationLaw(
         "fvdm", {"T": T, "lambda": lam}, psi, partials,
@@ -312,13 +324,14 @@ def make_jwz_cf(T: float, c0: float, fd: FundamentalDiagram) -> AccelerationLaw:
     if c0 < 0:
         raise ParameterError("JWZ needs c0 >= 0")
 
-    def psi(v, s, dv):
+    def psi(v, s, dv, *, T=T, c0=c0):
         return (fd._theta(s) - v) / T + c0 * dv / s
 
-    def partials(v, s, dv):
+    def partials(v, s, dv, *, T=T, c0=c0):
         z = np.zeros_like(np.asarray(v, dtype=float))
-        return z - 1.0 / T, fd.theta_prime(s) / T - c0 * dv / s**2 + z, z + c0 / s
+        return z - 1.0 / T, fd._theta_prime(s) / T - c0 * dv / s**2 + z, z + c0 / s
 
+    psi.stack_key = partials.stack_key = ("jwz", id(fd))
     return AccelerationLaw(
         "jwz", {"T": T, "c0": c0}, psi, partials,
         s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T, check=fd._check_spacing,
@@ -345,16 +358,17 @@ def make_third_order(inner: AccelerationLaw, t_delay: float) -> AccelerationLaw:
     )
 
 
-def partials_at(law: AccelerationLaw, v, s, dv):
+def partials_at(law: AccelerationLaw, v, s, dv, **columns):
     """Gradient (psi_v, psi_s, psi_dv) at a point, analytic when available.
 
-    Both run the law's domain check at ``s``. Finite-difference steps are
-    relative with absolute floors since model scales span several orders of
-    magnitude.
+    Both run the law's domain check at ``s``. ``columns`` are a stacked
+    span's constants (see :func:`law_spans`), passed on to the analytic
+    partials. Finite-difference steps are relative with absolute floors since
+    model scales span several orders of magnitude.
     """
     if law.partials is not None:
         law.check(s)
-        return law.partials(v, s, dv)
+        return law.partials(v, s, dv, **columns)
     v = np.asarray(v, dtype=float)
     s = np.asarray(s, dtype=float)
     dv = np.asarray(dv, dtype=float)
@@ -367,16 +381,35 @@ def partials_at(law: AccelerationLaw, v, s, dv):
     return p_v, p_s, p_dv
 
 
-def law_spans(laws) -> tuple[list[int], list[tuple[AccelerationLaw, int, int]]]:
-    """An order of the members that puts equal laws side by side, and each
-    distinct law (in order of first appearance) with the first and the
-    past-the-end place of its members in that order."""
+def law_spans(laws) -> tuple[list[int], list[tuple[AccelerationLaw, int, int, dict]]]:
+    """An order of the members that puts the laws of one stack side by side,
+    and each stack (in order of first appearance) as the law to call, the
+    first and the past-the-end place of its members in that order, and the
+    columns to call it with.
+
+    A second-order law stacks as its factory built it (``psi`` wrapped or
+    not): its ``psi`` and ``partials`` carry one ``stack_key`` (the form, its
+    structural arguments, its diagram by identity) and the same constants.
+    Laws with equal keys and ``check`` stack, and the columns map each
+    keyword-only constant to a (members, 1) array of the members' own values,
+    so one call ``law.psi(v, s, dv, **columns)`` gives each row the bits of
+    its own law. The columns are empty where the members' laws are equal.
+    Any other law stacks only with laws equal to it.
+    """
+    kernels = [(inspect.unwrap(law.psi), inspect.unwrap(law.partials)) for law in laws]
+    keys = [(f.stack_key, law.check) if law.order is LawOrder.SECOND
+            and getattr(f, "stack_key", None) == getattr(p, "stack_key", False)
+            and f.__kwdefaults__ == p.__kwdefaults__ else law
+            for law, (f, p) in zip(laws, kernels)]
     perm: list[int] = []
-    spans: list[tuple[AccelerationLaw, int, int]] = []
-    for b, law in enumerate(laws):
-        if all(law != known for known, _, _ in spans):
-            rows = [c for c in range(b, len(laws)) if laws[c] == law]
-            spans.append((law, len(perm), len(perm) + len(rows)))
+    spans: list[tuple[AccelerationLaw, int, int, dict]] = []
+    for b, key in enumerate(keys):
+        if all(key != keys[perm[lo]] for _, lo, _, _ in spans):
+            rows = [c for c in range(b, len(laws)) if keys[c] == key]
+            columns = {} if all(laws[c] == laws[b] for c in rows) else {
+                name: np.array([[kernels[c][0].__kwdefaults__[name]] for c in rows], dtype=float)
+                for name in kernels[b][0].__kwdefaults__}
+            spans.append((laws[b], len(perm), len(perm) + len(rows), columns))
             perm += rows
     return perm, spans
 

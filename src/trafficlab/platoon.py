@@ -187,8 +187,8 @@ def simulate_platoons(members, dt: float, steps: int,
     leader profile the followers are vehicles 1..n-1, and vehicle 0 (column 0
     of the surface) takes the profile's exact displacement, speed and
     acceleration. Everything but the law runs once for the whole batch, and
-    each distinct law is evaluated once per stage on a view of its members,
-    so every member is bitwise its own one-member run.
+    each stack of laws (see :func:`law_spans`) is evaluated once per stage on
+    a view of its members, so every member is bitwise its own one-member run.
 
     Speeds are clamped at zero after each step; clamp counts are reported on
     each surface. A spacing at or below a law's minimum at any stage aborts
@@ -211,8 +211,8 @@ def simulate_platoons(members, dt: float, steps: int,
         _validate_ordering(initial, boundary)
     if not members:
         return []
-    # The state keeps the members of one law side by side (batch row p holds
-    # member perm[p]), so each law is evaluated on a view of its rows.
+    # The state keeps the members of one stack side by side (batch row p holds
+    # member perm[p]), so each stack is evaluated on a view of its rows.
     perm, spans = law_spans([law for law, _, _ in members])
     laws, initials, boundaries = zip(*(members[b] for b in perm))
     ring = isinstance(boundaries[0], Ring)
@@ -246,10 +246,10 @@ def simulate_platoons(members, dt: float, steps: int,
     s, dv = gaps  # spacing and speed gap; v is the clamped speed
     s_flat = s.reshape(-1)  # a view: a 1-d reduction costs less than axis=None
     total, twice = np.empty((2,) + y.shape)  # the RK4 sum and a doubled rate
-    evals = []  # each law with its rows, as an int (one member) or a slice
-    for law, lo, hi in spans:
+    evals = []  # each stack's law, rows (an int for one member, else a slice), columns
+    for law, lo, hi, columns in spans:
         idx = lo if hi - lo == 1 else slice(lo, hi)
-        evals.append((law, idx, v[idx], s[idx], dv[idx]))
+        evals.append((law, idx, columns, v[idx], s[idx], dv[idx]))
     s_min = np.array([law.s_min for law in laws])[:, None]
     s_floor = s_min.max()  # a spacing above every member's minimum needs no closer look
     if ring:
@@ -291,8 +291,8 @@ def simulate_platoons(members, dt: float, steps: int,
                 member, vehicle = where(closed)
                 raise CollisionError(t, vehicle, member)
         np.maximum(x[1], 0.0, out=v)
-        for law, idx, *args in evals:
-            target = law.psi(*args)
+        for law, idx, columns, *args in evals:
+            target = law.psi(*args, **columns)
             out[idx] = (target - accel[idx]) / law.t_delay if third else target
 
     def stage(j, h):  # stage j sees y + h * (stage j - 1's rates)

@@ -312,6 +312,17 @@ class TestExitCodes:
         assert f"suite.entries[{index}].scenario" in capsys.readouterr().err
         assert not list((tmp_path / "o").rglob("*.csv"))
 
+    def test_compare_suite_config_fault_exits_2(self, tmp_path, capsys):
+        # the stable IDM arm breaks the continuum CFL limit, as simulate-pde would
+        doc = json.loads(json.dumps(DEMO_CONFIG))
+        doc["suite"]["ring"].update(horizon=12.0, compare_points=4, dt_pde=1.5)
+        doc["suite"]["resolutions"] = [40]
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["compare", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "CFL number 1.251 exceeds 0.9 (reduce pde.dt)" in capsys.readouterr().err
+        assert not list((tmp_path / "o").rglob("*.csv"))
+
     @pytest.mark.parametrize("below_file", [False, True],
                              ids=["out-is-file", "out-below-file"])
     def test_bad_out_names_out(self, demo_config, tmp_path, capsys, below_file):

@@ -1,5 +1,6 @@
 """Finite-volume/upwind solvers: oracles, conservation, boundedness."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from trafficlab import (AccelerationLaw, ConfigurationError, EulerianScenario,
                         solve_second_order, solve_second_order_batch, total_vehicles)
 from trafficlab.equivalence import front_position
 
-from conftest import TRI
+from conftest import TRI, stackable_pairs
 
 
 def riemann_scenario(fd, k_l, k_r, x_jump, dx, length, horizon, cfl=0.45):
@@ -362,6 +363,25 @@ class TestBatch:
                  for sc in members]
         assert len(set(first)) == 3
         assert_members_match(members)
+
+    @pytest.mark.parametrize("form", sorted(stackable_pairs(TRI_FD)))
+    def test_same_form_members_with_different_substep_counts(self, form):
+        a, b = stackable_pairs(TRI_FD)[form]
+        members = [ring_member(b, 0.08, 0.05, 2.0, dt=0.25),
+                   ring_member(a, 0.1, 0.05, 12.0, dt=0.25),
+                   ring_member(b, 0.06, 0.2, 6.0, dt=0.25)]
+        results = assert_members_match(members)
+        # members of one stack take different substep counts: the masked path ran
+        assert len({stats.substeps for _, stats in results}) > 1
+
+    def test_replaced_partials_keep_their_own_speed_bound(self):
+        slow = make_ovm(0.9, TRI_FD)  # stacks with OVM until its partials are replaced
+        steep = dataclasses.replace(slow, partials=lambda v, s, dv: (
+            *slow.partials(v, s, dv)[:2], np.full(np.shape(v), 2.0)))
+        members = [ring_member(OVM, 0.08, 0.05, 3.0, dt=0.25),
+                   ring_member(steep, 0.08, 0.05, 3.0, dt=0.25)]
+        results = assert_members_match(members)
+        assert results[1][1].substeps > results[0][1].substeps
 
     def test_inflow_batch(self, tri):
         members = [ring_member(law, 0.06, 0.1, float(tri.eta(0.06)), dt=0.25,

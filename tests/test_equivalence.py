@@ -104,15 +104,15 @@ class TestSecondOrder:
         assert math.isfinite(rep.growth_cf) and math.isfinite(rep.growth_pde)
         assert rep.growth_cf < 0 < rep.growth_pde
 
-    def test_degenerate_law_rejected_directly_isolated_in_suite(self, tri):
-        from trafficlab import ConfigurationError
-        with pytest.raises(ConfigurationError):
+    def test_degenerate_law_rejected_directly_and_in_suite(self, tri):
+        with pytest.raises(ConfigurationError, match="steady state") as alone:
             compare_second_order(make_linear_gm(1.0), RING, 20)
-        reports = run_suite([SuiteEntry(scenario="degenerate",
-                                        law=make_linear_gm(1.0),
-                                        ring=RING, cells=20)])
-        assert reports[0].verdict == "incomparable"
-        assert "steady state" in reports[0].fault
+        with pytest.raises(ConfigurationError) as suite:
+            run_suite([SuiteEntry(scenario="stable", law=make_ovm(0.4, tri), ring=RING,
+                                  cells=20),
+                       SuiteEntry(scenario="degenerate", law=make_linear_gm(1.0),
+                                  ring=RING, cells=20)])
+        assert str(suite.value) == str(alone.value)
 
     def test_non_integer_vehicle_count_rejected(self, tri):
         ring = RingScenario(circumference=1000.0, k0=0.0811, amplitude=0.01,
@@ -138,10 +138,12 @@ class TestSuite:
 
     def test_fault_isolation(self, tri):
         entries = self.entries(tri, scenarios=("stable",), cells=(20,))
-        entries.insert(0, SuiteEntry(scenario="broken", law=make_linear_gm(1.0),
-                                     ring=RING, cells=20))
+        crash = RingScenario(**{**RING.__dict__, "horizon": 12.0, "amplitude": 0.9})
+        entries.insert(0, SuiteEntry(scenario="broken", law=make_ovm(0.4, tri),
+                                     ring=crash, cells=20))
         reports = run_suite(entries)
         assert reports[0].verdict == "incomparable"
+        assert reports[0].fault.startswith("spacing below minimum")
         assert reports[1].verdict != "incomparable"
 
     def test_car_following_arm_shared_across_resolutions(self, tri, monkeypatch):
@@ -181,7 +183,6 @@ class TestSuite:
 
     @pytest.mark.parametrize("law, amplitude", [
         pytest.param(make_ovm(0.4, TriangularDiagram(**TRI)), 0.9, id="collision"),
-        pytest.param(make_linear_gm(1.0), 0.01, id="no-steady-state"),
     ])
     def test_failing_arm_reported_at_every_resolution(self, law, amplitude):
         ring = RingScenario(**{**RING.__dict__, "horizon": 12.0,
@@ -190,13 +191,9 @@ class TestSuite:
                    for c in (10, 20, 40)]
         reports = run_suite(entries)
         for entry, report in zip(entries, reports):
-            try:
-                alone = compare_second_order(law, ring, entry.cells)
-                fault = alone.fault
-            except ConfigurationError as exc:
-                fault = str(exc)
+            alone = compare_second_order(law, ring, entry.cells)
             assert report.verdict == "incomparable"
-            assert report.fault == fault != ""
+            assert report.fault == alone.fault != ""
             assert report.resolution == f"cells={entry.cells}"
 
     def test_failing_arm_integrated_once(self, monkeypatch):
@@ -282,9 +279,16 @@ class TestSuite:
         doc["suite"]["ring"].update(horizon=12.0, compare_points=4, dt_pde=1.5)
         doc["suite"]["resolutions"] = [40]
         entries = build_suite(doc)
-        alone = [compare_second_order(
-            e.law, RingScenario(**{**e.ring.__dict__, "name": e.scenario}), e.cells)
-            for e in entries[:4] + entries[5:]]
+        # at dt_pde 1.5 s only the stable IDM arm breaks the continuum CFL limit
+        alone = []
+        for e in entries:
+            ring = RingScenario(**{**e.ring.__dict__, "name": e.scenario})
+            try:
+                alone.append(compare_second_order(e.law, ring, e.cells).verdict)
+            except ConfigurationError as exc:
+                alone.append(str(exc))
+        assert alone == ["within-threshold"] * 4 + [
+            "CFL number 1.251 exceeds 0.9 (reduce pde.dt)", "within-threshold"]
         calls = []
 
         def counting(scenarios):
@@ -293,12 +297,9 @@ class TestSuite:
 
         solve = equivalence.solve_second_order_batch
         monkeypatch.setattr(equivalence, "solve_second_order_batch", counting)
-        reports = run_suite(entries)
-        # at dt_pde 1.5 s only the stable IDM arm breaks the continuum CFL limit
-        assert (reports[4].model, reports[4].verdict) == ("idm", "incomparable")
-        assert reports[4].fault == "CFL number 1.251 exceeds 0.9 (reduce pde.dt)"
-        assert reports[:4] + reports[5:] == alone
-        assert all(r.verdict == "within-threshold" for r in alone)
+        with pytest.raises(ConfigurationError) as suite:
+            run_suite(entries)
+        assert str(suite.value) == alone[4]
         # the batch, then each arm alone
         assert calls == [6, 1, 1, 1, 1, 1, 1]
 

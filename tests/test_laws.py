@@ -1,12 +1,13 @@
 """Acceleration-law library: values, reductions, and partial derivatives."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GS, TRI
+from conftest import GS, TRI, stackable_pairs
 from trafficlab import (DomainError, EvaluationError, GreenshieldsDiagram,
                         LawOrder, ParameterError, TabulatedDiagram,
                         TrafficLabError, TriangularDiagram, idm_closed_form_density,
@@ -15,7 +16,7 @@ from trafficlab import (DomainError, EvaluationError, GreenshieldsDiagram,
                         make_idm, make_idm_alt, make_jwz_cf, make_linear_gm,
                         make_nonlinear_gm, make_ovm, make_third_order,
                         partials_at)
-from trafficlab.laws import MODEL_CATALOG
+from trafficlab.laws import MODEL_CATALOG, law_spans
 
 
 def finite_difference_partials(law, v, s, dv):
@@ -245,6 +246,48 @@ class TestPartialsConsistency:
         s = np.array([10.0, 12.0])
         out = law.evaluate(v, s, np.zeros(2))
         np.testing.assert_allclose(out, [0.0, tri.theta(12.0) - 6.0])
+
+
+class TestStacking:
+    """Laws of one built-in form evaluate as one call, each row bitwise its own."""
+
+    @pytest.mark.parametrize("form", sorted(stackable_pairs(TriangularDiagram(**TRI))))
+    def test_stacked_rows_match_their_own_laws(self, form, tri, rng):
+        a, b = stackable_pairs(tri)[form]
+        laws = [b, a, b]
+        perm, spans = law_spans(laws)
+        assert perm == [0, 1, 2] and len(spans) == 1
+        law, lo, hi, columns = spans[0]
+        assert (law, lo, hi) == (b, 0, 3)
+        assert all(c.shape == (3, 1) for c in columns.values()) and columns
+        v, s, dv = (rng.uniform(low, high, (3, 7))
+                    for low, high in ((0.5, 20.0), (6.0, 60.0), (-3.0, 3.0)))
+        stacked = [law.psi(v, s, dv, **columns), *partials_at(law, v, s, dv, **columns)]
+        for row, member in enumerate(perm):
+            own = laws[member]
+            alone = [own.psi(v[row], s[row], dv[row]),
+                     *partials_at(own, v[row], s[row], dv[row])]
+            for got, want in zip(stacked, alone):
+                assert got[row].tobytes() == np.asarray(want, dtype=float).tobytes()
+
+    def test_what_stacks_only_with_equal_laws(self, tri):
+        a, b = stackable_pairs(tri)["ovm"]
+        replaced = dataclasses.replace(b, psi=lambda v, s, dv: b.psi(v, s, dv))
+
+        def traced(*args, **columns):
+            return b.psi(*args, **columns)
+
+        traced.__wrapped__ = b.psi  # a wrapper that names its kernel stacks as it does
+        slow, fast = make_third_order(a, 0.3), make_third_order(b, 1.0)
+        arz = make_arz_cf(tri)
+        own_partials = dataclasses.replace(b, partials=lambda v, s, dv: b.partials(v, s, dv))
+        laws = [a, replaced, dataclasses.replace(b, psi=traced), slow, fast, slow, arz, arz,
+                own_partials]
+        perm, spans = law_spans(laws)
+        assert perm == [0, 2, 1, 3, 5, 4, 6, 7, 8]
+        assert [(laws[perm[lo]], lo, hi, bool(columns)) for _, lo, hi, columns in spans] == [
+            (a, 0, 2, True), (replaced, 2, 3, False), (slow, 3, 5, False),
+            (fast, 5, 6, False), (arz, 6, 8, False), (own_partials, 8, 9, False)]
 
 
 @given(v=st.floats(min_value=0.0, max_value=40.0),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GS, TRI
+from conftest import GS, TRI, stackable_pairs
 from trafficlab import (CollisionError, ConfigurationError, ConstantLeader,
                         EvaluationError, GreenshieldsDiagram, PiecewiseConstantLeader,
                         PlatoonState, Ring, SinusoidLeader, SolverFault,
@@ -410,11 +410,13 @@ class TestBatch:
     """Every member of a batch is bitwise its own one-member run."""
 
     @staticmethod
-    def members(kind, third):
-        ovm = make_ovm(0.6, TRI_FD)
-        laws = [ovm, make_idm(1.0, 1.5, 4.0, 20.0, 1.0, 2.0), ovm, make_fvdm(0.6, 0.5, GS_FD)]
-        if third:
-            laws = [make_third_order(law, 0.3) for law in laws]
+    def members(kind, third, laws=None):
+        if laws is None:
+            ovm = make_ovm(0.6, TRI_FD)
+            laws = [ovm, make_idm(1.0, 1.5, 4.0, 20.0, 1.0, 2.0), ovm,
+                    make_fvdm(0.6, 0.5, GS_FD)]
+            if third:
+                laws = [make_third_order(law, 0.3) for law in laws]
         members = []
         for b, law in enumerate(laws):
             jitter = 0.2 * np.sin(np.arange(6) * (b + 1.0))
@@ -434,6 +436,45 @@ class TestBatch:
         for batched, own in zip(simulate_platoons(members, 0.02, 150, record_every=7),
                                 alone):
             assert_same_surface(batched, own.slice_steps(0, None, 7))
+
+    @pytest.mark.parametrize("third", [False, True], ids=["second", "third"])
+    @pytest.mark.parametrize("kind", ["ring", "sinusoid"])
+    @pytest.mark.parametrize("form", sorted(stackable_pairs(TRI_FD)))
+    def test_same_form_members_match_their_own_runs(self, form, kind, third):
+        a, b = stackable_pairs(TRI_FD)[form]
+        laws = [b, a, b]
+        if third:  # the inner laws share a form, the delays differ
+            laws = [make_third_order(b, 0.3), make_third_order(a, 1.0),
+                    make_third_order(b, 1.0)]
+        members = self.members(kind, third, laws)
+        alone = [simulate_continuous(*m, 0.02, 150) for m in members]
+        for batched, own in zip(simulate_platoons(members, 0.02, 150), alone):
+            assert_same_surface(batched, own)
+
+    def test_stacks_beside_custom_and_replaced_laws(self):
+        a, b = stackable_pairs(TRI_FD)["fvdm"]
+        laws = [a, make_aw_rascle_cf(lambda k: 0.5 + 2.0 * k, lambda k: -3.0 * k, TRI_FD),
+                b, dataclasses.replace(b, psi=lambda v, s, dv: b.psi(v, s, dv)),
+                make_arz_cf(TRI_FD), a]
+        members = self.members("sinusoid", False, laws)
+        alone = [simulate_continuous(*m, 0.02, 150) for m in members]
+        for batched, own in zip(simulate_platoons(members, 0.02, 150), alone):
+            assert_same_surface(batched, own)
+
+    def test_same_form_laws_are_evaluated_together(self):
+        shapes = []
+
+        def traced(law):  # a copy whose psi names its kernel, as a tracer's does
+            def psi(*args, **columns):
+                shapes.append(np.shape(args[0]))
+                return law.psi(*args, **columns)
+            psi.__wrapped__ = law.psi
+            return dataclasses.replace(law, psi=psi)
+
+        a, b = (traced(law) for law in stackable_pairs(TRI_FD)["ovm"])
+        members = [(law, uniform_platoon(6, 12.5, 6.0), Ring(75.0)) for law in (a, b, a)]
+        simulate_platoons(members, 0.02, 10)
+        assert shapes == [(3, 6)] * 40
 
     def test_each_distinct_law_is_evaluated_once_per_stage(self):
         shapes = {}
@@ -486,6 +527,23 @@ class TestBatch:
         assert str(batched.value) == str(alone.value).replace(
             "vehicle", "member 1, vehicle")
         assert alone.value.member is None
+
+    def test_collision_in_a_stack_names_its_member(self):
+        crash = PlatoonState(time=0.0, positions=np.array([0.0, -10.0]),
+                             speeds=np.array([0.0, 20.0]))
+        calm = PlatoonState(time=0.0, positions=np.array([0.0, -100.0]),
+                            speeds=np.array([0.0, 0.0]))
+        sluggish = make_linear_gm(2.0)  # too sluggish to avoid the stopped leader
+        with pytest.raises(CollisionError) as alone:
+            simulate_continuous(sluggish, crash, ConstantLeader(0.0), 0.05, 200)
+        # the linear GMs stack as batch rows 0 and 1, the OVM is row 2
+        members = [(make_linear_gm(1.0), calm, ConstantLeader(0.0)),
+                   (make_ovm(0.6, TRI_FD), calm, ConstantLeader(0.0)),
+                   (sluggish, crash, ConstantLeader(0.0))]
+        with pytest.raises(CollisionError) as batched:
+            simulate_platoons(members, 0.05, 200)
+        assert batched.value.member == 2
+        assert str(batched.value) == str(alone.value).replace("vehicle", "member 2, vehicle")
 
     @pytest.mark.parametrize("boundary", [Ring(500.0), ConstantLeader(7.5)],
                              ids=["ring", "open-road"])
