@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .continuum import (EulerianScenario, Periodic, InflowOutflow, solve_lwr_godunov,
-                        solve_second_order, solve_second_order_batch)
+                        solve_second_order_batch)
 from .errors import (CollisionError, ConfigurationError, DomainError,
                      EvaluationError, SolverFault)
 from .fundamental import FundamentalDiagram, GreenshieldsDiagram, TriangularDiagram
@@ -30,8 +30,7 @@ from .laws import AccelerationLaw
 from .platoon import (ConstantLeader, PlatoonState, Ring, simulate_newell,
                       simulate_platoons)
 from .steady_state import EquilibriumStatus, solve_equilibrium_speed
-from .transforms import (EulerianField, SpatialGrid, TrajectorySurface,
-                         to_eulerian, to_trajectories)
+from .transforms import EulerianField, SpatialGrid, to_eulerian, to_trajectories
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +302,6 @@ def _incomparable(scenario: str, model: str, resolution: str,
                              verdict="incomparable", fault=str(exc))
 
 
-def _steps_for(total: float, dt: float, what: str) -> int:
-    steps = int(round(total / dt))
-    if steps < 1 or abs(steps * dt - total) > 1e-9 * max(total, 1.0):
-        raise ConfigurationError(f"{what}: dt={dt:g} does not divide horizon {total:g}")
-    return steps
-
-
 def _mode_amplitude(k_rows: np.ndarray) -> np.ndarray:
     # One rfft per row: a batched rfft(axis=1) rounds differently in the last digits.
     return np.array([2.0 * abs(np.fft.rfft(row)[1]) / row.size for row in k_rows])
@@ -338,31 +330,33 @@ def ring_initial_state(law: AccelerationLaw, scenario: RingScenario) -> PlatoonS
     return PlatoonState(time=0.0, positions=x, speeds=np.full(n, res.speed))
 
 
-def _arm_run(law: AccelerationLaw, scenario: RingScenario):
-    """The batch member, step count and record stride of a car-following arm."""
-    steps_cf = _steps_for(scenario.horizon, scenario.dt_cf, "dt_cf")
-    if steps_cf % scenario.compare_points:
+def _ring_steps(scenario: RingScenario) -> tuple[int, int]:
+    """The car-following and continuum step counts over the horizon."""
+    horizon, steps = scenario.horizon, []
+    for what, dt in (("dt_cf", scenario.dt_cf), ("dt_pde", scenario.dt_pde)):
+        steps.append(int(round(horizon / dt)))
+        if steps[-1] < 1 or abs(steps[-1] * dt - horizon) > 1e-9 * max(horizon, 1.0):
+            raise ConfigurationError(f"{what}: dt={dt:g} does not divide horizon {horizon:g}")
+    if any(n % scenario.compare_points for n in steps):
         raise ConfigurationError("compare_points must divide both step counts")
+    return steps[0], steps[1]
+
+
+def _arm_run(law: AccelerationLaw, scenario: RingScenario):
+    """A car-following arm as a batch item: the member, then the step size,
+    step count and record stride it runs with."""
+    steps_cf, _ = _ring_steps(scenario)
     member = (law, ring_initial_state(law, scenario), Ring(scenario.circumference))
-    return member, steps_cf, steps_cf // scenario.compare_points
+    return member, scenario.dt_cf, steps_cf, steps_cf // scenario.compare_points
 
 
 def compare_second_order(law: AccelerationLaw, scenario: RingScenario,
-                         cells: int, *, cf_surface: TrajectorySurface | None = None,
-                         ) -> EquivalenceReport:
-    """One paired ring run at the given continuum resolution.
-
-    ``cf_surface`` is the car-following arm of the same law and ring, recorded
-    at the compare points (see :func:`run_suite`); without it the arm runs
-    here. The continuum arm starts from the car-following arm's first row,
-    reconstructed on the resolution's grid.
+                         cells: int) -> EquivalenceReport:
+    """One paired ring run at the given continuum resolution: the one-entry
+    :func:`run_suite`. The continuum arm starts from the car-following arm's
+    first row, reconstructed on the resolution's grid.
     """
-    try:
-        cf_field, pde_scenario = _prepare_second_order(law, scenario, cells, cf_surface)
-        pde_field, _ = solve_second_order(pde_scenario)
-        return _finish_second_order(law, scenario, cells, cf_field, pde_field)
-    except _RUN_FAULTS as exc:
-        return _incomparable(scenario.name, law.name, f"cells={cells}", exc)
+    return run_suite([SuiteEntry(scenario.name, law, scenario, cells)])[0]
 
 
 def _prepare_second_order(law: AccelerationLaw, scenario: RingScenario, cells: int,
@@ -370,21 +364,15 @@ def _prepare_second_order(law: AccelerationLaw, scenario: RingScenario, cells: i
     """The car-following field on the resolution's grid, and the continuum run.
     ``cf_surface`` may be the exception the arm raised: it is raised here, where
     the arm would have run."""
-    n_cmp = scenario.compare_points
-    steps_cf = _steps_for(scenario.horizon, scenario.dt_cf, "dt_cf")
-    steps_pde = _steps_for(scenario.horizon, scenario.dt_pde, "dt_pde")
-    if steps_cf % n_cmp or steps_pde % n_cmp:
-        raise ConfigurationError("compare_points must divide both step counts")
+    _, steps_pde = _ring_steps(scenario)
     grid = SpatialGrid(0.0, scenario.circumference / cells, cells)
-    if cf_surface is None:
-        (cf_surface,) = _car_following_arms([(law, scenario)])
     if isinstance(cf_surface, Exception):
         raise cf_surface
     cf_field = to_eulerian(cf_surface, grid)
     return cf_field, EulerianScenario(
         grid=grid, dt=scenario.dt_pde, steps=steps_pde,
         initial_density=cf_field.density[0], initial_speed=cf_field.speed[0],
-        boundary=Periodic(), law=law, record_every=steps_pde // n_cmp)
+        boundary=Periodic(), law=law, record_every=steps_pde // scenario.compare_points)
 
 
 def _finish_second_order(law: AccelerationLaw, scenario: RingScenario, cells: int,
@@ -436,59 +424,62 @@ def _isolated(run, members, *args) -> list:
     return [_isolated(run, [member], *args)[0] for member in members]
 
 
+def _batched(run, items: list, key) -> list:
+    """One result per item: an item that is an exception passes through, and
+    an item ``(member, *args)`` gets ``run``'s result for its member. Items of
+    one ``key(item)`` run as one ``run(members, *args)`` (:func:`_isolated`)."""
+    results = list(items)
+    batches: dict[tuple, list[int]] = {}
+    for i, item in enumerate(items):
+        if not isinstance(item, Exception):
+            batches.setdefault(key(item), []).append(i)
+    for batch in batches.values():
+        members = [items[i][0] for i in batch]
+        for i, result in zip(batch, _isolated(run, members, *items[batch[0]][1:])):
+            results[i] = result
+    return results
+
+
 def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
     """Execute all suite entries; run faults are isolated per report.
 
     Each distinct car-following arm runs once, and the continuum arms of one
     resolution run as one :func:`solve_second_order_batch`; a batch of either
-    arm that raises runs each member alone (:func:`_isolated`). Every report
-    equals the standalone :func:`compare_second_order`, faults included; where
-    that raises (a :class:`ConfigurationError`), the suite raises the first
-    such entry's exception.
+    arm that raises runs each member alone (:func:`_batched`). Every report
+    equals the entry's own one-entry suite, faults included; where that raises
+    (a :class:`ConfigurationError`), the suite raises the first such entry's
+    exception.
     """
     rings = [replace(e.ring, name=e.scenario) for e in entries]
     arms = _car_following_arms([(e.law, e.ring) for e in entries])
-    # Per entry: (car-following field, continuum run), then the report; or its fault.
+    # Per entry: (car-following field, continuum run), or its fault.
     runs = [_outcome(_prepare_second_order, e.law, ring, e.cells, arm)
             for e, ring, arm in zip(entries, rings, arms)]
-    batches: dict[tuple, list[int]] = {}
-    for i, run in enumerate(runs):
-        if not isinstance(run, Exception):
-            pde = run[1]
-            batches.setdefault((pde.grid, pde.dt, pde.steps, pde.record_every), []).append(i)
-    for batch in batches.values():
-        solved = _isolated(solve_second_order_batch, [runs[i][1] for i in batch])
-        for i, result in zip(batch, solved):
-            runs[i] = result if isinstance(result, Exception) else _outcome(
-                _finish_second_order, entries[i].law, rings[i], entries[i].cells,
-                runs[i][0], result[0])
-    for run in runs:
-        if isinstance(run, Exception) and not isinstance(run, _RUN_FAULTS):
-            raise run
-    return [run if isinstance(run, EquivalenceReport) else
-            _incomparable(ring.name, e.law.name, f"cells={e.cells}", run)
-            for e, ring, run in zip(entries, rings, runs)]
+    solved = _batched(solve_second_order_batch,
+                      [run if isinstance(run, Exception) else (run[1],) for run in runs],
+                      key=lambda item: (item[0].grid, item[0].dt, item[0].steps,
+                                        item[0].record_every))
+    reports = [result if isinstance(result, Exception) else _outcome(
+        _finish_second_order, e.law, ring, e.cells, run[0], result[0])
+        for e, ring, run, result in zip(entries, rings, runs, solved)]
+    for report in reports:
+        if isinstance(report, Exception) and not isinstance(report, _RUN_FAULTS):
+            raise report
+    return [report if isinstance(report, EquivalenceReport) else
+            _incomparable(ring.name, e.law.name, f"cells={e.cells}", report)
+            for e, ring, report in zip(entries, rings, reports)]
 
 
 def _car_following_arms(arms: list[tuple[AccelerationLaw, RingScenario]]) -> list:
     """Each (law, ring) arm's surface, recorded at the compare points, or the
     exception the arm raised. Equal arms run once. Arms with the same step size,
     step count, stride, vehicle count and law order run as one batch of
-    :func:`simulate_platoons`; when a batch raises, each of its arms runs again
-    alone, so a faulty arm keeps its standalone exception."""
+    :func:`simulate_platoons` (:func:`_batched`)."""
     distinct: list[tuple[AccelerationLaw, RingScenario]] = []
     for arm in arms:
         if arm not in distinct:
             distinct.append(arm)
-    surfaces = [_outcome(_arm_run, law, ring) for law, ring in distinct]
-    batches: dict[tuple, list[int]] = {}
-    for a, run in enumerate(surfaces):
-        if not isinstance(run, Exception):
-            (law, initial, _), steps, stride = run
-            key = (distinct[a][1].dt_cf, steps, stride, initial.n_vehicles, law.order)
-            batches.setdefault(key, []).append(a)
-    for (dt, steps, stride, _, _), batch in batches.items():
-        members = [surfaces[a][0] for a in batch]
-        for a, surface in zip(batch, _isolated(simulate_platoons, members, dt, steps, stride)):
-            surfaces[a] = surface
+    surfaces = _batched(simulate_platoons, [_outcome(_arm_run, *arm) for arm in distinct],
+                        key=lambda item: (*item[1:], item[0][1].n_vehicles,
+                                          item[0][0].order))
     return [surfaces[distinct.index(arm)] for arm in arms]

@@ -87,30 +87,37 @@ def string_stability_exact(law: AccelerationLaw, v0: float, s0: float) -> ExactS
     p_v, p_s, p_dv = (float(p) for p in partials_at(law, v0, s0, 0.0))
     margin = p_v**2 - 2.0 * p_v * p_dv - 2.0 * p_s
 
-    def ratio_mag(log_w: float) -> float:
-        return abs(amplification_ratio(law, v0, s0, math.exp(log_w)))
+    def ratio_mag(omega):
+        # |amplification_ratio| on these partials; omega is a float or an array
+        num = p_s + 1j * omega * p_dv
+        den = -omega**2 - 1j * omega * p_v + p_s + 1j * omega * p_dv
+        vanishing = np.flatnonzero(abs(den) < 1e-14)
+        if vanishing.size:
+            omega = np.atleast_1d(omega)[vanishing[0]]
+            raise SingularityError(f"amplification denominator vanishes at omega={omega:g}")
+        return abs(num / den)
 
     lo, hi = math.log(OMEGA_RANGE[0]), math.log(OMEGA_RANGE[1])
     probes = np.linspace(lo, hi, _N_PROBE)
-    mags = np.array([ratio_mag(lw) for lw in probes])
+    mags = ratio_mag(np.exp(probes))
     i_best = int(np.argmax(mags))
     a = probes[max(i_best - 1, 0)]
     b = probes[min(i_best + 1, _N_PROBE - 1)]
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = ratio_mag(c), ratio_mag(d)
+    fc, fd = ratio_mag(math.exp(c)), ratio_mag(math.exp(d))
     for _ in range(60):
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = ratio_mag(d)
+            fd = ratio_mag(math.exp(d))
         else:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = ratio_mag(c)
+            fc = ratio_mag(math.exp(c))
     log_w = 0.5 * (a + b)
-    worst = max(ratio_mag(log_w), float(mags[i_best]))
+    worst = max(ratio_mag(math.exp(log_w)), float(mags[i_best]))
     return ExactStringStability(stable=margin > 0.0,
                                 worst_omega=math.exp(log_w),
                                 worst_ratio=worst, margin=margin)

@@ -104,15 +104,50 @@ class TestSecondOrder:
         assert math.isfinite(rep.growth_cf) and math.isfinite(rep.growth_pde)
         assert rep.growth_cf < 0 < rep.growth_pde
 
-    def test_degenerate_law_rejected_directly_and_in_suite(self, tri):
-        with pytest.raises(ConfigurationError, match="steady state") as alone:
-            compare_second_order(make_linear_gm(1.0), RING, 20)
+    @pytest.mark.parametrize("law, change, fault", [
+        (None, dict(dt_cf=0.07, dt_pde=0.11), "dt_cf: dt=0.07 does not divide horizon 12"),
+        (None, dict(dt_pde=0.11, k0=0.0811), "dt_pde: dt=0.11 does not divide horizon 12"),
+        (None, dict(compare_points=7), "compare_points must divide both step counts"),
+        (make_linear_gm(1.0), {},
+         "linear_gm has no unique steady state at k0=0.08 (degenerate)"),
+        (None, dict(amplitude=0.9), "spacing below minimum at t=0 s, vehicle 29"),
+    ], ids=["dt_cf", "dt_pde", "compare_points", "degenerate", "collision"])
+    def test_faults_take_the_same_precedence_directly_and_in_suite(self, tri, law,
+                                                                   change, fault):
+        # Where a case breaks two checks, the one checked first names the fault.
+        base = RingScenario(**{**RING.__dict__, "horizon": 12.0, "name": "broken"})
+        ring = RingScenario(**{**base.__dict__, **change})
+        law = law or make_ovm(0.4, tri)
+        entries = [SuiteEntry("broken", make_ovm(0.4, tri), base, 20),
+                   SuiteEntry("broken", law, ring, 20)]
+        if fault.startswith("spacing"):
+            report = compare_second_order(law, ring, 20)
+            assert (report.verdict, report.fault) == ("incomparable", fault)
+            reports = run_suite(entries)
+            assert reports[1] == report and reports[0].verdict == "within-threshold"
+            return
+        with pytest.raises(ConfigurationError) as alone:
+            compare_second_order(law, ring, 20)
         with pytest.raises(ConfigurationError) as suite:
-            run_suite([SuiteEntry(scenario="stable", law=make_ovm(0.4, tri), ring=RING,
-                                  cells=20),
-                       SuiteEntry(scenario="degenerate", law=make_linear_gm(1.0),
-                                  ring=RING, cells=20)])
-        assert str(suite.value) == str(alone.value)
+            run_suite(entries)
+        assert str(alone.value) == str(suite.value) == fault
+
+    def test_one_batch_call_per_arm(self, tri, monkeypatch):
+        from trafficlab import equivalence
+        calls = []
+
+        def counting(run):
+            def counted(members, *args):
+                calls.append((run.__name__, len(members)))
+                return run(members, *args)
+            return counted
+
+        for name in ("simulate_platoons", "solve_second_order_batch"):
+            monkeypatch.setattr(equivalence, name, counting(getattr(equivalence, name)))
+        ring = RingScenario(**{**RING.__dict__, "horizon": 12.0})
+        report = compare_second_order(make_ovm(0.4, tri), ring, 20)
+        assert report.verdict == "within-threshold"
+        assert calls == [("simulate_platoons", 1), ("solve_second_order_batch", 1)]
 
     def test_non_integer_vehicle_count_rejected(self, tri):
         ring = RingScenario(circumference=1000.0, k0=0.0811, amplitude=0.01,

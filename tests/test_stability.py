@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from trafficlab import (AccelerationLaw, SingularityError, amplification_ratio,
-                        continuum_linear_stability, make_fvdm, make_ovm,
-                        stability_map, stability_report,
+from trafficlab import (AccelerationLaw, SingularityError, TriangularDiagram,
+                        amplification_ratio, continuum_linear_stability, make_fvdm,
+                        make_idm, make_ovm, stability_map, stability_report,
                         string_stability_exact, string_stability_classic)
 from trafficlab.stability import continuum_coefficients
+
+from conftest import TRI
 
 
 def synthetic_law(p_v, p_s, p_dv, v0=10.0, s0=20.0):
@@ -89,6 +91,31 @@ class TestStringStability:
             sweep_stable = exact.worst_ratio <= 1.0 + 1e-6
             agree += (sweep_stable == exact.stable)
         assert agree == 50
+
+    def test_sweep_stops_at_a_pole(self):
+        # psi_v = psi_dv: the denominator is psi_s - w^2, zero at w = sqrt(psi_s)
+        with pytest.raises(SingularityError,
+                           match=r"^amplification denominator vanishes at omega=0\.707107$"):
+            string_stability_exact(synthetic_law(0.3, 0.5, 0.3), 10.0, 20.0)
+
+    @pytest.mark.parametrize("law", [
+        make_ovm(0.7, TriangularDiagram(**TRI)),
+        make_fvdm(0.8, 0.05, TriangularDiagram(**TRI)),
+        make_idm(0.5, 3.0, 4, 30.0, 1.5, 2.0),
+    ], ids=["ovm", "fvdm", "idm"])
+    def test_worst_frequency_matches_closed_form(self, law):
+        # With u = w^2, d|ratio|^2/du = 0 at the positive root of
+        # psi_dv^2 u^2 + 2 psi_s^2 u + psi_s^2 margin = 0 (u = -margin/2 when
+        # psi_dv = 0), written in the form that stays exact as psi_dv -> 0.
+        rep = stability_report(law, 0.08)
+        p_s, p_dv = rep.psi_s, rep.psi_dv
+        margin = rep.psi_v**2 - 2.0 * rep.psi_v * p_dv - 2.0 * p_s
+        assert margin < 0
+        u = -p_s**2 * margin / (p_s**2 + abs(p_s) * math.sqrt(p_s**2 - p_dv**2 * margin))
+        omega = math.sqrt(u)
+        assert rep.worst_omega == pytest.approx(omega, rel=1e-6)
+        peak = abs(amplification_ratio(law, rep.v0, rep.s0, omega))
+        assert rep.worst_ratio == pytest.approx(peak, rel=1e-12)
 
     def test_report_notes_disagreement(self, tri):
         rep = stability_report(make_fvdm(1.0, 0.6, tri), 0.1)
