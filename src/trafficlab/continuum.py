@@ -186,8 +186,9 @@ def solve_second_order_batch(scenarios) -> list:
     of its members meets in its own run, with that run's exception (type and
     text). Each member takes its own substep count and ``dt_s`` each step and
     is masked once it has taken them. Everything but the law runs once for
-    the batch, and each stack of laws (see :func:`law_spans`) once per substep
-    on its members' rows, so every member is bitwise its own one-member run.
+    the batch, and each stack of laws (a run of neighbouring members, see
+    :func:`law_spans`) once per substep on all its rows, so every member is
+    bitwise its own one-member run.
     """
     if len({(sc.grid, sc.dt, sc.steps, sc.record_every, type(sc.boundary))
             for sc in scenarios}) > 1:
@@ -197,28 +198,23 @@ def solve_second_order_batch(scenarios) -> list:
         return []
     for sc in scenarios:
         _check_second_order(sc)
-    perm, spans = law_spans([sc.law for sc in scenarios])
-    runs = [scenarios[b] for b in perm]  # batch row p is scenario perm[p]
-    n, grid, dt, every = len(runs), runs[0].grid, runs[0].dt, runs[0].record_every
-    cells, dx, periodic = grid.cells, grid.dx, isinstance(runs[0].boundary, Periodic)
-    k = np.array([sc.initial_density for sc in runs])
-    v = np.array([sc.initial_speed for sc in runs])
-    s_min = np.array([[sc.law.s_min] for sc in runs])
-    free = np.array([[sc.law.v_free is not None] for sc in runs])
-    v_free = np.array([[sc.law.v_free or 0.0] for sc in runs])
+    spans = law_spans([sc.law for sc in scenarios])
+    first = scenarios[0]
+    n, grid, dt, every = len(scenarios), first.grid, first.dt, first.record_every
+    cells, dx, periodic = grid.cells, grid.dx, isinstance(first.boundary, Periodic)
+    k = np.array([sc.initial_density for sc in scenarios])
+    v = np.array([sc.initial_speed for sc in scenarios])
+    s_min = np.array([[sc.law.s_min] for sc in scenarios])
+    free = np.array([[sc.law.v_free is not None] for sc in scenarios])
+    v_free = np.array([[sc.law.v_free or 0.0] for sc in scenarios])
     if not periodic:
-        k_in, v_in = np.array([[sc.boundary.k_in, sc.boundary.v_in or 0.0] for sc in runs]).T
+        k_in, v_in = np.array([[sc.boundary.k_in, sc.boundary.v_in or 0.0]
+                               for sc in scenarios]).T
     zeros, p_dv, psi = np.zeros((3, n, cells))
 
-    def by_law(mask, out, fn, x, y, z):
-        # out[rows] = fn(law, x, y, z, **columns) on each stack's rows in mask (True: all)
-        for law, lo, hi, columns in spans:
-            rows = range(hi - lo) if mask is True else np.flatnonzero(mask[lo:hi])
-            idx, cols = (lo if hi - lo == 1 else slice(lo, hi)), columns
-            if len(rows) < hi - lo:  # the columns follow the rows
-                idx, cols = rows + lo, {name: c[rows] for name, c in columns.items()}
-            if len(rows):
-                out[idx] = fn(law, x[idx], y[idx], z[idx], **cols)
+    def by_law(out, fn, x, y, z):  # out[rows] = fn(law, x, y, z, **columns) per stack
+        for law, rows, columns in spans:
+            out[rows] = fn(law, x[rows], y[rows], z[rows], **columns)
 
     def derive():  # the state's arrays that the speed bound and a substep share
         k_eff = np.maximum(k, DENSITY_FLOOR)
@@ -228,7 +224,7 @@ def solve_second_order_batch(scenarios) -> list:
     def speed_bound(k_eff, s_raw, s_arg, v_pos):
         # Advection speed of the speed equation is v - psi_dv / k after
         # linearizing the source in v_x; bound both split terms.
-        by_law(True, p_dv, lambda *a, **c: partials_at(*a, **c)[2], v_pos, s_arg, zeros)
+        by_law(p_dv, lambda *a, **c: partials_at(*a, **c)[2], v_pos, s_arg, zeros)
         return np.maximum.reduce(v_pos + np.abs(p_dv) / k_eff, axis=1).tolist()
 
     shared = derive()
@@ -237,16 +233,16 @@ def solve_second_order_batch(scenarios) -> list:
     if (cfl > INIT_CFL_LIMIT).any():
         raise ConfigurationError(f"CFL number {cfl[np.argmax(cfl > INIT_CFL_LIMIT)]:.3f} "
                                  f"exceeds {INIT_CFL_LIMIT} (reduce pde.dt)")
-    if not periodic and any(sc.boundary.v_in is None for sc in runs):
+    if not periodic and any(sc.boundary.v_in is None for sc in scenarios):
         raise ConfigurationError("inflow boundary needs v_in for the second-order solver")
-    density, speed = np.empty((2, n, _record_shape(runs[0]), cells))
+    density, speed = np.empty((2, n, _record_shape(first), cells))
     density[:, 0], speed[:, 0] = k, v
     inflow, outflow = np.zeros((2, n))
     substeps, speed_clamps, dense_clamps = np.zeros((3, n), dtype=int)
     # Upstream density and speed and downstream speed of each cell.
     k_up, v_up, v_dn = np.empty((3, n, cells))
 
-    for step in range(runs[0].steps):
+    for step in range(first.steps):
         if step:  # step 0 reuses the bound of the CFL check
             shared = derive()
             bound = speed_bound(*shared)
@@ -270,8 +266,8 @@ def solve_second_order_batch(scenarios) -> list:
             k_new = k - ratio * (flux_out - flux_in)
             grad_fwd = (v_dn - v) / dx
             # s_arg >= s_min, inside the law's domain: the bare formula suffices.
-            by_law(took, psi, lambda law, *a, **c: law.psi(*a, **c), v_pos, s_arg,
-                   grad_fwd / k_eff)
+            # On every row: a member that has taken its substeps discards its own.
+            by_law(psi, lambda law, *a, **c: law.psi(*a, **c), v_pos, s_arg, grad_fwd / k_eff)
             v_new = v + dt_col * (-v * (v - v_up) / dx + psi)
 
             below = v_new < 0.0
@@ -310,11 +306,8 @@ def solve_second_order_batch(scenarios) -> list:
         if (step + 1) % every == 0:
             density[:, (step + 1) // every], speed[:, (step + 1) // every] = k, v
 
-    results: list = [None] * n
-    for p, b in enumerate(perm):
-        field = EulerianField(x0=grid.x0, dx=dx, t0=0.0, dt=dt * every,
-                              density=density[p], speed=speed[p])
-        results[b] = field, RunStats(
-            float(inflow[p]), float(outflow[p]), int(substeps[p]),
-            int(speed_clamps[p]), int(dense_clamps[p]))
-    return results
+    return [(EulerianField(x0=grid.x0, dx=dx, t0=0.0, dt=dt * every,
+                           density=density[p], speed=speed[p]),
+             RunStats(float(inflow[p]), float(outflow[p]), int(substeps[p]),
+                      int(speed_clamps[p]), int(dense_clamps[p])))
+            for p in range(n)]

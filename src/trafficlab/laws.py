@@ -10,17 +10,18 @@ so evaluators accept scalars or equal-shaped arrays. ``psi`` is the bare
 formula: ``evaluate``, ``jerk`` and :func:`partials_at` run the law's domain
 ``check`` first, and the solvers call ``psi`` on spacings that their own test
 keeps at or above ``s_min``, which every built-in law puts inside its domain.
-The batch solvers call ``psi`` once per stack of laws (:func:`law_spans`):
-laws of one form (linear and nonlinear GM, OVM, GFM, both IDMs, FVDM, JWZ;
-one diagram object) stack with their constants as columns. Third-order,
-Aw-Rascle, ARZ and custom laws, and a law whose ``psi`` was replaced, stack
-only with equal laws.
+The batch solvers call ``psi`` once per stack of laws (:func:`law_spans`), a
+run of neighbouring members: neighbouring laws of one form (linear and
+nonlinear GM, OVM, GFM, both IDMs, FVDM, JWZ; one diagram object) stack with
+their constants as columns. Third-order, Aw-Rascle, ARZ and custom laws, and
+a law whose ``psi`` was replaced, stack only with equal neighbours.
 """
 
 from __future__ import annotations
 
 import enum
 import inspect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -381,37 +382,34 @@ def partials_at(law: AccelerationLaw, v, s, dv, **columns):
     return p_v, p_s, p_dv
 
 
-def law_spans(laws) -> tuple[list[int], list[tuple[AccelerationLaw, int, int, dict]]]:
-    """An order of the members that puts the laws of one stack side by side,
-    and each stack (in order of first appearance) as the law to call, the
-    first and the past-the-end place of its members in that order, and the
-    columns to call it with.
+def law_spans(laws) -> list[tuple[AccelerationLaw, int | slice, dict]]:
+    """Each stack of a batch's laws, a run of neighbouring members, as the law
+    to call, its rows (an index for one member, else a slice, in the batch's
+    own order) and the columns to call it with.
 
     A second-order law stacks as its factory built it (``psi`` wrapped or
     not): its ``psi`` and ``partials`` carry one ``stack_key`` (the form, its
     structural arguments, its diagram by identity) and the same constants.
-    Laws with equal keys and ``check`` stack, and the columns map each
+    Neighbours with equal keys and ``check`` stack, and the columns map each
     keyword-only constant to a (members, 1) array of the members' own values,
     so one call ``law.psi(v, s, dv, **columns)`` gives each row the bits of
     its own law. The columns are empty where the members' laws are equal.
-    Any other law stacks only with laws equal to it.
+    Any other law stacks only with equal neighbours.
     """
     kernels = [(inspect.unwrap(law.psi), inspect.unwrap(law.partials)) for law in laws]
     keys = [(f.stack_key, law.check) if law.order is LawOrder.SECOND
             and getattr(f, "stack_key", None) == getattr(p, "stack_key", False)
             and f.__kwdefaults__ == p.__kwdefaults__ else law
             for law, (f, p) in zip(laws, kernels)]
-    perm: list[int] = []
-    spans: list[tuple[AccelerationLaw, int, int, dict]] = []
-    for b, key in enumerate(keys):
-        if all(key != keys[perm[lo]] for _, lo, _, _ in spans):
-            rows = [c for c in range(b, len(laws)) if keys[c] == key]
-            columns = {} if all(laws[c] == laws[b] for c in rows) else {
-                name: np.array([[kernels[c][0].__kwdefaults__[name]] for c in rows], dtype=float)
-                for name in kernels[b][0].__kwdefaults__}
-            spans.append((laws[b], len(perm), len(perm) + len(rows), columns))
-            perm += rows
-    return perm, spans
+    spans = []
+    for _, run in itertools.groupby(range(len(laws)), keys.__getitem__):
+        run = list(run)
+        lo, hi = run[0], run[-1] + 1
+        columns = {} if all(law == laws[lo] for law in laws[lo:hi]) else {
+            name: np.array([[f.__kwdefaults__[name]] for f, _ in kernels[lo:hi]], dtype=float)
+            for name in kernels[lo][0].__kwdefaults__}
+        spans.append((laws[lo], lo if hi - lo == 1 else slice(lo, hi), columns))
+    return spans
 
 
 @dataclass(frozen=True)

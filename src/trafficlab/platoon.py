@@ -187,8 +187,9 @@ def simulate_platoons(members, dt: float, steps: int,
     leader profile the followers are vehicles 1..n-1, and vehicle 0 (column 0
     of the surface) takes the profile's exact displacement, speed and
     acceleration. Everything but the law runs once for the whole batch, and
-    each stack of laws (see :func:`law_spans`) is evaluated once per stage on
-    a view of its members, so every member is bitwise its own one-member run.
+    each stack of laws (a run of neighbouring members, see :func:`law_spans`)
+    is evaluated once per stage on a view of its rows, so every member is
+    bitwise its own one-member run.
 
     Speeds are clamped at zero after each step; clamp counts are reported on
     each surface. A spacing at or below a law's minimum at any stage aborts
@@ -211,10 +212,7 @@ def simulate_platoons(members, dt: float, steps: int,
         _validate_ordering(initial, boundary)
     if not members:
         return []
-    # The state keeps the members of one stack side by side (batch row p holds
-    # member perm[p]), so each stack is evaluated on a view of its rows.
-    perm, spans = law_spans([law for law, _, _ in members])
-    laws, initials, boundaries = zip(*(members[b] for b in perm))
+    laws, initials, boundaries = zip(*members)
     ring = isinstance(boundaries[0], Ring)
     n, order = initials[0].n_vehicles, laws[0].order
     if not ring and n < 2:
@@ -225,7 +223,7 @@ def simulate_platoons(members, dt: float, steps: int,
         raise ConfigurationError(
             "batch members must share the vehicle count, law order and boundary kind")
 
-    batch, order = len(perm), order.value
+    batch, order = len(members), order.value
     third = order == 3
     first = 0 if ring else 1  # vehicle number of the front follower
     # One buffer per RK4 stage: rows [:order] hold the state the stage sees
@@ -246,10 +244,8 @@ def simulate_platoons(members, dt: float, steps: int,
     s, dv = gaps  # spacing and speed gap; v is the clamped speed
     s_flat = s.reshape(-1)  # a view: a 1-d reduction costs less than axis=None
     total, twice = np.empty((2,) + y.shape)  # the RK4 sum and a doubled rate
-    evals = []  # each stack's law, rows (an int for one member, else a slice), columns
-    for law, lo, hi, columns in spans:
-        idx = lo if hi - lo == 1 else slice(lo, hi)
-        evals.append((law, idx, columns, v[idx], s[idx], dv[idx]))
+    evals = [(law, rows, columns, v[rows], s[rows], dv[rows])
+             for law, rows, columns in law_spans(laws)]
     s_min = np.array([law.s_min for law in laws])[:, None]
     s_floor = s_min.max()  # a spacing above every member's minimum needs no closer look
     if ring:
@@ -263,7 +259,7 @@ def simulate_platoons(members, dt: float, steps: int,
 
     def where(bad):  # the first faulty (member, vehicle), as an error names it
         p, j = divmod(int(np.argmax(bad)), bad.shape[1])
-        return (None if batch == 1 else perm[p]), j + first
+        return (None if batch == 1 else p), j + first
 
     def fault(what, t, bad):
         member, vehicle = where(bad)
@@ -291,16 +287,16 @@ def simulate_platoons(members, dt: float, steps: int,
                 member, vehicle = where(closed)
                 raise CollisionError(t, vehicle, member)
         np.maximum(x[1], 0.0, out=v)
-        for law, idx, columns, *args in evals:
+        for law, rows, columns, *args in evals:
             target = law.psi(*args, **columns)
-            out[idx] = (target - accel[idx]) / law.t_delay if third else target
+            out[rows] = (target - accel[rows]) / law.t_delay if third else target
 
     def stage(j, h):  # stage j sees y + h * (stage j - 1's rates)
         np.add(y, np.multiply(rates_of[j - 1], h, states[j]), states[j])
         return frames[j]
 
     recorded = range(0, steps + 1, record_every)
-    traj = np.empty((order, batch, len(recorded), n))  # traj[:, p] is member perm[p]'s
+    traj = np.empty((order, batch, len(recorded), n))  # traj[:, p] is member p's
     traj[:, :, 0, first:] = followers
     if not ring:
         for p, leader in enumerate(boundaries):
@@ -334,13 +330,11 @@ def simulate_platoons(members, dt: float, steps: int,
     finite = np.isfinite(followers).all(axis=0)
     if not finite.all():
         raise fault("state", steps * dt, ~finite)
-    surfaces = [None] * batch
-    for p, (initial, boundary) in enumerate(zip(initials, boundaries)):
-        surfaces[perm[p]] = TrajectorySurface(
-            t0=initial.time, dt=dt * record_every, positions=traj[0, p],
-            speeds=traj[1, p], accels=traj[2, p] if third else None,
-            ring_length=boundary.length if ring else None, clamp_events=int(clamps[p]))
-    return surfaces
+    return [TrajectorySurface(
+        t0=initial.time, dt=dt * record_every, positions=traj[0, p],
+        speeds=traj[1, p], accels=traj[2, p] if third else None,
+        ring_length=boundary.length if ring else None, clamp_events=int(clamps[p]))
+        for p, (initial, boundary) in enumerate(zip(initials, boundaries))]
 
 
 def _lead_track(leader: LeaderProfile, x0: float, dt: float, steps: int):

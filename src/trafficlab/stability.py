@@ -46,17 +46,24 @@ OMEGA_RANGE = (1e-3, 1e3)
 _N_PROBE = 200
 
 
+def _ratio(p_v: float, p_s: float, p_dv: float, omega):
+    """The amplification ratio on these partials; ``omega`` is a float or an array."""
+    num = p_s + 1j * omega * p_dv
+    den = -omega**2 - 1j * omega * p_v + p_s + 1j * omega * p_dv
+    vanishing = np.flatnonzero(abs(den) < 1e-14)
+    if vanishing.size:
+        omega = np.atleast_1d(omega)[vanishing[0]]
+        raise SingularityError(f"amplification denominator vanishes at omega={omega:g}")
+    return num / den
+
+
 def amplification_ratio(law: AccelerationLaw, v0: float, s0: float,
                         omega: float) -> complex:
     """Complex follower/leader amplitude ratio at frequency ``omega``."""
     if omega <= 0:
         raise DomainError("frequency must be > 0")
     p_v, p_s, p_dv = (float(p) for p in partials_at(law, v0, s0, 0.0))
-    num = p_s + 1j * omega * p_dv
-    den = -omega**2 - 1j * omega * p_v + p_s + 1j * omega * p_dv
-    if abs(den) < 1e-14:
-        raise SingularityError(f"amplification denominator vanishes at omega={omega:g}")
-    return num / den
+    return _ratio(p_v, p_s, p_dv, omega)
 
 
 def string_stability_classic(law: AccelerationLaw, v0: float, s0: float) -> bool:
@@ -88,14 +95,7 @@ def string_stability_exact(law: AccelerationLaw, v0: float, s0: float) -> ExactS
     margin = p_v**2 - 2.0 * p_v * p_dv - 2.0 * p_s
 
     def ratio_mag(omega):
-        # |amplification_ratio| on these partials; omega is a float or an array
-        num = p_s + 1j * omega * p_dv
-        den = -omega**2 - 1j * omega * p_v + p_s + 1j * omega * p_dv
-        vanishing = np.flatnonzero(abs(den) < 1e-14)
-        if vanishing.size:
-            omega = np.atleast_1d(omega)[vanishing[0]]
-            raise SingularityError(f"amplification denominator vanishes at omega={omega:g}")
-        return abs(num / den)
+        return abs(_ratio(p_v, p_s, p_dv, omega))
 
     lo, hi = math.log(OMEGA_RANGE[0]), math.log(OMEGA_RANGE[1])
     probes = np.linspace(lo, hi, _N_PROBE)

@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 
-PAIR_SPEED_MODES = ("trailing", "leading", "mean")
-
 
 @dataclass(frozen=True)
 class SpatialGrid:
@@ -208,20 +206,16 @@ def lagrangian_derivatives(surface: TrajectorySurface, step, n) -> LagrangianDer
     return LagrangianDerivatives(X_t=X_t, X_N=X_N, X_tN=X_tN, X_NN=X_NN, X_tt=X_tt)
 
 
-def to_eulerian(surface: TrajectorySurface, grid: SpatialGrid,
-                pair_speed: str = "trailing") -> EulerianField:
+def to_eulerian(surface: TrajectorySurface, grid: SpatialGrid) -> EulerianField:
     """Reconstruct (density, speed) fields from a trajectory surface.
 
     The cumulative count N(t, x) is piecewise linear through the knots
     (X_n, n), numbered from the rearmost vehicle, so a cell's vehicle mass is
-    the difference of N at its edges. The flow integral F steps by the pair
-    speed from knot to knot; ``pair_speed`` picks the trailing (default),
-    leading or mean speed of each pair. Cell speed is flow mass over vehicle
-    mass. On a ring, one knot from each neighbouring lap closes the
+    the difference of N at its edges. The flow integral F steps by the
+    trailing vehicle's speed from knot to knot. Cell speed is flow mass over
+    vehicle mass. On a ring, one knot from each neighbouring lap closes the
     wrap-around pair. Cells left uncovered get density 0 and NaN speed.
     """
-    if pair_speed not in PAIR_SPEED_MODES:
-        raise ParameterError(f"pair_speed must be one of {PAIR_SPEED_MODES}")
     if surface.n_vehicles < 2:
         raise DomainError("need at least two vehicles to reconstruct density")
     ring = surface.ring_length
@@ -238,14 +232,8 @@ def to_eulerian(surface: TrajectorySurface, grid: SpatialGrid,
     if ring is not None:
         x = np.hstack([x[:, -1:] - ring, x, x[:, :1] + ring])
         v = np.hstack([v[:, -1:], v, v[:, :1]])
-    if pair_speed == "trailing":
-        v_pair = v[:, :-1]
-    elif pair_speed == "leading":
-        v_pair = v[:, 1:]
-    else:
-        v_pair = 0.5 * (v[:, :-1] + v[:, 1:])
     count = np.arange(x.shape[1], dtype=float)
-    flow = np.cumsum(np.hstack([np.zeros_like(x[:, :1]), v_pair]), axis=1)
+    flow = np.cumsum(np.hstack([np.zeros_like(x[:, :1]), v[:, :-1]]), axis=1)
 
     edges = grid.edges
     mass = np.empty((surface.n_steps, grid.cells))
@@ -337,8 +325,8 @@ TRANSFORM_IDENTITY_ROWS = (
 )
 
 
-def verify_transform_identities(surface: TrajectorySurface, grid: SpatialGrid,
-                  pair_speed: str = "trailing") -> dict[str, float]:
+def verify_transform_identities(surface: TrajectorySurface,
+                                grid: SpatialGrid) -> dict[str, float]:
     """Max residual per implemented transformation-identity row.
 
     One side of each row comes from vehicle/time finite differences of the
@@ -349,7 +337,7 @@ def verify_transform_identities(surface: TrajectorySurface, grid: SpatialGrid,
     """
     if surface.n_steps < 2 or grid.cells < 2:
         raise DomainError("identity residuals need two time samples and two cells")
-    field = to_eulerian(surface, grid, pair_speed=pair_speed)
+    field = to_eulerian(surface, grid)
     k = field.density.copy()
     v = field.speed
     k[np.isnan(v)] = math.nan  # exclude uncovered cells from differencing

@@ -338,6 +338,29 @@ class TestSuite:
         # the batch, then each arm alone
         assert calls == [6, 1, 1, 1, 1, 1, 1]
 
+    def test_demo_batches_arrive_as_neighbouring_stacks(self, monkeypatch):
+        """The demo suite sends one car-following batch and one continuum batch
+        per resolution, each with its six laws as three stacks of neighbours:
+        an entry order that split a stack, or a batch key that a solver refused
+        (so that every member ran alone), would change these counts."""
+        from trafficlab import continuum, laws, platoon
+        doc = copy.deepcopy(DEMO_CONFIG)
+        doc["suite"]["ring"].update(horizon=2.0, compare_points=4)
+        batches = []
+
+        def recording(module):
+            def law_spans(members):
+                spans = laws.law_spans(members)
+                batches.append((module.__name__, len(members), len(spans)))
+                return spans
+            return law_spans
+
+        for module in (platoon, continuum):
+            monkeypatch.setattr(module, "law_spans", recording(module))
+        reports = run_suite(build_suite(doc))
+        assert all(report.verdict != "incomparable" for report in reports)
+        assert batches == [("trafficlab.platoon", 6, 3)] + [("trafficlab.continuum", 6, 3)] * 3
+
     def test_summary_csv(self, tri, tmp_path):
         reports = run_suite(self.entries(tri, cells=(10,)))
         path = tmp_path / "summary.csv"

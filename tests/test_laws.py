@@ -248,27 +248,44 @@ class TestPartialsConsistency:
         np.testing.assert_allclose(out, [0.0, tri.theta(12.0) - 6.0])
 
 
+def assert_rows_are_their_own(laws, spans, rng):
+    """psi and partials_at through each stack give every row its own law's bits."""
+    v, s, dv = (rng.uniform(low, high, (len(laws), 7))
+                for low, high in ((0.5, 20.0), (6.0, 60.0), (-3.0, 3.0)))
+    stacked = np.empty((4,) + v.shape)
+    for law, rows, columns in spans:
+        stacked[:, rows] = [law.psi(v[rows], s[rows], dv[rows], **columns),
+                            *partials_at(law, v[rows], s[rows], dv[rows], **columns)]
+    for row, own in enumerate(laws):
+        alone = [own.psi(v[row], s[row], dv[row]), *partials_at(own, v[row], s[row], dv[row])]
+        for got, want in zip(stacked, alone):
+            assert got[row].tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
 class TestStacking:
-    """Laws of one built-in form evaluate as one call, each row bitwise its own."""
+    """Neighbouring laws of one built-in form evaluate as one call, each row
+    bitwise its own."""
 
     @pytest.mark.parametrize("form", sorted(stackable_pairs(TriangularDiagram(**TRI))))
     def test_stacked_rows_match_their_own_laws(self, form, tri, rng):
         a, b = stackable_pairs(tri)[form]
         laws = [b, a, b]
-        perm, spans = law_spans(laws)
-        assert perm == [0, 1, 2] and len(spans) == 1
-        law, lo, hi, columns = spans[0]
-        assert (law, lo, hi) == (b, 0, 3)
+        spans = law_spans(laws)
+        assert len(spans) == 1
+        law, rows, columns = spans[0]
+        assert (law, rows) == (b, slice(0, 3))
         assert all(c.shape == (3, 1) for c in columns.values()) and columns
-        v, s, dv = (rng.uniform(low, high, (3, 7))
-                    for low, high in ((0.5, 20.0), (6.0, 60.0), (-3.0, 3.0)))
-        stacked = [law.psi(v, s, dv, **columns), *partials_at(law, v, s, dv, **columns)]
-        for row, member in enumerate(perm):
-            own = laws[member]
-            alone = [own.psi(v[row], s[row], dv[row]),
-                     *partials_at(own, v[row], s[row], dv[row])]
-            for got, want in zip(stacked, alone):
-                assert got[row].tobytes() == np.asarray(want, dtype=float).tobytes()
+        assert_rows_are_their_own(laws, spans, rng)
+
+    @pytest.mark.parametrize("form", sorted(stackable_pairs(TriangularDiagram(**TRI))))
+    def test_interleaved_laws_form_one_stack_per_run(self, form, tri, rng):
+        pairs = stackable_pairs(tri)
+        a, a_too = pairs[form]  # these two would stack as neighbours
+        other = pairs["linear_gm" if form == "ovm" else "ovm"][0]
+        laws = [a, other, a_too]
+        spans = law_spans(laws)
+        assert spans == [(a, 0, {}), (other, 1, {}), (a_too, 2, {})]
+        assert_rows_are_their_own(laws, spans, rng)
 
     def test_what_stacks_only_with_equal_laws(self, tri):
         a, b = stackable_pairs(tri)["ovm"]
@@ -281,13 +298,11 @@ class TestStacking:
         slow, fast = make_third_order(a, 0.3), make_third_order(b, 1.0)
         arz = make_arz_cf(tri)
         own_partials = dataclasses.replace(b, partials=lambda v, s, dv: b.partials(v, s, dv))
-        laws = [a, replaced, dataclasses.replace(b, psi=traced), slow, fast, slow, arz, arz,
+        laws = [a, dataclasses.replace(b, psi=traced), replaced, slow, slow, fast, arz, arz,
                 own_partials]
-        perm, spans = law_spans(laws)
-        assert perm == [0, 2, 1, 3, 5, 4, 6, 7, 8]
-        assert [(laws[perm[lo]], lo, hi, bool(columns)) for _, lo, hi, columns in spans] == [
-            (a, 0, 2, True), (replaced, 2, 3, False), (slow, 3, 5, False),
-            (fast, 5, 6, False), (arz, 6, 8, False), (own_partials, 8, 9, False)]
+        assert [(law, rows, bool(columns)) for law, rows, columns in law_spans(laws)] == [
+            (a, slice(0, 2), True), (replaced, 2, False), (slow, slice(3, 5), False),
+            (fast, 5, False), (arz, slice(6, 8), False), (own_partials, 8, False)]
 
 
 @given(v=st.floats(min_value=0.0, max_value=40.0),

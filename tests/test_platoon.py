@@ -477,6 +477,7 @@ class TestBatch:
         assert shapes == [(3, 6)] * 40
 
     def test_each_distinct_law_is_evaluated_once_per_stage(self):
+        """One psi call per stage for each run of neighbouring equal laws."""
         shapes = {}
 
         def counted(law):
@@ -486,12 +487,21 @@ class TestBatch:
             return dataclasses.replace(law, psi=psi)
 
         ovm, idm = counted(make_ovm(0.6, TRI_FD)), counted(make_idm(1.0, 1.5, 4.0, 20.0, 1.0, 2.0))
-        members = [(law, uniform_platoon(6, 12.5, 6.0), Ring(75.0)) for law in (ovm, idm, ovm)]
-        simulate_platoons(members, 0.02, 10)
+
+        def members(*laws):
+            return [(law, uniform_platoon(6, 12.5, 6.0), Ring(75.0)) for law in laws]
+
+        simulate_platoons(members(ovm, ovm, idm), 0.02, 10)
         assert shapes == {"ovm": [(2, 6)] * 40, "idm": [(6,)] * 40}
         shapes.clear()
-        simulate_platoons(members[::2], 0.02, 10)  # one law: one call on the whole batch
+        simulate_platoons(members(ovm, ovm), 0.02, 10)  # one law: one call on the whole batch
         assert shapes == {"ovm": [(2, 6)] * 40}
+        shapes.clear()
+        # Only neighbours stack: an interleaved batch makes one call per run of them.
+        batched = simulate_platoons(members(ovm, idm, ovm), 0.02, 10)
+        assert shapes == {"ovm": [(6,)] * 80, "idm": [(6,)] * 40}
+        for surface, member in zip(batched, members(ovm, idm, ovm)):
+            assert_same_surface(surface, simulate_continuous(*member, 0.02, 10))
 
     def test_clamps_are_counted_per_member(self):
         law = make_third_order(make_linear_gm(0.5), 1.0)  # underdamped: overshoots below 0

@@ -11,8 +11,8 @@ from trafficlab import (DomainError, EulerianField, ParameterError,
                         SpatialGrid, TrajectorySurface, lagrangian_derivatives,
                         to_eulerian, to_trajectories, traveling_wave_surface,
                         verify_transform_identities)
-from trafficlab.transforms import (PAIR_SPEED_MODES, TRANSFORM_IDENTITY_ROWS,
-                                   LagrangianDerivatives, cumulative_count)
+from trafficlab.transforms import (TRANSFORM_IDENTITY_ROWS, LagrangianDerivatives,
+                                   cumulative_count)
 
 
 def uniform_surface(n_steps=4, n_veh=41, s0=25.0, v0=10.0, dt=1.0, lead_x=1000.0):
@@ -135,15 +135,6 @@ class TestToEulerian:
         assert np.isnan(field.speed[0, 0])
         assert field.density[0, 0] == 0.0
 
-    def test_pair_speed_modes(self):
-        x = np.array([[40.0, 20.0]])
-        v = np.array([[12.0, 8.0]])
-        grid = SpatialGrid(20.0, 20.0, 1)
-        for mode, expect in (("trailing", 8.0), ("leading", 12.0), ("mean", 10.0)):
-            surf = TrajectorySurface(t0=0, dt=1.0, positions=x, speeds=v)
-            field = to_eulerian(surf, grid, pair_speed=mode)
-            assert field.speed[0, 0] == pytest.approx(expect)
-
     def test_ring_covers_whole_circumference(self):
         n, L = 20, 400.0
         x = (L - 20.0 * np.arange(n))[None, :]
@@ -229,10 +220,10 @@ def _sample_linear(values, x, x0, dx):
     return (1.0 - w) * values[i0] + w * values[i0 + 1]
 
 
-def reference_verify_transform_identities(surface, grid, pair_speed="trailing"):
+def reference_verify_transform_identities(surface, grid):
     """The per-sample identity loop that the array form replaced, kept as its
     reference."""
-    field = to_eulerian(surface, grid, pair_speed=pair_speed)
+    field = to_eulerian(surface, grid)
     k = field.density.copy()
     v = field.speed
     k[np.isnan(v)] = math.nan  # exclude uncovered cells from differencing
@@ -339,19 +330,19 @@ class TestTransformIdentities:
                 == reference_verify_transform_identities(surf, grid))
 
 
-@given(case=wave_cases(), pair_speed=st.sampled_from(PAIR_SPEED_MODES))
+@given(case=wave_cases())
 @settings(max_examples=150, deadline=None)
-def test_identity_residuals_match_per_sample_reference(case, pair_speed):
+def test_identity_residuals_match_per_sample_reference(case):
     """Equal up to the last digits: ``k ** 3`` of an array and of a scalar may
     round apart by one ulp (seen in spacing_difference)."""
     surface, grid = case
     try:
-        expected = reference_verify_transform_identities(surface, grid, pair_speed)
+        expected = reference_verify_transform_identities(surface, grid)
     except ValueError:  # the reference ends in NumPy's error on a one-cell grid
         with pytest.raises(DomainError):
-            verify_transform_identities(surface, grid, pair_speed)
+            verify_transform_identities(surface, grid)
         return
-    assert (verify_transform_identities(surface, grid, pair_speed)
+    assert (verify_transform_identities(surface, grid)
             == pytest.approx(expected, rel=1e-12, abs=0.0))
 
 
@@ -387,7 +378,7 @@ def _deposit(mass, flow_mass, lo, hi, k_pair, v_pair, grid):
     flow_mass[j_lo:j_hi] += k_pair * v_pair * overlap
 
 
-def reference_to_eulerian(surface, grid, pair_speed):
+def reference_to_eulerian(surface, grid):
     """(density, speed) by depositing each vehicle pair's segment separately.
 
     The pair-by-pair construction that ``to_eulerian`` replaced; kept here
@@ -403,25 +394,14 @@ def reference_to_eulerian(surface, grid, pair_speed):
         flow_mass = np.zeros(grid.cells)
         hi_all = x[t, :-1]
         lo_all = x[t, 1:]
-        if pair_speed == "trailing":
-            v_all = speeds[t, 1:]
-        elif pair_speed == "leading":
-            v_all = speeds[t, :-1]
-        else:
-            v_all = 0.5 * (speeds[t, 1:] + speeds[t, :-1])
+        v_all = speeds[t, 1:]  # each pair moves at its trailing vehicle's speed
         gaps = hi_all - lo_all
         if ring is not None:
             gaps = np.mod(gaps, ring)
         pairs = [(lo_all[i], gaps[i], v_all[i]) for i in range(len(gaps))]
         if ring is not None:
             gap0 = (x[t, -1] + ring - x[t, 0]) % ring or ring
-            if pair_speed == "trailing":
-                v0 = speeds[t, 0]
-            elif pair_speed == "leading":
-                v0 = speeds[t, -1]
-            else:
-                v0 = 0.5 * (speeds[t, 0] + speeds[t, -1])
-            pairs.append((x[t, 0], gap0, v0))
+            pairs.append((x[t, 0], gap0, speeds[t, 0]))
         for lo, gap, v_pair in pairs:
             k_pair = 1.0 / gap
             if ring is not None:
@@ -481,9 +461,9 @@ def platoon_and_grid(draw):
     return surface, grid
 
 
-@given(case=platoon_and_grid(), pair_speed=st.sampled_from(PAIR_SPEED_MODES))
+@given(case=platoon_and_grid())
 @settings(max_examples=200, deadline=None)
-def test_cumulative_count_matches_pair_deposit(case, pair_speed):
+def test_cumulative_count_matches_pair_deposit(case):
     """The cumulative count reproduces the pair-by-pair deposit.
 
     N and F carry an absolute rounding error of about one ulp of the row's
@@ -492,8 +472,8 @@ def test_cumulative_count_matches_pair_deposit(case, pair_speed):
     the lattice leaves no sliver overlap, and speeds stay within 1-30 m/s.
     """
     surface, grid = case
-    field = to_eulerian(surface, grid, pair_speed=pair_speed)
-    density, speed = reference_to_eulerian(surface, grid, pair_speed)
+    field = to_eulerian(surface, grid)
+    density, speed = reference_to_eulerian(surface, grid)
     np.testing.assert_array_equal(np.isnan(field.speed), np.isnan(speed))
     np.testing.assert_allclose(field.density, density, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(field.speed, speed, rtol=1e-10)
