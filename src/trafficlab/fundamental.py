@@ -70,6 +70,13 @@ class TriangularDiagram(_SpacingForm):
     def __post_init__(self):
         if self.v_f <= 0 or self.w <= 0 or self.k_j <= 0:
             raise ParameterError("triangular diagram needs v_f, w, k_j > 0")
+        # _theta and _theta_prime read their constants as 0-d arrays, made
+        # once: a ufunc takes them faster than Python floats, with the same bits.
+        s_break = (self.v_f / self.w + 1.0) / self.k_j  # theta's kink
+        object.__setattr__(self, "_theta_of", tuple(
+            np.array(x, dtype=float) for x in (self.v_f, self.w, self.k_j, 1.0)))
+        object.__setattr__(self, "_theta_prime_of", tuple(
+            np.array(x, dtype=float) for x in (s_break, self.w * self.k_j, 0.0)))
 
     @property
     def time_gap(self) -> float:
@@ -90,12 +97,13 @@ class TriangularDiagram(_SpacingForm):
         return _ret(np.minimum(self.v_f * k, self.w * (self.k_j - k)), scalar)
 
     def _theta(self, s):
-        return np.minimum(self.v_f, self.w * (self.k_j * s - 1.0))
+        v_f, w, k_j, one = self._theta_of
+        return np.minimum(v_f, w * (k_j * s - one))
 
     def _theta_prime(self, s):
-        s_break = (self.v_f / self.w + 1.0) / self.k_j
+        s_break, slope, zero = self._theta_prime_of
         # Kink at s_break: report the congested-branch slope there.
-        return np.where(s <= s_break, self.w * self.k_j, 0.0)
+        return np.where(s <= s_break, slope, zero)
 
     def eta(self, k):
         k, scalar = _as_array(k)

@@ -43,15 +43,15 @@ class AccelerationLaw:
 
     ``psi`` is the bare formula and ``check(s)`` raises where the law is
     undefined; :meth:`evaluate` runs both. A built-in ``psi`` and ``partials``
-    take the law's float constants as keyword-only arguments, which default
-    to its own values (see :func:`law_spans`). ``partials`` (when present)
-    returns the analytic gradient ``(psi_v, psi_s, psi_dv)``; otherwise
-    :func:`partials_at` falls back to central differences. ``time_scale`` is
-    the smallest relaxation-like time constant, used to guard explicit
-    integrator steps. ``s_min`` is the smallest spacing at which the law may
-    be evaluated during a simulation: the solvers call ``psi`` unchecked at
-    and above it, so a law whose ``s_min`` lies outside its domain must check
-    inside its own ``psi``.
+    take the law's constants as keyword-only arguments, which default to its
+    own values, bound once as 0-d arrays (see :func:`law_spans`). ``partials``
+    (when present) returns the analytic gradient ``(psi_v, psi_s, psi_dv)``;
+    otherwise :func:`partials_at` falls back to central differences.
+    ``time_scale`` is the smallest relaxation-like time constant, used to
+    guard explicit integrator steps. ``s_min`` is the smallest spacing at
+    which the law may be evaluated during a simulation: the solvers call
+    ``psi`` unchecked at and above it, so a law whose ``s_min`` lies outside
+    its domain must check inside its own ``psi``.
     """
 
     name: str
@@ -91,6 +91,15 @@ def _check_spacing_positive(s):
         raise EvaluationError("spacing must be positive")
 
 
+def _stack(key, psi, partials) -> None:
+    """Tag a built-in law's kernels with their stack key and bind their
+    keyword-only constants, the same objects in both, as 0-d float64 arrays
+    (see :func:`law_spans`)."""
+    constants = {name: np.array(x, dtype=float) for name, x in psi.__kwdefaults__.items()}
+    psi.__kwdefaults__, partials.__kwdefaults__ = constants, dict(constants)
+    psi.stack_key = partials.stack_key = key
+
+
 def _guarded_s_min(fd: FundamentalDiagram | None) -> float:
     # Keep 1/s and theta(s) inside the diagram's domain during transients.
     return 1.01 / fd.k_j if fd is not None else 0.1
@@ -108,7 +117,7 @@ def make_linear_gm(T: float) -> AccelerationLaw:
         z = np.zeros_like(np.asarray(v, dtype=float))
         return z, z, z + 1.0 / T
 
-    psi.stack_key = partials.stack_key = ("linear_gm",)
+    _stack(("linear_gm",), psi, partials)
     return AccelerationLaw("linear_gm", {"T": T}, psi, partials, time_scale=T)
 
 
@@ -130,7 +139,7 @@ def make_nonlinear_gm(a: float, m: int, l: int) -> AccelerationLaw:
         p_dv = a * np.power(v, m) / np.power(s, l)
         return p_v, p_s + np.zeros_like(v), p_dv + np.zeros_like(v)
 
-    psi.stack_key = partials.stack_key = ("nonlinear_gm", m, l)
+    _stack(("nonlinear_gm", m, l), psi, partials)
     return AccelerationLaw(
         "nonlinear_gm", {"a": a, "m": m, "l": l}, psi, partials, time_scale=1.0 / a,
         check=_check_spacing_positive,
@@ -149,7 +158,7 @@ def make_ovm(T: float, fd: FundamentalDiagram) -> AccelerationLaw:
         z = np.zeros_like(np.asarray(v, dtype=float))
         return z - 1.0 / T, fd._theta_prime(s) / T + z, z
 
-    psi.stack_key = partials.stack_key = ("ovm", id(fd))
+    _stack(("ovm", id(fd)), psi, partials)
     return AccelerationLaw(
         "ovm", {"T": T}, psi, partials,
         s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T, check=fd._check_spacing,
@@ -185,7 +194,7 @@ def make_gfm(T: float, T_brake: float, d: float, tau: float, R: float,
         p_dv = gate / T_brake * exp_term
         return p_v + 0 * v, p_s + 0 * v, p_dv + 0 * v
 
-    psi.stack_key = partials.stack_key = ("gfm", id(fd))
+    _stack(("gfm", id(fd)), psi, partials)
     return AccelerationLaw(
         "gfm", {"T": T, "T_brake": T_brake, "d": d, "tau": tau, "R": R},
         psi, partials, s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T_brake,
@@ -214,7 +223,7 @@ def _make_idm(name: str, a: float, b: float, delta: float, v_f: float,
         p_dv = -2.0 * a * g / s**2 * (closing_sign * v / two_sqrt_ab)
         return p_v, p_s + 0 * v, p_dv + 0 * v
 
-    psi.stack_key = partials.stack_key = (name, delta, closing_sign)
+    _stack((name, delta, closing_sign), psi, partials)
     return AccelerationLaw(
         name, {"a": a, "b": b, "delta": delta, "v_f": v_f, "tau": tau, "d": d},
         psi, partials, s_min=0.1, v_free=v_f, time_scale=min(tau, v_f / a),
@@ -257,7 +266,7 @@ def make_fvdm(T: float, lam: float, fd: FundamentalDiagram) -> AccelerationLaw:
         z = np.zeros_like(np.asarray(v, dtype=float))
         return z - 1.0 / T, fd._theta_prime(s) / T + z, z + lam
 
-    psi.stack_key = partials.stack_key = ("fvdm", id(fd))
+    _stack(("fvdm", id(fd)), psi, partials)
     time_scale = min(T, 1.0 / lam) if lam > 0 else T
     return AccelerationLaw(
         "fvdm", {"T": T, "lambda": lam}, psi, partials,
@@ -332,7 +341,7 @@ def make_jwz_cf(T: float, c0: float, fd: FundamentalDiagram) -> AccelerationLaw:
         z = np.zeros_like(np.asarray(v, dtype=float))
         return z - 1.0 / T, fd._theta_prime(s) / T - c0 * dv / s**2 + z, z + c0 / s
 
-    psi.stack_key = partials.stack_key = ("jwz", id(fd))
+    _stack(("jwz", id(fd)), psi, partials)
     return AccelerationLaw(
         "jwz", {"T": T, "c0": c0}, psi, partials,
         s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T, check=fd._check_spacing,
@@ -390,11 +399,13 @@ def law_spans(laws) -> list[tuple[AccelerationLaw, int | slice, dict]]:
     A second-order law stacks as its factory built it (``psi`` wrapped or
     not): its ``psi`` and ``partials`` carry one ``stack_key`` (the form, its
     structural arguments, its diagram by identity) and the same constants.
-    Neighbours with equal keys and ``check`` stack, and the columns map each
-    keyword-only constant to a (members, 1) array of the members' own values,
-    so one call ``law.psi(v, s, dv, **columns)`` gives each row the bits of
-    its own law. The columns are empty where the members' laws are equal.
-    Any other law stacks only with equal neighbours.
+    Neighbours with equal keys and ``check`` stack. A built-in kernel's
+    keyword-only constants are 0-d arrays bound once per law, not floats: a
+    ufunc takes them faster on few-element arrays, with the same bits. The
+    columns map each constant to a (members, 1) array of the members' own
+    values, so one call ``law.psi(v, s, dv, **columns)`` gives each row the
+    bits of its own law. The columns are empty where the members' laws are
+    equal. Any other law stacks only with equal neighbours.
     """
     kernels = [(inspect.unwrap(law.psi), inspect.unwrap(law.partials)) for law in laws]
     keys = [(f.stack_key, law.check) if law.order is LawOrder.SECOND

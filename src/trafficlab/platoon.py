@@ -72,6 +72,10 @@ def uniform_platoon(n: int, spacing: float, speed: float,
 class ConstantLeader:
     v0: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.v0) and self.v0 >= 0):
+            raise ParameterError("leader speed v0 must be finite and >= 0")
+
     def speed_at(self, t: float) -> float:
         return self.v0
 
@@ -84,17 +88,17 @@ class ConstantLeader:
 
 @dataclass(frozen=True)
 class SinusoidLeader:
-    """Speed v0 + amplitude * sin(omega * t); requires amplitude <= v0."""
+    """Speed v0 + amplitude * sin(omega * t); requires |amplitude| <= v0."""
 
     v0: float
     amplitude: float
     omega: float
 
     def __post_init__(self):
-        if self.amplitude > self.v0:
-            raise ParameterError("sinusoid leader would reverse: amplitude > v0")
-        if self.omega <= 0:
-            raise ParameterError("sinusoid leader needs omega > 0")
+        if not (math.isfinite(self.v0) and abs(self.amplitude) <= self.v0):  # NaN fails
+            raise ParameterError("sinusoid leader needs finite v0 >= |amplitude|")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ParameterError("sinusoid leader needs a finite omega > 0")
 
     def speed_at(self, t: float) -> float:
         return self.v0 + self.amplitude * math.sin(self.omega * t)
@@ -120,8 +124,8 @@ class PiecewiseConstantLeader:
             raise ParameterError("piecewise leader needs matching times/speeds")
         if self.times[0] != 0.0 or any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ParameterError("breakpoints must start at 0 and increase")
-        if any(v < 0 for v in self.speeds):
-            raise ParameterError("leader speeds must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in self.speeds):
+            raise ParameterError("leader speeds must be finite and >= 0")
 
     def speed_at(self, t: float) -> float:
         idx = 0
@@ -189,7 +193,12 @@ def simulate_platoons(members, dt: float, steps: int,
     acceleration. Everything but the law runs once for the whole batch, and
     each stack of laws (a run of neighbouring members, see :func:`law_spans`)
     is evaluated once per stage on a view of its rows, so every member is
-    bitwise its own one-member run.
+    bitwise its own one-member run. Every operand in the step loop is an
+    array: the step constants (dt/2, dt, 2, dt/6 and the clamp's 0) are 0-d
+    arrays made once per call, the laws' constants are 0-d arrays bound once
+    per law, and each stage buffer's kernels are bound to their rows once per
+    call. On a platoon's few-element arrays a ufunc takes a 0-d array operand
+    faster than a Python float, with the same bits.
 
     Speeds are clamped at zero after each step; clamp counts are reported on
     each surface. A spacing at or below a law's minimum at any stage aborts
@@ -233,8 +242,6 @@ def simulate_platoons(members, dt: float, steps: int,
     stages = np.zeros((4, order + 1, batch, n - first + 1))
     states, rates_of = list(stages[:, :order]), list(stages[:, 1:])
     y = states[0]
-    frames = [(b[:2, :, 0], b[:2, :, -1], b[:2, :, :-1], b[:2, :, 1:], b[2, :, 1:],
-               b[order, :, 1:]) for b in stages]
     followers = y[:, :, 1:]
     for p, initial in enumerate(initials):
         followers[0, p], followers[1, p] = initial.positions[first:], initial.speeds[first:]
@@ -244,8 +251,20 @@ def simulate_platoons(members, dt: float, steps: int,
     s, dv = gaps  # spacing and speed gap; v is the clamped speed
     s_flat = s.reshape(-1)  # a view: a 1-d reduction costs less than axis=None
     total, twice = np.empty((2,) + y.shape)  # the RK4 sum and a doubled rate
-    evals = [(law, rows, columns, v[rows], s[rows], dv[rows])
-             for law, rows, columns in law_spans(laws)]
+    # The step loop's constants as 0-d arrays: every operand there is an array.
+    half, whole, two, sixth, zero = (np.array(c, dtype=float)
+                                     for c in (0.5 * dt, dt, 2.0, dt / 6.0, 0.0))
+    spans = law_spans(laws)
+
+    def frame(b):  # stage buffer b's views, and each stack's kernel bound to them
+        out, accel = b[order, :, 1:], b[2, :, 1:]
+        kernels = [(law.psi, (v[rows], s[rows], dv[rows]), columns, out[rows], accel[rows],
+                    np.array(law.t_delay, dtype=float) if third else None)
+                   for law, rows, columns in spans]
+        column = (b[0, :, 0], b[0, :, -1], b[1, :, 0], b[1, :, -1]) if ring else b[:2, :, 0]
+        return column, b[:2, :, :-1], b[:2, :, 1:], b[1, :, 1:], kernels
+
+    frames = [frame(b) for b in stages]
     s_min = np.array([law.s_min for law in laws])[:, None]
     s_floor = s_min.max()  # a spacing above every member's minimum needs no closer look
     if ring:
@@ -267,11 +286,12 @@ def simulate_platoons(members, dt: float, steps: int,
         return SolverFault(f"non-finite {what} at t={t:.6g} s, {named}vehicle {vehicle}")
 
     def rates(t, frame, lead):  # fills the frame's last rate row
-        column, rear, leaders, x, accel, out = frame
+        column, leaders, x, speed, kernels = frame
         # The front follower's leader: the lead vehicle, or the rear one a lap on.
         if ring:
-            np.add(rear[0], lengths, column[0])
-            column[1] = rear[1]
+            x_front, x_rear, v_front, v_rear = column
+            np.add(x_rear, lengths, x_front)
+            v_front[...] = v_rear
         else:
             column[...] = lead
         np.subtract(leaders, x, gaps)
@@ -286,10 +306,12 @@ def simulate_platoons(members, dt: float, steps: int,
             if closed.any():
                 member, vehicle = where(closed)
                 raise CollisionError(t, vehicle, member)
-        np.maximum(x[1], 0.0, out=v)
-        for law, rows, columns, *args in evals:
-            target = law.psi(*args, **columns)
-            out[rows] = (target - accel[rows]) / law.t_delay if third else target
+        np.maximum(speed, zero, out=v)
+        for psi, args, columns, out, accel, t_delay in kernels:
+            if third:  # jerk = (target - acceleration) / t_delay
+                np.divide(np.subtract(psi(*args, **columns), accel, out), t_delay, out)
+            else:
+                out[...] = psi(*args, **columns)
 
     def stage(j, h):  # stage j sees y + h * (stage j - 1's rates)
         np.add(y, np.multiply(rates_of[j - 1], h, states[j]), states[j])
@@ -305,21 +327,21 @@ def simulate_platoons(members, dt: float, steps: int,
                 traj[o, p, :, 0] = np.fromiter((profile(i * dt) for i in recorded), float,
                                                len(recorded))
     speeds = followers[1]
-    clamps, half = np.zeros(batch, dtype=int), 0.5 * dt
+    clamps, (k1, k2, k3, k4) = np.zeros(batch, dtype=int), rates_of
     leads = (None,) * 3  # lead vehicle at the step's start, midpoint and end
     for i in range(steps):
-        t = i * dt
+        t, t_mid = i * dt, i * dt + 0.5 * dt
         if not ring:
             leads = fronts[i], halves[i], fronts[i + 1]
         rates(t, frames[0], leads[0])
-        rates(t + half, stage(1, half), leads[1])
-        rates(t + half, stage(2, half), leads[1])
-        rates(t + dt, stage(3, dt), leads[2])
+        rates(t_mid, stage(1, half), leads[1])
+        rates(t_mid, stage(2, half), leads[1])
+        rates(t + dt, stage(3, whole), leads[2])
         # y += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), in that order
-        np.add(rates_of[0], np.multiply(rates_of[1], 2, total), total)
-        total += np.multiply(rates_of[2], 2, twice)
-        total += rates_of[3]
-        y += np.multiply(total, dt / 6.0, total)
+        np.add(k1, np.multiply(k2, two, total), total)
+        total += np.multiply(k3, two, twice)
+        total += k4
+        y += np.multiply(total, sixth, total)
         if np.fmin.reduce(speeds, axis=None) < 0.0:  # fmin skips NaN, as < does
             below = speeds < 0.0
             clamps += np.count_nonzero(below, axis=1)

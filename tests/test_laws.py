@@ -1,6 +1,7 @@
 """Acceleration-law library: values, reductions, and partial derivatives."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -444,3 +445,70 @@ def test_domain_check_accepts_s_min(law):
     law.check(s)
     args = (np.array([0.0, 3.0, 8.0, 15.0]), s, np.array([-1.0, 0.0, 0.5, 2.0]))
     assert law.evaluate(*args).tobytes() == law.psi(*args).tobytes()
+
+
+# -- Bound constants ---------------------------------------------------------
+#
+# A built-in kernel holds its constants as 0-d arrays, bound once per law.
+# Every call must give the bits that the same constants passed as Python
+# floats give, alone and stacked as (members, 1) columns.
+
+FD_FREE = {"linear_gm", "nonlinear_gm", "idm", "idm_alt"}
+BOUND_CASES = [(f"{form}-{fd_name}", pair)
+               for fd_name, fd in DIAGRAMS.items()
+               for form, pair in sorted(stackable_pairs(fd).items())
+               if fd_name == "tri" or form not in FD_FREE]
+BOUND_CASES += [("nonlinear_gm-m0", (make_nonlinear_gm(0.8, 0, 2), make_nonlinear_gm(0.5, 0, 2))),
+                ("nonlinear_gm-l0", (make_nonlinear_gm(0.8, 2, 0), make_nonlinear_gm(0.5, 2, 0)))]
+
+
+def float_constants(law):
+    return {name: float(x) for name, x in inspect.unwrap(law.psi).__kwdefaults__.items()}
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(*(x if isinstance(x, tuple) else (x,) for x in (got, want))):
+        g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def bound_points(rng, law, shape):
+    v, s, dv = (rng.uniform(low, high, shape)
+                for low, high in ((0.0, 30.0), (law.s_min, 80.0), (-4.0, 4.0)))
+    v.flat[:3], s.flat[:3], dv.flat[:3] = (0.0, 5.0, math.nan), law.s_min, (0.0, -0.0, 1.0)
+    return v, s, dv
+
+
+@pytest.mark.parametrize("pair", [case[1] for case in BOUND_CASES],
+                         ids=[case[0] for case in BOUND_CASES])
+def test_bound_constants_give_the_bits_of_float_constants(pair, rng):
+    with np.errstate(all="ignore"):
+        for law in pair:
+            floats = float_constants(law)
+            assert floats
+            for point in (bound_points(rng, law, (40,)), (6.0, 2.0 * law.s_min + 1.0, -0.5)):
+                for kernel in (law.psi, law.partials):
+                    assert_same_bits(kernel(*point), kernel(*point, **floats))
+        (law, rows, columns), = law_spans(pair)
+        v, s, dv = bound_points(rng, law, (2, 9))
+        stacked = [law.psi(v, s, dv, **columns), law.partials(v, s, dv, **columns)]
+        for row, own in enumerate(pair):
+            floats = float_constants(own)
+            for kernel, got in zip((own.psi, own.partials), stacked):
+                want = kernel(v[row], s[row], dv[row], **floats)
+                assert_same_bits(tuple(np.asarray(g)[row] for g in got)
+                                 if isinstance(got, tuple) else got[row], want)
+
+
+@pytest.mark.parametrize("params", [TRI, dict(v_f=30, w=6, k_j=0.15),
+                                    dict(v_f=33.3, w=5.7, k_j=0.1429)])
+def test_triangular_theta_gives_the_bits_of_float_constants(params, rng):
+    fd = TriangularDiagram(**params)
+    v_f, w, k_j = (float(params[k]) for k in ("v_f", "w", "k_j"))
+    s = np.concatenate([rng.uniform(1.0 / k_j, 200.0, 50),
+                        [1.0 / k_j, (v_f / w + 1.0) / k_j, math.inf, math.nan]])
+    for point in (s, s.reshape(2, -1), 12.5):
+        assert_same_bits(fd._theta(point), np.minimum(v_f, w * (k_j * point - 1.0)))
+        assert_same_bits(fd._theta_prime(point),
+                         np.where(point <= (v_f / w + 1.0) / k_j, w * k_j, 0.0))

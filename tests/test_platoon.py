@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import GS, TRI, stackable_pairs
 from trafficlab import (CollisionError, ConfigurationError, ConstantLeader,
-                        EvaluationError, GreenshieldsDiagram, PiecewiseConstantLeader,
-                        PlatoonState, Ring, SinusoidLeader, SolverFault,
-                        TabulatedDiagram, TrafficLabError, TriangularDiagram,
+                        EvaluationError, GreenshieldsDiagram, ParameterError,
+                        PiecewiseConstantLeader, PlatoonState, Ring, SinusoidLeader,
+                        SolverFault, TabulatedDiagram, TrafficLabError, TriangularDiagram,
                         make_arz_cf, make_aw_rascle_cf, make_fvdm, make_gfm,
                         make_idm, make_idm_alt, make_jwz_cf, make_linear_gm,
                         make_nonlinear_gm, make_ovm, make_third_order,
@@ -162,6 +162,36 @@ class TestContinuous:
     def test_stepwise_profiles_record_zero_acceleration(self):
         for leader in (ConstantLeader(5.0), PiecewiseConstantLeader((0.0, 1.0), (5.0, 2.0))):
             assert [leader.accel_at(t) for t in (0.0, 0.5, 1.0, 2.0)] == [0.0] * 4
+
+    @pytest.mark.parametrize("make", [
+        lambda: ConstantLeader(-1.0),
+        lambda: ConstantLeader(math.nan),
+        lambda: ConstantLeader(math.inf),
+        lambda: SinusoidLeader(-1.0, 0.0, 1.0),
+        lambda: SinusoidLeader(math.inf, 0.5, 1.0),
+        lambda: SinusoidLeader(1.0, 2.0, 1.0),
+        lambda: SinusoidLeader(1.0, -2.0, 1.0),
+        lambda: SinusoidLeader(1.0, math.nan, 1.0),
+        lambda: SinusoidLeader(1.0, 0.5, 0.0),
+        lambda: SinusoidLeader(1.0, 0.5, math.nan),
+        lambda: SinusoidLeader(1.0, 0.5, math.inf),
+        lambda: PiecewiseConstantLeader((0.0, 1.0), (1.0, -1.0)),
+        lambda: PiecewiseConstantLeader((0.0, 1.0), (1.0, math.nan)),
+        lambda: PiecewiseConstantLeader((0.0, 1.0), (math.inf, 1.0)),
+    ], ids=["constant-negative", "constant-nan", "constant-inf", "sinusoid-negative-v0",
+            "sinusoid-inf-v0", "sinusoid-amplitude", "sinusoid-negative-amplitude",
+            "sinusoid-nan-amplitude", "sinusoid-zero-omega", "sinusoid-nan-omega",
+            "sinusoid-inf-omega", "piecewise-negative", "piecewise-nan", "piecewise-inf"])
+    def test_leader_profiles_refuse_reversing_or_non_finite_input(self, make):
+        with pytest.raises(ParameterError):
+            make()
+
+    def test_leader_profiles_accept_their_edges(self):
+        assert ConstantLeader(0.0).speed_at(1.0) == 0.0
+        for amplitude in (1.0, -1.0):  # the speed touches 0 and never goes below
+            leader = SinusoidLeader(1.0, amplitude, 2.0)
+            assert min(leader.speed_at(0.01 * i) for i in range(400)) >= 0.0
+        assert PiecewiseConstantLeader((0.0, 1.0), (0.0, 2.0)).speed_at(1.5) == 2.0
 
     @pytest.mark.parametrize("boundary", [Ring(500.0), ConstantLeader(7.5)],
                              ids=["ring", "open-road"])
