@@ -13,7 +13,7 @@ advection, and a downstream one-sided difference for the v_x inside psi (the
 source's car-following origin is the leader's state, which sits downstream).
 Explicit Euler sub-steps keep the inner CFL number at 0.25. It is the
 one-member form of ``solve_second_order_batch``, which advances a batch of
-scenarios on one grid as one (members, cells) state.
+scenarios, each on its own grid, as one flat state of their cells.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ class RunStats:
     substeps: int = 0
     speed_clamps: int = 0
     dense_spacing_clamps: int = 0
+    max_substeps: int = 0  # most substeps in one step (second-order solver)
 
 
 def total_vehicles(field: EulerianField, step: int) -> float:
@@ -180,41 +181,54 @@ def _check_second_order(scenario: EulerianScenario) -> None:
 def solve_second_order_batch(scenarios) -> list:
     """:func:`solve_second_order` for a batch of scenarios, as one state.
 
-    Members share the grid, ``dt``, ``steps``, ``record_every`` and boundary
-    kind; the state has shape (members, cells), and the result holds each
+    Members share ``dt``, ``steps``, ``record_every`` and boundary kind, each on
+    its own grid. The state is one flat array, member p's cells the segment
+    ``starts[p]:ends[p]``; per-member values are repeated over its cells, and
+    maxima and counts reduce over the segments. The result holds each
     scenario's ``(field, stats)``. The batch stops at the first fault that one
-    of its members meets in its own run, with that run's exception (type and
-    text). Each member takes its own substep count and ``dt_s`` each step and
-    is masked once it has taken them. Everything but the law runs once for
-    the batch, and each stack of laws (a run of neighbouring members, see
-    :func:`law_spans`) once per substep on all its rows, so every member is
-    bitwise its own one-member run.
+    member meets in its own run, with that run's exception (type and text).
+    Each member takes its own substep count and ``dt_s`` each step and is
+    masked once it has taken them. Each stack of laws (a run of neighbouring
+    members, see :func:`law_spans`) runs once per substep on all its cells, the
+    rest once for the batch, so every member is bitwise its own one-member run.
     """
-    if len({(sc.grid, sc.dt, sc.steps, sc.record_every, type(sc.boundary))
-            for sc in scenarios}) > 1:
-        raise ConfigurationError("batch members must share the grid, dt, steps, "
-                                 "record_every and boundary kind")
+    if len({(sc.dt, sc.steps, sc.record_every, type(sc.boundary)) for sc in scenarios}) > 1:
+        raise ConfigurationError("batch members must share dt, steps, record_every "
+                                 "and boundary kind")
     if not scenarios:
         return []
     for sc in scenarios:
         _check_second_order(sc)
-    spans = law_spans([sc.law for sc in scenarios])
-    first = scenarios[0]
-    n, grid, dt, every = len(scenarios), first.grid, first.dt, first.record_every
-    cells, dx, periodic = grid.cells, grid.dx, isinstance(first.boundary, Periodic)
-    k = np.array([sc.initial_density for sc in scenarios])
-    v = np.array([sc.initial_speed for sc in scenarios])
-    s_min = np.array([[sc.law.s_min] for sc in scenarios])
-    free = np.array([[sc.law.v_free is not None] for sc in scenarios])
-    v_free = np.array([[sc.law.v_free or 0.0] for sc in scenarios])
+    first, n = scenarios[0], len(scenarios)
+    dt, every, periodic = first.dt, first.record_every, isinstance(first.boundary, Periodic)
+    cells = np.array([sc.grid.cells for sc in scenarios])
+    ends = np.cumsum(cells)
+    starts, dxs = ends - cells, [sc.grid.dx for sc in scenarios]
+
+    def per_cell(values):  # one value per member, repeated over its cells
+        return np.repeat(values, cells)
+
+    dx, s_min = per_cell(dxs), per_cell([sc.law.s_min for sc in scenarios])
+    free = per_cell([sc.law.v_free is not None for sc in scenarios])
+    v_free = per_cell([sc.law.v_free or 0.0 for sc in scenarios])
+    # Each stack's law, its members' cells and their constants, one per cell.
+    stacks = [(law, slice(np.min(starts[rows]), np.max(ends[rows])),
+               {name: np.repeat(col, cells[rows]) for name, col in columns.items()})
+              for law, rows, columns in law_spans([sc.law for sc in scenarios])]
+    k = np.concatenate([sc.initial_density for sc in scenarios])
+    v = np.concatenate([sc.initial_speed for sc in scenarios])
+    # Upstream and downstream neighbour of each cell: a periodic segment wraps
+    # on itself; an inflow start reads k_in/v_in, an outflow end its own speed.
+    up, dn = np.arange(-1, k.size - 1), np.arange(1, k.size + 1)
+    up[starts], dn[ends - 1] = (ends - 1, starts) if periodic else (starts, ends - 1)
     if not periodic:
         k_in, v_in = np.array([[sc.boundary.k_in, sc.boundary.v_in or 0.0]
                                for sc in scenarios]).T
-    zeros, p_dv, psi = np.zeros((3, n, cells))
+    zeros, p_dv, psi = np.zeros((3, k.size))
 
-    def by_law(out, fn, x, y, z):  # out[rows] = fn(law, x, y, z, **columns) per stack
-        for law, rows, columns in spans:
-            out[rows] = fn(law, x[rows], y[rows], z[rows], **columns)
+    def by_law(out, fn, x, y, z):  # out[cells] = fn(law, x, y, z, **columns) per stack
+        for law, span, columns in stacks:
+            out[span] = fn(law, x[span], y[span], z[span], **columns)
 
     def derive():  # the state's arrays that the speed bound and a substep share
         k_eff = np.maximum(k, DENSITY_FLOOR)
@@ -225,22 +239,29 @@ def solve_second_order_batch(scenarios) -> list:
         # Advection speed of the speed equation is v - psi_dv / k after
         # linearizing the source in v_x; bound both split terms.
         by_law(p_dv, lambda *a, **c: partials_at(*a, **c)[2], v_pos, s_arg, zeros)
-        return np.maximum.reduce(v_pos + np.abs(p_dv) / k_eff, axis=1).tolist()
+        return np.maximum.reduceat(v_pos + np.abs(p_dv) / k_eff, starts).tolist()
+
+    def segment(mask):  # the cells of the first member with a True in mask
+        p = np.searchsorted(ends, np.argmax(mask), side="right")
+        return slice(starts[p], ends[p])
 
     shared = derive()
     bound = speed_bound(*shared)
-    cfl = np.array(bound) * dt / dx
+    cfl = np.array(bound) * dt / dxs
     if (cfl > INIT_CFL_LIMIT).any():
         raise ConfigurationError(f"CFL number {cfl[np.argmax(cfl > INIT_CFL_LIMIT)]:.3f} "
                                  f"exceeds {INIT_CFL_LIMIT} (reduce pde.dt)")
     if not periodic and any(sc.boundary.v_in is None for sc in scenarios):
         raise ConfigurationError("inflow boundary needs v_in for the second-order solver")
-    density, speed = np.empty((2, n, _record_shape(first), cells))
-    density[:, 0], speed[:, 0] = k, v
+    # Member p's density and speed records are contiguous (records, cells) blocks
+    # from n_rec * starts[p]; row r of a cell sits r * cells[p] past its row 0.
+    n_rec, width = _record_shape(first), per_cell(cells)
+    at = per_cell((n_rec - 1) * starts) + np.arange(k.size)
+    records = np.empty((2, n_rec * k.size))
+    records[:, at] = k, v
     inflow, outflow = np.zeros((2, n))
-    substeps, speed_clamps, dense_clamps = np.zeros((3, n), dtype=int)
-    # Upstream density and speed and downstream speed of each cell.
-    k_up, v_up, v_dn = np.empty((3, n, cells))
+    substeps, max_substeps, speed_clamps, dense_clamps = np.zeros((4, n), dtype=int)
+    k_up, v_up, v_dn = np.empty((3, k.size))
 
     for step in range(first.steps):
         if step:  # step 0 reuses the bound of the CFL check
@@ -248,27 +269,28 @@ def solve_second_order_batch(scenarios) -> list:
             bound = speed_bound(*shared)
         if not all(map(math.isfinite, bound)):
             raise SolverFault("non-finite characteristic speed bound", step=step)
-        subs = [max(math.ceil(dt * b / (SUBSTEP_CFL * dx)), 1) for b in bound]
+        subs = [max(math.ceil(dt * b / (SUBSTEP_CFL * h)), 1) for b, h in zip(bound, dxs)]
         dt_s, n_sub = np.array([dt / m for m in subs]), np.array(subs)
-        ratio, dt_col = (dt_s / dx)[:, None], dt_s[:, None]
-        n_all = min(subs)  # substeps that every member takes
+        np.maximum(max_substeps, n_sub, out=max_substeps)
+        ratio, dt_cell = per_cell(dt_s / dxs), per_cell(dt_s)
+        n_all = min(subs)  # substeps that every member takes: ``took`` is True
         for j in range(max(subs)):
-            took = True if j < n_all else n_sub > j  # True: every member
+            took, took_cell = (True, True) if j < n_all else (n_sub > j, per_cell(n_sub > j))
             k_eff, s_raw, s_arg, v_pos = derive() if j else shared
-            k_up[:, 1:], v_up[:, 1:], v_dn[:, :-1] = k[:, :-1], v[:, :-1], v[:, 1:]
-            if periodic:
-                k_up[:, 0], v_up[:, 0], v_dn[:, -1] = k[:, -1], v[:, -1], v[:, 0]
-            else:
-                k_up[:, 0], v_up[:, 0], v_dn[:, -1] = k_in, v_in, v[:, -1]
+            np.take(k, up, out=k_up)
+            np.take(v, up, out=v_up)
+            np.take(v, dn, out=v_dn)
+            if not periodic:
+                k_up[starts], v_up[starts] = k_in, v_in
 
             flux_out = k * v
             flux_in = k_up * v_up
             k_new = k - ratio * (flux_out - flux_in)
             grad_fwd = (v_dn - v) / dx
             # s_arg >= s_min, inside the law's domain: the bare formula suffices.
-            # On every row: a member that has taken its substeps discards its own.
+            # On every cell: a member that has taken its substeps discards its own.
             by_law(psi, lambda law, *a, **c: law.psi(*a, **c), v_pos, s_arg, grad_fwd / k_eff)
-            v_new = v + dt_col * (-v * (v - v_up) / dx + psi)
+            v_new = v + dt_cell * (-v * (v - v_up) / dx + psi)
 
             below = v_new < 0.0
             clamped = below.any()
@@ -277,37 +299,36 @@ def solve_second_order_batch(scenarios) -> list:
             vacuum = k_new < DENSITY_FLOOR
             if vacuum.any():
                 v_new = np.where(vacuum & free, v_free, v_new)
-                if (took & vacuum.any(axis=1) & ~free[:, 0]).any():
+                if (vacuum & ~free & took_cell).any():
                     raise SolverFault("vacuum reached and the law declares no free speed",
                                       step=step)
             if not (np.isfinite(k_new).all() and np.isfinite(v_new).all()):
-                bad = ~(np.isfinite(k_new) & np.isfinite(v_new))
-                rows = took & bad.any(axis=1)
-                if rows.any():
+                bad = ~(np.isfinite(k_new) & np.isfinite(v_new)) & took_cell
+                if bad.any():
                     raise SolverFault("non-finite solution", step=step,
-                                      cell=int(np.argmax(bad[np.argmax(rows)])))
+                                      cell=int(np.argmax(bad[segment(bad)])))
 
             substeps += took
-            dense_clamps += (s_arg > s_raw).sum(axis=1) * took
+            dense_clamps += np.add.reduceat(s_arg > s_raw, starts) * took
             if clamped:
-                speed_clamps += below.sum(axis=1) * took
+                speed_clamps += np.add.reduceat(below, starts) * took
             if not periodic:
-                np.add(inflow, flux_in[:, 0] * dt_s, inflow, where=took)
-                np.add(outflow, flux_out[:, -1] * dt_s, outflow, where=took)
+                np.add(inflow, flux_in[starts] * dt_s, inflow, where=took)
+                np.add(outflow, flux_out[ends - 1] * dt_s, outflow, where=took)
             if took is True:
                 k, v = k_new, v_new
             else:
-                k, v = np.where(took[:, None], k_new, k), np.where(took[:, None], v_new, v)
+                k, v = np.where(took_cell, k_new, k), np.where(took_cell, v_new, v)
 
-        negative = (k < -1e-12).any(axis=1)
+        negative = k < -1e-12
         if negative.any():
             raise SolverFault("negative density", step=step,
-                              cell=int(np.argmin(k[np.argmax(negative)])))
+                              cell=int(np.argmin(k[segment(negative)])))
         if (step + 1) % every == 0:
-            density[:, (step + 1) // every], speed[:, (step + 1) // every] = k, v
+            records[:, at + (step + 1) // every * width] = k, v
 
-    return [(EulerianField(x0=grid.x0, dx=dx, t0=0.0, dt=dt * every,
-                           density=density[p], speed=speed[p]),
+    return [(EulerianField(sc.grid.x0, sc.grid.dx, 0.0, dt * every,
+                           *records[:, n_rec * a:n_rec * b].reshape(2, n_rec, -1)),
              RunStats(float(inflow[p]), float(outflow[p]), int(substeps[p]),
-                      int(speed_clamps[p]), int(dense_clamps[p])))
-            for p in range(n)]
+                      int(speed_clamps[p]), int(dense_clamps[p]), int(max_substeps[p])))
+            for p, (sc, a, b) in enumerate(zip(scenarios, starts, ends))]

@@ -444,10 +444,11 @@ def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
     """Execute all suite entries; run faults are isolated per report.
 
     Each distinct car-following arm runs once, and the continuum arms of one
-    resolution run as one :func:`solve_second_order_batch`; a batch of either
-    arm that raises runs each member alone (:func:`_batched`). Every report
-    equals the entry's own one-entry suite, faults included; where that raises
-    (a :class:`ConfigurationError`), the suite raises the first such entry's
+    ``(dt, steps, record_every)``, every resolution's together, run as one
+    :func:`solve_second_order_batch`; a batch of either arm that raises runs
+    each member alone (:func:`_batched`). Every report equals the entry's own
+    one-entry suite, faults included; where that raises (a
+    :class:`ConfigurationError`), the suite raises the first such entry's
     exception.
     """
     rings = [replace(e.ring, name=e.scenario) for e in entries]
@@ -457,8 +458,7 @@ def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
             for e, ring, arm in zip(entries, rings, arms)]
     solved = _batched(solve_second_order_batch,
                       [run if isinstance(run, Exception) else (run[1],) for run in runs],
-                      key=lambda item: (item[0].grid, item[0].dt, item[0].steps,
-                                        item[0].record_every))
+                      key=lambda item: (item[0].dt, item[0].steps, item[0].record_every))
     reports = [result if isinstance(result, Exception) else _outcome(
         _finish_second_order, e.law, ring, e.cells, run[0], result[0])
         for e, ring, run, result in zip(entries, rings, runs, solved)]

@@ -209,18 +209,21 @@ def _make_idm(name: str, a: float, b: float, delta: float, v_f: float,
     if delta < 1:
         raise ParameterError("IDM needs delta >= 1")
     two_sqrt_ab = 2.0 * math.sqrt(a * b)
+    # The structural constants are 0-d arrays too, made once per law (see _stack).
+    sign, one, exponent, neg_delta, exponent_1 = (np.array(x, dtype=float) for x in (
+        closing_sign, 1.0, delta, -delta, delta - 1.0))
 
     def psi(v, s, dv, *, a=a, v_f=v_f, tau=tau, d=d, two_sqrt_ab=two_sqrt_ab):
-        g = d + tau * v + closing_sign * v * dv / two_sqrt_ab
-        return a * (1.0 - np.power(v / v_f, delta) - (g / s) ** 2)
+        g = d + tau * v + sign * v * dv / two_sqrt_ab
+        return a * (one - np.power(v / v_f, exponent) - (g / s) ** 2)
 
     def partials(v, s, dv, *, a=a, v_f=v_f, tau=tau, d=d, two_sqrt_ab=two_sqrt_ab):
         v = np.asarray(v, dtype=float)
-        g = d + tau * v + closing_sign * v * dv / two_sqrt_ab
-        p_v = a * (-delta * np.power(v / v_f, delta - 1.0) / v_f
-                   - 2.0 * g / s**2 * (tau + closing_sign * dv / two_sqrt_ab))
+        g = d + tau * v + sign * v * dv / two_sqrt_ab
+        p_v = a * (neg_delta * np.power(v / v_f, exponent_1) / v_f
+                   - 2.0 * g / s**2 * (tau + sign * dv / two_sqrt_ab))
         p_s = 2.0 * a * g**2 / s**3
-        p_dv = -2.0 * a * g / s**2 * (closing_sign * v / two_sqrt_ab)
+        p_dv = -2.0 * a * g / s**2 * (sign * v / two_sqrt_ab)
         return p_v, p_s + 0 * v, p_dv + 0 * v
 
     _stack((name, delta, closing_sign), psi, partials)

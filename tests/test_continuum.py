@@ -14,6 +14,7 @@ from trafficlab import (AccelerationLaw, ConfigurationError, EulerianScenario,
                         rankine_hugoniot_speed, solve_lwr_godunov,
                         solve_second_order, solve_second_order_batch, total_vehicles)
 from trafficlab.equivalence import front_position
+from trafficlab.laws import law_spans
 
 from conftest import TRI, stackable_pairs
 
@@ -407,9 +408,74 @@ class TestBatch:
         (_, stats), _ = assert_members_match([one, other])
         shapes.clear()
         solve_second_order_batch([one, other])
-        assert shapes == [(2, 20)] * stats.substeps
+        # one call per substep on both members' 40 cells of the flat state
+        assert shapes == [(40,)] * stats.substeps
 
-    def test_members_must_share_grid_and_steps(self):
+    def test_inflow_batch_on_two_grids(self, tri):
+        members = [ring_member(law, 0.06, 0.1, float(tri.eta(0.06)), cells=cells, dx=dx,
+                               dt=0.25, boundary=InflowOutflow(k_in=k_in,
+                                                               v_in=float(tri.eta(k_in))))
+                   for law, k_in, cells, dx in ((OVM, 0.08, 10, 10.0), (FVDM, 0.05, 20, 7.5),
+                                                (OVM, 0.07, 20, 7.5))]
+        results = assert_members_match(members)
+        for (_, stats), sc in zip(results, members):
+            _, own = solve_second_order(sc)
+            assert (stats.inflow, stats.outflow) == (own.inflow, own.outflow)
+            assert stats.inflow > 0 and stats.outflow > 0
+
+    def test_one_stack_over_three_grids(self):
+        a, b = stackable_pairs(TRI_FD)["ovm"]
+        members = [ring_member(b, 0.08, 0.05, 2.0, cells=5, dx=20.0, dt=0.25),
+                   ring_member(a, 0.1, 0.05, 12.0, cells=20, dx=5.0, dt=0.25),
+                   ring_member(b, 0.06, 0.2, 6.0, cells=10, dx=7.5, dt=0.25)]
+        assert len(law_spans([sc.law for sc in members])) == 1
+        results = assert_members_match(members)
+        assert len({stats.substeps for _, stats in results}) == 3
+
+    @pytest.mark.parametrize("fault", ["non-finite", "negative"])
+    def test_fault_names_the_cell_in_its_own_grid(self, fault):
+        k0 = np.full(10, 0.05)
+        k0[3] = 0.1 if fault == "negative" else 0.04
+        if fault == "negative":
+            # a strong constant acceleration outruns the step's speed bound in
+            # its second substep, and the denser cell 3 empties below zero
+            law = AccelerationLaw("push", {}, lambda v, s, dv: 200.0 + 0.0 * v,
+                                  lambda v, s, dv: (0.0 * v, 0.0 * v, 0.0 * v), v_free=20.0)
+        else:  # the source is infinite in the one sparser cell, as above
+            law = AccelerationLaw(
+                "blowup", {}, lambda v, s, dv: np.where(s > 22.0, np.inf, 0.0),
+                lambda v, s, dv: (0.0 * v, 0.0 * v, 0.0 * v), v_free=20.0)
+        faulty = EulerianScenario(grid=SpatialGrid(0.0, 10.0, 10), dt=1.0, steps=2,
+                                  initial_density=k0, initial_speed=np.full(10, 5.0), law=law)
+        healthy = [ring_member(OVM, 0.08, 0.05, 3.0, cells=cells, dx=dx, dt=1.0, steps=2,
+                               record_every=1) for cells, dx in ((20, 20.0), (5, 40.0))]
+        with pytest.raises(SolverFault) as own:
+            solve_second_order(faulty)
+        assert (own.value.step, own.value.cell) == (0, 3)
+        assert fault in str(own.value)
+        with pytest.raises(SolverFault) as batch:
+            solve_second_order_batch([healthy[0], faulty, healthy[1]])
+        assert str(batch.value) == str(own.value)
+        assert (batch.value.step, batch.value.cell) == (0, 3)
+
+    def test_max_substeps_is_each_members_own(self, tri):
+        members = [ring_member(OVM, 0.08, 0.05, 3.0), ring_member(FVDM, 0.08, 0.05, 3.0),
+                   ring_member(IDM, 0.05, 0.05, 9.0, cells=10, dx=20.0)]
+        results = assert_members_match(members)
+        own = [solve_second_order(sc)[1].max_substeps for sc in members]
+        assert [stats.max_substeps for _, stats in results] == own
+        assert len(set(own)) > 1
+        # the uniform equilibrium keeps its speed bound, so every step takes
+        # the same count: ceil(0.9 * 7.5 / (0.25 * 10)) = 3
+        steady = ring_member(OVM, 0.08, 0.0, float(tri.eta(0.08)), cells=10, dt=0.9,
+                             steps=10, record_every=2)
+        _, stats = solve_second_order(steady)
+        assert stats.max_substeps == stats.substeps // steady.steps == 3
+        assert stats.substeps == 30
+        godunov = dataclasses.replace(steady, dt=0.25, fd=tri)
+        assert solve_lwr_godunov(godunov)[1].max_substeps == 0
+
+    def test_members_must_share_steps_and_boundary_kind(self):
         one = ring_member(OVM, 0.08, 0.05, 3.0)
         for change in ({"steps": 20}, {"dt": 0.25}, {"record_every": 2},
                        {"boundary": InflowOutflow(k_in=0.08, v_in=5.0)}):
@@ -420,8 +486,9 @@ class TestBatch:
 
 @st.composite
 def continuum_batches(draw):
-    """Members on one grid, with laws drawn (and sometimes repeated) at random."""
-    cells, size = draw(st.sampled_from((5, 10, 20))), draw(st.integers(1, 4))
+    """Members each on its own grid, with laws drawn (and sometimes repeated) at
+    random."""
+    size = draw(st.integers(1, 4))
     dt, steps = draw(st.sampled_from((0.125, 0.25, 0.5))), draw(st.integers(1, 30))
     record_every = draw(st.integers(1, 4))
     members = []
@@ -429,8 +496,9 @@ def continuum_batches(draw):
         law = draw(st.sampled_from((OVM, FVDM, IDM, make_linear_gm(1.0))))
         k0, amplitude = draw(st.floats(0.02, 0.15)), draw(st.sampled_from((0.0, 0.05, 0.6)))
         members.append(ring_member(law, k0, amplitude, draw(st.floats(0.0, 15.0)),
-                                   cells=cells, dt=dt, steps=steps,
-                                   record_every=record_every))
+                                   cells=draw(st.sampled_from((5, 10, 20, 40))),
+                                   dx=draw(st.sampled_from((5.0, 7.5, 10.0, 20.0))),
+                                   dt=dt, steps=steps, record_every=record_every))
     return members
 
 

@@ -207,8 +207,8 @@ class TestSuite:
         reports = run_suite(entries)
         # one batched integration, with one member per distinct (law, ring)
         assert batches == [["ovm", "ovm"]]
-        # one continuum batch per resolution, with one member per law
-        assert continuum == [[10, 10], [20, 20], [40, 40]]
+        # one continuum batch of every resolution's arms, in entry order
+        assert continuum == [[10, 20, 40, 10, 20, 40]]
         assert all(math.isfinite(r.growth_cf) for r in reports)
         assert reports == standalone
         # an equal law on a different ring is still its own member
@@ -339,10 +339,10 @@ class TestSuite:
         assert calls == [6, 1, 1, 1, 1, 1, 1]
 
     def test_demo_batches_arrive_as_neighbouring_stacks(self, monkeypatch):
-        """The demo suite sends one car-following batch and one continuum batch
-        per resolution, each with its six laws as three stacks of neighbours:
-        an entry order that split a stack, or a batch key that a solver refused
-        (so that every member ran alone), would change these counts."""
+        """The demo suite sends one car-following batch of its six laws and one
+        continuum batch of all 18 arms, each as three stacks of neighbours: an
+        entry order that split a stack, or a batch key that a solver refused (so
+        that every member ran alone), would change these counts."""
         from trafficlab import continuum, laws, platoon
         doc = copy.deepcopy(DEMO_CONFIG)
         doc["suite"]["ring"].update(horizon=2.0, compare_points=4)
@@ -359,7 +359,7 @@ class TestSuite:
             monkeypatch.setattr(module, "law_spans", recording(module))
         reports = run_suite(build_suite(doc))
         assert all(report.verdict != "incomparable" for report in reports)
-        assert batches == [("trafficlab.platoon", 6, 3)] + [("trafficlab.continuum", 6, 3)] * 3
+        assert batches == [("trafficlab.platoon", 6, 3), ("trafficlab.continuum", 18, 3)]
 
     def test_summary_csv(self, tri, tmp_path):
         reports = run_suite(self.entries(tri, cells=(10,)))

@@ -501,6 +501,49 @@ def test_bound_constants_give_the_bits_of_float_constants(pair, rng):
                                  if isinstance(got, tuple) else got[row], want)
 
 
+def idm_with_float_constants(law, closing_sign):
+    """IDM's psi and partials written out with every constant a Python float."""
+    c, delta = float_constants(law), float(law.params["delta"])
+    a, v_f, tau, d, two_sqrt_ab = (c[k] for k in ("a", "v_f", "tau", "d", "two_sqrt_ab"))
+
+    def psi(v, s, dv):
+        g = d + tau * v + closing_sign * v * dv / two_sqrt_ab
+        return a * (1.0 - np.power(v / v_f, delta) - (g / s) ** 2)
+
+    def partials(v, s, dv):
+        g = d + tau * v + closing_sign * v * dv / two_sqrt_ab
+        p_v = a * (-delta * np.power(v / v_f, delta - 1.0) / v_f
+                   - 2.0 * g / s**2 * (tau + closing_sign * dv / two_sqrt_ab))
+        p_s = 2.0 * a * g**2 / s**3
+        p_dv = -2.0 * a * g / s**2 * (closing_sign * v / two_sqrt_ab)
+        return p_v, p_s + 0 * v, p_dv + 0 * v
+
+    return psi, partials
+
+
+@pytest.mark.parametrize("factory, closing_sign", [(make_idm, -1.0), (make_idm_alt, 1.0)])
+@pytest.mark.parametrize("delta", [4, 1, 2.5])
+def test_idm_structural_constants_give_the_bits_of_float_constants(factory, closing_sign,
+                                                                   delta, rng):
+    """IDM's delta, closing sign and 1.0 are 0-d arrays: alone and stacked,
+    its kernels give the bits of the formula with Python-float constants."""
+    pair = (factory(1.0, 1.5, delta, 20.0, 1.0, 2.0), factory(0.7, 2.0, delta, 25.0, 1.4, 3.0))
+    with np.errstate(all="ignore"):
+        for law in pair:
+            want = idm_with_float_constants(law, closing_sign)
+            for point in (bound_points(rng, law, (40,)), (6.0, 2.0 * law.s_min + 1.0, -0.5)):
+                for kernel, reference in zip((law.psi, law.partials), want):
+                    assert_same_bits(kernel(*point), reference(*point))
+        (law, rows, columns), = law_spans(pair)
+        v, s, dv = bound_points(rng, law, (2, 9))
+        stacked = [law.psi(v, s, dv, **columns), law.partials(v, s, dv, **columns)]
+        for row, own in enumerate(pair):
+            for got, reference in zip(stacked, idm_with_float_constants(own, closing_sign)):
+                want = reference(v[row], s[row], dv[row])
+                assert_same_bits(tuple(g[row] for g in got)
+                                 if isinstance(got, tuple) else got[row], want)
+
+
 @pytest.mark.parametrize("params", [TRI, dict(v_f=30, w=6, k_j=0.15),
                                     dict(v_f=33.3, w=5.7, k_j=0.1429)])
 def test_triangular_theta_gives_the_bits_of_float_constants(params, rng):
