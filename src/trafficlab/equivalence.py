@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuum import (EulerianScenario, Periodic, InflowOutflow, solve_lwr_godunov,
-                        solve_second_order_batch)
+from .continuum import (EulerianScenario, Periodic, InflowOutflow, RunStats,
+                        solve_lwr_godunov, solve_second_order_batch)
 from .errors import (CollisionError, ConfigurationError, DomainError,
                      EvaluationError, SolverFault)
 from .fundamental import FundamentalDiagram, GreenshieldsDiagram, TriangularDiagram
@@ -289,6 +289,7 @@ class EquivalenceReport:
     growth_pde: float
     verdict: str
     fault: str = ""
+    pde_stats: RunStats | None = None  # the continuum arm's counters; None if incomparable
 
 
 # The faults that make a report "incomparable"; any other exception propagates.
@@ -376,7 +377,8 @@ def _prepare_second_order(law: AccelerationLaw, scenario: RingScenario, cells: i
 
 
 def _finish_second_order(law: AccelerationLaw, scenario: RingScenario, cells: int,
-                         cf_field: EulerianField, pde_field: EulerianField) -> EquivalenceReport:
+                         cf_field: EulerianField, pde_field: EulerianField,
+                         pde_stats: RunStats) -> EquivalenceReport:
     """Growth fits, terminal norms and verdict of the two arms' fields."""
     n_cmp, dx = scenario.compare_points, cf_field.dx
     times = scenario.horizon * np.arange(n_cmp + 1) / n_cmp
@@ -390,7 +392,7 @@ def _finish_second_order(law: AccelerationLaw, scenario: RingScenario, cells: in
         growth_cf=_fit_growth(times, _mode_amplitude(cf_field.density), scenario.k0),
         growth_pde=_fit_growth(times, _mode_amplitude(pde_field.density), scenario.k0),
         verdict=("within-threshold" if linf_k <= scenario.threshold * scenario.k0
-                 else "exceeds-threshold"))
+                 else "exceeds-threshold"), pde_stats=pde_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +462,7 @@ def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
                       [run if isinstance(run, Exception) else (run[1],) for run in runs],
                       key=lambda item: (item[0].dt, item[0].steps, item[0].record_every))
     reports = [result if isinstance(result, Exception) else _outcome(
-        _finish_second_order, e.law, ring, e.cells, run[0], result[0])
+        _finish_second_order, e.law, ring, e.cells, run[0], *result)
         for e, ring, run, result in zip(entries, rings, runs, solved)]
     for report in reports:
         if isinstance(report, Exception) and not isinstance(report, _RUN_FAULTS):

@@ -408,7 +408,11 @@ def law_spans(laws) -> list[tuple[AccelerationLaw, int | slice, dict]]:
     columns map each constant to a (members, 1) array of the members' own
     values, so one call ``law.psi(v, s, dv, **columns)`` gives each row the
     bits of its own law. The columns are empty where the members' laws are
-    equal. Any other law stacks only with equal neighbours.
+    equal. Any other law stacks only with equal neighbours. Each batch solver
+    repeats the columns to its own rows' shape once per call (followers in
+    the RK4 core, cells in the continuum core): a column operand takes NumPy's
+    broadcasting path, 2.46 against 1.00 µs full-shape for ``col * v`` on a
+    (2, 80) operand.
     """
     kernels = [(inspect.unwrap(law.psi), inspect.unwrap(law.partials)) for law in laws]
     keys = [(f.stack_key, law.check) if law.order is LawOrder.SECOND

@@ -10,10 +10,11 @@ from trafficlab import (AccelerationLaw, ConfigurationError, EvaluationError,
                         GaussianBumpProfile, RiemannProfile, RingScenario, SuiteEntry,
                         TriangularDiagram, UniformProfile, compare_lwr,
                         compare_second_order, make_fvdm, make_linear_gm, make_ovm,
-                        run_suite, solve_second_order_batch)
+                        run_suite, simulate_platoons, solve_second_order,
+                        solve_second_order_batch)
 from trafficlab.cli import DEMO_CONFIG, SUMMARY_COLUMNS, write_summary_csv
 from trafficlab.config import build_suite
-from trafficlab.equivalence import _isolated
+from trafficlab.equivalence import _arm_run, _isolated, _prepare_second_order
 
 from conftest import TRI
 from test_continuum import FVDM, OVM, assert_same_run, ring_member, standalone
@@ -179,6 +180,7 @@ class TestSuite:
         reports = run_suite(entries)
         assert reports[0].verdict == "incomparable"
         assert reports[0].fault.startswith("spacing below minimum")
+        assert reports[0].pde_stats is None
         assert reports[1].verdict != "incomparable"
 
     def test_car_following_arm_shared_across_resolutions(self, tri, monkeypatch):
@@ -360,6 +362,19 @@ class TestSuite:
         reports = run_suite(build_suite(doc))
         assert all(report.verdict != "incomparable" for report in reports)
         assert batches == [("trafficlab.platoon", 6, 3), ("trafficlab.continuum", 18, 3)]
+
+    def test_demo_reports_carry_each_continuum_arms_own_counters(self):
+        doc = copy.deepcopy(DEMO_CONFIG)
+        doc["suite"]["ring"].update(horizon=12.0, compare_points=4)
+        entries = build_suite(doc)
+        reports = run_suite(entries)
+        for entry, report in zip(entries, reports):
+            member, *run = _arm_run(entry.law, entry.ring)
+            surface = simulate_platoons([member], *run)[0]
+            _, scenario = _prepare_second_order(entry.law, entry.ring, entry.cells, surface)
+            own = solve_second_order(scenario)[1]
+            assert report.pde_stats == own
+            assert own.substeps >= scenario.steps
 
     def test_summary_csv(self, tri, tmp_path):
         reports = run_suite(self.entries(tri, cells=(10,)))

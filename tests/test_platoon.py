@@ -506,6 +506,30 @@ class TestBatch:
         simulate_platoons(members, 0.02, 10)
         assert shapes == [(3, 6)] * 40
 
+    def test_stack_constants_reach_the_kernel_in_the_rows_shape(self):
+        """Every array a stack's kernel gets has its rows' shape, with no zero
+        stride: a (members, 1) column or a broadcast view of one is slower."""
+        operands = []
+
+        def recorded(law):  # a copy whose psi names its kernel, so it still stacks
+            def psi(*args, **columns):
+                operands.append([(x.shape, x.strides) for x in (*args, *columns.values())])
+                return law.psi(*args, **columns)
+            psi.__wrapped__ = law.psi
+            return dataclasses.replace(law, psi=psi)
+
+        laws = (make_idm(2.0, 2.0, 4, 30.0, 1.0, 2.0),  # the demo suite's two IDM laws
+                make_idm(0.5, 3.0, 4, 30.0, 1.5, 2.0))
+        members = self.members("ring", False, laws)
+        batched = simulate_platoons([(recorded(law), *rest) for law, *rest in members],
+                                    0.02, 150)
+        assert len(operands) == 4 * 150
+        for call in operands:
+            assert len(call) == 8  # v, s, dv and the five constants that differ
+            assert all(shape == (2, 6) and 0 not in strides for shape, strides in call)
+        for surface, member in zip(batched, members):
+            assert_same_surface(surface, simulate_continuous(*member, 0.02, 150))
+
     def test_each_distinct_law_is_evaluated_once_per_stage(self):
         """One psi call per stage for each run of neighbouring equal laws."""
         shapes = {}
