@@ -5,12 +5,12 @@ compare. Each reads a strict JSON scenario config (--config), writes CSV
 files into --out, and prints a one-line summary. Exit codes: 0 success,
 1 runtime/model fault, 2 configuration fault. Float columns use repr's
 shortest round-trip decimals, so identical configs give byte-identical files.
-Every CSV goes through one writer, which builds the file column by column and
-calls repr once per distinct value (bit pattern) of a numeric column within a
-block, not once per cell; rows are formatted and written one fixed-size block
-at a time, so no file's whole text is held in memory. Text fields are quoted
-where csv.writer quotes them, so the bytes are the same as formatting every
-cell through csv.writer.
+Every CSV goes through one writer, which builds the file column by column;
+rows are formatted and written one fixed-size block at a time, so no file's
+whole text is held in memory. A numeric column calls repr once per distinct
+value (bit pattern) in a block that the block before did not hold, not once
+per cell. Text fields are quoted where csv.writer quotes them, so the bytes
+are the same as formatting every cell through csv.writer.
 """
 
 from __future__ import annotations
@@ -48,21 +48,29 @@ def _field(value) -> str:
     return str(value).lower() if isinstance(value, bool) else repr(float(value))
 
 
-def _column_text(column: np.ndarray) -> np.ndarray:
-    """Text of each value of ``column``, formatted once per distinct value.
+def _column_text(column: np.ndarray, previous: tuple) -> tuple[np.ndarray, tuple]:
+    """Text of each value of ``column``, and ``(keys, text)`` of its distinct values.
 
     Values are keyed on their 64-bit pattern, so ``-0.0`` stays apart from
-    ``0.0`` and every NaN reads ``nan``; ``repr`` of a float gives the shortest
-    round-trip decimals. A text column is formatted value by value (``_field``).
+    ``0.0`` and every NaN reads ``nan``. A value found in ``previous`` (the
+    block before's second result) reuses its text; the others get ``repr``, the
+    shortest round-trip decimals. A text column goes value by value through
+    ``_field`` and passes ``previous`` on.
     """
     column = np.ravel(column)
     if column.dtype.kind in "OU":
-        return np.array([_field(v) for v in column.tolist()], dtype=object)
+        return np.array([_field(v) for v in column.tolist()], dtype=object), previous
     column = column.astype(np.float64 if column.dtype.kind == "f" else np.int64,
                            copy=False)
-    unique, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    text = np.array([repr(u) for u in unique.view(column.dtype).tolist()], dtype=object)
-    return text[inverse]
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    seen_keys, seen_text = previous
+    at = np.searchsorted(seen_keys, keys)
+    found = at < len(seen_keys)
+    found[found] = seen_keys[at[found]] == keys[found]
+    text = np.empty(len(keys), dtype=object)
+    text[found] = seen_text[at[found]]
+    text[~found] = [repr(u) for u in keys[~found].view(column.dtype).tolist()]
+    return text[inverse], (keys, text)
 
 
 # Rows formatted and written at a time; bounds the text held for one file.
@@ -73,15 +81,18 @@ def _write_columns(path: Path, header: list[str], columns) -> None:
     """Write equal-length columns as CSV, byte for byte as ``csv.writer`` would.
 
     Rows are formatted and written one block of ``_BLOCK_ROWS`` at a time, so
-    only one block's text is held, never the whole file's. A ``repr`` of a
+    only one block's text is held, never the whole file's; each column keeps
+    the text of the block before, for the values that recur. A ``repr`` of a
     number holds no comma, quote or line break, so only text fields can need
     quoting; lines end in CR LF, as in the ``excel`` dialect.
     """
     columns = [np.ravel(c) for c in columns]
+    seen = [(np.empty(0, np.int64), np.empty(0, dtype=object))] * len(columns)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(map(_field, header)) + "\r\n")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [_column_text(c[start:start + _BLOCK_ROWS]) for c in columns]
+            block, seen = zip(*(_column_text(c[start:start + _BLOCK_ROWS], prev)
+                                for c, prev in zip(columns, seen)))
             fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
@@ -173,22 +184,24 @@ def _axis(values: np.ndarray, name: str,
     return axis, index, float(steps[0])
 
 
-def _grids(missing: str, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int],
+def _grids(fault: str, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int],
            *values: np.ndarray) -> list[np.ndarray]:
     """One ``shape`` matrix per ``values`` column, filled at ``(rows, cols)``.
 
-    Every cell must be given; the first column must be finite, so a NaN left
-    in its matrix marks a missing sample.
+    Every cell must be given once; ``fault`` says which samples are
+    ``"missing"`` or ``"duplicate"`` when formatted with that word. The first
+    column must be finite, so a NaN left in its matrix marks a missing sample.
     """
-    if len(rows) < shape[0] * shape[1]:  # also keeps a sparse file from allocating
-        raise _input_error(missing)
+    cells = shape[0] * shape[1]
+    if len(rows) != cells:  # also keeps a sparse file from allocating
+        raise _input_error(fault.format("missing" if len(rows) < cells else "duplicate"))
     grids = []
     for column in values:
         grid = np.full(shape, math.nan)
         grid[rows, cols] = column
         grids.append(grid)
     if np.any(np.isnan(grids[0])):
-        raise _input_error(missing)
+        raise _input_error(fault.format("missing"))
     return grids
 
 
@@ -205,7 +218,7 @@ def read_trajectory_csv(path: Path) -> TrajectorySurface:
     vehicles = np.unique(data["vehicle"])
     if vehicles[0] != 0 or vehicles[-1] != len(vehicles) - 1:
         raise _input_error(f"{path} vehicle ids must run 0..N-1 without gaps")
-    pos, spd = _grids("trajectory CSV has missing (t, vehicle) samples", t_index,
+    pos, spd = _grids("trajectory CSV has {} (t, vehicle) samples", t_index,
                       data["vehicle"], (len(times), len(vehicles)), data["x"], data["v"])
     try:
         return TrajectorySurface(t0=float(times[0]), dt=dt, positions=pos, speeds=spd)
@@ -229,7 +242,7 @@ def read_field_csv(path: Path) -> EulerianField:
         raise _input_error(f"{path} has non-finite v values where k > 0")
     times, t_index, dt = _axis(data["t"], "t", path)
     xs, x_index, dx = _axis(data["x"], "x", path)
-    k, v = _grids("field CSV has missing (t, x) samples", t_index, x_index,
+    k, v = _grids("field CSV has {} (t, x) samples", t_index, x_index,
                   (len(times), len(xs)), data["k"], data["v"])
     return EulerianField(x0=float(xs[0]) - dx / 2, dx=dx, t0=float(times[0]), dt=dt,
                          density=k, speed=v)

@@ -111,13 +111,6 @@ def solve_lwr_godunov(scenario: EulerianScenario) -> tuple[EulerianField, RunSta
             f"CFL number {cfl:.3f} exceeds {INIT_CFL_LIMIT} (reduce pde.dt)")
 
     k_c = fd.critical_density
-
-    def demand(kk):
-        return fd.phi(np.minimum(kk, k_c))
-
-    def supply(kk):
-        return fd.phi(np.maximum(kk, k_c))
-
     periodic = isinstance(scenario.boundary, Periodic)
     if not periodic and not 0 <= scenario.boundary.k_in <= fd.k_j * (1 + 1e-12):
         raise ConfigurationError("inflow density k_in must be finite and lie in [0, k_j]")
@@ -126,16 +119,20 @@ def solve_lwr_godunov(scenario: EulerianScenario) -> tuple[EulerianField, RunSta
     density[0] = k
     stats = RunStats()
     row = 1
-    # States left and right of each interface, cell 0's left edge first.
-    left = np.empty(scenario.grid.cells + 1)
-    right = np.empty(scenario.grid.cells + 1)
+    # States left and right of each interface, cell 0's left edge first, cut
+    # to the demand and supply densities so that one phi call gives both.
+    sides = np.empty((2, scenario.grid.cells + 1))
+    left, right = sides
     for step in range(scenario.steps):
         left[1:], right[:-1] = k, k
         if periodic:
             left[0], right[-1] = k[-1], k[0]
         else:
             left[0], right[-1] = scenario.boundary.k_in, k[-1]
-        flux = np.minimum(demand(left), supply(right))
+        np.minimum(left, k_c, out=left)
+        np.maximum(right, k_c, out=right)
+        demand, supply = fd.phi(sides)
+        flux = np.minimum(demand, supply)
         k = k - (dt / dx) * (flux[1:] - flux[:-1])
         if not periodic:
             stats.inflow += flux[0] * dt

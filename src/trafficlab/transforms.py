@@ -239,8 +239,10 @@ def to_eulerian(surface: TrajectorySurface, grid: SpatialGrid) -> EulerianField:
     mass = np.empty((surface.n_steps, grid.cells))
     flow_mass = np.empty_like(mass)
     for t in range(surface.n_steps):
-        mass[t] = np.diff(np.interp(edges, x[t], count))
-        flow_mass[t] = np.diff(np.interp(edges, x[t], flow[t]))
+        at = np.interp(edges, x[t], count)
+        np.subtract(at[1:], at[:-1], out=mass[t])
+        at = np.interp(edges, x[t], flow[t])
+        np.subtract(at[1:], at[:-1], out=flow_mass[t])
     density = mass / grid.dx
     speed = np.divide(flow_mass, mass, out=np.full_like(mass, math.nan),
                       where=mass > 0.0)
@@ -272,15 +274,17 @@ def to_trajectories(field: EulerianField, n_vehicles: int,
     """
     if n_vehicles < 1:
         raise DomainError("need at least one vehicle")
+    # Every row's cumulative_count at once: the same sums in the same order.
+    edges = field.x0 + field.dx * np.arange(field.n_cells + 1)
+    all_counts = np.zeros((field.n_steps, field.n_cells + 1))
+    all_counts[:, -2::-1] = np.cumsum((field.density * field.dx)[:, ::-1], axis=1)
     offset = 0.0
     if seed_positions is not None:
-        edges0, counts0 = cumulative_count(field, 0)
-        offset = float(np.interp(seed_positions[0], edges0, counts0))
+        offset = float(np.interp(seed_positions[0], edges, all_counts[0]))
     targets = np.arange(n_vehicles) + offset
 
     positions = np.empty((field.n_steps, n_vehicles))
-    for t in range(field.n_steps):
-        edges, counts = cumulative_count(field, t)
+    for t, counts in enumerate(all_counts):
         total = counts[0]
         if targets[-1] > total + 1e-6:
             raise DomainError(

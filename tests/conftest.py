@@ -10,6 +10,12 @@ TRI = dict(v_f=20.0, w=5.0, k_j=0.2)
 GS = dict(v_f=20.0, k_j=0.2)
 
 
+def assert_bits_equal(a, b):
+    """Equal arrays (or numbers) bit for bit: NaN payloads and the sign of zero count."""
+    np.testing.assert_array_equal(np.asarray(a).view(np.int64),
+                                  np.asarray(b).view(np.int64))
+
+
 def stackable_pairs(fd):
     """Two laws of each built-in form that stacks, every float constant different."""
     return {

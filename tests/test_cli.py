@@ -23,6 +23,8 @@ from trafficlab.cli import (DEMO_CONFIG, STABILITY_CSV_COLUMNS, SUMMARY_COLUMNS,
                             write_stability_csv, write_summary_csv, write_trajectory_csv)
 from trafficlab.stability import StabilityMapRow
 
+from conftest import assert_bits_equal
+
 
 @pytest.fixture
 def demo_config(tmp_path):
@@ -260,6 +262,25 @@ class TestExitCodes:
         assert run(["transform", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "transform.input" in capsys.readouterr().err
 
+    def test_duplicate_field_sample_rejected(self, tmp_path, capsys):
+        """A repeated (t, x) row would silently overwrite the sample before it."""
+        data = tmp_path / "field.csv"
+        data.write_text(FIELD_HEADER + "".join(f"{t},{x},0.1,1.0,0.1\n" for t in (0.0, 1.0)
+                                               for x in (0.5, 1.5)) + "1.0,1.5,0.15,4.0,0.6\n")
+        cfg = transform_config(tmp_path, "to_trajectories", data)
+        assert run(["transform", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "transform.input" in err and "duplicate (t, x)" in err
+
+    def test_duplicate_trajectory_sample_rejected(self, tmp_path, capsys):
+        data = tmp_path / "trajectories.csv"
+        data.write_text(TRAJ_HEADER + "".join(f"{t},{n},{40 - 10 * n + t},1\n"
+                                              for t in (0, 1) for n in (0, 1)) + "1,1,31,1\n")
+        cfg = transform_config(tmp_path, "to_eulerian", data)
+        assert run(["transform", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "transform.input" in err and "duplicate (t, vehicle)" in err
+
     @pytest.mark.parametrize("direction, row", [
         ("to_eulerian", "{i},{i},{i},1\n"), ("to_trajectories", "{i},{i}5,0.1,1,0.1\n")])
     def test_sparse_input_rejected_before_allocating(self, tmp_path, capsys, direction,
@@ -478,11 +499,6 @@ ORIGINS = st.floats(-1e3, 1e3)
 SPACINGS = st.floats(1e-2, 1e2)
 
 
-def assert_bits_equal(a, b):
-    np.testing.assert_array_equal(np.asarray(a).view(np.int64),
-                                  np.asarray(b).view(np.int64))
-
-
 @st.composite
 def surfaces(draw):
     """Surfaces with extreme finite positions and speeds, with or without accels."""
@@ -514,7 +530,7 @@ def fields(draw):
 def assert_blockwise_equal(write, data, path, reference):
     """``write`` gives ``reference``'s bytes at the default block size and at
     sizes small enough that the drawn files (at most 20 rows) cross blocks."""
-    for rows in (cli._BLOCK_ROWS, 1, 2, 3):
+    for rows in (cli._BLOCK_ROWS, 1, 2, 3, 5):
         with mock.patch.object(cli, "_BLOCK_ROWS", rows):
             write(data, path)
         assert path.read_bytes() == reference.read_bytes(), rows
@@ -690,6 +706,60 @@ def test_field_csv_write_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 16e6
+
+
+def reprs_needed(keys, rows):
+    """``repr`` calls a column needs at ``rows`` rows a block: each block's
+    distinct keys that the block before it did not hold."""
+    blocks = [set(keys[i:i + rows]) for i in range(0, len(keys), rows)]
+    return sum(len(block - before) for before, block in zip([set()] + blocks, blocks))
+
+
+def write_counting_reprs(path, columns, rows):
+    """``_write_columns`` at ``rows`` rows a block; returns the ``repr`` calls."""
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return repr(value)
+
+    with mock.patch.object(cli, "_BLOCK_ROWS", rows), \
+            mock.patch.object(cli, "repr", counted, create=True):
+        cli._write_columns(path, ["a", "b", "n"], columns)
+    return len(calls)
+
+
+RECURRING = st.sampled_from([0.0, -0.0, math.nan, 1.5, 1.0 / 3.0, -2.5e-320, 1e308])
+
+
+@given(floats=hnp.arrays(float, st.tuples(st.just(2), st.integers(1, 24)),
+                         elements=RECURRING))
+@settings(max_examples=60, deadline=None)
+def test_writer_formats_a_value_once_while_it_recurs(floats):
+    """Values recurring in the next block reuse their text; one that skips a
+    block is formatted again. The bytes are ``csv.writer``'s at every block size."""
+    ids = np.arange(floats.shape[1]) % 3
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
+        reference_write_rows(reference, ["a", "b", "n"],
+                             [[repr(float(a)), repr(float(b)), n]
+                              for a, b, n in zip(*floats, ids)])
+        for rows in (1, 2, 3, 5):
+            calls = write_counting_reprs(path, [*floats, ids], rows)
+            assert path.read_bytes() == reference.read_bytes(), rows
+            assert calls == sum(reprs_needed(keys, rows) for keys in
+                                [*floats.view(np.int64).tolist(), ids.tolist()]), rows
+
+
+def test_writer_reformats_only_what_the_block_before_lacks(tmp_path):
+    """Two rows a block: 1.5 recurs, 2.5 skips a block, -0.0 sits next to 0.0."""
+    a = np.array([1.5, 2.5, 1.5, 0.0, 1.5, 2.5, -0.0, 0.0, math.nan, math.nan])
+    b = np.full(a.size, math.nan)
+    calls = write_counting_reprs(tmp_path / "f.csv", [a, b, np.zeros(a.size, int)], 2)
+    # a: 1.5, 2.5 | 0.0 | 2.5 | -0.0, 0.0 | nan; b: nan once; n: 0 once
+    assert calls == 7 + 1 + 1
+    assert tmp_path.joinpath("f.csv").read_bytes().split(b"\r\n")[7:9] == [
+        b"-0.0,nan,0", b"0.0,nan,0"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,21 +2,23 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trafficlab import (AccelerationLaw, ConfigurationError, EulerianScenario,
-                        InflowOutflow, Periodic, SolverFault, SpatialGrid,
-                        TriangularDiagram, lwr_riemann_density, make_fvdm, make_idm,
+                        GreenshieldsDiagram, InflowOutflow, Periodic, SolverFault,
+                        SpatialGrid, TabulatedDiagram, TriangularDiagram,
+                        lwr_riemann_density, make_fvdm, make_idm,
                         make_linear_gm, make_ovm, make_third_order,
                         rankine_hugoniot_speed, solve_lwr_godunov,
                         solve_second_order, solve_second_order_batch, total_vehicles)
 from trafficlab.equivalence import front_position
 from trafficlab.laws import law_spans
 
-from conftest import TRI, stackable_pairs
+from conftest import GS, TRI, assert_bits_equal, stackable_pairs
 
 
 def riemann_scenario(fd, k_l, k_r, x_jump, dx, length, horizon, cfl=0.45):
@@ -161,6 +163,63 @@ class TestGodunov:
                               fd=tri)
         with pytest.raises(ConfigurationError, match="finite"):
             solve_lwr_godunov(sc)
+
+
+def two_call_godunov(scenario):
+    """The Godunov loop with one ``phi`` call for demand and one for supply."""
+    fd, k = scenario.fd, scenario.initial_density.copy()
+    dx, dt, k_c = scenario.grid.dx, scenario.dt, fd.critical_density
+    periodic = isinstance(scenario.boundary, Periodic)
+    left, right = np.empty(k.size + 1), np.empty(k.size + 1)
+    rows, inflow, outflow = [k], 0.0, 0.0
+    for step in range(scenario.steps):
+        left[1:], right[:-1] = k, k
+        if periodic:
+            left[0], right[-1] = k[-1], k[0]
+        else:
+            left[0], right[-1] = scenario.boundary.k_in, k[-1]
+        flux = np.minimum(fd.phi(np.minimum(left, k_c)), fd.phi(np.maximum(right, k_c)))
+        k = k - (dt / dx) * (flux[1:] - flux[:-1])
+        if not periodic:
+            inflow += flux[0] * dt
+            outflow += flux[-1] * dt
+        if (step + 1) % scenario.record_every == 0:
+            rows.append(k)
+    density = np.array(rows)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        speed = np.where(density > 0.0, fd.phi(np.clip(density, 0.0, fd.k_j)) / density,
+                         fd.v_f)
+    return density, speed, inflow, outflow
+
+
+@pytest.mark.parametrize("diagram", ["triangular", "greenshields", "tabulated"])
+@pytest.mark.parametrize("boundary", [Periodic(), InflowOutflow(k_in=0.15)],
+                         ids=["periodic", "inflow"])
+def test_godunov_one_phi_call_per_step_matches_two_calls(diagram, boundary, rng):
+    """Demand and supply from one ``phi`` call keep the bits of two calls."""
+    fd = {"triangular": TriangularDiagram(**TRI),
+          "greenshields": GreenshieldsDiagram(**GS),
+          "tabulated": TabulatedDiagram(k_table=np.array([0.0, 0.03, 0.08, 0.2]),
+                                        q_table=np.array([0.0, 0.5, 0.6, 0.0]))}[diagram]
+    cells, steps, dx = 40, 60, 10.0
+    k0 = fd.k_j * rng.random(cells)
+    k0[5:9] = 0.0
+    sc = EulerianScenario(grid=SpatialGrid(0.0, dx, cells), steps=steps, record_every=7,
+                          dt=0.8 * dx / fd.max_wave_speed(), initial_density=k0,
+                          boundary=boundary, fd=fd)
+    phi, calls = type(fd).phi, []
+
+    def counted(self, k):
+        calls.append(np.shape(k))
+        return phi(self, k)
+
+    with mock.patch.object(type(fd), "phi", counted):
+        field, stats = solve_lwr_godunov(sc)
+    density, speed, inflow, outflow = two_call_godunov(sc)
+    assert calls == [(2, cells + 1)] * steps + [density.shape]
+    for got, want in ((field.density, density), (field.speed, speed),
+                      (stats.inflow, inflow), (stats.outflow, outflow)):
+        assert_bits_equal(got, want)
 
 
 class TestSecondOrder:

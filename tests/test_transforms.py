@@ -14,6 +14,8 @@ from trafficlab import (DomainError, EulerianField, ParameterError,
 from trafficlab.transforms import (TRANSFORM_IDENTITY_ROWS, LagrangianDerivatives,
                                    cumulative_count)
 
+from conftest import assert_bits_equal
+
 
 def uniform_surface(n_steps=4, n_veh=41, s0=25.0, v0=10.0, dt=1.0, lead_x=1000.0):
     t = dt * np.arange(n_steps)[:, None]
@@ -508,3 +510,91 @@ def test_round_trip_conserves_vehicles(case):
     np.testing.assert_allclose(field.density.sum(axis=1) * grid.dx, n - 1, rtol=1e-12)
     back = to_trajectories(field, n)
     assert np.max(np.abs(back.positions - surface.positions)) <= grid.dx
+
+
+def diff_to_eulerian(surface, grid):
+    """``to_eulerian`` with its per-row edge differences taken by ``np.diff``."""
+    x = surface.positions
+    v = surface.speed_matrix()
+    ring = surface.ring_length
+    if ring is not None:
+        x = grid.x0 + np.mod(x - grid.x0, ring)
+    order = np.argsort(x, axis=1)
+    x = np.take_along_axis(x, order, axis=1)
+    v = np.take_along_axis(v, order, axis=1)
+    if ring is not None:
+        x = np.hstack([x[:, -1:] - ring, x, x[:, :1] + ring])
+        v = np.hstack([v[:, -1:], v, v[:, :1]])
+    count = np.arange(x.shape[1], dtype=float)
+    flow = np.cumsum(np.hstack([np.zeros_like(x[:, :1]), v[:, :-1]]), axis=1)
+    mass = np.array([np.diff(np.interp(grid.edges, x[t], count))
+                     for t in range(surface.n_steps)])
+    flow_mass = np.array([np.diff(np.interp(grid.edges, x[t], flow[t]))
+                          for t in range(surface.n_steps)])
+    speed = np.divide(flow_mass, mass, out=np.full_like(mass, math.nan),
+                      where=mass > 0.0)
+    return mass / grid.dx, speed
+
+
+@given(case=platoon_and_grid())
+@settings(max_examples=150, deadline=None)
+def test_to_eulerian_matches_np_diff_form_bitwise(case):
+    """Ring and open-road surfaces give the bits of the ``np.diff`` form."""
+    surface, grid = case
+    field = to_eulerian(surface, grid)
+    density, speed = diff_to_eulerian(surface, grid)
+    assert_bits_equal(field.density, density)
+    assert_bits_equal(field.speed, speed)
+
+
+def per_row_to_trajectories(field, n_vehicles, seed_positions=None):
+    """``to_trajectories`` with one ``cumulative_count`` call per row."""
+    offset = 0.0
+    if seed_positions is not None:
+        edges0, counts0 = cumulative_count(field, 0)
+        offset = float(np.interp(seed_positions[0], edges0, counts0))
+    targets = np.arange(n_vehicles) + offset
+    positions = np.empty((field.n_steps, n_vehicles))
+    for t in range(field.n_steps):
+        edges, counts = cumulative_count(field, t)
+        if targets[-1] > counts[0] + 1e-6:
+            raise DomainError(
+                f"field holds {counts[0]:.3f} vehicles at step {t}, need {targets[-1]:.3f}")
+        occupied = np.flatnonzero(field.density[t] > 0.0)
+        if occupied.size == 0:
+            raise DomainError(f"field is empty at step {t}")
+        sl = slice(occupied[0], occupied[-1] + 2)
+        step_targets = np.clip(targets, counts[sl][-1], counts[sl][0])
+        positions[t] = np.interp(step_targets, counts[sl][::-1], edges[sl][::-1])
+    return positions
+
+
+@st.composite
+def fields_to_invert(draw):
+    """Small fields with empty cells and sometimes empty or under-filled rows,
+    a vehicle count, and a seed position or none."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 12)))
+    density = draw(hnp.arrays(float, shape, elements=st.one_of(
+        st.just(0.0), st.floats(1e-6, 0.2))))
+    x0, dx = draw(st.floats(-1e3, 1e3)), draw(st.floats(0.5, 50.0))
+    field = EulerianField(x0=x0, dx=dx, t0=0.0, dt=1.0, density=density,
+                          speed=np.ones(shape))
+    span = dx * shape[1]
+    seed = draw(st.none() | st.floats(x0 - span, x0 + 2 * span).map(lambda x: np.array([x])))
+    return field, draw(st.integers(1, 6)), seed
+
+
+@given(case=fields_to_invert())
+@settings(max_examples=200, deadline=None)
+def test_to_trajectories_matches_per_row_counts_bitwise(case):
+    """One cumulative sum over the field gives each row's ``cumulative_count``
+    bits, and an empty or under-filled row raises the same error at the same step."""
+    field, n_vehicles, seed = case
+    try:
+        want = per_row_to_trajectories(field, n_vehicles, seed)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            to_trajectories(field, n_vehicles, seed)
+        assert str(got.value) == str(exc)
+        return
+    assert_bits_equal(to_trajectories(field, n_vehicles, seed).positions, want)
