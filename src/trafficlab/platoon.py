@@ -169,9 +169,8 @@ def _validate_ordering(state: PlatoonState, boundary) -> None:
         gaps[0] = (x[-1] + boundary.length - x[0]) % boundary.length or boundary.length
         if np.any(gaps <= 0) or np.sum(gaps) > boundary.length * (1 + 1e-9):
             raise ParameterError("ring platoon gaps must be positive and fit the circumference")
-    else:
-        if state.n_vehicles >= 2 and np.any(np.diff(x) >= 0):
-            raise ParameterError("platoon must be ordered front to rear")
+    elif state.n_vehicles >= 2 and np.any(np.diff(x) >= 0):
+        raise ParameterError("platoon must be ordered front to rear")
 
 
 def simulate_platoons(members, dt: float, steps: int,
@@ -203,7 +202,9 @@ def simulate_platoons(members, dt: float, steps: int,
     (members, followers) shape once per call, as contiguous arrays: a column
     takes NumPy's broadcasting path. On a (2, 80) operand ``col * v`` took
     2.46 µs, with a full-shape constant 1.00 µs and with a 0-d one 1.04 µs; a
-    broadcast view, with stride 0, is about as slow as the column.
+    broadcast view, with stride 0, is about as slow as the column. The guards
+    are lookups, ``a[a.argmin()]``: 0.35 µs against a ufunc reduction's 1.04 µs
+    on (1, 2) spacings, and 0.45 against 1.59 µs on a (6, 81) speed buffer.
 
     Speeds are clamped at zero after each step; clamp counts are reported on
     each surface. A spacing at or below a law's minimum at any stage aborts
@@ -254,7 +255,7 @@ def simulate_platoons(members, dt: float, steps: int,
             followers[2, p] = initial.accels[first:]
     gaps, v = np.empty((2, batch, n - first)), np.empty((batch, n - first))
     s, dv = gaps  # spacing and speed gap; v is the clamped speed
-    s_flat = s.reshape(-1)  # a view: a 1-d reduction costs less than axis=None
+    s_flat = s.reshape(-1)  # a view, so one argmin finds the smallest spacing
     total, twice = np.empty((2,) + y.shape)  # the RK4 sum and a doubled rate
     # The step loop's constants as 0-d arrays: every operand there is an array.
     half, whole, two, sixth, zero = (np.array(c, dtype=float)
@@ -301,8 +302,7 @@ def simulate_platoons(members, dt: float, steps: int,
         else:
             column[...] = lead
         np.subtract(leaders, x, gaps)
-        # The minimum is NaN when any spacing is, so one reduction checks both.
-        if not np.minimum.reduce(s_flat) > s_floor:
+        if not s_flat[s_flat.argmin()] > s_floor:  # argmin finds a NaN first
             # A non-finite spacing counts only where its member's own test fails.
             looks = ~(np.minimum.reduce(s, axis=1) > s_min[:, 0])
             bad = ~np.isfinite(s) & looks[:, None]
@@ -332,7 +332,7 @@ def simulate_platoons(members, dt: float, steps: int,
             for o, profile in enumerate((leader.speed_at, leader.accel_at)[:order - 1], 1):
                 traj[o, p, :, 0] = np.fromiter((profile(i * dt) for i in recorded), float,
                                                len(recorded))
-    speeds = followers[1]
+    speeds, speed_row = followers[1], y[1].reshape(-1)  # contiguous, with the leader column
     clamps, (k1, k2, k3, k4) = np.zeros(batch, dtype=int), rates_of
     leads = (None,) * 3  # lead vehicle at the step's start, midpoint and end
     for i in range(steps):
@@ -348,7 +348,7 @@ def simulate_platoons(members, dt: float, steps: int,
         total += np.multiply(k3, two, twice)
         total += k4
         y += np.multiply(total, sixth, total)
-        if np.fmin.reduce(speeds, axis=None) < 0.0:  # fmin skips NaN, as < does
+        if not speed_row[speed_row.argmin()] >= 0.0:  # a NaN enters, and clamps nothing
             below = speeds < 0.0
             clamps += np.count_nonzero(below, axis=1)
             speeds[below] = 0.0

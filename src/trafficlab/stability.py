@@ -28,7 +28,9 @@ have negative imaginary parts, where (at wavenumber m)
 
 The closed-form criterion is b2 > 0 and 4 b1 b2 d2 - 4 d1 b2^2 > d2^2; both
 sides scale as m^2, so the verdict is m-independent and evaluated at m = 1.
-A direct quadratic-root solve is kept as an independent oracle.
+The growth rate (the larger Im w) is not: for psi_dv != 0 it tends to
+max(psi_v + psi_s/psi_dv, -psi_s/psi_dv) as m grows, and for psi_dv = 0 < psi_s
+it is unbounded. A direct quadratic-root solve is kept as an independent oracle.
 """
 
 from __future__ import annotations

@@ -106,6 +106,18 @@ class TestContinuous:
         assert exc.value.vehicle == 1
         assert 0.0 < exc.value.time < 2.0
 
+    def test_spacing_at_s_min_collides_and_one_ulp_above_runs(self):
+        # The guard is strict: a spacing equal to s_min is a collision.
+        law = make_linear_gm(1.0)  # s_min = 0.1; a stopped platoon keeps its spacing
+        at, above = (PlatoonState(time=0.0, positions=np.array([0.0, -gap]), speeds=np.zeros(2))
+                     for gap in (law.s_min, np.nextafter(law.s_min, 1.0)))
+        with pytest.raises(CollisionError) as exc:
+            simulate_continuous(law, at, ConstantLeader(0.0), 0.1, 50)
+        assert (exc.value.time, exc.value.vehicle) == (0.0, 1)
+        surf = simulate_continuous(law, above, ConstantLeader(0.0), 0.1, 50)
+        assert surf.positions.shape == (51, 2)
+        assert np.array_equal(surf.positions, np.broadcast_to(above.positions, (51, 2)))
+
     def test_custom_law_check_inside_psi_propagates(self):
         # The solver calls psi unchecked above s_min, so a law whose s_min lies
         # outside its domain raises from its own psi, and that error escapes.
@@ -591,6 +603,26 @@ class TestBatch:
         assert str(batched.value) == str(alone.value).replace(
             "vehicle", "member 1, vehicle")
         assert alone.value.member is None
+
+    @pytest.mark.parametrize("gap", [np.nextafter(0.1, 1.0), 5.0], ids=["ulp-above", "at-floor"])
+    def test_member_above_its_own_smaller_s_min_does_not_collide(self, gap):
+        # The wide member's s_min is the batch's floor, so a spacing at or below
+        # it takes the closer look, where each member meets its own s_min only.
+        near = make_linear_gm(1.0)  # s_min = 0.1
+        wide = dataclasses.replace(near, s_min=5.0)
+
+        def stopped(gap):
+            return PlatoonState(time=0.0, positions=np.array([0.0, -gap]), speeds=np.zeros(2))
+
+        members = [(near, stopped(gap), ConstantLeader(0.0)),
+                   (wide, stopped(10.0), ConstantLeader(0.0))]
+        batched = simulate_platoons(members, 0.1, 50)
+        for surface, member in zip(batched, members):
+            assert_same_surface(surface, simulate_continuous(*member, 0.1, 50))
+        members[1] = (wide, stopped(wide.s_min), ConstantLeader(0.0))  # the wide member's tie
+        with pytest.raises(CollisionError) as exc:
+            simulate_platoons(members, 0.1, 50)
+        assert (exc.value.time, exc.value.member, exc.value.vehicle) == (0.0, 1, 1)
 
     def test_collision_in_a_stack_names_its_member(self):
         crash = PlatoonState(time=0.0, positions=np.array([0.0, -10.0]),
