@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -762,6 +763,30 @@ def test_writer_reformats_only_what_the_block_before_lacks(tmp_path):
         b"-0.0,nan,0", b"0.0,nan,0"]
 
 
+AXES = {"float": np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.5, -0.0]),
+        "int64": np.array([0, -1, 2**62, -2**63, 7, 0], dtype=np.int64)}
+
+
+@pytest.mark.parametrize("axis", sorted(AXES))
+@pytest.mark.parametrize("rows, n", [
+    (1, 23), (2, 23), (3, 23), (5, 23), (5, 0),
+    (cli._BLOCK_ROWS, cli._BLOCK_ROWS - 1), (cli._BLOCK_ROWS, cli._BLOCK_ROWS),
+    (cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1)])
+def test_indexed_column_writes_the_plain_columns_bytes(tmp_path, axis, rows, n):
+    """A ``(values, index)`` column writes ``values[index]``'s bytes at every
+    block size, formatting each distinct value (bit pattern) once per file."""
+    values = AXES[axis]
+    index = np.random.default_rng(n).integers(0, len(values), n)
+    ids = np.arange(3)
+    new, reference = tmp_path / "new.csv", tmp_path / "ref.csv"
+    calls = write_counting_reprs(
+        new, [(values, index), (values, index[::-1]), (ids, index % 3)], rows)
+    write_counting_reprs(reference, [values[index], values[index[::-1]], ids[index % 3]],
+                         rows)
+    assert new.read_bytes() == reference.read_bytes()
+    assert calls == 2 * len(np.unique(values.view(np.int64))) + len(ids)
+
+
 # ---------------------------------------------------------------------------
 # The transform contract under malformed input: exit 0, 1 or 2, never a traceback.
 
@@ -821,3 +846,76 @@ def test_transform_accepts_unmutated_fuzz_input(tmp_path, direction):
     data.write_text(VALID_INPUTS[direction])
     cfg = transform_config(tmp_path, direction, data)
     assert run(["transform", "--config", cfg, "--out", tmp_path / "o"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# The reader: ``loadtxt`` given the path reads what it read from an open handle.
+
+
+def reference_read_records(path, header, dtype, kind):
+    """``cli._read_records`` as it stood with ``loadtxt`` iterating the handle
+    that had read the header."""
+    try:
+        with open(path, newline="", encoding="ascii") as fh:
+            matches = next(csv.reader([fh.readline()]))[:len(header)] == header
+            if matches:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                      usecols=range(len(dtype.names)), quotechar='"',
+                                      ndmin=1)
+    except (OSError, csv.Error, ValueError) as exc:
+        raise cli._input_error(f"cannot read {path}: {exc}") from exc
+    if not matches:
+        raise cli._input_error(f"{path} is not a {kind} CSV")
+    if not data.size:
+        raise cli._input_error(f"{path} has no data rows")
+    return data
+
+
+FIELD_INPUT = VALID_INPUTS["to_trajectories"]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(FIELD_INPUT, id="lf"),
+    pytest.param(FIELD_INPUT.replace("\n", "\r\n"), id="crlf"),
+    pytest.param(FIELD_INPUT.replace("\n", "\r"), id="cr"),
+    pytest.param(FIELD_INPUT[:-1], id="no-final-newline"),
+    pytest.param(FIELD_INPUT + "\n", id="trailing-blank-line"),
+    pytest.param(FIELD_INPUT.replace("0.05", '"0.05"'), id="quoted-numbers"),
+    pytest.param(FIELD_HEADER, id="header-only"),
+    pytest.param(FIELD_INPUT.replace("0.05,1,", "0.05,\uff11,", 1), id="non-ascii-digit"),
+])
+def test_reader_matches_the_handle_based_reader(tmp_path, capsys, text):
+    data = tmp_path / "field.csv"
+    data.write_bytes(text.encode("utf-8"))
+    header, dtype = ["t", "x", "k", "v", "q"], cli._FIELD_RECORD
+    try:
+        expected = reference_read_records(data, header, dtype, "field")
+    except ConfigurationError:
+        expected = None
+    cfg = transform_config(tmp_path, "to_trajectories", data)
+    code = run(["transform", "--config", cfg, "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    if expected is None:
+        with pytest.raises(ConfigurationError, match="transform.input"):
+            cli._read_records(data, header, dtype, "field")
+        assert code == 2 and err.startswith("config error: transform.input")
+        assert "Traceback" not in err
+        return
+    records = cli._read_records(data, header, dtype, "field")
+    assert records.dtype == expected.dtype
+    assert records.tobytes() == expected.tobytes()
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_reader_refuses_a_compressed_file_name(tmp_path, capsys, suffix):
+    """``loadtxt`` opens such a path through a decompressor, which fails on plain
+    text with an error of its own (``lzma.LZMAError`` is not an ``OSError``)."""
+    data = tmp_path / f"field.csv{suffix}"
+    data.write_text(FIELD_INPUT)
+    cfg = transform_config(tmp_path, "to_trajectories", data)
+    assert run(["transform", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == (f"config error: transform.input: {data} names a "
+                                       "compressed file, not a CSV\n")

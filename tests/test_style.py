@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "trafficlab").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted([*(ROOT / "src" / "trafficlab").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "scripts").glob("*.py")])
 MAX_LINE = 99
 
 
