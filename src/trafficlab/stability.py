@@ -9,9 +9,11 @@ with the partials taken at (v0, s0, 0). Two string-stability verdicts are
 computed side by side and never merged:
 
 * ``string_stability_classic``: the inequality psi_v^2 > 2 psi_s.
-* ``string_stability_exact``: from |den|^2 - |num|^2 =
-  w^2 (w^2 + psi_v^2 - 2 psi_v psi_dv - 2 psi_s), the ratio stays below one
-  for every frequency iff psi_v^2 - 2 psi_v psi_dv - 2 psi_s > 0.
+* ``string_stability_exact``: from |den|^2 - |num|^2 = w^2 (w^2 + margin),
+  margin = psi_v^2 - 2 psi_v psi_dv - 2 psi_s, |ratio| < 1 at every frequency
+  iff margin > 0. With u = w^2, |ratio| peaks at the positive root of
+  psi_dv^2 u^2 + 2 psi_s^2 u + psi_s^2 margin = 0 when margin < 0 and psi_s != 0;
+  otherwise its supremum is the limit w -> 0: 1, or |psi_dv / (psi_dv - psi_v)| if psi_s = 0.
 
 The two agree whenever psi_dv = 0 and can disagree otherwise; both are
 reported so the discrepancy stays observable.
@@ -44,17 +46,17 @@ from .errors import DomainError, SingularityError
 from .laws import AccelerationLaw, partials_at
 from .steady_state import EquilibriumStatus, solve_equilibrium_speed
 
-OMEGA_RANGE = (1e-3, 1e3)
-_N_PROBE = 200
+
+def _partials(law: AccelerationLaw, v0: float, s0: float) -> tuple[float, float, float]:
+    """``(psi_v, psi_s, psi_dv)`` at the steady state ``(v0, s0, 0)``, as floats."""
+    return tuple(float(p) for p in partials_at(law, v0, s0, 0.0))
 
 
-def _ratio(p_v: float, p_s: float, p_dv: float, omega):
-    """The amplification ratio on these partials; ``omega`` is a float or an array."""
+def _ratio(p_v: float, p_s: float, p_dv: float, omega: float) -> complex:
+    """The amplification ratio on these partials at frequency ``omega``."""
     num = p_s + 1j * omega * p_dv
     den = -omega**2 - 1j * omega * p_v + p_s + 1j * omega * p_dv
-    vanishing = np.flatnonzero(abs(den) < 1e-14)
-    if vanishing.size:
-        omega = np.atleast_1d(omega)[vanishing[0]]
+    if abs(den) < 1e-14:
         raise SingularityError(f"amplification denominator vanishes at omega={omega:g}")
     return num / den
 
@@ -64,8 +66,11 @@ def amplification_ratio(law: AccelerationLaw, v0: float, s0: float,
     """Complex follower/leader amplitude ratio at frequency ``omega``."""
     if omega <= 0:
         raise DomainError("frequency must be > 0")
-    p_v, p_s, p_dv = (float(p) for p in partials_at(law, v0, s0, 0.0))
-    return _ratio(p_v, p_s, p_dv, omega)
+    return _ratio(*_partials(law, v0, s0), omega)
+
+
+def _classic(p_v: float, p_s: float) -> bool:
+    return p_v**2 > 2.0 * p_s
 
 
 def string_stability_classic(law: AccelerationLaw, v0: float, s0: float) -> bool:
@@ -74,55 +79,44 @@ def string_stability_classic(law: AccelerationLaw, v0: float, s0: float) -> bool
     Drops the psi_v * psi_dv cross term that the amplification ratio
     carries; see :func:`string_stability_exact` for the full condition.
     """
-    p_v, p_s, _ = (float(p) for p in partials_at(law, v0, s0, 0.0))
-    return p_v**2 > 2.0 * p_s
+    p_v, p_s, _ = _partials(law, v0, s0)
+    return _classic(p_v, p_s)
 
 
 @dataclass(frozen=True)
 class ExactStringStability:
     stable: bool
-    worst_omega: float
+    worst_omega: float  # 0.0 where the supremum is the limit w -> 0
     worst_ratio: float
     margin: float  # psi_v^2 - 2 psi_v psi_dv - 2 psi_s; stable iff > 0
 
 
-def string_stability_exact(law: AccelerationLaw, v0: float, s0: float) -> ExactStringStability:
-    """Frequency-uniform criterion plus a numeric sweep of the worst ratio.
-
-    The verdict comes from the closed-form margin; the sweep (log-spaced
-    probes over ``OMEGA_RANGE`` refined by golden section) locates the
-    maximizing frequency, which the closed form does not provide.
-    """
-    p_v, p_s, p_dv = (float(p) for p in partials_at(law, v0, s0, 0.0))
+def _exact(p_v: float, p_s: float, p_dv: float) -> ExactStringStability:
     margin = p_v**2 - 2.0 * p_v * p_dv - 2.0 * p_s
-
-    def ratio_mag(omega):
-        return abs(_ratio(p_v, p_s, p_dv, omega))
-
-    lo, hi = math.log(OMEGA_RANGE[0]), math.log(OMEGA_RANGE[1])
-    probes = np.linspace(lo, hi, _N_PROBE)
-    mags = ratio_mag(np.exp(probes))
-    i_best = int(np.argmax(mags))
-    a = probes[max(i_best - 1, 0)]
-    b = probes[min(i_best + 1, _N_PROBE - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = ratio_mag(math.exp(c)), ratio_mag(math.exp(d))
-    for _ in range(60):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = ratio_mag(math.exp(d))
-        else:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = ratio_mag(math.exp(c))
-    log_w = 0.5 * (a + b)
-    worst = max(ratio_mag(math.exp(log_w)), float(mags[i_best]))
-    return ExactStringStability(stable=margin > 0.0,
-                                worst_omega=math.exp(log_w),
+    if p_s != 0.0 and margin < 0.0:
+        # The positive root divided through by |psi_s|: exact as psi_dv -> 0.
+        omega = math.sqrt(-abs(p_s) * margin
+                          / (abs(p_s) + math.sqrt(p_s**2 - p_dv**2 * margin)))
+        worst = abs(_ratio(p_v, p_s, p_dv, omega))
+    elif p_s != 0.0:
+        omega, worst = 0.0, 1.0
+    elif p_dv == p_v:
+        raise SingularityError("amplification denominator vanishes at omega=0")
+    else:  # psi_s = 0: ratio = psi_dv / (psi_dv - psi_v + i w), largest as w -> 0
+        omega, worst = 0.0, abs(p_dv / (p_dv - p_v))
+    return ExactStringStability(stable=margin > 0.0, worst_omega=omega,
                                 worst_ratio=worst, margin=margin)
+
+
+def string_stability_exact(law: AccelerationLaw, v0: float, s0: float) -> ExactStringStability:
+    """Frequency-uniform criterion, with the worst frequency in closed form.
+
+    ``worst_omega`` is sqrt(u), u the positive root of psi_dv^2 u^2 +
+    2 psi_s^2 u + psi_s^2 margin = 0, when margin < 0 and psi_s != 0. Else it
+    is 0.0, the limit w -> 0 where ``worst_ratio`` is 1 (psi_s != 0) or
+    |psi_dv / (psi_dv - psi_v)|, a pole if psi_v = psi_dv (SingularityError).
+    """
+    return _exact(*_partials(law, v0, s0))
 
 
 @dataclass(frozen=True)
@@ -136,20 +130,12 @@ class ContinuumStability:
     roots: tuple[complex, complex]
 
 
-def continuum_coefficients(law: AccelerationLaw, v0: float, s0: float,
-                           m: float = 1.0) -> tuple[float, float, float, float]:
-    p_v, p_s, p_dv = (float(p) for p in partials_at(law, v0, s0, 0.0))
+def _continuum(v0: float, s0: float, p_v: float, p_s: float, p_dv: float,
+               m: float) -> ContinuumStability:
     b1 = -(2.0 * v0 - p_dv * s0) * m / 2.0
     b2 = -p_v / 2.0
     d1 = (v0 - p_dv * s0) * v0 * m**2
     d2 = (p_v * v0 + p_s * s0) * m
-    return b1, b2, d1, d2
-
-
-def continuum_linear_stability(law: AccelerationLaw, v0: float, s0: float,
-                               m: float = 1.0) -> ContinuumStability:
-    """Both the coefficient criterion and the quadratic-root oracle."""
-    b1, b2, d1, d2 = continuum_coefficients(law, v0, s0, m)
     criterion = b2 > 0.0 and 4.0 * b1 * b2 * d2 - 4.0 * d1 * b2**2 > d2**2
     roots = np.roots([1.0, 2.0 * b1 + 2.0j * b2, d1 + 1.0j * d2])
     # Strictly negative imaginary parts; a marginal root (Im = 0 up to
@@ -159,6 +145,18 @@ def continuum_linear_stability(law: AccelerationLaw, v0: float, s0: float,
     return ContinuumStability(stable_criterion=criterion, stable_roots=by_roots,
                               b1=b1, b2=b2, d1=d1, d2=d2,
                               roots=(complex(roots[0]), complex(roots[1])))
+
+
+def continuum_linear_stability(law: AccelerationLaw, v0: float, s0: float,
+                               m: float = 1.0) -> ContinuumStability:
+    """Both the coefficient criterion and the quadratic-root oracle."""
+    return _continuum(v0, s0, *_partials(law, v0, s0), m)
+
+
+def continuum_coefficients(law: AccelerationLaw, v0: float, s0: float,
+                           m: float = 1.0) -> tuple[float, float, float, float]:
+    res = continuum_linear_stability(law, v0, s0, m)
+    return res.b1, res.b2, res.d1, res.d2
 
 
 @dataclass(frozen=True)
@@ -186,13 +184,12 @@ def stability_report(law: AccelerationLaw, k0: float,
             raise DomainError(
                 f"{law.name} has no unique steady state at k={k0:g} ({res.status.value})")
         v0 = res.speed
-    p_v, p_s, p_dv = (float(p) for p in partials_at(law, v0, s0, 0.0))
-    exact = string_stability_exact(law, v0, s0)
-    cont = continuum_linear_stability(law, v0, s0)
-    notes = ""
-    classic = string_stability_classic(law, v0, s0)
-    if classic != exact.stable:
-        notes = "classic and exact string criteria disagree (psi_dv cross term)"
+    p_v, p_s, p_dv = _partials(law, v0, s0)
+    exact = _exact(p_v, p_s, p_dv)
+    cont = _continuum(v0, s0, p_v, p_s, p_dv, 1.0)
+    classic = _classic(p_v, p_s)
+    notes = ("classic and exact string criteria disagree (psi_dv cross term)"
+             if classic != exact.stable else "")
     return StabilityReport(
         v0=v0, s0=s0, psi_v=p_v, psi_s=p_s, psi_dv=p_dv,
         classic_string_stable=classic, exact_string_stable=exact.stable,

@@ -7,7 +7,7 @@ import pytest
 
 from trafficlab import (AccelerationLaw, SingularityError, TriangularDiagram,
                         amplification_ratio, continuum_linear_stability, make_fvdm,
-                        make_idm, make_ovm, stability_map, stability_report,
+                        make_idm, make_ovm, partials_at, stability_map, stability_report,
                         string_stability_exact, string_stability_classic)
 from trafficlab.stability import continuum_coefficients
 
@@ -25,6 +25,37 @@ def synthetic_law(p_v, p_s, p_dv, v0=10.0, s0=20.0):
         return z + p_v, z + p_s, z + p_dv
 
     return AccelerationLaw("synthetic", {}, psi, partials, v_free=2 * v0)
+
+
+def reference_sweep(p_v, p_s, p_dv):
+    """The numeric worst-frequency search ``string_stability_exact`` ran before
+    its closed form: 200 log-spaced probes over 1e-3 <= w <= 1e3, refined by 60
+    golden-section steps. Kept as an independent reference; returns
+    ``(worst_omega, worst_ratio)``."""
+
+    def ratio_mag(omega):
+        return np.abs((p_s + 1j * omega * p_dv)
+                      / (-omega**2 - 1j * omega * p_v + p_s + 1j * omega * p_dv))
+
+    probes = np.linspace(math.log(1e-3), math.log(1e3), 200)
+    mags = ratio_mag(np.exp(probes))
+    i_best = int(np.argmax(mags))
+    a, b = probes[max(i_best - 1, 0)], probes[min(i_best + 1, probes.size - 1)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = ratio_mag(math.exp(c)), ratio_mag(math.exp(d))
+    for _ in range(60):
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = ratio_mag(math.exp(d))
+        else:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = ratio_mag(math.exp(c))
+    log_w = 0.5 * (a + b)
+    return math.exp(log_w), max(float(ratio_mag(math.exp(log_w))), float(mags[i_best]))
 
 
 class TestAmplificationRatio:
@@ -78,7 +109,7 @@ class TestStringStability:
         exact = string_stability_exact(law, 5.0, 10.0)
         assert exact.stable
         assert exact.margin == pytest.approx(0.2, rel=1e-9)
-        assert exact.worst_ratio <= 1.0 + 1e-9
+        assert reference_sweep(*partials_at(law, 5.0, 10.0, 0.0))[1] <= 1.0 + 1e-9
 
     def test_sweep_sign_matches_margin(self, rng):
         agree = 0
@@ -86,11 +117,56 @@ class TestStringStability:
             p_v = -rng.uniform(0.2, 3.0)
             p_s = rng.uniform(0.05, 2.0)
             p_dv = rng.uniform(0.0, 1.5)
-            law = synthetic_law(p_v, p_s, p_dv)
-            exact = string_stability_exact(law, 10.0, 20.0)
-            sweep_stable = exact.worst_ratio <= 1.0 + 1e-6
+            exact = string_stability_exact(synthetic_law(p_v, p_s, p_dv), 10.0, 20.0)
+            sweep_stable = reference_sweep(p_v, p_s, p_dv)[1] <= 1.0 + 1e-6
             agree += (sweep_stable == exact.stable)
         assert agree == 50
+
+    def test_closed_form_matches_reference_sweep(self, rng):
+        # Unstable states whose peak lies inside the sweep's probe range. The
+        # sweep's golden section on a flat peak is the looser side for omega.
+        checked = 0
+        while checked < 200:
+            p_v, p_s = -rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)
+            p_dv = rng.uniform(-1.0, 1.5)
+            exact = string_stability_exact(synthetic_law(p_v, p_s, p_dv), 10.0, 20.0)
+            if exact.stable or not 1e-3 < exact.worst_omega < 1e3:
+                continue
+            omega, ratio = reference_sweep(p_v, p_s, p_dv)
+            assert exact.worst_ratio == pytest.approx(ratio, rel=1e-9)
+            assert exact.worst_omega == pytest.approx(omega, rel=2e-3)
+            checked += 1
+
+    def test_peak_below_the_probe_range(self):
+        # margin = -2e-7 puts the peak at w = sqrt(-margin / 2) ~ 3.2e-4, below
+        # any fixed probe grid that starts at 1e-3; there |ratio| is still > 1.
+        exact = string_stability_exact(synthetic_law(-1.0, 0.5000001, 0.0), 10.0, 20.0)
+        assert not exact.stable
+        assert exact.worst_ratio > 1.0
+        assert exact.worst_omega == pytest.approx(math.sqrt(-exact.margin / 2.0), rel=1e-9)
+
+    def test_stable_supremum_is_the_zero_frequency_limit(self, tri):
+        # Congested OVM, partials (-2.5, 2.5, 0): margin 1.25 > 0 and psi_s != 0.
+        exact = string_stability_exact(make_ovm(0.4, tri), 5.0, 10.0)
+        assert exact.stable
+        assert (exact.worst_omega, exact.worst_ratio) == (0.0, 1.0)
+
+    def test_zero_gap_partial_limit(self, tri):
+        # psi_s = 0 reduces the ratio to psi_dv / (psi_dv - psi_v + i w), whose
+        # supremum is its value as w -> 0, stable or not.
+        exact = string_stability_exact(make_fvdm(1.0, 0.3, tri), 20.0, 50.0)  # (-1, 0, 0.3)
+        assert exact.stable
+        assert (exact.worst_omega, exact.worst_ratio) == (0.0, 0.3 / 1.3)
+        exact = string_stability_exact(synthetic_law(-1.0, 0.0, -0.8), 10.0, 20.0)
+        assert not exact.stable
+        assert exact.worst_omega == 0.0
+        assert exact.worst_ratio == pytest.approx(0.8 / 0.2, rel=1e-12)
+
+    def test_zero_gap_partial_pole_at_zero_frequency(self):
+        # psi_s = 0 and psi_v = psi_dv: ratio = -i psi_dv / w is unbounded as w -> 0.
+        with pytest.raises(SingularityError,
+                           match=r"^amplification denominator vanishes at omega=0$"):
+            string_stability_exact(synthetic_law(-0.5, 0.0, -0.5), 10.0, 20.0)
 
     def test_sweep_stops_at_a_pole(self):
         # psi_v = psi_dv: the denominator is psi_s - w^2, zero at w = sqrt(psi_s)
@@ -116,6 +192,17 @@ class TestStringStability:
         assert rep.worst_omega == pytest.approx(omega, rel=1e-6)
         peak = abs(amplification_ratio(law, rep.v0, rep.s0, omega))
         assert rep.worst_ratio == pytest.approx(peak, rel=1e-12)
+
+    def test_report_takes_the_partials_once(self, tri, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return partials_at(*args, **kwargs)
+
+        monkeypatch.setattr("trafficlab.stability.partials_at", counted)
+        stability_report(make_ovm(0.4, tri), 0.1)
+        assert len(calls) == 1
 
     def test_report_notes_disagreement(self, tri):
         rep = stability_report(make_fvdm(1.0, 0.6, tri), 0.1)

@@ -6,7 +6,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "src" / "trafficlab").glob("*.py"), *(ROOT / "tests").glob("*.py"),
-                  *(ROOT / "scripts").glob("*.py")])
+                  *(ROOT / "scripts").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")])
 MAX_LINE = 99
 
 
