@@ -297,10 +297,10 @@ _RUN_FAULTS = (CollisionError, SolverFault, DomainError, EvaluationError)
 
 
 def _incomparable(scenario: str, model: str, resolution: str,
-                  exc: Exception) -> EquivalenceReport:
+                  fault: str) -> EquivalenceReport:
     """The report of a run that could not be compared: NaN norms and the fault."""
     return EquivalenceReport(scenario, model, resolution, *[math.nan] * 6,
-                             verdict="incomparable", fault=str(exc))
+                             verdict="incomparable", fault=fault)
 
 
 def _mode_amplitude(k_rows: np.ndarray) -> np.ndarray:
@@ -362,13 +362,9 @@ def compare_second_order(law: AccelerationLaw, scenario: RingScenario,
 
 def _prepare_second_order(law: AccelerationLaw, scenario: RingScenario, cells: int,
                           cf_surface) -> tuple[EulerianField, EulerianScenario]:
-    """The car-following field on the resolution's grid, and the continuum run.
-    ``cf_surface`` may be the exception the arm raised: it is raised here, where
-    the arm would have run."""
+    """The car-following field on the resolution's grid, and the continuum run."""
     _, steps_pde = _ring_steps(scenario)
     grid = SpatialGrid(0.0, scenario.circumference / cells, cells)
-    if isinstance(cf_surface, Exception):
-        raise cf_surface
     cf_field = to_eulerian(cf_surface, grid)
     return cf_field, EulerianScenario(
         grid=grid, dt=scenario.dt_pde, steps=steps_pde,
@@ -426,15 +422,17 @@ def _isolated(run, members, *args) -> list:
     return [_isolated(run, [member], *args)[0] for member in members]
 
 
-def _batched(run, items: list, key) -> list:
+def _batched(run, items: list) -> list:
     """One result per item: an item that is an exception passes through, and
     an item ``(member, *args)`` gets ``run``'s result for its member. Items of
-    one ``key(item)`` run as one ``run(members, *args)`` (:func:`_isolated`)."""
+    equal ``args`` run as one ``run(members, *args)``; whether the members may
+    share a batch is ``run``'s own check, and a batch it refuses runs member by
+    member like any batch that raises (:func:`_isolated`)."""
     results = list(items)
     batches: dict[tuple, list[int]] = {}
     for i, item in enumerate(items):
         if not isinstance(item, Exception):
-            batches.setdefault(key(item), []).append(i)
+            batches.setdefault(item[1:], []).append(i)
     for batch in batches.values():
         members = [items[i][0] for i in batch]
         for i, result in zip(batch, _isolated(run, members, *items[batch[0]][1:])):
@@ -445,22 +443,23 @@ def _batched(run, items: list, key) -> list:
 def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
     """Execute all suite entries; run faults are isolated per report.
 
-    Each distinct car-following arm runs once, and the continuum arms of one
-    ``(dt, steps, record_every)``, every resolution's together, run as one
-    :func:`solve_second_order_batch`; a batch of either arm that raises runs
-    each member alone (:func:`_batched`). Every report equals the entry's own
-    one-entry suite, faults included; where that raises (a
+    Each distinct car-following arm runs once, and a failed arm's exception
+    goes straight to each of its reports. The continuum arms, every
+    resolution's together, are offered to :func:`solve_second_order_batch` as
+    one batch; a batch of either arm that its solver refuses or that raises
+    runs each member alone (:func:`_batched`). Every report equals the entry's
+    own one-entry suite, faults included; where that raises (a
     :class:`ConfigurationError`), the suite raises the first such entry's
     exception.
     """
     rings = [replace(e.ring, name=e.scenario) for e in entries]
     arms = _car_following_arms([(e.law, e.ring) for e in entries])
     # Per entry: (car-following field, continuum run), or its fault.
-    runs = [_outcome(_prepare_second_order, e.law, ring, e.cells, arm)
+    runs = [arm if isinstance(arm, Exception) else
+            _outcome(_prepare_second_order, e.law, ring, e.cells, arm)
             for e, ring, arm in zip(entries, rings, arms)]
     solved = _batched(solve_second_order_batch,
-                      [run if isinstance(run, Exception) else (run[1],) for run in runs],
-                      key=lambda item: (item[0].dt, item[0].steps, item[0].record_every))
+                      [run if isinstance(run, Exception) else (run[1],) for run in runs])
     reports = [result if isinstance(result, Exception) else _outcome(
         _finish_second_order, e.law, ring, e.cells, run[0], *result)
         for e, ring, run, result in zip(entries, rings, runs, solved)]
@@ -468,20 +467,18 @@ def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
         if isinstance(report, Exception) and not isinstance(report, _RUN_FAULTS):
             raise report
     return [report if isinstance(report, EquivalenceReport) else
-            _incomparable(ring.name, e.law.name, f"cells={e.cells}", report)
+            _incomparable(ring.name, e.law.name, f"cells={e.cells}", str(report))
             for e, ring, report in zip(entries, rings, reports)]
 
 
 def _car_following_arms(arms: list[tuple[AccelerationLaw, RingScenario]]) -> list:
     """Each (law, ring) arm's surface, recorded at the compare points, or the
     exception the arm raised. Equal arms run once. Arms with the same step size,
-    step count, stride, vehicle count and law order run as one batch of
-    :func:`simulate_platoons` (:func:`_batched`)."""
+    step count and stride are offered to :func:`simulate_platoons` as one
+    batch (:func:`_batched`)."""
     distinct: list[tuple[AccelerationLaw, RingScenario]] = []
     for arm in arms:
         if arm not in distinct:
             distinct.append(arm)
-    surfaces = _batched(simulate_platoons, [_outcome(_arm_run, *arm) for arm in distinct],
-                        key=lambda item: (*item[1:], item[0][1].n_vehicles,
-                                          item[0][0].order))
+    surfaces = _batched(simulate_platoons, [_outcome(_arm_run, *arm) for arm in distinct])
     return [surfaces[distinct.index(arm)] for arm in arms]

@@ -26,18 +26,20 @@ from .errors import DomainError, ParameterError
 _EDGE_TOL = 1e-12
 
 
-def _as_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+def _checked(formula, check, x, bound):
+    """``formula(x)`` on ``x`` as a float array, after ``check(x, bound)``; a
+    float for scalar ``x``."""
+    x = np.asarray(x, dtype=float)
+    check(x, bound)
+    y = formula(x)
+    return float(y) if x.ndim == 0 else y
 
 
-def _ret(arr: np.ndarray, scalar: bool):
-    return float(arr) if scalar else arr
-
-
-class _SpacingForm:
-    """Every diagram's jam spacing, ``theta`` and ``theta_prime``: the spacing
-    check, then the bare ``_theta`` or ``_theta_prime``."""
+class _Diagram:
+    """Every diagram's jam spacing and checked evaluators: each runs its
+    domain check, then the diagram's bare ``_phi``, ``_eta``, ``_eta_prime``,
+    ``_theta`` or ``_theta_prime``. The laws' kernels call the bare spacing
+    forms directly, behind their own spacing check."""
 
     @property
     def jam_spacing(self) -> float:
@@ -46,19 +48,24 @@ class _SpacingForm:
     def _check_spacing(self, s):
         _check_spacing_range(s, self.jam_spacing)
 
+    def phi(self, k):
+        return _checked(self._phi, _check_density_range, k, self.k_j)
+
+    def eta(self, k):
+        return _checked(self._eta, _check_density_positive, k, self.k_j)
+
+    def eta_prime(self, k):
+        return _checked(self._eta_prime, _check_density_positive, k, self.k_j)
+
     def theta(self, s):
-        s, scalar = _as_array(s)
-        self._check_spacing(s)
-        return _ret(self._theta(s), scalar)
+        return _checked(self._theta, _check_spacing_range, s, self.jam_spacing)
 
     def theta_prime(self, s):
-        s, scalar = _as_array(s)
-        self._check_spacing(s)
-        return _ret(self._theta_prime(s), scalar)
+        return _checked(self._theta_prime, _check_spacing_range, s, self.jam_spacing)
 
 
 @dataclass(frozen=True)
-class TriangularDiagram(_SpacingForm):
+class TriangularDiagram(_Diagram):
     """Two-branch diagram: free-flow slope ``v_f``, congested slope ``-w``."""
 
     v_f: float
@@ -91,10 +98,8 @@ class TriangularDiagram(_SpacingForm):
     def capacity(self) -> float:
         return self.v_f * self.w * self.k_j / (self.v_f + self.w)
 
-    def phi(self, k):
-        k, scalar = _as_array(k)
-        _check_density_range(k, self.k_j)
-        return _ret(np.minimum(self.v_f * k, self.w * (self.k_j - k)), scalar)
+    def _phi(self, k):
+        return np.minimum(self.v_f * k, self.w * (self.k_j - k))
 
     def _theta(self, s):
         v_f, w, k_j, one = self._theta_of
@@ -105,16 +110,12 @@ class TriangularDiagram(_SpacingForm):
         # Kink at s_break: report the congested-branch slope there.
         return np.where(s <= s_break, slope, zero)
 
-    def eta(self, k):
-        k, scalar = _as_array(k)
-        _check_density_positive(k, self.k_j)
-        return _ret(np.minimum(self.v_f, self.w * (self.k_j / k - 1.0)), scalar)
+    def _eta(self, k):
+        return np.minimum(self.v_f, self.w * (self.k_j / k - 1.0))
 
-    def eta_prime(self, k):
-        k, scalar = _as_array(k)
-        _check_density_positive(k, self.k_j)
+    def _eta_prime(self, k):
         congested = k >= self.critical_density
-        return _ret(np.where(congested, -self.w * self.k_j / k**2, 0.0), scalar)
+        return np.where(congested, -self.w * self.k_j / k**2, 0.0)
 
     def max_theta_slope(self) -> float:
         return self.w * self.k_j
@@ -124,7 +125,7 @@ class TriangularDiagram(_SpacingForm):
 
 
 @dataclass(frozen=True)
-class GreenshieldsDiagram(_SpacingForm):
+class GreenshieldsDiagram(_Diagram):
     """Parabolic diagram ``phi(k) = v_f k (1 - k/k_j)``."""
 
     v_f: float
@@ -144,10 +145,8 @@ class GreenshieldsDiagram(_SpacingForm):
     def capacity(self) -> float:
         return self.v_f * self.k_j / 4.0
 
-    def phi(self, k):
-        k, scalar = _as_array(k)
-        _check_density_range(k, self.k_j)
-        return _ret(self.v_f * k * (1.0 - k / self.k_j), scalar)
+    def _phi(self, k):
+        return self.v_f * k * (1.0 - k / self.k_j)
 
     def _theta(self, s):
         # Analytic extension for every s >= 1/k_j; tends to v_f as s -> inf.
@@ -156,15 +155,11 @@ class GreenshieldsDiagram(_SpacingForm):
     def _theta_prime(self, s):
         return self.v_f / (s * s * self.k_j)  # a float's s**2 is pow(), not s * s
 
-    def eta(self, k):
-        k, scalar = _as_array(k)
-        _check_density_positive(k, self.k_j)
-        return _ret(self.v_f * (1.0 - k / self.k_j), scalar)
+    def _eta(self, k):
+        return self.v_f * (1.0 - k / self.k_j)
 
-    def eta_prime(self, k):
-        k, scalar = _as_array(k)
-        _check_density_positive(k, self.k_j)
-        return _ret(np.full_like(k, -self.v_f / self.k_j), scalar)
+    def _eta_prime(self, k):
+        return np.full_like(k, -self.v_f / self.k_j)
 
     def max_theta_slope(self) -> float:
         # theta'(s) = v_f/(s^2 k_j) is largest at the jam spacing: v_f * k_j.
@@ -175,7 +170,7 @@ class GreenshieldsDiagram(_SpacingForm):
 
 
 @dataclass(frozen=True)
-class TabulatedDiagram(_SpacingForm):
+class TabulatedDiagram(_Diagram):
     """Monotone piecewise-linear interpolation of sorted (k, q) samples.
 
     The table must start at (0, 0) and end at (k_j, 0); linear interpolation
@@ -217,10 +212,8 @@ class TabulatedDiagram(_SpacingForm):
     def capacity(self) -> float:
         return float(np.max(self.q_table))
 
-    def phi(self, k):
-        k, scalar = _as_array(k)
-        _check_density_range(k, self.k_j)
-        return _ret(np.interp(k, self.k_table, self.q_table), scalar)
+    def _phi(self, k):
+        return np.interp(k, self.k_table, self.q_table)
 
     def _theta(self, s):
         return s * np.interp(1.0 / s, self.k_table, self.q_table)
@@ -230,18 +223,14 @@ class TabulatedDiagram(_SpacingForm):
         lo = np.maximum(s - h, self.jam_spacing)
         return (self._theta(s + h) - self._theta(lo)) / (s + h - lo)
 
-    def eta(self, k):
-        k, scalar = _as_array(k)
-        _check_density_positive(k, self.k_j)
-        return _ret(np.interp(k, self.k_table, self.q_table) / k, scalar)
+    def _eta(self, k):
+        return np.interp(k, self.k_table, self.q_table) / k
 
-    def eta_prime(self, k):
-        k, scalar = _as_array(k)
-        _check_density_positive(k, self.k_j)
+    def _eta_prime(self, k):
         h = 1e-6 * self.k_j
-        hi = np.minimum(k + h, self.k_j)
+        hi = np.minimum(k + h, self.k_j)  # hi and lo lie in (0, k_j]: bare _eta
         lo = np.maximum(k - h, self.k_table[1] * 1e-6)
-        return _ret((self.eta(hi) - self.eta(lo)) / (hi - lo), scalar)
+        return (self._eta(hi) - self._eta(lo)) / (hi - lo)
 
     def max_theta_slope(self) -> float:
         # On each linear piece q = q_i + m_i (k - k_i), theta(s) = s*phi(1/s)

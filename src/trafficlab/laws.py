@@ -77,10 +77,6 @@ class AccelerationLaw:
             raise EvaluationError(f"{self.name} is not a third-order law")
         return (self.evaluate(v, s, dv) - accel) / self.t_delay
 
-    @property
-    def has_analytic_partials(self) -> bool:
-        return self.partials is not None
-
 
 def _heaviside(x):
     return np.where(x > 0.0, 1.0, 0.0)

@@ -158,8 +158,8 @@ class Ring:
     length: float
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ParameterError("ring length must be > 0")
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise ParameterError("ring length must be finite and > 0")
 
 
 def _validate_ordering(state: PlatoonState, boundary) -> None:
@@ -232,9 +232,8 @@ def simulate_platoons(members, dt: float, steps: int,
     n, order = initials[0].n_vehicles, laws[0].order
     if not ring and n < 2:
         raise ConfigurationError("linear-road run needs the leader plus a follower")
-    if any(initial.n_vehicles != n for initial in initials) or any(
-            law.order is not order for law in laws) or any(
-            isinstance(b, Ring) != ring for b in boundaries):
+    if len({(initial.n_vehicles, law.order, isinstance(b, Ring))
+            for law, initial, b in members}) > 1:
         raise ConfigurationError(
             "batch members must share the vehicle count, law order and boundary kind")
 

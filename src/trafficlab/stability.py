@@ -53,10 +53,11 @@ def _partials(law: AccelerationLaw, v0: float, s0: float) -> tuple[float, float,
 
 
 def _ratio(p_v: float, p_s: float, p_dv: float, omega: float) -> complex:
-    """The amplification ratio on these partials at frequency ``omega``."""
+    """The amplification ratio on these partials at frequency ``omega``; a pole
+    where ``|den|`` is round-off against the size of its terms."""
     num = p_s + 1j * omega * p_dv
     den = -omega**2 - 1j * omega * p_v + p_s + 1j * omega * p_dv
-    if abs(den) < 1e-14:
+    if abs(den) <= 1e-14 * (omega**2 + abs(p_s) + omega * (abs(p_v) + abs(p_dv))):
         raise SingularityError(f"amplification denominator vanishes at omega={omega:g}")
     return num / den
 
@@ -151,12 +152,6 @@ def continuum_linear_stability(law: AccelerationLaw, v0: float, s0: float,
                                m: float = 1.0) -> ContinuumStability:
     """Both the coefficient criterion and the quadratic-root oracle."""
     return _continuum(v0, s0, *_partials(law, v0, s0), m)
-
-
-def continuum_coefficients(law: AccelerationLaw, v0: float, s0: float,
-                           m: float = 1.0) -> tuple[float, float, float, float]:
-    res = continuum_linear_stability(law, v0, s0, m)
-    return res.b1, res.b2, res.d1, res.d2
 
 
 @dataclass(frozen=True)

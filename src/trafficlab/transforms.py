@@ -26,8 +26,9 @@ class SpatialGrid:
     cells: int
 
     def __post_init__(self):
-        if self.dx <= 0 or self.cells <= 0:
-            raise ParameterError("grid needs dx > 0 and cells > 0")
+        if not (math.isfinite(self.x0) and math.isfinite(self.dx) and self.dx > 0
+                and self.cells > 0):
+            raise ParameterError("grid needs a finite x0, finite dx > 0 and cells > 0")
 
     @property
     def span(self) -> float:

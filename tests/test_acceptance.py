@@ -47,7 +47,8 @@ def test_criterion_01_fd_identities():
 
 
 def test_criterion_02_pipes_newell_identity():
-    """Discrete spacing rule at dt = time gap is bitwise the Newell rule."""
+    """Discrete spacing rule at dt = time gap is bitwise the Newell rule, and
+    both are bitwise Newell's rule stepped in the test itself."""
     fd = TRI_FD
     tau = fd.time_gap
     scenarios = [
@@ -68,9 +69,17 @@ def test_criterion_02_pipes_newell_identity():
     for name, initial, leader, steps in scenarios:
         a = tl.simulate_pipes_discrete(fd, initial, leader, tau, steps)
         b = tl.simulate_newell(fd, initial, leader, steps)
-        if not np.array_equal(a.positions, b.positions):
+        # Newell's rule stepped here, independently of both simulators
+        ref = np.empty((steps + 1, initial.n_vehicles))
+        ref[0] = initial.positions
+        for i in range(steps):
+            ref[i + 1, 1:] = np.minimum(ref[i, 1:] + tau * fd.v_f, ref[i, :-1] - fd.jam_spacing)
+            ref[i + 1, 0] = ref[i, 0] + leader.displacement(i * tau, i * tau + tau)
+        if not (np.array_equal(a.positions, b.positions)
+                and np.array_equal(b.positions, ref)):
             all_equal = False
-    report(2, all_equal, f"bitwise-equal trajectories on {len(scenarios)} scenarios")
+    report(2, all_equal, f"bitwise-equal trajectories and Newell reference on "
+                         f"{len(scenarios)} scenarios")
 
 
 def test_criterion_03_lwr_oracle():

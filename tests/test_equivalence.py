@@ -218,6 +218,27 @@ class TestSuite:
         run_suite(entries[:1] + [SuiteEntry("stable", laws["stable"], other, 10)])
         assert batches[1:] == [["ovm", "ovm"]]
 
+    def test_arms_the_solver_refuses_to_batch_run_alone(self, tri, monkeypatch):
+        # Equal step size, step count and stride, but 80 and 40 vehicles:
+        # simulate_platoons refuses the batch, so each arm runs by itself.
+        from trafficlab import equivalence
+        law = make_ovm(0.4, tri)
+        rings = [RingScenario(**{**RING.__dict__, "horizon": 12.0, "circumference": length,
+                                 "name": f"ring{length:g}"}) for length in (1000.0, 500.0)]
+        standalone = [compare_second_order(law, ring, 20) for ring in rings]
+        calls = []
+
+        def counting(members, *args):
+            calls.append(len(members))
+            return simulate(members, *args)
+
+        simulate = equivalence.simulate_platoons
+        monkeypatch.setattr(equivalence, "simulate_platoons", counting)
+        reports = run_suite([SuiteEntry(ring.name, law, ring, 20) for ring in rings])
+        assert calls == [2, 1, 1]
+        assert reports == standalone
+        assert all(report.verdict == "within-threshold" for report in reports)
+
     @pytest.mark.parametrize("law, amplitude", [
         pytest.param(make_ovm(0.4, TriangularDiagram(**TRI)), 0.9, id="collision"),
     ])

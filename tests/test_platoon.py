@@ -198,6 +198,12 @@ class TestContinuous:
         with pytest.raises(ParameterError):
             make()
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
+    def test_ring_refuses_non_finite_or_empty_length(self, length):
+        # an infinite ring left the front vehicle without a leader, silently
+        with pytest.raises(ParameterError, match="ring length must be finite and > 0"):
+            Ring(length)
+
     def test_leader_profiles_accept_their_edges(self):
         assert ConstantLeader(0.0).speed_at(1.0) == 0.0
         for amplitude in (1.0, -1.0):  # the speed touches 0 and never goes below

@@ -9,7 +9,6 @@ from trafficlab import (AccelerationLaw, SingularityError, TriangularDiagram,
                         amplification_ratio, continuum_linear_stability, make_fvdm,
                         make_idm, make_ovm, partials_at, stability_map, stability_report,
                         string_stability_exact, string_stability_classic)
-from trafficlab.stability import continuum_coefficients
 
 from conftest import TRI
 
@@ -174,6 +173,17 @@ class TestStringStability:
                            match=r"^amplification denominator vanishes at omega=0\.707107$"):
             string_stability_exact(synthetic_law(0.3, 0.5, 0.3), 10.0, 20.0)
 
+    @pytest.mark.parametrize("partials", [(7.0, 123.456, 7.0), (300.0, 5e5, 300.0)])
+    def test_pole_found_at_any_partial_scale(self, partials):
+        # psi_v = psi_dv again: |den| at the root is round-off of psi_s, above 1e-14
+        with pytest.raises(SingularityError, match=r"^amplification denominator vanishes"):
+            string_stability_exact(synthetic_law(*partials), 10.0, 20.0)
+
+    def test_small_partials_are_not_a_pole(self):
+        # |den| ~ 1e-15 is small only against 1: its terms are as small
+        ratio = amplification_ratio(synthetic_law(-1e-7, 1e-15, 0.0), 10.0, 20.0, 1e-8)
+        assert ratio == 0.49723756906077365 - 0.552486187845304j
+
     @pytest.mark.parametrize("law", [
         make_ovm(0.7, TriangularDiagram(**TRI)),
         make_fvdm(0.8, 0.05, TriangularDiagram(**TRI)),
@@ -245,7 +255,8 @@ class TestContinuumStability:
     def test_coefficients_formula(self, tri):
         law = make_ovm(1.0, tri)  # congested partials (-1, 1, 0)
         v0, s0 = 5.0, 10.0
-        b1, b2, d1, d2 = continuum_coefficients(law, v0, s0, m=1.0)
+        res = continuum_linear_stability(law, v0, s0, m=1.0)
+        b1, b2, d1, d2 = res.b1, res.b2, res.d1, res.d2
         assert b1 == pytest.approx(-v0)
         assert b2 == pytest.approx(0.5)
         assert d1 == pytest.approx(v0**2)

@@ -42,6 +42,13 @@ def identity_row_levels(levels=3):
 
 
 class TestSurfaceValidation:
+    @pytest.mark.parametrize("x0, dx, cells", [
+        (0.0, math.nan, 10), (0.0, math.inf, 10), (0.0, 0.0, 10), (0.0, 1.0, 0),
+        (math.nan, 1.0, 10), (-math.inf, 1.0, 10)])
+    def test_grid_refuses_non_finite_or_empty_sizes(self, x0, dx, cells):
+        with pytest.raises(ParameterError):
+            SpatialGrid(x0, dx, cells)
+
     def test_collision_rejected(self):
         x = np.array([[0.0, -10.0], [0.0, 0.5]])
         with pytest.raises(ParameterError):
