@@ -77,30 +77,38 @@ def _column_text(column: np.ndarray, previous: tuple) -> tuple[np.ndarray, tuple
 _BLOCK_ROWS = 8192
 
 
-def _write_columns(path: Path, header: list[str], columns) -> None:
-    """Write equal-length columns as CSV, byte for byte as ``csv.writer`` would.
+def _csv_blocks(header: list[str], columns):
+    """The lines of equal-length columns as CSV, byte for byte as ``csv.writer``
+    would write them: the header line, then each block of ``_BLOCK_ROWS`` rows,
+    each as a list of lines.
 
-    Rows are formatted and written one block of ``_BLOCK_ROWS`` at a time, so
-    only one block's text is held, never the whole file's; each column keeps
-    the text of the block before, for the values that recur. A column given as
-    ``(values, index)`` stands for ``values[index]``: ``values`` is formatted
-    once per file and each block takes its text by index, sorting nothing.
-    A ``repr`` of a number holds no comma, quote or line break, so only text
-    fields can need quoting; lines end in CR LF, as in the ``excel`` dialect.
+    Rows are formatted one block at a time, so only one block's text is held,
+    never the whole file's; each column keeps the text of the block before,
+    for the values that recur. A column given as ``(values, index)`` stands
+    for ``values[index]``: ``values`` is formatted once per file and each
+    block takes its text by index, sorting nothing. A ``repr`` of a number
+    holds no comma, quote or line break, so only text fields can need quoting.
     """
     fresh = (np.empty(0, np.int64), np.empty(0, dtype=object))
     columns = [(_column_text(c[0], fresh)[0], np.ravel(c[1])) if isinstance(c, tuple)
                else np.ravel(c) for c in columns]
     n_rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
     seen = [fresh] * len(columns)
+    yield [",".join(map(_field, header))]
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block, seen = zip(*((c[0][c[1][rows]], prev) if isinstance(c, tuple)
+                            else _column_text(c[rows], prev)
+                            for c, prev in zip(columns, seen)))
+        yield list(map(",".join, zip(*block)))
+
+
+def _write_columns(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns as CSV (see :func:`_csv_blocks`); lines end in
+    CR LF, as in the ``excel`` dialect."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(_field, header)) + "\r\n")
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            block, seen = zip(*((c[0][c[1][rows]], prev) if isinstance(c, tuple)
-                                else _column_text(c[rows], prev)
-                                for c, prev in zip(columns, seen)))
-            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+        for lines in _csv_blocks(header, columns):
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def write_trajectory_csv(surface: TrajectorySurface, path: Path) -> None:
@@ -119,10 +127,15 @@ SUMMARY_COLUMNS = ["scenario", "model", "resolution", "l1_k", "linf_k",
                    "l1_v", "linf_v", "growth_cf", "growth_pde", "verdict"]
 
 
+def _summary_lines(reports: list[EquivalenceReport]) -> list[str]:
+    """The summary CSV's header line, then one line per report, each ending in CR LF."""
+    return [line + "\r\n" for lines in _csv_blocks(
+        SUMMARY_COLUMNS, [np.array([getattr(r, name) for r in reports], dtype=object)
+                          for name in SUMMARY_COLUMNS]) for line in lines]
+
+
 def write_summary_csv(reports: list[EquivalenceReport], path: Path) -> None:
-    _write_columns(path, SUMMARY_COLUMNS,
-                   [np.array([getattr(r, name) for r in reports], dtype=object)
-                    for name in SUMMARY_COLUMNS])
+    Path(path).write_text("".join(_summary_lines(reports)), newline="")
 
 
 STABILITY_CSV_COLUMNS = ["k", "v0", "psi_v", "psi_s", "psi_dv",
@@ -392,12 +405,13 @@ def cmd_compare(doc: dict, out: Path) -> int:
     entries = cfgmod.build_suite(doc)
     reports = run_suite(entries)
     summary = out / "summary.csv"
-    write_summary_csv(reports, summary)
+    header, *rows = lines = _summary_lines(reports)
+    summary.write_text("".join(lines), newline="")
     report_dir = out / "reports"
     report_dir.mkdir(exist_ok=True)
-    for r in reports:
+    for r, row in zip(reports, rows):
         name = f"{r.scenario}_{r.model}_{r.resolution.replace('=', '')}.csv"
-        write_summary_csv([r], report_dir / name)
+        (report_dir / name).write_text(header + row, newline="")
         print(f"compare: {r.scenario}/{r.model}/{r.resolution}: {r.verdict}"
               + (f" ({r.fault})" if r.fault else ""))
     print(f"compare: {len(reports)} reports -> {summary}")

@@ -70,7 +70,7 @@ class EulerianScenario:
             if v.shape != (self.grid.cells,):
                 raise ConfigurationError("initial speed must have one value per cell")
             object.__setattr__(self, "initial_speed", v)
-        if self.dt <= 0 or self.steps < 1 or self.record_every < 1:
+        if not self.dt > 0 or self.steps < 1 or self.record_every < 1:
             raise ConfigurationError("need dt > 0, steps >= 1, record_every >= 1")
 
 
@@ -232,10 +232,15 @@ def solve_second_order_batch(scenarios) -> list:
         s_raw = 1.0 / k_eff
         return k_eff, s_raw, np.maximum(s_raw, s_min), np.maximum(v, 0.0)
 
+    def psi_dv(law, *args, **columns):
+        # A built-in law's kernel, unchecked as psi is, at s_arg >= s_min.
+        kernel = getattr(law.partials, "psi_dv", None)
+        return kernel(*args, **columns) if kernel else partials_at(law, *args, **columns)[2]
+
     def speed_bound(k_eff, s_raw, s_arg, v_pos):
         # Advection speed of the speed equation is v - psi_dv / k after
         # linearizing the source in v_x; bound both split terms.
-        by_law(p_dv, lambda *a, **c: partials_at(*a, **c)[2], v_pos, s_arg, zeros)
+        by_law(p_dv, psi_dv, v_pos, s_arg, zeros)
         return np.maximum.reduceat(v_pos + np.abs(p_dv) / k_eff, starts).tolist()
 
     def segment(mask):  # the cells of the first member with a True in mask

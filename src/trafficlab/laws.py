@@ -10,6 +10,9 @@ so evaluators accept scalars or equal-shaped arrays. ``psi`` is the bare
 formula: ``evaluate``, ``jerk`` and :func:`partials_at` run the law's domain
 ``check`` first, and the solvers call ``psi`` on spacings that their own test
 keeps at or above ``s_min``, which every built-in law puts inside its domain.
+A built-in law with analytic partials carries the third, ``psi_dv``, as a
+kernel of its own, ``partials.psi_dv``, which the continuum solver's speed
+bound calls unchecked at and above ``s_min`` as well.
 The batch solvers call ``psi`` once per stack of laws (:func:`law_spans`), a
 run of neighbouring members: neighbouring laws of one form (linear and
 nonlinear GM, OVM, GFM, both IDMs, FVDM, JWZ; one diagram object) stack with
@@ -46,7 +49,9 @@ class AccelerationLaw:
     take the law's constants as keyword-only arguments, which default to its
     own values, bound once as 0-d arrays (see :func:`law_spans`). ``partials``
     (when present) returns the analytic gradient ``(psi_v, psi_s, psi_dv)``;
-    otherwise :func:`partials_at` falls back to central differences.
+    otherwise :func:`partials_at` falls back to central differences. A
+    built-in ``partials`` takes its third component from the bare kernel
+    ``partials.psi_dv``, which a replaced ``partials`` does not carry.
     ``time_scale`` is the smallest relaxation-like time constant, used to
     guard explicit integrator steps. ``s_min`` is the smallest spacing at
     which the law may be evaluated during a simulation: the solvers call
@@ -87,13 +92,16 @@ def _check_spacing_positive(s):
         raise EvaluationError("spacing must be positive")
 
 
-def _stack(key, psi, partials) -> None:
-    """Tag a built-in law's kernels with their stack key and bind their
-    keyword-only constants, the same objects in both, as 0-d float64 arrays
-    (see :func:`law_spans`)."""
+def _stack(key, psi, partials, psi_dv) -> None:
+    """Tag a built-in law's kernels with their stack key, attach ``psi_dv``,
+    the kernel of the third partial, to ``partials``, and bind the three
+    kernels' keyword-only constants, the same objects in all, as 0-d float64
+    arrays (see :func:`law_spans`)."""
     constants = {name: np.array(x, dtype=float) for name, x in psi.__kwdefaults__.items()}
     psi.__kwdefaults__, partials.__kwdefaults__ = constants, dict(constants)
+    psi_dv.__kwdefaults__ = dict(constants)
     psi.stack_key = partials.stack_key = key
+    partials.psi_dv = psi_dv
 
 
 def _guarded_s_min(fd: FundamentalDiagram | None) -> float:
@@ -109,11 +117,14 @@ def make_linear_gm(T: float) -> AccelerationLaw:
     def psi(v, s, dv, *, T=T):
         return dv / T
 
+    def psi_dv(v, s, dv, *, T=T):
+        return np.zeros_like(np.asarray(v, dtype=float)) + 1.0 / T
+
     def partials(v, s, dv, *, T=T):
         z = np.zeros_like(np.asarray(v, dtype=float))
-        return z, z, z + 1.0 / T
+        return z, z, psi_dv(v, s, dv, T=T)
 
-    _stack(("linear_gm",), psi, partials)
+    _stack(("linear_gm",), psi, partials, psi_dv)
     return AccelerationLaw("linear_gm", {"T": T}, psi, partials, time_scale=T)
 
 
@@ -128,14 +139,17 @@ def make_nonlinear_gm(a: float, m: int, l: int) -> AccelerationLaw:
     def psi(v, s, dv, *, a=a):
         return a * np.power(v, m) * dv / np.power(s, l)
 
+    def psi_dv(v, s, dv, *, a=a):
+        v = np.asarray(v, dtype=float)
+        return a * np.power(v, m) / np.power(s, l) + np.zeros_like(v)
+
     def partials(v, s, dv, *, a=a):
         v = np.asarray(v, dtype=float)
         p_v = a * m * np.power(v, m - 1) * dv / np.power(s, l) if m > 0 else np.zeros_like(v)
         p_s = -a * l * np.power(v, m) * dv / np.power(s, l + 1)
-        p_dv = a * np.power(v, m) / np.power(s, l)
-        return p_v, p_s + np.zeros_like(v), p_dv + np.zeros_like(v)
+        return p_v, p_s + np.zeros_like(v), psi_dv(v, s, dv, a=a)
 
-    _stack(("nonlinear_gm", m, l), psi, partials)
+    _stack(("nonlinear_gm", m, l), psi, partials, psi_dv)
     return AccelerationLaw(
         "nonlinear_gm", {"a": a, "m": m, "l": l}, psi, partials, time_scale=1.0 / a,
         check=_check_spacing_positive,
@@ -150,11 +164,14 @@ def make_ovm(T: float, fd: FundamentalDiagram) -> AccelerationLaw:
     def psi(v, s, dv, *, T=T):
         return (fd._theta(s) - v) / T
 
+    def psi_dv(v, s, dv, *, T=T):
+        return np.zeros_like(np.asarray(v, dtype=float))
+
     def partials(v, s, dv, *, T=T):
         z = np.zeros_like(np.asarray(v, dtype=float))
-        return z - 1.0 / T, fd._theta_prime(s) / T + z, z
+        return z - 1.0 / T, fd._theta_prime(s) / T + z, psi_dv(v, s, dv, T=T)
 
-    _stack(("ovm", id(fd)), psi, partials)
+    _stack(("ovm", id(fd)), psi, partials, psi_dv)
     return AccelerationLaw(
         "ovm", {"T": T}, psi, partials,
         s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T, check=fd._check_spacing,
@@ -179,18 +196,22 @@ def make_gfm(T: float, T_brake: float, d: float, tau: float, R: float,
         exp_term = np.exp(-(s - (d + tau * v)) / R)
         return (fd._theta(s) - v) / T + dv * gate / T_brake * exp_term
 
+    def psi_dv(v, s, dv, *, T=T, T_brake=T_brake, d=d, tau=tau, R=R):
+        v = np.asarray(v, dtype=float)
+        gate = _heaviside(-np.asarray(dv, dtype=float))
+        return gate / T_brake * np.exp(-(s - (d + tau * v)) / R) + 0 * v
+
     def partials(v, s, dv, *, T=T, T_brake=T_brake, d=d, tau=tau, R=R):
         # Kinked at dv = 0; the closing-side contribution is gated off there.
         v = np.asarray(v, dtype=float)
         gate = _heaviside(-np.asarray(dv, dtype=float))
-        exp_term = np.exp(-(s - (d + tau * v)) / R)
-        brake = dv * gate / T_brake * exp_term
+        brake = dv * gate / T_brake * np.exp(-(s - (d + tau * v)) / R)
         p_v = -1.0 / T + brake * tau / R
         p_s = fd._theta_prime(s) / T - brake / R
-        p_dv = gate / T_brake * exp_term
-        return p_v + 0 * v, p_s + 0 * v, p_dv + 0 * v
+        return (p_v + 0 * v, p_s + 0 * v,
+                psi_dv(v, s, dv, T=T, T_brake=T_brake, d=d, tau=tau, R=R))
 
-    _stack(("gfm", id(fd)), psi, partials)
+    _stack(("gfm", id(fd)), psi, partials, psi_dv)
     return AccelerationLaw(
         "gfm", {"T": T, "T_brake": T_brake, "d": d, "tau": tau, "R": R},
         psi, partials, s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T_brake,
@@ -213,16 +234,21 @@ def _make_idm(name: str, a: float, b: float, delta: float, v_f: float,
         g = d + tau * v + sign * v * dv / two_sqrt_ab
         return a * (one - np.power(v / v_f, exponent) - (g / s) ** 2)
 
+    def psi_dv(v, s, dv, *, a=a, v_f=v_f, tau=tau, d=d, two_sqrt_ab=two_sqrt_ab):
+        v = np.asarray(v, dtype=float)
+        g = d + tau * v + sign * v * dv / two_sqrt_ab
+        return -2.0 * a * g / s**2 * (sign * v / two_sqrt_ab) + 0 * v
+
     def partials(v, s, dv, *, a=a, v_f=v_f, tau=tau, d=d, two_sqrt_ab=two_sqrt_ab):
         v = np.asarray(v, dtype=float)
         g = d + tau * v + sign * v * dv / two_sqrt_ab
         p_v = a * (neg_delta * np.power(v / v_f, exponent_1) / v_f
                    - 2.0 * g / s**2 * (tau + sign * dv / two_sqrt_ab))
         p_s = 2.0 * a * g**2 / s**3
-        p_dv = -2.0 * a * g / s**2 * (sign * v / two_sqrt_ab)
-        return p_v, p_s + 0 * v, p_dv + 0 * v
+        return (p_v, p_s + 0 * v,
+                psi_dv(v, s, dv, a=a, v_f=v_f, tau=tau, d=d, two_sqrt_ab=two_sqrt_ab))
 
-    _stack((name, delta, closing_sign), psi, partials)
+    _stack((name, delta, closing_sign), psi, partials, psi_dv)
     return AccelerationLaw(
         name, {"a": a, "b": b, "delta": delta, "v_f": v_f, "tau": tau, "d": d},
         psi, partials, s_min=0.1, v_free=v_f, time_scale=min(tau, v_f / a),
@@ -261,11 +287,14 @@ def make_fvdm(T: float, lam: float, fd: FundamentalDiagram) -> AccelerationLaw:
     def psi(v, s, dv, *, T=T, lam=lam):
         return (fd._theta(s) - v) / T + lam * dv
 
+    def psi_dv(v, s, dv, *, T=T, lam=lam):
+        return np.zeros_like(np.asarray(v, dtype=float)) + lam
+
     def partials(v, s, dv, *, T=T, lam=lam):
         z = np.zeros_like(np.asarray(v, dtype=float))
-        return z - 1.0 / T, fd._theta_prime(s) / T + z, z + lam
+        return z - 1.0 / T, fd._theta_prime(s) / T + z, psi_dv(v, s, dv, T=T, lam=lam)
 
-    _stack(("fvdm", id(fd)), psi, partials)
+    _stack(("fvdm", id(fd)), psi, partials, psi_dv)
     time_scale = min(T, 1.0 / lam) if lam > 0 else T
     return AccelerationLaw(
         "fvdm", {"T": T, "lambda": lam}, psi, partials,
@@ -336,11 +365,15 @@ def make_jwz_cf(T: float, c0: float, fd: FundamentalDiagram) -> AccelerationLaw:
     def psi(v, s, dv, *, T=T, c0=c0):
         return (fd._theta(s) - v) / T + c0 * dv / s
 
+    def psi_dv(v, s, dv, *, T=T, c0=c0):
+        return np.zeros_like(np.asarray(v, dtype=float)) + c0 / s
+
     def partials(v, s, dv, *, T=T, c0=c0):
         z = np.zeros_like(np.asarray(v, dtype=float))
-        return z - 1.0 / T, fd._theta_prime(s) / T - c0 * dv / s**2 + z, z + c0 / s
+        return (z - 1.0 / T, fd._theta_prime(s) / T - c0 * dv / s**2 + z,
+                psi_dv(v, s, dv, T=T, c0=c0))
 
-    _stack(("jwz", id(fd)), psi, partials)
+    _stack(("jwz", id(fd)), psi, partials, psi_dv)
     return AccelerationLaw(
         "jwz", {"T": T, "c0": c0}, psi, partials,
         s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T, check=fd._check_spacing,

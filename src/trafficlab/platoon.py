@@ -49,12 +49,16 @@ class PlatoonState:
             raise ParameterError("positions and speeds must be matching 1-d arrays")
         if np.any(v < 0):
             raise ParameterError("speeds must be >= 0")
+        if not (math.isfinite(self.time) and np.isfinite(x).all() and np.isfinite(v).all()):
+            raise ParameterError("state time, positions and speeds must be finite")
         object.__setattr__(self, "positions", x)
         object.__setattr__(self, "speeds", v)
         if self.accels is not None:
             a = np.asarray(self.accels, dtype=float)
             if a.shape != x.shape:
                 raise ParameterError("accels must match positions shape")
+            if not np.isfinite(a).all():
+                raise ParameterError("accels must be finite")
             object.__setattr__(self, "accels", a)
 
     @property
@@ -214,7 +218,7 @@ def simulate_platoons(members, dt: float, steps: int,
     stops at the first fault that one of its members meets in its own run; in
     a batch of more than one, the error names the member and the vehicle.
     """
-    if dt <= 0 or steps < 1:
+    if not dt > 0 or steps < 1:
         raise ConfigurationError("need dt > 0 and steps >= 1")
     if int(record_every) != record_every or record_every < 1:
         raise ConfigurationError("record_every must be a whole number >= 1")
@@ -403,7 +407,7 @@ def simulate_pipes_discrete(fd, initial: PlatoonState, leader: LeaderProfile,
     step is refused rather than run unstably.
     """
     fd = _require_triangular(fd)
-    if dt <= 0 or steps < 1:
+    if not dt > 0 or steps < 1:
         raise ConfigurationError("need dt > 0 and steps >= 1")
     max_dt = cfl_max_dt(fd, 1.0)
     if dt > max_dt * (1 + 1e-12):

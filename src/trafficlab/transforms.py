@@ -65,7 +65,7 @@ class TrajectorySurface:
         x = np.asarray(self.positions, dtype=float)
         if x.ndim != 2 or x.shape[1] < 1:
             raise ParameterError("positions must be a (steps, vehicles) matrix")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ParameterError("dt must be > 0")
         object.__setattr__(self, "positions", x)
         for name in ("speeds", "accels"):
@@ -144,7 +144,7 @@ class EulerianField:
         v = np.asarray(self.speed, dtype=float)
         if k.ndim != 2 or k.shape != v.shape:
             raise ParameterError("density and speed must share a (steps, cells) shape")
-        if self.dx <= 0 or self.dt <= 0:
+        if not (self.dx > 0 and self.dt > 0):
             raise ParameterError("dx and dt must be > 0")
         object.__setattr__(self, "density", k)
         object.__setattr__(self, "speed", v)

@@ -439,8 +439,14 @@ class TestOutputs:
         assert run(["compare", "--config", cfg, "--out", tmp_path]) == 0
         rows = read_csv(tmp_path / "summary.csv")
         assert len(rows) == 5  # 2 entries x 2 resolutions + header
-        assert (tmp_path / "reports").is_dir()
-        assert len(list((tmp_path / "reports").iterdir())) == 4
+        # each report's file is summary.csv's header line and that report's line
+        header, *lines = (tmp_path / "summary.csv").read_bytes().split(b"\r\n")[:-1]
+        expected = {f"{scenario}_{model}_{resolution.replace('=', '')}.csv":
+                    header + b"\r\n" + line + b"\r\n"
+                    for (scenario, model, resolution, *_), line in zip(rows[1:], lines)}
+        assert {path.name: path.read_bytes()
+                for path in (tmp_path / "reports").iterdir()} == expected
+        assert len(expected) == 4
 
 
 class TestDeterminism:

@@ -143,6 +143,12 @@ class TestGodunov:
         change = total_vehicles(field, -1) - total_vehicles(field, 0)
         assert change == pytest.approx(stats.inflow - stats.outflow, abs=1e-10)
 
+    def test_nan_step_refused(self, tri):
+        # NaN passed a dt <= 0 test, and Godunov returned an all-NaN field
+        with pytest.raises(ConfigurationError, match="need dt > 0"):
+            EulerianScenario(grid=SpatialGrid(0.0, 10.0, 20), dt=math.nan, steps=5,
+                             initial_density=np.full(20, 0.05), fd=tri)
+
     def test_cfl_checked(self, tri):
         grid = SpatialGrid(0.0, 10.0, 50)
         sc = EulerianScenario(grid=grid, dt=1.0, steps=10,

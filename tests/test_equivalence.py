@@ -14,14 +14,37 @@ from trafficlab import (AccelerationLaw, ConfigurationError, EvaluationError,
                         solve_second_order_batch)
 from trafficlab.cli import DEMO_CONFIG, SUMMARY_COLUMNS, write_summary_csv
 from trafficlab.config import build_suite
-from trafficlab.equivalence import _arm_run, _isolated, _prepare_second_order
+from trafficlab.equivalence import (_arm_run, _isolated, _mode_amplitude,
+                                    _prepare_second_order)
 
-from conftest import TRI
+from conftest import TRI, assert_bits_equal
 from test_continuum import FVDM, OVM, assert_same_run, ring_member, standalone
 
 
 RING = RingScenario(circumference=1000.0, k0=0.08, amplitude=0.01,
                     horizon=60.0, dt_cf=0.025, dt_pde=0.125, compare_points=24)
+
+
+def reference_mode_amplitude(k_rows):
+    """Harmonic 1's amplitude, one rfft and one complex abs() per row."""
+    return np.array([2.0 * abs(np.fft.rfft(row)[1]) / row.size for row in k_rows])
+
+
+@pytest.mark.parametrize("cells", [10, 20, 40, 80])
+def test_mode_amplitude_matches_per_row_reference(cells, rng):
+    k_rows = 0.08 + 0.01 * rng.standard_normal((25, cells))
+    assert_bits_equal(_mode_amplitude(k_rows), reference_mode_amplitude(k_rows))
+
+
+def test_mode_amplitude_matches_per_row_reference_on_a_demo_field():
+    doc = copy.deepcopy(DEMO_CONFIG)
+    doc["suite"]["ring"].update(horizon=18.0)
+    entry = build_suite(doc)[3]  # the unstable OVM arm at 10 cells
+    member, *run = _arm_run(entry.law, entry.ring)
+    surface = simulate_platoons([member], *run)[0]
+    cf_field, scenario = _prepare_second_order(entry.law, entry.ring, entry.cells, surface)
+    for k_rows in (cf_field.density, solve_second_order(scenario)[0].density):
+        assert_bits_equal(_mode_amplitude(k_rows), reference_mode_amplitude(k_rows))
 
 
 class TestFirstOrder:

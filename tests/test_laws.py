@@ -501,6 +501,29 @@ def test_bound_constants_give_the_bits_of_float_constants(pair, rng):
                                  if isinstance(got, tuple) else got[row], want)
 
 
+@pytest.mark.parametrize("pair", [case[1] for case in BOUND_CASES],
+                         ids=[case[0] for case in BOUND_CASES])
+def test_psi_dv_kernel_gives_the_bits_of_the_third_partial(pair, rng):
+    """The kernel the continuum speed bound calls is ``partials(...)[2]``, alone
+    and stacked with ``law_spans`` columns."""
+    with np.errstate(all="ignore"):
+        for law in pair:
+            for point in (bound_points(rng, law, (40,)), (6.0, 2.0 * law.s_min + 1.0, -0.5)):
+                assert_same_bits(law.partials.psi_dv(*point), law.partials(*point)[2])
+        (law, rows, columns), = law_spans(pair)
+        v, s, dv = bound_points(rng, law, (2, 9))
+        stacked = law.partials.psi_dv(v, s, dv, **columns)
+        assert_same_bits(stacked, law.partials(v, s, dv, **columns)[2])
+        for row, own in enumerate(pair):
+            assert_same_bits(stacked[row], own.partials.psi_dv(v[row], s[row], dv[row]))
+
+
+def test_the_kernel_pins_cover_every_catalog_law_with_analytic_partials():
+    assert set(stackable_pairs(DIAGRAMS["tri"])) == {
+        name for name in MODEL_CATALOG if name != "arz"}
+    assert make_arz_cf(DIAGRAMS["tri"]).partials is None
+
+
 def idm_with_float_constants(law, closing_sign):
     """IDM's psi and partials written out with every constant a Python float."""
     c, delta = float_constants(law), float(law.params["delta"])

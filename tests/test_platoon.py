@@ -198,6 +198,33 @@ class TestContinuous:
         with pytest.raises(ParameterError):
             make()
 
+    @pytest.mark.parametrize("run", [
+        lambda tri: simulate_platoons([(make_ovm(0.5, tri), uniform_platoon(3, 12.5, 5.0),
+                                        Ring(37.5))], math.nan, 10),
+        lambda tri: simulate_pipes_discrete(tri, uniform_platoon(3, 15.0, 10.0),
+                                            ConstantLeader(10.0), math.nan, 10),
+    ], ids=["rk4", "spacing-rule"])
+    def test_nan_step_refused(self, tri, run):
+        # NaN passed a dt <= 0 test: an all-NaN surface, or a late SolverFault
+        with pytest.raises(ConfigurationError, match="need dt > 0 and steps >= 1"):
+            run(tri)
+
+    @pytest.mark.parametrize("field, value", [
+        ("time", math.nan), ("time", math.inf), ("positions", math.nan),
+        ("positions", -math.inf), ("speeds", math.nan), ("speeds", math.inf),
+        ("accels", math.nan), ("accels", -math.inf)])
+    def test_state_refuses_non_finite_values(self, field, value):
+        # a NaN passed the speed sign and ordering checks, and the run stopped
+        # later on a non-finite spacing
+        state = {"time": 0.0, "positions": np.array([25.0, 12.5, 0.0]),
+                 "speeds": np.full(3, 5.0), "accels": np.zeros(3)}
+        if field == "time":
+            state["time"] = value
+        else:
+            state[field][1] = value
+        with pytest.raises(ParameterError, match="must be finite"):
+            PlatoonState(**state)
+
     @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
     def test_ring_refuses_non_finite_or_empty_length(self, length):
         # an infinite ring left the front vehicle without a leader, silently

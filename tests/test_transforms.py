@@ -49,6 +49,17 @@ class TestSurfaceValidation:
         with pytest.raises(ParameterError):
             SpatialGrid(x0, dx, cells)
 
+    @pytest.mark.parametrize("make", [
+        lambda: TrajectorySurface(t0=0.0, dt=math.nan, positions=np.zeros((1, 1))),
+        lambda: EulerianField(x0=0.0, dx=math.nan, t0=0.0, dt=1.0,
+                              density=np.zeros((1, 1)), speed=np.zeros((1, 1))),
+        lambda: EulerianField(x0=0.0, dx=1.0, t0=0.0, dt=math.nan,
+                              density=np.zeros((1, 1)), speed=np.zeros((1, 1))),
+    ], ids=["surface-dt", "field-dx", "field-dt"])
+    def test_nan_step_refused(self, make):
+        with pytest.raises(ParameterError, match="must be > 0"):
+            make()
+
     def test_collision_rejected(self):
         x = np.array([[0.0, -10.0], [0.0, 0.5]])
         with pytest.raises(ParameterError):
