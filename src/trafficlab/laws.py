@@ -15,9 +15,13 @@ kernel of its own, ``partials.psi_dv``, which the continuum solver's speed
 bound calls unchecked at and above ``s_min`` as well.
 The batch solvers call ``psi`` once per stack of laws (:func:`law_spans`), a
 run of neighbouring members: neighbouring laws of one form (linear and
-nonlinear GM, OVM, GFM, both IDMs, FVDM, JWZ; one diagram object) stack with
-their constants as columns. Third-order, Aw-Rascle, ARZ and custom laws, and
-a law whose ``psi`` was replaced, stack only with equal neighbours.
+nonlinear GM, GFM, both IDMs, and the relaxation form of OVM, FVDM and JWZ;
+one diagram object) stack with their constants as columns. The relaxation
+form's speed-gap coefficients are ``None`` where a law has no such term, and
+a kernel computes only the terms whose coefficient is not ``None``: a lone
+law runs its own formula, and only a mixed stack adds the other terms.
+Third-order, Aw-Rascle, ARZ and custom laws, and a law whose ``psi`` was
+replaced, stack only with equal neighbours.
 """
 
 from __future__ import annotations
@@ -96,8 +100,10 @@ def _stack(key, psi, partials, psi_dv) -> None:
     """Tag a built-in law's kernels with their stack key, attach ``psi_dv``,
     the kernel of the third partial, to ``partials``, and bind the three
     kernels' keyword-only constants, the same objects in all, as 0-d float64
-    arrays (see :func:`law_spans`)."""
-    constants = {name: np.array(x, dtype=float) for name, x in psi.__kwdefaults__.items()}
+    arrays, and ``None``, a term the law leaves out, as ``None`` (see
+    :func:`law_spans`)."""
+    constants = {name: None if x is None else np.array(x, dtype=float)
+                 for name, x in psi.__kwdefaults__.items()}
     psi.__kwdefaults__, partials.__kwdefaults__ = constants, dict(constants)
     psi_dv.__kwdefaults__ = dict(constants)
     psi.stack_key = partials.stack_key = key
@@ -156,26 +162,46 @@ def make_nonlinear_gm(a: float, m: int, l: int) -> AccelerationLaw:
     )
 
 
+def _make_relaxation(name: str, params: dict, T: float, lam: float | None,
+                     c0: float | None, fd: FundamentalDiagram,
+                     time_scale: float) -> AccelerationLaw:
+    """Relaxation toward theta plus a speed-gap term: accel = (theta(s) - v)/T
+    + lam * dv + c0 * dv / s, the one form of OVM, FVDM and JWZ. A coefficient
+    of ``None`` leaves its term out of every kernel, so a lone law runs only
+    its own terms; a stack's columns give it 0.0 (see :func:`law_spans`)."""
+
+    def psi(v, s, dv, *, T=T, lam=lam, c0=c0):
+        accel = (fd._theta(s) - v) / T
+        if lam is not None:
+            accel = accel + lam * dv
+        return accel if c0 is None else accel + c0 * dv / s
+
+    def psi_dv(v, s, dv, *, T=T, lam=lam, c0=c0):
+        p_dv = np.zeros_like(np.asarray(v, dtype=float))
+        if lam is not None:
+            p_dv = p_dv + lam
+        return p_dv if c0 is None else p_dv + c0 / s
+
+    def partials(v, s, dv, *, T=T, lam=lam, c0=c0):
+        z = np.zeros_like(np.asarray(v, dtype=float))
+        p_s = fd._theta_prime(s) / T
+        if c0 is not None:
+            p_s = p_s - c0 * dv / s**2
+        return z - 1.0 / T, p_s + z, psi_dv(v, s, dv, T=T, lam=lam, c0=c0)
+
+    _stack(("relax", id(fd)), psi, partials, psi_dv)
+    return AccelerationLaw(
+        name, params, psi, partials,
+        s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=time_scale,
+        check=fd._check_spacing,
+    )
+
+
 def make_ovm(T: float, fd: FundamentalDiagram) -> AccelerationLaw:
     """Relaxation toward the equilibrium speed-spacing curve theta."""
     if T <= 0:
         raise ParameterError("OVM needs T > 0")
-
-    def psi(v, s, dv, *, T=T):
-        return (fd._theta(s) - v) / T
-
-    def psi_dv(v, s, dv, *, T=T):
-        return np.zeros_like(np.asarray(v, dtype=float))
-
-    def partials(v, s, dv, *, T=T):
-        z = np.zeros_like(np.asarray(v, dtype=float))
-        return z - 1.0 / T, fd._theta_prime(s) / T + z, psi_dv(v, s, dv, T=T)
-
-    _stack(("ovm", id(fd)), psi, partials, psi_dv)
-    return AccelerationLaw(
-        "ovm", {"T": T}, psi, partials,
-        s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T, check=fd._check_spacing,
-    )
+    return _make_relaxation("ovm", {"T": T}, T, None, None, fd, T)
 
 
 def make_gfm(T: float, T_brake: float, d: float, tau: float, R: float,
@@ -283,24 +309,8 @@ def make_fvdm(T: float, lam: float, fd: FundamentalDiagram) -> AccelerationLaw:
         raise ParameterError("FVDM needs T > 0")
     if lam < 0:
         raise ParameterError("FVDM needs lambda >= 0")
-
-    def psi(v, s, dv, *, T=T, lam=lam):
-        return (fd._theta(s) - v) / T + lam * dv
-
-    def psi_dv(v, s, dv, *, T=T, lam=lam):
-        return np.zeros_like(np.asarray(v, dtype=float)) + lam
-
-    def partials(v, s, dv, *, T=T, lam=lam):
-        z = np.zeros_like(np.asarray(v, dtype=float))
-        return z - 1.0 / T, fd._theta_prime(s) / T + z, psi_dv(v, s, dv, T=T, lam=lam)
-
-    _stack(("fvdm", id(fd)), psi, partials, psi_dv)
     time_scale = min(T, 1.0 / lam) if lam > 0 else T
-    return AccelerationLaw(
-        "fvdm", {"T": T, "lambda": lam}, psi, partials,
-        s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=time_scale,
-        check=fd._check_spacing,
-    )
+    return _make_relaxation("fvdm", {"T": T, "lambda": lam}, T, lam, None, fd, time_scale)
 
 
 def make_aw_rascle_cf(T_of_k: Callable | float, p_prime: Callable,
@@ -361,23 +371,7 @@ def make_jwz_cf(T: float, c0: float, fd: FundamentalDiagram) -> AccelerationLaw:
         raise ParameterError("JWZ needs T > 0")
     if c0 < 0:
         raise ParameterError("JWZ needs c0 >= 0")
-
-    def psi(v, s, dv, *, T=T, c0=c0):
-        return (fd._theta(s) - v) / T + c0 * dv / s
-
-    def psi_dv(v, s, dv, *, T=T, c0=c0):
-        return np.zeros_like(np.asarray(v, dtype=float)) + c0 / s
-
-    def partials(v, s, dv, *, T=T, c0=c0):
-        z = np.zeros_like(np.asarray(v, dtype=float))
-        return (z - 1.0 / T, fd._theta_prime(s) / T - c0 * dv / s**2 + z,
-                psi_dv(v, s, dv, T=T, c0=c0))
-
-    _stack(("jwz", id(fd)), psi, partials, psi_dv)
-    return AccelerationLaw(
-        "jwz", {"T": T, "c0": c0}, psi, partials,
-        s_min=_guarded_s_min(fd), v_free=fd.v_f, time_scale=T, check=fd._check_spacing,
-    )
+    return _make_relaxation("jwz", {"T": T, "c0": c0}, T, None, c0, fd, T)
 
 
 def make_third_order(inner: AccelerationLaw, t_delay: float) -> AccelerationLaw:
@@ -436,12 +430,15 @@ def law_spans(laws) -> list[tuple[AccelerationLaw, int | slice, dict]]:
     ufunc takes them faster on few-element arrays, with the same bits. The
     columns map each constant to a (members, 1) array of the members' own
     values, so one call ``law.psi(v, s, dv, **columns)`` gives each row the
-    bits of its own law. The columns are empty where the members' laws are
-    equal. Any other law stacks only with equal neighbours. Each batch solver
-    repeats the columns to its own rows' shape once per call (followers in
-    the RK4 core, cells in the continuum core): a column operand takes NumPy's
-    broadcasting path, 2.46 against 1.00 µs full-shape for ``col * v`` on a
-    (2, 80) operand.
+    bits of its own law. A constant of ``None`` leaves its term out of the
+    kernel, so a column is built only for a constant that some member has, and
+    it gives 0.0 to a member without it: that zero term leaves the member's
+    bits as they are (OVM, FVDM and JWZ stack so). The columns are empty where
+    the members' laws are equal. Any other law stacks only with equal
+    neighbours. Each batch solver repeats the columns to its own rows' shape
+    once per call (followers in the RK4 core, cells in the continuum core): a
+    column operand takes NumPy's broadcasting path, 2.46 against 1.00 µs
+    full-shape for ``col * v`` on a (2, 80) operand.
     """
     kernels = [(inspect.unwrap(law.psi), inspect.unwrap(law.partials)) for law in laws]
     keys = [(f.stack_key, law.check) if law.order is LawOrder.SECOND
@@ -452,9 +449,11 @@ def law_spans(laws) -> list[tuple[AccelerationLaw, int | slice, dict]]:
     for _, run in itertools.groupby(range(len(laws)), keys.__getitem__):
         run = list(run)
         lo, hi = run[0], run[-1] + 1
+        constants = [f.__kwdefaults__ for f, _ in kernels[lo:hi]]
         columns = {} if all(law == laws[lo] for law in laws[lo:hi]) else {
-            name: np.array([[f.__kwdefaults__[name]] for f, _ in kernels[lo:hi]], dtype=float)
-            for name in kernels[lo][0].__kwdefaults__}
+            name: np.array([[0.0 if c[name] is None else c[name]] for c in constants],
+                           dtype=float)
+            for name in constants[0] if any(c[name] is not None for c in constants)}
         spans.append((laws[lo], lo if hi - lo == 1 else slice(lo, hi), columns))
     return spans
 
@@ -463,28 +462,18 @@ def law_spans(laws) -> list[tuple[AccelerationLaw, int | slice, dict]]:
 class ModelCatalogEntry:
     factory: Callable[..., AccelerationLaw]
     needs_fd: bool
-    continuum_family: str
 
 
 MODEL_CATALOG: dict[str, ModelCatalogEntry] = {
-    "linear_gm": ModelCatalogEntry(
-        make_linear_gm, False, "speed-gradient advection (Aw-Rascle special case)"),
-    "nonlinear_gm": ModelCatalogEntry(
-        make_nonlinear_gm, False, "nonlinear speed-gradient advection"),
-    "ovm": ModelCatalogEntry(
-        make_ovm, True, "relaxation continuum (Phillips form)"),
-    "gfm": ModelCatalogEntry(
-        make_gfm, True, "relaxation with gated braking advection"),
-    "idm": ModelCatalogEntry(
-        make_idm, False, "nonlinear source without explicit relaxation time"),
-    "idm_alt": ModelCatalogEntry(
-        make_idm_alt, False, "IDM variant, opposite closing-rate sign"),
-    "fvdm": ModelCatalogEntry(
-        make_fvdm, True, "relaxation plus speed-gradient (Aw-Rascle-Greenberg form)"),
-    "arz": ModelCatalogEntry(
-        make_arz_cf, True, "pure anticipation, degenerate steady states"),
-    "jwz": ModelCatalogEntry(
-        make_jwz_cf, True, "relaxation plus constant-coefficient speed gradient"),
+    "linear_gm": ModelCatalogEntry(make_linear_gm, False),
+    "nonlinear_gm": ModelCatalogEntry(make_nonlinear_gm, False),
+    "ovm": ModelCatalogEntry(make_ovm, True),
+    "gfm": ModelCatalogEntry(make_gfm, True),
+    "idm": ModelCatalogEntry(make_idm, False),
+    "idm_alt": ModelCatalogEntry(make_idm_alt, False),
+    "fvdm": ModelCatalogEntry(make_fvdm, True),
+    "arz": ModelCatalogEntry(make_arz_cf, True),
+    "jwz": ModelCatalogEntry(make_jwz_cf, True),
 }
 
 

@@ -386,9 +386,10 @@ class TestSuite:
 
     def test_demo_batches_arrive_as_neighbouring_stacks(self, monkeypatch):
         """The demo suite sends one car-following batch of its six laws and one
-        continuum batch of all 18 arms, each as three stacks of neighbours: an
-        entry order that split a stack, or a batch key that a solver refused (so
-        that every member ran alone), would change these counts."""
+        continuum batch of all 18 arms, each as two stacks of neighbours (its
+        OVM and FVDM members share the relaxation kernel, its IDMs the other):
+        an entry order that split a stack, or a batch key that a solver refused
+        (so that every member ran alone), would change these counts."""
         from trafficlab import continuum, laws, platoon
         doc = copy.deepcopy(DEMO_CONFIG)
         doc["suite"]["ring"].update(horizon=2.0, compare_points=4)
@@ -405,7 +406,7 @@ class TestSuite:
             monkeypatch.setattr(module, "law_spans", recording(module))
         reports = run_suite(build_suite(doc))
         assert all(report.verdict != "incomparable" for report in reports)
-        assert batches == [("trafficlab.platoon", 6, 3), ("trafficlab.continuum", 18, 3)]
+        assert batches == [("trafficlab.platoon", 6, 2), ("trafficlab.continuum", 18, 2)]
 
     def test_demo_reports_carry_each_continuum_arms_own_counters(self):
         doc = copy.deepcopy(DEMO_CONFIG)

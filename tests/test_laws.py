@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -282,10 +283,29 @@ class TestStacking:
     def test_interleaved_laws_form_one_stack_per_run(self, form, tri, rng):
         pairs = stackable_pairs(tri)
         a, a_too = pairs[form]  # these two would stack as neighbours
-        other = pairs["linear_gm" if form == "ovm" else "ovm"][0]
+        # OVM, FVDM and JWZ share one form, so theirs is linear GM too.
+        other = pairs["linear_gm" if form in {"ovm", "fvdm", "jwz"} else "ovm"][0]
         laws = [a, other, a_too]
         spans = law_spans(laws)
         assert spans == [(a, 0, {}), (other, 1, {}), (a_too, 2, {})]
+        assert_rows_are_their_own(laws, spans, rng)
+
+    @pytest.mark.parametrize("forms", [("ovm", "fvdm", "jwz"), ("ovm", "jwz"),
+                                       ("ovm", "fvdm"), ("fvdm", "jwz")])
+    def test_relaxation_laws_stack_with_the_constants_some_member_has(self, forms, tri,
+                                                                      rng):
+        pairs = stackable_pairs(tri)
+        laws = [law for form in forms for law in pairs[form]]
+        spans = law_spans(laws)
+        assert [(law, rows) for law, rows, _ in spans] == [(laws[0], slice(0, len(laws)))]
+        columns = spans[0][2]
+        have = {"T"} | {name for form, name in (("fvdm", "lam"), ("jwz", "c0"))
+                        if form in forms}
+        assert set(columns) == have
+        for name, column in columns.items():
+            own = [float(law.params.get("lambda" if name == "lam" else name, 0.0))
+                   for law in laws]
+            assert column.tobytes() == np.array(own)[:, None].tobytes()
         assert_rows_are_their_own(laws, spans, rng)
 
     def test_what_stacks_only_with_equal_laws(self, tri):
@@ -344,10 +364,9 @@ CATALOG_PARAMS = {
 
 class TestCatalog:
     def test_every_entry_buildable(self, tri):
-        for name, entry in MODEL_CATALOG.items():
+        for name in MODEL_CATALOG:
             law = law_from_config({"name": name, **CATALOG_PARAMS[name]}, tri)
             assert law.name == name
-            assert entry.continuum_family
 
     def test_third_order_from_config(self, tri):
         law = law_from_config({"name": "third_order", "t_delay": 0.5,
@@ -463,7 +482,8 @@ BOUND_CASES += [("nonlinear_gm-m0", (make_nonlinear_gm(0.8, 0, 2), make_nonlinea
 
 
 def float_constants(law):
-    return {name: float(x) for name, x in inspect.unwrap(law.psi).__kwdefaults__.items()}
+    return {name: float(x) for name, x in inspect.unwrap(law.psi).__kwdefaults__.items()
+            if x is not None}
 
 
 def assert_same_bits(got, want):
@@ -565,6 +585,86 @@ def test_idm_structural_constants_give_the_bits_of_float_constants(factory, clos
                 want = reference(v[row], s[row], dv[row])
                 assert_same_bits(tuple(g[row] for g in got)
                                  if isinstance(got, tuple) else got[row], want)
+
+
+def relaxation_with_float_constants(law, fd):
+    """OVM, FVDM and JWZ's psi, partials and psi_dv written out each as its own
+    formula, with every constant a Python float."""
+    T, lam, c0 = (float(law.params[k]) if k in law.params else None
+                  for k in ("T", "lambda", "c0"))
+
+    def zeros(v):
+        return np.zeros_like(np.asarray(v, dtype=float))
+
+    if law.name == "ovm":
+        def psi(v, s, dv):
+            return (fd._theta(s) - v) / T
+
+        def psi_dv(v, s, dv):
+            return zeros(v)
+
+        def partials(v, s, dv):
+            return zeros(v) - 1.0 / T, fd._theta_prime(s) / T + zeros(v), psi_dv(v, s, dv)
+    elif law.name == "fvdm":
+        def psi(v, s, dv):
+            return (fd._theta(s) - v) / T + lam * dv
+
+        def psi_dv(v, s, dv):
+            return zeros(v) + lam
+
+        def partials(v, s, dv):
+            return zeros(v) - 1.0 / T, fd._theta_prime(s) / T + zeros(v), psi_dv(v, s, dv)
+    else:
+        def psi(v, s, dv):
+            return (fd._theta(s) - v) / T + c0 * dv / s
+
+        def psi_dv(v, s, dv):
+            return zeros(v) + c0 / s
+
+        def partials(v, s, dv):
+            return (zeros(v) - 1.0 / T, fd._theta_prime(s) / T - c0 * dv / s**2 + zeros(v),
+                    psi_dv(v, s, dv))
+
+    return psi, partials, psi_dv
+
+
+def relaxation_points(rng, law, rows):
+    """``bound_points`` with every sign of zero in v and dv, at s_min and above."""
+    v, s, dv = bound_points(rng, law, (rows, 16))
+    for j, (v0, dv0) in enumerate(itertools.product((0.0, -0.0), repeat=2)):
+        v[:, 3 + 2 * j: 5 + 2 * j], dv[:, 3 + 2 * j: 5 + 2 * j] = v0, dv0
+        s[:, 3 + 2 * j] = law.s_min
+    return v, s, dv
+
+
+@pytest.mark.parametrize("fd_name", sorted(DIAGRAMS))
+def test_relaxation_kernel_gives_the_bits_of_each_laws_own_formula(fd_name, rng):
+    """One kernel serves OVM, FVDM and JWZ: alone and stacked, psi, partials and
+    partials.psi_dv give each law's own formula bit for bit, signed zeros
+    included; FVDM with lambda = 0 and JWZ with c0 = 0 keep their term."""
+    fd = DIAGRAMS[fd_name]
+    laws = [make_ovm(0.6, fd), make_fvdm(0.8, 0.05, fd), make_jwz_cf(1.0, 2.0, fd),
+            make_fvdm(0.5, 0.0, fd), make_jwz_cf(0.7, 0.0, fd), make_ovm(0.9, fd)]
+    with np.errstate(all="ignore"):
+        for law in laws:
+            want = relaxation_with_float_constants(law, fd)
+            for point in (relaxation_points(rng, law, 3), (6.0, 2.0 * law.s_min + 1.0, -0.5),
+                          (-0.0, law.s_min, 0.0)):
+                for kernel, reference in zip((law.psi, law.partials, law.partials.psi_dv), want):
+                    assert_same_bits(kernel(*point), reference(*point))
+        (law, rows, columns), = law_spans(laws)
+        assert rows == slice(0, len(laws))
+        v, s, dv = relaxation_points(rng, law, len(laws))
+        stacked = [kernel(v, s, dv, **columns)
+                   for kernel in (law.psi, law.partials, law.partials.psi_dv)]
+        for row, own in enumerate(laws):
+            for got, reference in zip(stacked, relaxation_with_float_constants(own, fd)):
+                want = reference(v[row], s[row], dv[row])
+                assert_same_bits(tuple(g[row] for g in got)
+                                 if isinstance(got, tuple) else got[row], want)
+    # A lone law computes no term it does not have: OVM ignores a NaN speed gap.
+    assert all(np.isfinite(laws[0].psi(np.array([5.0]), 20.0, math.nan)))
+    assert [bool(np.isnan(law.psi(5.0, 20.0, math.nan))) for law in laws[1:5]] == [True] * 4
 
 
 @pytest.mark.parametrize("params", [TRI, dict(v_f=30, w=6, k_j=0.15),
