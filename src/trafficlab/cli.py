@@ -127,15 +127,13 @@ SUMMARY_COLUMNS = ["scenario", "model", "resolution", "l1_k", "linf_k",
                    "l1_v", "linf_v", "growth_cf", "growth_pde", "verdict"]
 
 
-def _summary_lines(reports: list[EquivalenceReport]) -> list[str]:
-    """The summary CSV's header line, then one line per report, each ending in CR LF."""
-    return [line + "\r\n" for lines in _csv_blocks(
+def write_summary_csv(reports: list[EquivalenceReport], path: Path) -> list[str]:
+    """Write the summary CSV; returns its lines, the header first, each ending in CR LF."""
+    lines = [line + "\r\n" for block in _csv_blocks(
         SUMMARY_COLUMNS, [np.array([getattr(r, name) for r in reports], dtype=object)
-                          for name in SUMMARY_COLUMNS]) for line in lines]
-
-
-def write_summary_csv(reports: list[EquivalenceReport], path: Path) -> None:
-    Path(path).write_text("".join(_summary_lines(reports)), newline="")
+                          for name in SUMMARY_COLUMNS]) for line in block]
+    Path(path).write_text("".join(lines), newline="")
+    return lines
 
 
 STABILITY_CSV_COLUMNS = ["k", "v0", "psi_v", "psi_s", "psi_dv",
@@ -305,24 +303,22 @@ def cmd_stability(doc: dict, out: Path) -> int:
     section = cfgmod.require_section(doc, "stability")
     grid = cfgmod.k_grid_from(section)
     model_cfg = cfgmod.require_section(doc, "model")
-    path = out / "stability.csv"
     sweep = section.get("sweep")
-    if sweep is None:
-        law = cfgmod.build_law(doc)
-        rows = stability_map(law, grid)
-        write_stability_csv(rows, path)
-        n_stable = sum(1 for r in rows if r.report and r.report.exact_string_stable)
-        print(f"stability: {law.name}, {n_stable}/{len(rows)} exact-string-stable -> {path}")
-        return 0
     rows, swept = [], []
-    for value in sweep["values"]:
-        law = cfgmod.build_law(
-            {**doc, "model": cfgmod.swept_model(model_cfg, sweep["param"], value)})
+    # An unswept run is the model as given, with no leading column.
+    for value in sweep["values"] if sweep else [None]:
+        model = cfgmod.swept_model(model_cfg, sweep["param"], value) if sweep else model_cfg
+        law = cfgmod.build_law({**doc, "model": model})
         law_rows = stability_map(law, grid)
         rows += law_rows
         swept += [value] * len(law_rows)
-    write_stability_csv(rows, path, extra={sweep["param"]: swept})
-    print(f"stability: swept {sweep['param']} over {len(sweep['values'])} values -> {path}")
+    path = out / "stability.csv"
+    write_stability_csv(rows, path, extra={sweep["param"]: swept} if sweep else None)
+    if sweep:
+        print(f"stability: swept {sweep['param']} over {len(sweep['values'])} values -> {path}")
+    else:
+        n_stable = sum(1 for r in rows if r.report and r.report.exact_string_stable)
+        print(f"stability: {law.name}, {n_stable}/{len(rows)} exact-string-stable -> {path}")
     return 0
 
 
@@ -405,8 +401,7 @@ def cmd_compare(doc: dict, out: Path) -> int:
     entries = cfgmod.build_suite(doc)
     reports = run_suite(entries)
     summary = out / "summary.csv"
-    header, *rows = lines = _summary_lines(reports)
-    summary.write_text("".join(lines), newline="")
+    header, *rows = write_summary_csv(reports, summary)
     report_dir = out / "reports"
     report_dir.mkdir(exist_ok=True)
     for r, row in zip(reports, rows):
@@ -452,7 +447,6 @@ DEMO_CONFIG = {
         ],
         "resolutions": [10, 20, 40],
     },
-    "output": {"dir": "."},
 }
 
 
@@ -497,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=False)
-        p.add_argument("--out", default=None)
+        # Given after the subcommand, --out replaces the value given before it.
+        p.add_argument("--out", default=argparse.SUPPRESS)
     return parser
 
 
@@ -515,7 +510,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        out = _output_dir(getattr(args, "out", None) or ".")
+        out = _output_dir(args.out)
         if args.seed_demo:
             return seed_demo(out)
         if args.command is None:

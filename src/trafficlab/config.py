@@ -156,7 +156,6 @@ SECTIONS = {
         "to_eulerian": {"input": STRING, "x0": REAL, "dx": POS, "cells": INT1},
         "to_trajectories": {"input": STRING, "n_vehicles": INT1},
     }),
-    "output": _obj({"dir": _opt(STRING)}),
 }
 
 
@@ -309,6 +308,9 @@ RULES = (
                   lambda c, d: c["method"] != "newell" and "dt" not in c)),
     ("sim", _rule("steps", f"(steps + 1) * initial.n_vehicles must be <= {INT_CAP}",
                   lambda c, d: (c["steps"] + 1) * c["initial"]["n_vehicles"] > INT_CAP)),
+    ("sim", _rule("method", "spacing-rule simulators need a triangular fd",
+                  lambda c, d: c["method"] != "rk4" and "fd" in d
+                  and d["fd"]["kind"] != "triangular")),
     ("pde", _rule("steps", f"(steps // record_every + 1) * cells must be <= {INT_CAP}",
                   lambda c, d: (c["steps"] // c.get("record_every", 1) + 1) * c["cells"]
                   > INT_CAP)),

@@ -72,8 +72,6 @@ class TriangularDiagram(_Diagram):
     w: float
     k_j: float
 
-    kind = "triangular"
-
     def __post_init__(self):
         if self.v_f <= 0 or self.w <= 0 or self.k_j <= 0:
             raise ParameterError("triangular diagram needs v_f, w, k_j > 0")
@@ -131,8 +129,6 @@ class GreenshieldsDiagram(_Diagram):
     v_f: float
     k_j: float
 
-    kind = "greenshields"
-
     def __post_init__(self):
         if self.v_f <= 0 or self.k_j <= 0:
             raise ParameterError("greenshields diagram needs v_f, k_j > 0")
@@ -180,8 +176,6 @@ class TabulatedDiagram(_Diagram):
 
     k_table: np.ndarray
     q_table: np.ndarray
-
-    kind = "tabulated"
 
     def __post_init__(self):
         k = np.asarray(self.k_table, dtype=float)

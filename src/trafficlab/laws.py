@@ -458,37 +458,25 @@ def law_spans(laws) -> list[tuple[AccelerationLaw, int | slice, dict]]:
     return spans
 
 
-@dataclass(frozen=True)
-class ModelCatalogEntry:
-    factory: Callable[..., AccelerationLaw]
-    needs_fd: bool
-
-
-MODEL_CATALOG: dict[str, ModelCatalogEntry] = {
-    "linear_gm": ModelCatalogEntry(make_linear_gm, False),
-    "nonlinear_gm": ModelCatalogEntry(make_nonlinear_gm, False),
-    "ovm": ModelCatalogEntry(make_ovm, True),
-    "gfm": ModelCatalogEntry(make_gfm, True),
-    "idm": ModelCatalogEntry(make_idm, False),
-    "idm_alt": ModelCatalogEntry(make_idm_alt, False),
-    "fvdm": ModelCatalogEntry(make_fvdm, True),
-    "arz": ModelCatalogEntry(make_arz_cf, True),
-    "jwz": ModelCatalogEntry(make_jwz_cf, True),
+MODEL_CATALOG: dict[str, Callable[..., AccelerationLaw]] = {
+    "linear_gm": make_linear_gm, "nonlinear_gm": make_nonlinear_gm, "ovm": make_ovm,
+    "gfm": make_gfm, "idm": make_idm, "idm_alt": make_idm_alt, "fvdm": make_fvdm,
+    "arz": make_arz_cf, "jwz": make_jwz_cf,
 }
 
 
 def law_from_config(cfg: dict, fd: FundamentalDiagram | None) -> AccelerationLaw:
-    """Build a law from a scenario-JSON ``model`` section (already validated)."""
+    """Build a law from a scenario-JSON ``model`` section (already validated);
+    a factory that takes ``fd`` gets the diagram, and ``lambda`` is its ``lam``."""
     cfg = dict(cfg)
     name = cfg.pop("name")
     if name == "third_order":
-        inner = law_from_config(cfg["inner"], fd)
-        return make_third_order(inner, cfg["t_delay"])
-    entry = MODEL_CATALOG[name]
-    if entry.needs_fd:
+        return make_third_order(law_from_config(cfg["inner"], fd), cfg["t_delay"])
+    factory = MODEL_CATALOG[name]
+    if "fd" in inspect.signature(factory).parameters:
         if fd is None:
             raise ParameterError(f"model {name!r} requires an fd section")
         cfg["fd"] = fd
-    if name == "fvdm":
+    if "lambda" in cfg:
         cfg["lam"] = cfg.pop("lambda")
-    return entry.factory(**cfg)
+    return factory(**cfg)

@@ -157,6 +157,19 @@ class TestExitCodes:
                      "pde.steps: (steps // record_every + 1) * cells", id="pde-records"),
         pytest.param("simulate-cf", {"sim": {**DEMO_CONFIG["sim"], "steps": 3 * 10**6}},
                      "sim.steps: (steps + 1) * initial.n_vehicles", id="sim-records"),
+        pytest.param("simulate-cf", {"fd": {"kind": "greenshields", "v_f": 20.0, "k_j": 0.2},
+                                     "sim": {**DEMO_CONFIG["sim"], "method": "newell",
+                                             "boundary": {"kind": "constant", "v0": 3.75}}},
+                     "sim.method: spacing-rule simulators need a triangular fd",
+                     id="newell-on-greenshields-fd"),
+        pytest.param("simulate-cf", {"fd": {"kind": "tabulated", "table": [
+            [0.0, 0.0], [0.05, 0.5], [0.2, 0.0]]}, "sim": {
+                **DEMO_CONFIG["sim"], "method": "pipes",
+                "boundary": {"kind": "constant", "v0": 3.75}}},
+                     "sim.method: spacing-rule simulators need a triangular fd",
+                     id="pipes-on-tabulated-fd"),
+        pytest.param("fd", {"output": {"dir": "."}}, "output: unknown section",
+                     id="output-section"),
     ])
     def test_config_fault_names_path(self, tmp_path, capsys, command, change, path):
         doc = {k: v for k, v in {**DEMO_CONFIG, **change}.items() if v is not None}
@@ -353,6 +366,22 @@ class TestExitCodes:
         out = blocker / "x" if below_file else blocker
         assert run(["fd", "--config", demo_config, "--out", out]) == 2
         assert "--out" in capsys.readouterr().err
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("before, after, into", [
+        ("d", None, "d"), ("a", "b", "b"), (None, None, "cwd"),
+    ], ids=["before-the-subcommand", "after-wins", "working-directory"])
+    def test_out_holds_one_value(self, demo_config, tmp_path, monkeypatch,
+                                 before, after, into):
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert run((["--out", tmp_path / before] if before else [])
+                   + ["fd", "--config", demo_config]
+                   + (["--out", tmp_path / after] if after else [])) == 0
+        written = [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                   if p.is_file()]
+        assert sorted(written) == sorted(["scenario.json", f"{into}/fd.csv"])
 
 
 class TestOutputs:

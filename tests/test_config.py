@@ -441,7 +441,8 @@ BASES = [
      "pde": pde("lwr", {"kind": "uniform", "k": 0.05},
                 boundary={"kind": "inflow", "k_in": 0.05}, x0=-100.0)},
     {"fd": TAB, "model": {"name": "nonlinear_gm", "a": 1.0, "m": 0, "l": 1},
-     "stability": sweep("m", 1, 2), "sim": sim("pipes", SINUSOID, dt=0.5),
+     # rk4, not pipes: spacing rules need a triangular fd (see the departures)
+     "stability": sweep("m", 1, 2), "sim": sim("rk4", SINUSOID, dt=0.5),
      "pde": pde("second_order", RIEMANN, record_every=5,
                 boundary={"kind": "inflow", "k_in": 0.05, "v_in": 10.0})},
     {"fd": TRI, "model": GFM, "stability": sweep("T_brake", 0.5, 1.0),
@@ -458,7 +459,7 @@ BASES = [
     {"model": {"name": "third_order", "t_delay": 0.3, "inner": IDM},
      "stability": sweep("a", 1.0)},
     {"transform": {"direction": "to_eulerian", "input": "t.csv", "x0": -50.0,
-                   "dx": 10.0, "cells": 10}, "output": {"dir": "out"}},
+                   "dx": 10.0, "cells": 10}},
     {"transform": {"direction": "to_trajectories", "input": "f.csv", "n_vehicles": 3}},
     {"fd": GS, "model": OVM, "pde": pde("second_order", SINE,
                                         boundary={"kind": "inflow", "k_in": 0.1, "v_in": 5.0})},
@@ -471,6 +472,7 @@ BASES = [
                                                 "inner": OVM}}],
         "resolutions": [4]}},
     {"fd": TAB, "pde": pde("lwr", RIEMANN, boundary={"kind": "inflow", "k_in": 0.2})},
+    {"fd": TRI, "sim": sim("pipes", SINUSOID, dt=0.5)},
 ]
 
 
@@ -485,6 +487,9 @@ def outcome(validate, doc):
     return 0, None, None
 
 
+SPACING_RULE = "spacing-rule simulators need a triangular fd"
+
+
 def fault(path, message):
     return 2, path, f"{path}: {message}"
 
@@ -497,6 +502,8 @@ def expected(doc):
     """The reference's verdict on a document with at most one fault, with the
     deliberate changes applied."""
     ref = outcome(validate_document, doc)
+    if isinstance(doc, dict) and "output" in doc:  # the output section is gone
+        return fault("output", "unknown section")
     if (ref[1] or "").endswith(".inner.name") and "must be a string" not in ref[2]:
         # the inner law's choices leave out third_order
         return fault(ref[1], f"must be one of {sorted(_MODEL_PARAM_SPECS)}")
@@ -512,6 +519,9 @@ def expected(doc):
             if type(value) is int and value > config.INT_CAP]
     if ref[0] == 0 and huge:  # integer values are capped
         return fault(dotted(huge[0]), f"must be <= {config.INT_CAP}")
+    if (ref[0] == 0 and isinstance(s, dict) and s["method"] != "rk4" and "fd" in doc
+            and doc["fd"]["kind"] != "triangular"):
+        return fault("sim.method", SPACING_RULE)
     if ref[0] == 0 and isinstance(p, dict) and isinstance(p.get("boundary"), dict):
         bnd = p["boundary"]
         if "fd" in doc and bnd["k_in"] > jam_density(doc["fd"]):
@@ -687,6 +697,14 @@ def test_edges_match_reference(base, path, value, code):
                  id="nested-third-order"),
     pytest.param(with_change(1, ("pde", "steps"), 10**400), (0, None, None),
                  fault("pde.steps", f"must be <= {config.INT_CAP}"), id="capped-integer"),
+    # BASES[2] ran pipes on its tabulated fd before the sim.method rule
+    pytest.param(with_change(2, ("sim", "method"), "pipes"), (0, None, None),
+                 fault("sim.method", SPACING_RULE), id="pipes-on-tabulated-fd"),
+    pytest.param(with_change(1, ("sim", "method"), "newell"), (0, None, None),
+                 fault("sim.method", SPACING_RULE), id="newell-on-greenshields-fd"),
+    # BASES[11] held an output section, which nothing read
+    pytest.param(with_change(11, ("output",), {"dir": "out"}), (0, None, None),
+                 fault("output", "unknown section"), id="output-section"),
 ])
 def test_deliberate_changes(doc, reference, walker):
     assert outcome(validate_document, doc) == reference

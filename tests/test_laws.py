@@ -18,6 +18,7 @@ from trafficlab import (DomainError, EvaluationError, GreenshieldsDiagram,
                         make_idm, make_idm_alt, make_jwz_cf, make_linear_gm,
                         make_nonlinear_gm, make_ovm, make_third_order,
                         partials_at)
+from trafficlab import config
 from trafficlab.laws import MODEL_CATALOG, law_spans
 
 
@@ -368,6 +369,15 @@ class TestCatalog:
             law = law_from_config({"name": name, **CATALOG_PARAMS[name]}, tri)
             assert law.name == name
 
+    def test_config_schema_names_each_factorys_parameters(self):
+        """One model list in both tables; a schema's keys are its factory's
+        parameters but ``fd``, with ``lam`` read as ``lambda``."""
+        assert set(config.MODELS) == set(MODEL_CATALOG) | {"third_order"}
+        for name, factory in MODEL_CATALOG.items():
+            params = set(inspect.signature(factory).parameters) - {"fd"}
+            assert set(config.MODELS[name]) == {
+                "lambda" if p == "lam" else p for p in params}, name
+
     def test_third_order_from_config(self, tri):
         law = law_from_config({"name": "third_order", "t_delay": 0.5,
                                "inner": {"name": "ovm", "T": 1.0}}, tri)
@@ -396,8 +406,9 @@ READS_THETA = {"ovm", "gfm", "fvdm", "jwz", "aw_rascle"}
 def domain_laws():
     """Every catalog law (on each diagram where it needs one), the general
     anticipation law, and the third-order wrap of each, with its diagram."""
-    for name, entry in MODEL_CATALOG.items():
-        for fd_name, fd in DIAGRAMS.items() if entry.needs_fd else [("tri", DIAGRAMS["tri"])]:
+    for name, factory in MODEL_CATALOG.items():
+        needs_fd = "fd" in inspect.signature(factory).parameters
+        for fd_name, fd in DIAGRAMS.items() if needs_fd else [("tri", DIAGRAMS["tri"])]:
             law = law_from_config({"name": name, **CATALOG_PARAMS[name]}, fd)
             yield f"{name}-{fd_name}", law, fd
     for fd_name, fd in DIAGRAMS.items():
