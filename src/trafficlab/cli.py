@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -480,6 +481,7 @@ COMMANDS = {"fd": cmd_fd, "steady": cmd_steady, "stability": cmd_stability,
             "transform": cmd_transform, "compare": cmd_compare}
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trafficlab",
@@ -510,16 +512,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        out = _output_dir(args.out)
         if args.seed_demo:
-            return seed_demo(out)
+            return seed_demo(_output_dir(args.out))
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
         # The solvers stop on non-finite states themselves, so NumPy's own
         # floating-point warnings would only repeat that fault on stderr.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return COMMANDS[args.command](_load_config(args.config), out)
+            config = _load_config(args.config)  # a refused run makes no directory
+            return COMMANDS[args.command](config, _output_dir(args.out))
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

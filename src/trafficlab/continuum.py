@@ -264,6 +264,7 @@ def solve_second_order_batch(scenarios) -> list:
     inflow, outflow = np.zeros((2, n))
     substeps, max_substeps, speed_clamps, dense_clamps = np.zeros((4, n), dtype=int)
     k_up, v_up, v_dn = np.empty((3, k.size))
+    last_subs = None
 
     for step in range(first.steps):
         if step:  # step 0 reuses the bound of the CFL check
@@ -272,11 +273,13 @@ def solve_second_order_batch(scenarios) -> list:
         if not all(map(math.isfinite, bound)):
             raise SolverFault("non-finite characteristic speed bound", step=step)
         subs = [max(math.ceil(dt * b / (SUBSTEP_CFL * h)), 1) for b, h in zip(bound, dxs)]
-        dt_s, n_sub = np.array([dt / m for m in subs]), np.array(subs)
-        np.maximum(max_substeps, n_sub, out=max_substeps)
-        ratio, dt_cell = per_cell(dt_s / dxs), per_cell(dt_s)
-        n_all = min(subs)  # substeps that every member takes: ``took`` is True
-        for j in range(max(subs)):
+        if subs != last_subs:  # the substep sizes follow the counts alone
+            last_subs = subs
+            dt_s, n_sub = np.array([dt / m for m in subs]), np.array(subs)
+            np.maximum(max_substeps, n_sub, out=max_substeps)
+            ratio, dt_cell = per_cell(dt_s / dxs), per_cell(dt_s)
+            n_all, n_max = min(subs), max(subs)  # every member takes n_all: ``took`` is True
+        for j in range(n_max):
             took, took_cell = (True, True) if j < n_all else (n_sub > j, per_cell(n_sub > j))
             k_eff, s_raw, s_arg, v_pos = derive() if j else shared
             np.take(k, up, out=k_up)

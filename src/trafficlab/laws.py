@@ -251,28 +251,31 @@ def _make_idm(name: str, a: float, b: float, delta: float, v_f: float,
         raise ParameterError("IDM needs a, b, v_f, tau, d > 0")
     if delta < 1:
         raise ParameterError("IDM needs delta >= 1")
-    two_sqrt_ab = 2.0 * math.sqrt(a * b)
+    # The closing sign rides on 2 sqrt(ab): +-1 products are exact and rounding is
+    # sign-symmetric, so v * dv / (sign * c) has the bits of sign * v * dv / c.
+    signed_two_sqrt_ab = closing_sign * 2.0 * math.sqrt(a * b)
     # The structural constants are 0-d arrays too, made once per law (see _stack).
-    sign, one, exponent, neg_delta, exponent_1 = (np.array(x, dtype=float) for x in (
-        closing_sign, 1.0, delta, -delta, delta - 1.0))
+    one, exponent, neg_delta, exponent_1 = (np.array(x, dtype=float) for x in (
+        1.0, delta, -delta, delta - 1.0))
 
-    def psi(v, s, dv, *, a=a, v_f=v_f, tau=tau, d=d, two_sqrt_ab=two_sqrt_ab):
-        g = d + tau * v + sign * v * dv / two_sqrt_ab
+    def psi(v, s, dv, *, a=a, v_f=v_f, tau=tau, d=d, signed_two_sqrt_ab=signed_two_sqrt_ab):
+        g = d + tau * v + v * dv / signed_two_sqrt_ab
         return a * (one - np.power(v / v_f, exponent) - (g / s) ** 2)
 
-    def psi_dv(v, s, dv, *, a=a, v_f=v_f, tau=tau, d=d, two_sqrt_ab=two_sqrt_ab):
+    def psi_dv(v, s, dv, *, a=a, v_f=v_f, tau=tau, d=d, signed_two_sqrt_ab=signed_two_sqrt_ab):
         v = np.asarray(v, dtype=float)
-        g = d + tau * v + sign * v * dv / two_sqrt_ab
-        return -2.0 * a * g / s**2 * (sign * v / two_sqrt_ab) + 0 * v
+        g = d + tau * v + v * dv / signed_two_sqrt_ab
+        return -2.0 * a * g / s**2 * (v / signed_two_sqrt_ab) + 0 * v
 
-    def partials(v, s, dv, *, a=a, v_f=v_f, tau=tau, d=d, two_sqrt_ab=two_sqrt_ab):
+    def partials(v, s, dv, *, a=a, v_f=v_f, tau=tau, d=d,
+                 signed_two_sqrt_ab=signed_two_sqrt_ab):
         v = np.asarray(v, dtype=float)
-        g = d + tau * v + sign * v * dv / two_sqrt_ab
+        g = d + tau * v + v * dv / signed_two_sqrt_ab
         p_v = a * (neg_delta * np.power(v / v_f, exponent_1) / v_f
-                   - 2.0 * g / s**2 * (tau + sign * dv / two_sqrt_ab))
+                   - 2.0 * g / s**2 * (tau + dv / signed_two_sqrt_ab))
         p_s = 2.0 * a * g**2 / s**3
-        return (p_v, p_s + 0 * v,
-                psi_dv(v, s, dv, a=a, v_f=v_f, tau=tau, d=d, two_sqrt_ab=two_sqrt_ab))
+        return (p_v, p_s + 0 * v, psi_dv(v, s, dv, a=a, v_f=v_f, tau=tau, d=d,
+                                         signed_two_sqrt_ab=signed_two_sqrt_ab))
 
     _stack((name, delta, closing_sign), psi, partials, psi_dv)
     return AccelerationLaw(

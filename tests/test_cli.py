@@ -383,6 +383,40 @@ class TestOutputDirectory:
                    if p.is_file()]
         assert sorted(written) == sorted(["scenario.json", f"{into}/fd.csv"])
 
+    def test_consecutive_runs_keep_their_own_out(self, demo_config, tmp_path, monkeypatch):
+        """One parser serves every call in a process: an --out given before or
+        after the subcommand holds for its own call only."""
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        written = []
+        for args, into in ((["--out", tmp_path / "a", "fd", "--config", demo_config], "a"),
+                           (["fd", "--config", demo_config, "--out", tmp_path / "b"], "b"),
+                           (["fd", "--config", demo_config], "cwd"),
+                           (["--out", tmp_path / "c", "fd", "--config", demo_config], "c")):
+            assert run(args) == 0
+            written.append(f"{into}/fd.csv")
+            assert sorted(p.relative_to(tmp_path).as_posix()
+                          for p in tmp_path.rglob("fd.csv")) == sorted(written)
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("args", [
+        ["--out", "{out}"], ["fd", "--out", "{out}"],
+        ["fd", "--config", "{missing}", "--out", "{out}"],
+        ["--out", "{out}", "fd", "--config", "{invalid}"],
+    ], ids=["no-subcommand", "no-config", "missing-config", "invalid-config"])
+    def test_refused_run_makes_no_directory(self, tmp_path, capsys, args):
+        out, invalid = tmp_path / "made" / "here", tmp_path / "invalid.json"
+        invalid.write_text(json.dumps({"fd": {"kind": "triangular"}}))
+        names = {"out": out, "missing": tmp_path / "nope.json", "invalid": invalid}
+        assert main([a.format(**names) for a in args]) == 2
+        assert capsys.readouterr().err
+        assert not (tmp_path / "made").exists()
+
+    def test_seed_demo_makes_its_directory(self, tmp_path):
+        out = tmp_path / "made" / "here"
+        assert run(["--seed-demo", "--out", out]) == 0
+        assert [p.name for p in out.iterdir()] == ["demo_scenario.json"]
+
 
 class TestOutputs:
     def test_fd_csv_shape_and_capacity(self, demo_config, tmp_path):

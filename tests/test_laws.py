@@ -556,9 +556,13 @@ def test_the_kernel_pins_cover_every_catalog_law_with_analytic_partials():
 
 
 def idm_with_float_constants(law, closing_sign):
-    """IDM's psi and partials written out with every constant a Python float."""
+    """IDM's psi and partials written out with every constant a Python float,
+    the closing sign a factor of its own: the kernels carry it in their signed
+    2 sqrt(ab), so equal bits prove that fold exact."""
     c, delta = float_constants(law), float(law.params["delta"])
-    a, v_f, tau, d, two_sqrt_ab = (c[k] for k in ("a", "v_f", "tau", "d", "two_sqrt_ab"))
+    a, v_f, tau, d, signed = (c[k] for k in ("a", "v_f", "tau", "d", "signed_two_sqrt_ab"))
+    assert math.copysign(1.0, signed) == closing_sign
+    two_sqrt_ab = abs(signed)
 
     def psi(v, s, dv):
         g = d + tau * v + closing_sign * v * dv / two_sqrt_ab

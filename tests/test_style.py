@@ -38,3 +38,17 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name}: (line, name) imported but unused: {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=ids(SOURCES))
+def test_min_max_take_out_by_keyword(path):
+    """NumPy 2.4 deprecates ``out`` passed positionally to np.minimum and
+    np.maximum, and the deprecated form is slower (2.0 against 0.5 µs on a
+    (1, 2) operand, numpy 2.4.6, warning ignored): pass ``out=``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    positional = sorted(node.lineno for node in ast.walk(tree)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("minimum", "maximum")
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id in ("np", "numpy") and len(node.args) > 2)
+    assert not positional, f"{path.name}: lines passing out positionally: {positional}"
