@@ -30,9 +30,7 @@ from . import config as cfgmod
 from .continuum import solve_lwr_godunov, solve_second_order, total_vehicles
 from .equivalence import EquivalenceReport, run_suite
 from .errors import ConfigurationError, ParameterError, TrafficLabError
-from .fundamental import cfl_max_dt
-from .platoon import (Ring, simulate_continuous, simulate_newell,
-                      simulate_pipes_discrete)
+from .platoon import simulate_continuous, simulate_newell, simulate_pipes_discrete
 from .stability import StabilityMapRow, stability_map
 from .steady_state import fundamental_diagram_of
 from .transforms import (EulerianField, SpatialGrid, TrajectorySurface,
@@ -327,26 +325,16 @@ def cmd_simulate_cf(doc: dict, out: Path) -> int:
     sim = cfgmod.require_section(doc, "sim")
     initial = cfgmod.build_initial_platoon(sim)
     boundary = cfgmod.build_boundary(sim["boundary"])
-    method = sim["method"]
+    method = label = sim["method"]
     if method == "rk4":
         law = cfgmod.build_law(doc)
         surface = simulate_continuous(law, initial, boundary, sim["dt"], sim["steps"])
         label = law.name
+    elif method == "pipes":
+        surface = simulate_pipes_discrete(cfgmod.build_fd(doc), initial, boundary,
+                                          sim["dt"], sim["steps"])
     else:
-        fd = cfgmod.build_fd(doc)
-        if isinstance(boundary, Ring):
-            raise ConfigurationError("spacing-rule simulators need a leader profile",
-                                     path="sim.boundary")
-        if method == "pipes":
-            if sim["dt"] > cfl_max_dt(fd, 1.0) * (1 + 1e-12):
-                raise ConfigurationError(
-                    f"dt={sim['dt']:g} violates the vehicle-information bound "
-                    f"{cfl_max_dt(fd, 1.0):g}", path="sim.dt")
-            surface = simulate_pipes_discrete(fd, initial, boundary,
-                                              sim["dt"], sim["steps"])
-        else:
-            surface = simulate_newell(fd, initial, boundary, sim["steps"])
-        label = method
+        surface = simulate_newell(cfgmod.build_fd(doc), initial, boundary, sim["steps"])
     path = out / "trajectories.csv"
     write_trajectory_csv(surface, path)
     print(f"simulate-cf: {label}, {surface.n_vehicles} vehicles x "

@@ -19,7 +19,7 @@ import numpy as np
 from .continuum import EulerianScenario, InflowOutflow, Periodic
 from .equivalence import RingScenario, SuiteEntry
 from .errors import ConfigurationError, ParameterError
-from .fundamental import FundamentalDiagram, diagram_from_config
+from .fundamental import FundamentalDiagram, cfl_max_dt, diagram_from_config
 from .laws import AccelerationLaw, law_from_config
 from .platoon import (ConstantLeader, PiecewiseConstantLeader, PlatoonState,
                       Ring, SinusoidLeader)
@@ -290,6 +290,15 @@ def _rises_from_zero(times: list) -> bool:
     return times[0] == 0 and all(a < b for a, b in zip(times, times[1:]))
 
 
+def _pipes_dt(cfg, path, doc):
+    # The explicit spacing rule runs only within the vehicle-information bound.
+    if cfg["method"] == "pipes" and "fd" in doc:
+        bound = cfl_max_dt(build_fd(doc), 1.0)
+        if cfg["dt"] > bound * (1 + 1e-12):
+            _fail(f"{path}.dt", f"dt={cfg['dt']:g} violates the vehicle-information "
+                  f"bound {bound:g}")
+
+
 _K_RANGE = _rule("k_max", "must exceed k_min",
                  lambda c, d: float(c["k_max"]) <= float(c["k_min"]))
 # Each check runs right after the leaves of the section it is listed under: a
@@ -311,6 +320,9 @@ RULES = (
     ("sim", _rule("method", "spacing-rule simulators need a triangular fd",
                   lambda c, d: c["method"] != "rk4" and "fd" in d
                   and d["fd"]["kind"] != "triangular")),
+    ("sim", _rule("boundary", "spacing-rule simulators need a leader profile",
+                  lambda c, d: c["method"] != "rk4" and c["boundary"]["kind"] == "ring")),
+    ("sim", _pipes_dt),
     ("pde", _rule("steps", f"(steps // record_every + 1) * cells must be <= {INT_CAP}",
                   lambda c, d: (c["steps"] // c.get("record_every", 1) + 1) * c["cells"]
                   > INT_CAP)),

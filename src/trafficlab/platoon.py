@@ -14,12 +14,15 @@ Three integrators share the same state and output conventions:
 * :func:`simulate_newell` -- the spacing rule stepped at exactly the time gap,
   the limiting case of the discrete rule.
 
+A leader profile evaluates vehicle 0's speed, acceleration and displacement
+at a scalar time or an array of times, with the same bits either way; each
+simulator takes the lead vehicle's track from one array evaluation per run.
+
 All runs are deterministic: identical inputs give bitwise-identical surfaces.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -75,25 +78,28 @@ def uniform_platoon(n: int, spacing: float, speed: float,
 
 @dataclass(frozen=True)
 class ConstantLeader:
+    """Speed v0, at a time or an array of times."""
+
     v0: float
 
     def __post_init__(self):
         if not (math.isfinite(self.v0) and self.v0 >= 0):
             raise ParameterError("leader speed v0 must be finite and >= 0")
 
-    def speed_at(self, t: float) -> float:
-        return self.v0
+    def speed_at(self, t):
+        return np.full(np.shape(t), self.v0, dtype=float)[()]
 
-    def accel_at(self, t: float) -> float:
-        return 0.0
+    def accel_at(self, t):
+        return np.zeros(np.shape(t))[()]
 
-    def displacement(self, t0: float, t1: float) -> float:
+    def displacement(self, t0, t1):
         return self.v0 * (t1 - t0)
 
 
 @dataclass(frozen=True)
 class SinusoidLeader:
-    """Speed v0 + amplitude * sin(omega * t); requires |amplitude| <= v0."""
+    """Speed v0 + amplitude * sin(omega * t), at a time or an array of times;
+    requires |amplitude| <= v0."""
 
     v0: float
     amplitude: float
@@ -105,21 +111,22 @@ class SinusoidLeader:
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise ParameterError("sinusoid leader needs a finite omega > 0")
 
-    def speed_at(self, t: float) -> float:
-        return self.v0 + self.amplitude * math.sin(self.omega * t)
+    def speed_at(self, t):
+        return self.v0 + self.amplitude * np.sin(self.omega * t)
 
-    def accel_at(self, t: float) -> float:
-        return self.amplitude * self.omega * math.cos(self.omega * t)
+    def accel_at(self, t):
+        return self.amplitude * self.omega * np.cos(self.omega * t)
 
-    def displacement(self, t0: float, t1: float) -> float:
+    def displacement(self, t0, t1):
         return (self.v0 * (t1 - t0)
-                + self.amplitude / self.omega * (math.cos(self.omega * t0)
-                                                 - math.cos(self.omega * t1)))
+                + self.amplitude / self.omega * (np.cos(self.omega * t0)
+                                                 - np.cos(self.omega * t1)))
 
 
 @dataclass(frozen=True)
 class PiecewiseConstantLeader:
-    """Speed steps at the given breakpoints; times start at 0, ascending."""
+    """Speed steps at the given finite breakpoints, which start at 0 and ascend;
+    before 0 the first speed holds. Evaluated at a time or an array of times."""
 
     times: tuple[float, ...]
     speeds: tuple[float, ...]
@@ -127,29 +134,26 @@ class PiecewiseConstantLeader:
     def __post_init__(self):
         if len(self.times) != len(self.speeds) or not self.times:
             raise ParameterError("piecewise leader needs matching times/speeds")
-        if self.times[0] != 0.0 or any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ParameterError("breakpoints must start at 0 and increase")
+        if (self.times[0] != 0.0 or not all(map(math.isfinite, self.times))
+                or any(b <= a for a, b in zip(self.times, self.times[1:]))):
+            raise ParameterError("breakpoints must be finite, start at 0 and increase")
         if not all(math.isfinite(v) and v >= 0 for v in self.speeds):
             raise ParameterError("leader speeds must be finite and >= 0")
 
-    def speed_at(self, t: float) -> float:
-        idx = 0
-        for i, brk in enumerate(self.times):
-            if t >= brk:
-                idx = i
-        return self.speeds[idx]
+    def speed_at(self, t):
+        # The speed of the last breakpoint at or before t; before 0, the first.
+        i = np.maximum(np.searchsorted(self.times, t, side="right") - 1, 0)
+        return np.asarray(self.speeds, dtype=float)[i]
 
-    def accel_at(self, t: float) -> float:
-        return 0.0  # zero between breakpoints; the steps themselves are not resolved
+    def accel_at(self, t):
+        return np.zeros(np.shape(t))[()]  # the steps themselves are not resolved
 
-    def displacement(self, t0: float, t1: float) -> float:
+    def displacement(self, t0, t1):
+        # Segment by segment, in order, adding 0.0 where [t0, t1] misses one.
         total = 0.0
-        edges = list(self.times) + [math.inf]
-        for i, v in enumerate(self.speeds):
-            lo = max(t0, edges[i])
-            hi = min(t1, edges[i + 1])
-            if hi > lo:
-                total += v * (hi - lo)
+        for v, start, end in zip(self.speeds, self.times, self.times[1:] + (math.inf,)):
+            lo, hi = np.maximum(t0, start), np.minimum(t1, end)
+            total = total + np.where(hi > lo, v * (hi - lo), 0.0)
         return total
 
 
@@ -341,15 +345,14 @@ def simulate_platoons(members, dt: float, steps: int,
         np.add(y, np.multiply(rates_of[j - 1], h, states[j]), states[j])
         return frames[j]
 
-    recorded = range(0, steps + 1, record_every)
+    recorded = np.arange(0, steps + 1, record_every) * dt  # the times i * dt
     traj = np.empty((order, batch, len(recorded), n))  # traj[:, p] is member p's
     traj[:, :, 0, first:] = y
     if not ring:
         for p, leader in enumerate(boundaries):
             traj[0, p, :, 0] = fronts[::record_every, p]
             for o, profile in enumerate((leader.speed_at, leader.accel_at)[:order - 1], 1):
-                traj[o, p, :, 0] = np.fromiter((profile(i * dt) for i in recorded), float,
-                                               len(recorded))
+                traj[o, p, :, 0] = profile(recorded)
     speeds, speed_row = y[1], y[1].reshape(-1)
     clamps, (k1, k2, k3, k4) = np.zeros(batch, dtype=int), rates_of
     leads = (None,) * 3  # lead vehicle at the step's start, midpoint and end
@@ -386,20 +389,14 @@ def simulate_platoons(members, dt: float, steps: int,
 def _lead_track(leader: LeaderProfile, x0: float, dt: float, steps: int):
     """The lead vehicle's position and speed at every step and half step.
 
-    Each value comes from the same ``displacement``/``speed_at`` call and the
-    same sum as a step-by-step integration makes: the position at step i + 1
-    is the one at step i plus the profile's displacement over the step.
+    Step i starts at t = i * dt. The position at step i + 1 is the one at step
+    i plus the profile's displacement over [t, t + dt], summed in step order;
+    the speed there is the profile's at t + dt.
     """
-    half = 0.5 * dt
-    x = np.fromiter(itertools.accumulate(
-        (leader.displacement(i * dt, i * dt + dt) for i in range(steps)), initial=x0),
-        float, steps + 1)
-    v = np.fromiter(itertools.chain((leader.speed_at(0.0),), (
-        leader.speed_at(i * dt + dt) for i in range(steps))), float, steps + 1)
-    x_half = x[:-1] + np.fromiter(
-        (leader.displacement(i * dt, i * dt + half) for i in range(steps)), float, steps)
-    v_half = np.fromiter((leader.speed_at(i * dt + half) for i in range(steps)), float, steps)
-    return x, v, x_half, v_half
+    t, half = np.arange(steps) * dt, 0.5 * dt
+    x = np.cumsum(np.append(x0, leader.displacement(t, t + dt)))
+    v = np.append(leader.speed_at(0.0), leader.speed_at(t + dt))
+    return x, v, x[:-1] + leader.displacement(t, t + half), leader.speed_at(t + half)
 
 
 def simulate_continuous(law: AccelerationLaw, initial: PlatoonState,
@@ -428,13 +425,15 @@ def simulate_pipes_discrete(fd, initial: PlatoonState, leader: LeaderProfile,
     if dt > max_dt * (1 + 1e-12):
         raise ConfigurationError(
             f"dt={dt:g} violates the vehicle-information bound {max_dt:g}")
+    if isinstance(leader, Ring):
+        raise ConfigurationError("spacing-rule simulators need a leader profile")
     _validate_ordering(initial, leader)
     v_f, tau, s_j = fd.v_f, fd.time_gap, fd.jam_spacing
     x = np.empty((steps + 1, initial.n_vehicles))
     x[0] = initial.positions
+    x[:, 0] = _lead_track(leader, x[0, 0], dt, steps)[0]
     newell_step = dt == tau
     for i in range(steps):
-        t = i * dt
         lead, foll = x[i, :-1], x[i, 1:]
         if newell_step:
             # dt equal to the time gap collapses the update algebraically to
@@ -443,7 +442,6 @@ def simulate_pipes_discrete(fd, initial: PlatoonState, leader: LeaderProfile,
             x[i + 1, 1:] = np.minimum(foll + dt * v_f, lead - s_j)
         else:
             x[i + 1, 1:] = foll + dt * np.minimum(v_f, (lead - foll - s_j) / tau)
-        x[i + 1, 0] = x[i, 0] + leader.displacement(t, t + dt)
     return TrajectorySurface(t0=initial.time, dt=dt, positions=x)
 
 

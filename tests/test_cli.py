@@ -168,6 +168,14 @@ class TestExitCodes:
                 "boundary": {"kind": "constant", "v0": 3.75}}},
                      "sim.method: spacing-rule simulators need a triangular fd",
                      id="pipes-on-tabulated-fd"),
+        pytest.param("simulate-cf", {"sim": {**DEMO_CONFIG["sim"], "method": "newell"}},
+                     "sim.boundary: spacing-rule simulators need a leader profile",
+                     id="newell-on-ring"),
+        pytest.param("simulate-cf", {"sim": {**DEMO_CONFIG["sim"], "method": "pipes",
+                                             "dt": 1.5,
+                                             "boundary": {"kind": "constant", "v0": 3.75}}},
+                     "sim.dt: dt=1.5 violates the vehicle-information bound 1",
+                     id="pipes-dt-above-time-gap"),
         pytest.param("fd", {"output": {"dir": "."}}, "output: unknown section",
                      id="output-section"),
     ])

@@ -488,6 +488,7 @@ def outcome(validate, doc):
 
 
 SPACING_RULE = "spacing-rule simulators need a triangular fd"
+NEEDS_PROFILE = "spacing-rule simulators need a leader profile"
 
 
 def fault(path, message):
@@ -522,6 +523,17 @@ def expected(doc):
     if (ref[0] == 0 and isinstance(s, dict) and s["method"] != "rk4" and "fd" in doc
             and doc["fd"]["kind"] != "triangular"):
         return fault("sim.method", SPACING_RULE)
+    # The spacing rules' ring refusal and pipes step bound, which the simulate-cf
+    # command applied after validation, are validation rules.
+    if ref[0] == 0 and isinstance(s, dict) and s["method"] != "rk4":
+        if s["boundary"]["kind"] == "ring":
+            return fault("sim.boundary", NEEDS_PROFILE)
+        if s["method"] == "pipes" and "fd" in doc:
+            slope = doc["fd"]["w"] * doc["fd"]["k_j"]  # the bound is 1 / (w k_j)
+            bound = 1.0 / slope if slope else math.inf
+            if s["dt"] > bound * (1 + 1e-12):
+                return fault("sim.dt", f"dt={s['dt']:g} violates the vehicle-information "
+                             f"bound {bound:g}")
     if ref[0] == 0 and isinstance(p, dict) and isinstance(p.get("boundary"), dict):
         bnd = p["boundary"]
         if "fd" in doc and bnd["k_in"] > jam_density(doc["fd"]):
@@ -702,6 +714,14 @@ def test_edges_match_reference(base, path, value, code):
                  fault("sim.method", SPACING_RULE), id="pipes-on-tabulated-fd"),
     pytest.param(with_change(1, ("sim", "method"), "newell"), (0, None, None),
                  fault("sim.method", SPACING_RULE), id="newell-on-greenshields-fd"),
+    # simulate-cf refused these after validation, at the same path
+    pytest.param(with_change(3, ("sim", "boundary"), {"kind": "ring", "length": 60.0}),
+                 (0, None, None), fault("sim.boundary", NEEDS_PROFILE), id="newell-on-ring"),
+    pytest.param(with_change(17, ("sim", "dt"), 1.5), (0, None, None),
+                 fault("sim.dt", "dt=1.5 violates the vehicle-information bound 1"),
+                 id="pipes-dt-above-time-gap"),
+    pytest.param(with_change(17, ("sim", "dt"), 1.0), (0, None, None), (0, None, None),
+                 id="pipes-dt-at-time-gap"),
     # BASES[11] held an output section, which nothing read
     pytest.param(with_change(11, ("output",), {"dir": "out"}), (0, None, None),
                  fault("output", "unknown section"), id="output-section"),

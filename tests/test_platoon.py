@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GS, TRI, stackable_pairs
+from conftest import GS, TRI, assert_bits_equal, stackable_pairs
 from trafficlab import (CollisionError, ConfigurationError, ConstantLeader,
                         EvaluationError, GreenshieldsDiagram, ParameterError,
                         PiecewiseConstantLeader, PlatoonState, Ring, SinusoidLeader,
@@ -190,10 +190,14 @@ class TestContinuous:
         lambda: PiecewiseConstantLeader((0.0, 1.0), (1.0, -1.0)),
         lambda: PiecewiseConstantLeader((0.0, 1.0), (1.0, math.nan)),
         lambda: PiecewiseConstantLeader((0.0, 1.0), (math.inf, 1.0)),
+        # a NaN breakpoint passed the ordering test: displacement(0, 5) read 18
+        lambda: PiecewiseConstantLeader((0.0, math.nan, 2.0), (1.0, 2.0, 4.0)),
+        lambda: PiecewiseConstantLeader((0.0, math.inf), (1.0, 2.0)),
     ], ids=["constant-negative", "constant-nan", "constant-inf", "sinusoid-negative-v0",
             "sinusoid-inf-v0", "sinusoid-amplitude", "sinusoid-negative-amplitude",
             "sinusoid-nan-amplitude", "sinusoid-zero-omega", "sinusoid-nan-omega",
-            "sinusoid-inf-omega", "piecewise-negative", "piecewise-nan", "piecewise-inf"])
+            "sinusoid-inf-omega", "piecewise-negative", "piecewise-nan", "piecewise-inf",
+            "piecewise-nan-time", "piecewise-inf-time"])
     def test_leader_profiles_refuse_reversing_or_non_finite_input(self, make):
         with pytest.raises(ParameterError):
             make()
@@ -256,6 +260,68 @@ class TestContinuous:
             simulate_continuous(law, init, ConstantLeader(7.5), 0.01, 1)
         stale = reference_simulate_continuous(law, init, ConstantLeader(7.5), 0.01, 1)
         assert np.isinf(stale.speeds[-1, 1:]).all()
+
+
+# The scalar profile formulas as they stood before profiles took time arrays,
+# kept as the reference for the array evaluation.
+def reference_profile(leader):
+    """(speed_at, accel_at, displacement) of ``leader`` on Python floats."""
+    if isinstance(leader, ConstantLeader):
+        return (lambda t: leader.v0, lambda t: 0.0,
+                lambda t0, t1: leader.v0 * (t1 - t0))
+    if isinstance(leader, SinusoidLeader):
+        v0, amplitude, omega = leader.v0, leader.amplitude, leader.omega
+        return (lambda t: v0 + amplitude * math.sin(omega * t),
+                lambda t: amplitude * omega * math.cos(omega * t),
+                lambda t0, t1: (v0 * (t1 - t0) + amplitude / omega
+                                * (math.cos(omega * t0) - math.cos(omega * t1))))
+
+    def speed_at(t):
+        idx = 0
+        for i, brk in enumerate(leader.times):
+            if t >= brk:
+                idx = i
+        return leader.speeds[idx]
+
+    def displacement(t0, t1):
+        total = 0.0
+        edges = list(leader.times) + [math.inf]
+        for i, v in enumerate(leader.speeds):
+            lo = max(t0, edges[i])
+            hi = min(t1, edges[i + 1])
+            if hi > lo:
+                total += v * (hi - lo)
+        return total
+
+    return speed_at, lambda t: 0.0, displacement
+
+
+PROFILES = [ConstantLeader(7.5), SinusoidLeader(7.5, 2.0, 0.4),
+            PiecewiseConstantLeader((0.0, 5.0, 9.0, 12.25), (10.0, 4.0, 8.0, 0.0))]
+
+
+@pytest.mark.parametrize("leader", PROFILES, ids=["constant", "sinusoid", "piecewise"])
+def test_profile_arrays_match_scalar_evaluation_bitwise(leader):
+    """Each array evaluation equals the scalar one and the reference, element by
+    element: the lead track evaluates the profile on arrays (np.sin, np.cos), the
+    step-by-step references on floats."""
+    rng = np.random.default_rng(29)
+    breaks = np.array(getattr(leader, "times", ()), dtype=float)
+    t0 = np.concatenate([[0.0], breaks, np.nextafter(breaks, -math.inf),
+                         np.nextafter(breaks, math.inf), rng.uniform(0.0, 200.0, 10**4)])
+    if isinstance(leader, PiecewiseConstantLeader):
+        t0 = np.concatenate([[-0.0, -5e-324, -1.0, -7.5], t0, rng.uniform(-10.0, 0.0, 100)])
+    # every span from t0 over a step, and between two sampled times either way
+    t0, t1 = np.tile(t0, 2), np.concatenate([t0 + rng.uniform(0.0, 3.0, t0.size),
+                                              rng.permutation(t0)])
+    for evaluate, reference, times in zip(
+            (leader.speed_at, leader.accel_at, leader.displacement),
+            reference_profile(leader), ((t0,), (t0,), (t0, t1))):
+        points = list(zip(*(t.tolist() for t in times)))
+        each = [evaluate(*point) for point in points]
+        assert all(np.ndim(value) == 0 and isinstance(value, float) for value in each)
+        assert_bits_equal(evaluate(*times), each)
+        assert_bits_equal(each, [float(reference(*point)) for point in points])
 
 
 # The RK4 integrator as it stood before its state was stacked into one
@@ -795,6 +861,16 @@ class TestSpacingRule:
         init = uniform_platoon(3, 15.0, 10.0)
         with pytest.raises(ConfigurationError):
             simulate_pipes_discrete(tri, init, ConstantLeader(10.0), 1.5, 10)
+
+    @pytest.mark.parametrize("run", [
+        lambda tri: simulate_pipes_discrete(tri, uniform_platoon(3, 15.0, 10.0, 30.0),
+                                            Ring(45.0), 0.5, 10),
+        lambda tri: simulate_newell(tri, uniform_platoon(3, 15.0, 10.0, 30.0), Ring(45.0), 10),
+    ], ids=["pipes", "newell"])
+    def test_ring_refused(self, tri, run):
+        # the first step read the ring's displacement: an AttributeError
+        with pytest.raises(ConfigurationError, match="need a leader profile"):
+            run(tri)
 
     def test_newell_requires_triangular(self, gs):
         init = uniform_platoon(3, 15.0, 10.0)
