@@ -16,6 +16,7 @@ quoted where csv.writer quotes them, so the bytes are csv.writer's.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -486,8 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_dir(name: str) -> Path:
+def _output_dir(name: str, made: list[Path]) -> Path:
+    """The --out directory; the directories it makes join ``made``, deepest first."""
     out = Path(name)
+    made += [path for path in (out, *out.parents) if not path.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. --out names a file, or a path below one
@@ -499,18 +502,22 @@ def _output_dir(name: str) -> Path:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    made: list[Path] = []
     try:
         if args.seed_demo:
-            return seed_demo(_output_dir(args.out))
+            return seed_demo(_output_dir(args.out, made))
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
         # The solvers stop on non-finite states themselves, so NumPy's own
         # floating-point warnings would only repeat that fault on stderr.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            config = _load_config(args.config)  # a refused run makes no directory
-            return COMMANDS[args.command](config, _output_dir(args.out))
+            config = _load_config(args.config)
+            return COMMANDS[args.command](config, _output_dir(args.out, made))
     except ConfigurationError as exc:
+        for path in made:  # a refused run leaves no directory that it made
+            with contextlib.suppress(OSError):
+                path.rmdir()
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except TrafficLabError as exc:

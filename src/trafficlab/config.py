@@ -299,6 +299,14 @@ def _pipes_dt(cfg, path, doc):
                   f"bound {bound:g}")
 
 
+def _given_where(key: str, needed, missing: str, unread: str):
+    """A check that ``key`` is given exactly where ``needed(section, doc)``."""
+    def check(cfg, path, doc):
+        if needed(cfg, doc) != (key in cfg):
+            _fail(f"{path}.{key}", unread if key in cfg else missing)
+    return check
+
+
 _K_RANGE = _rule("k_max", "must exceed k_min",
                  lambda c, d: float(c["k_max"]) <= float(c["k_min"]))
 # Each check runs right after the leaves of the section it is listed under: a
@@ -313,8 +321,6 @@ RULES = (
     ("piecewise", _rule("times", _PAIRED, lambda c, d: len(c["times"]) != len(c["speeds"]))),
     ("piecewise", _rule("times", "must start at 0 and increase",
                         lambda c, d: not _rises_from_zero(c["times"]))),
-    ("sim", _rule("dt", "missing required key",
-                  lambda c, d: c["method"] != "newell" and "dt" not in c)),
     ("sim", _rule("steps", f"(steps + 1) * initial.n_vehicles must be <= {INT_CAP}",
                   lambda c, d: (c["steps"] + 1) * c["initial"]["n_vehicles"] > INT_CAP)),
     ("sim", _rule("method", "spacing-rule simulators need a triangular fd",
@@ -322,16 +328,19 @@ RULES = (
                   and d["fd"]["kind"] != "triangular")),
     ("sim", _rule("boundary", "spacing-rule simulators need a leader profile",
                   lambda c, d: c["method"] != "rk4" and c["boundary"]["kind"] == "ring")),
+    # rk4 and pipes step at sim.dt; newell steps at the fd's time gap.
+    ("sim", _given_where("dt", lambda c, d: c["method"] != "newell", "missing required key",
+                          "method 'newell' steps at the fd's time gap and takes no dt")),
     ("sim", _pipes_dt),
     ("pde", _rule("steps", f"(steps // record_every + 1) * cells must be <= {INT_CAP}",
                   lambda c, d: (c["steps"] // c.get("record_every", 1) + 1) * c["cells"]
                   > INT_CAP)),
     ("pde.boundary", _rule("k_in", "must not exceed the jam density fd.k_j",
                            lambda c, d: "fd" in d and c["k_in"] > _jam_density(d["fd"]))),
-    ("pde.boundary", _rule("v_in", "missing required key (the second-order solver "
-                           "needs the inflow speed)",
-                           lambda c, d: d["pde"]["solver"] == "second_order"
-                           and "v_in" not in c)),
+    ("pde.boundary", _given_where("v_in", lambda c, d: d["pde"]["solver"] == "second_order",
+                                   "missing required key (the second-order solver needs "
+                                   "the inflow speed)",
+                                   "solver 'lwr' takes no inflow speed")),
 )
 
 
@@ -437,15 +446,19 @@ def build_pde_scenario(doc: dict):
 
 
 def _equilibrium_speeds(law, k_init):
-    speeds = np.empty_like(k_init)
-    for i, k in enumerate(k_init):
-        res = solve_equilibrium_speed(law, max(float(k), 1e-6))
-        if res.status is not EquilibriumStatus.OK:
-            raise ConfigurationError(
-                f"{law.name} has no equilibrium speed at k={k:g}; "
-                "cannot seed the speed field", path="pde.initial")
-        speeds[i] = res.speed
-    return speeds
+    # One solve per distinct density, in cell order: the first cell whose
+    # density has no equilibrium speed is the one refused.
+    densities = np.maximum(k_init, 1e-6).tolist()
+    speeds = {}
+    for k, density in zip(k_init, densities):
+        if density not in speeds:
+            res = solve_equilibrium_speed(law, density)
+            if res.status is not EquilibriumStatus.OK:
+                raise ConfigurationError(
+                    f"{law.name} has no equilibrium speed at k={k:g}; "
+                    "cannot seed the speed field", path="pde.initial")
+            speeds[density] = res.speed
+    return np.array([speeds[density] for density in densities])
 
 
 def build_suite(doc: dict) -> list[SuiteEntry]:

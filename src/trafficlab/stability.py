@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 from .laws import AccelerationLaw, partials_at
-from .steady_state import EquilibriumStatus, solve_equilibrium_speed
+from .steady_state import EquilibriumStatus, _steady_speeds, solve_equilibrium_speed
 
 
 def _partials(law: AccelerationLaw, v0: float, s0: float) -> tuple[float, float, float]:
@@ -202,15 +202,11 @@ class StabilityMapRow:
 
 
 def stability_map(law: AccelerationLaw, k_grid) -> list[StabilityMapRow]:
-    """Per-density verdicts; degenerate states are flagged, not judged."""
-    rows = []
-    for k in np.asarray(k_grid, dtype=float):
-        res = solve_equilibrium_speed(law, float(k))
-        if res.status is not EquilibriumStatus.OK:
-            rows.append(StabilityMapRow(k=float(k), degenerate=True, report=None))
-            continue
-        rows.append(StabilityMapRow(
-            k=float(k), degenerate=False,
-            report=stability_report(law, float(k), v0=res.speed)))
-    return rows
-
+    """Per-density verdicts, in grid order (any order); a density without a
+    unique steady state is flagged degenerate, not judged."""
+    k_grid = np.asarray(k_grid, dtype=float)
+    speeds, statuses = _steady_speeds(law, k_grid)
+    return [StabilityMapRow(k=float(k), degenerate=status is not EquilibriumStatus.OK,
+                            report=stability_report(law, float(k), v0=float(v0))
+                            if status is EquilibriumStatus.OK else None)
+            for k, v0, status in zip(k_grid, speeds, statuses)]

@@ -38,23 +38,16 @@ class EquilibriumResult:
     multiplicity: int = 0
 
 
-def _speed_bracket(law: AccelerationLaw) -> float:
-    # Generous bracket: IDM-style laws change sign within [0, v_f].
-    return 2.0 * law.v_free if law.v_free is not None else 100.0
-
-
-def acceleration_scale(law: AccelerationLaw, s: float, v_max: float) -> float:
-    """Typical |psi| near spacing ``s``, probed over speeds and speed gaps.
+def _acceleration_scale(psi, s: float, v_max: float) -> float:
+    """Typical |psi| at spacing ``s``, probed over speeds and speed gaps.
 
     Probing dv != 0 keeps the scale positive for stimulus-response laws whose
     dv = 0 slice vanishes identically; the floor of 1 makes the degeneracy
     threshold unit-independent for desk-scale models.
     """
     v = np.linspace(0.0, v_max, 9)
-    scale = 1.0
-    for dv in (-0.1 * v_max, 0.0, 0.1 * v_max):
-        scale = max(scale, float(np.max(np.abs(law.evaluate(v, s, dv)))))
-    return scale
+    return max(1.0, *(float(np.max(np.abs(psi(v, s, dv))))
+                      for dv in (-0.1 * v_max, 0.0, 0.1 * v_max)))
 
 
 def _bisect(g, lo: float, hi: float, g_lo: float) -> float:
@@ -77,38 +70,41 @@ def _bisect(g, lo: float, hi: float, g_lo: float) -> float:
 def solve_equilibrium_speed(law: AccelerationLaw, k: float) -> EquilibriumResult:
     """Solve psi(v, 1/k, 0) = 0 for v by bracket scan, bisection, Newton polish.
 
-    Returns DEGENERATE when psi is independent of v on the bracket (the whole
-    slice is numerically zero), NO_ROOT when no sign change exists, and the
-    smallest nonnegative root otherwise (with the count of sign changes as
-    ``multiplicity``).
+    The law's domain check runs once, on the spacing 1/k; every evaluation
+    after it is the bare ``psi`` at that spacing. Returns DEGENERATE when psi
+    is independent of v on the bracket (the whole slice is numerically zero),
+    NO_ROOT when no sign change exists, and the smallest nonnegative root
+    otherwise (with the count of sign changes as ``multiplicity``).
     """
     if k <= 0:
         raise DomainError("density must be > 0")
     s = 1.0 / k
-    v_max = _speed_bracket(law)
+    law.check(s)
+    # Generous bracket: IDM-style laws change sign within [0, v_f].
+    v_max = 2.0 * law.v_free if law.v_free is not None else 100.0
+    g = lambda v: float(law.psi(v, s, 0.0))
 
-    scale = acceleration_scale(law, s, v_max)
+    scale = _acceleration_scale(law.psi, s, v_max)
     grid = np.linspace(0.0, v_max, _SCAN_POINTS)
-    g_grid = np.asarray(law.evaluate(grid, s, 0.0), dtype=float)
+    g_grid = np.asarray(law.psi(grid, s, 0.0), dtype=float)
     if np.max(np.abs(g_grid)) <= DEGENERACY_RTOL * scale:
         return EquilibriumResult(EquilibriumStatus.DEGENERATE)
 
     signs = np.sign(g_grid)
-    crossings = [i for i in range(len(grid) - 1)
-                 if signs[i] != signs[i + 1] and signs[i] != 0]
-    exact_hits = np.flatnonzero(signs == 0)
-    if not crossings and exact_hits.size == 0:
+    crossings = np.flatnonzero((signs[:-1] != signs[1:]) & (signs[:-1] != 0))
+    # A zero at a later scan point ends a crossing: only a zero at v = 0 is
+    # a root found without bisection.
+    if signs[0] != 0 and not crossings.size:
         return EquilibriumResult(EquilibriumStatus.NO_ROOT)
 
-    # Residual target relative to the acceleration magnitude near standstill,
-    # the scale the residual invariant is stated against.
-    tol = RESIDUAL_RTOL * max(1.0, abs(float(law.evaluate(0.0, s, 0.0))))
-    if exact_hits.size and (not crossings or exact_hits[0] <= crossings[0]):
-        v_root = float(grid[exact_hits[0]])
+    if signs[0] == 0:
+        v_root = 0.0
     else:
         i = crossings[0]
-        g = lambda v: float(law.evaluate(v, s, 0.0))
         v_root = _bisect(g, float(grid[i]), float(grid[i + 1]), float(g_grid[i]))
+        # Residual target relative to the acceleration magnitude near
+        # standstill, the scale the residual invariant is stated against.
+        tol = RESIDUAL_RTOL * max(1.0, abs(g(0.0)))
         # Newton polish with a finite-difference slope.
         for _ in range(4):
             g_v = g(v_root)
@@ -124,10 +120,8 @@ def solve_equilibrium_speed(law: AccelerationLaw, k: float) -> EquilibriumResult
             v_root -= step
         v_root = max(v_root, 0.0)
 
-    multiplicity = max(len(crossings), 1)
-    residual = abs(float(law.evaluate(v_root, s, 0.0)))
-    return EquilibriumResult(EquilibriumStatus.OK, speed=v_root,
-                             residual=residual, multiplicity=multiplicity)
+    return EquilibriumResult(EquilibriumStatus.OK, speed=v_root, residual=abs(g(v_root)),
+                             multiplicity=max(crossings.size, 1))
 
 
 def idm_closed_form_density(v: float, v_f: float, tau: float, d: float,
@@ -156,23 +150,24 @@ class SteadyStateCurve:
     monotone_violations: int = 0
 
 
+def _steady_speeds(law: AccelerationLaw,
+                   k_grid: np.ndarray) -> tuple[np.ndarray, tuple[EquilibriumStatus, ...]]:
+    """Each density's steady speed (NaN unless OK) and status, from one solve
+    per density, in grid order."""
+    results = [solve_equilibrium_speed(law, float(k)) for k in k_grid]
+    return (np.array([res.speed for res in results], dtype=float),
+            tuple(res.status for res in results))
+
+
 def fundamental_diagram_of(law: AccelerationLaw, k_grid) -> SteadyStateCurve:
     """Equilibrium (k, v, q) samples; flagged degenerate if any point is."""
     k_grid = np.asarray(k_grid, dtype=float)
     if np.any(np.diff(k_grid) <= 0):
         raise DomainError("k_grid must be sorted strictly increasing")
-    speeds = np.full(k_grid.shape, math.nan)
-    statuses = []
-    for i, k in enumerate(k_grid):
-        res = solve_equilibrium_speed(law, float(k))
-        statuses.append(res.status)
-        if res.status is EquilibriumStatus.OK:
-            speeds[i] = res.speed
-    degenerate = any(st is EquilibriumStatus.DEGENERATE for st in statuses)
+    speeds, statuses = _steady_speeds(law, k_grid)
     dv = np.diff(speeds)
-    violations = int(np.count_nonzero(dv[np.isfinite(dv)] > 1e-9))
     return SteadyStateCurve(
         k=k_grid, v=speeds, q=k_grid * speeds,
-        degenerate=degenerate, statuses=tuple(statuses),
-        monotone_violations=violations,
+        degenerate=EquilibriumStatus.DEGENERATE in statuses, statuses=statuses,
+        monotone_violations=int(np.count_nonzero(dv[np.isfinite(dv)] > 1e-9)),
     )

@@ -446,7 +446,7 @@ BASES = [
      "pde": pde("second_order", RIEMANN, record_every=5,
                 boundary={"kind": "inflow", "k_in": 0.05, "v_in": 10.0})},
     {"fd": TRI, "model": GFM, "stability": sweep("T_brake", 0.5, 1.0),
-     "sim": sim("newell", PIECEWISE, dt=1.0)},
+     "sim": sim("newell", PIECEWISE)},
     {"model": IDM, "steady": K_GRID, "sim": sim("rk4", PIECEWISE, dt=0.1)},
     {"model": {**IDM, "name": "idm_alt"}, "stability": sweep("delta", 1, 4.5),
      "pde": pde("second_order", SINE, boundary="periodic")},
@@ -489,6 +489,8 @@ def outcome(validate, doc):
 
 SPACING_RULE = "spacing-rule simulators need a triangular fd"
 NEEDS_PROFILE = "spacing-rule simulators need a leader profile"
+NEWELL_DT = "method 'newell' steps at the fd's time gap and takes no dt"
+LWR_V_IN = "solver 'lwr' takes no inflow speed"
 
 
 def fault(path, message):
@@ -528,6 +530,8 @@ def expected(doc):
     if ref[0] == 0 and isinstance(s, dict) and s["method"] != "rk4":
         if s["boundary"]["kind"] == "ring":
             return fault("sim.boundary", NEEDS_PROFILE)
+        if s["method"] == "newell" and "dt" in s:  # newell never read sim.dt
+            return fault("sim.dt", NEWELL_DT)
         if s["method"] == "pipes" and "fd" in doc:
             slope = doc["fd"]["w"] * doc["fd"]["k_j"]  # the bound is 1 / (w k_j)
             bound = 1.0 / slope if slope else math.inf
@@ -541,6 +545,8 @@ def expected(doc):
         if p["solver"] == "second_order" and "v_in" not in bnd:
             return fault("pde.boundary.v_in", "missing required key (the second-order "
                          "solver needs the inflow speed)")
+        if p["solver"] == "lwr" and "v_in" in bnd:  # Godunov never read v_in
+            return fault("pde.boundary.v_in", LWR_V_IN)
     return ref
 
 
@@ -661,7 +667,7 @@ def with_change(base, path, value):
     (4, ("sim", "boundary", "speeds"), [10.0], 2),
     (4, ("sim", "boundary", "times"), [], 2),
     (4, ("sim", "dt"), DROP, 2),
-    (3, ("sim", "dt"), DROP, 0),
+    (3, ("sim", "dt"), 1.0, 2),
     (9, ("model", "inner", "name"), "third_order", 2),
     (15, ("suite", "entries", 1, "model", "inner"), dict(BASES[9]["model"]), 2),
     (0, ("stability", "sweep", "param"), "w", 2),
@@ -703,6 +709,11 @@ def test_edges_match_reference(base, path, value, code):
                        "solver needs the inflow speed)"), id="second-order-without-v_in"),
     pytest.param(with_change(3, ("sim", "dt"), -1.0), (0, None, None),
                  fault("sim.dt", "must be > 0"), id="newell-dt-checked"),
+    # the spacing-rule run at the time gap and Godunov never read these keys
+    pytest.param(with_change(3, ("sim", "dt"), 1.0), (0, None, None),
+                 fault("sim.dt", NEWELL_DT), id="newell-with-dt"),
+    pytest.param(with_change(1, ("pde", "boundary", "v_in"), 10.0), (0, None, None),
+                 fault("pde.boundary.v_in", LWR_V_IN), id="lwr-with-v_in"),
     pytest.param(with_change(9, ("model", "inner", "name"), "third_order"),
                  fault("model.inner.name", "third-order laws cannot nest"),
                  fault("model.inner.name", f"must be one of {sorted(_MODEL_PARAM_SPECS)}"),
