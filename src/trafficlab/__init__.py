@@ -22,9 +22,9 @@ from .transforms import (EulerianField, SpatialGrid, TrajectorySurface,
 from .steady_state import (EquilibriumResult, EquilibriumStatus,
                            SteadyStateCurve, fundamental_diagram_of,
                            idm_closed_form_density, solve_equilibrium_speed)
-from .stability import (StabilityReport, amplification_ratio,
-                        continuum_linear_stability, stability_map,
-                        stability_report, string_stability_exact,
+from .stability import (Linearisation, StabilityReport, amplification_ratio,
+                        continuum_linear_stability, linearise, mode_growth,
+                        stability_map, stability_report, string_stability_exact,
                         string_stability_classic)
 from .platoon import (ConstantLeader, PiecewiseConstantLeader, PlatoonState,
                       Ring, SinusoidLeader, simulate_continuous,

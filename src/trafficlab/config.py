@@ -125,7 +125,7 @@ SECTIONS = {
             "ring": {"length": POS},
         }),
         "initial": _obj({
-            "n_vehicles": _int(2), "spacing": POS, "speed": NONNEG,
+            "n_vehicles": _int(2), "spacing": POS, "speed": _opt(NONNEG),
             "lead_position": _opt(REAL),
             "perturbation": _opt(_obj({"relative_amplitude": NONNEG,
                                        "waves": _opt(INT1)})),
@@ -332,6 +332,9 @@ RULES = (
     ("sim", _given_where("dt", lambda c, d: c["method"] != "newell", "missing required key",
                           "method 'newell' steps at the fd's time gap and takes no dt")),
     ("sim", _pipes_dt),
+    # Only rk4 reads the initial speeds; the spacing rules start from positions.
+    ("sim.initial", _rule("speed", "missing required key",
+                          lambda c, d: d["sim"]["method"] == "rk4" and "speed" not in c)),
     ("pde", _rule("steps", f"(steps // record_every + 1) * cells must be <= {INT_CAP}",
                   lambda c, d: (c["steps"] // c.get("record_every", 1) + 1) * c["cells"]
                   > INT_CAP)),
@@ -406,7 +409,8 @@ def build_initial_platoon(sim_cfg: dict) -> PlatoonState:
         waves = pert.get("waves", 1)
         disp = pert["relative_amplitude"] * span / (2 * math.pi * waves)
         x = x + disp * np.sin(2 * math.pi * waves * (base - base[-1]) / span)
-    return PlatoonState(time=0.0, positions=x, speeds=np.full(n, float(init["speed"])))
+    # A spacing-rule run reads no speed, and may give none (see RULES).
+    return PlatoonState(time=0.0, positions=x, speeds=np.full(n, float(init.get("speed", 0.0))))
 
 
 def build_pde_initial(cfg: dict, grid: SpatialGrid):

@@ -607,7 +607,7 @@ def knob_changes(leaf, value, path=()):
 
 
 # The spacing-rule simulators derive every speed from the spacings, so they
-# never read the initial speeds; sim.initial.speed is still a required key.
+# never read the initial speeds; sim.initial.speed is optional there, not refused.
 UNREAD = {("simulate-cf-pipes", ("sim", "initial", "speed")),
           ("simulate-cf-newell", ("sim", "initial", "speed"))}
 
@@ -647,6 +647,26 @@ def test_every_key_changes_the_output_or_is_refused(tmp_path, doc_id, path, valu
     if code == 0:
         assert ((tmp_path / "changed" / "out" / written).read_bytes()
                 != (tmp_path / "base" / "out" / written).read_bytes())
+
+
+@pytest.mark.parametrize("doc_id", ["simulate-cf-pipes", "simulate-cf-newell"])
+def test_spacing_rules_run_without_an_initial_speed(tmp_path, doc_id):
+    command, written, base = KNOB_DOCS[doc_id]
+    doc = copy.deepcopy(base)
+    del doc["sim"]["initial"]["speed"]
+    assert run_quietly(command, base, tmp_path / "given") == 0
+    assert run_quietly(command, doc, tmp_path / "absent") == 0
+    assert ((tmp_path / "absent" / "out" / written).read_bytes()
+            == (tmp_path / "given" / "out" / written).read_bytes())
+
+
+def test_rk4_requires_an_initial_speed(tmp_path, capsys):
+    command, _, doc = KNOB_DOCS["simulate-cf-rk4"]
+    doc = copy.deepcopy(doc)
+    del doc["sim"]["initial"]["speed"]
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert run([command, "--config", tmp_path / "cfg.json", "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == "config error: sim.initial.speed: missing required key\n"
 
 
 class TestDeterminism:

@@ -513,6 +513,9 @@ def expected(doc):
     s, p = doc.get("sim"), doc.get("pde")
     if isinstance(s, dict) and isinstance(s.get("boundary"), str):
         return fault("sim.boundary", "must be an object")  # the string form is gone
+    if (ref == fault("sim.initial.speed", "missing required key")
+            and s.get("method") in ("pipes", "newell")):  # only rk4 reads the speed
+        return expected({**doc, "sim": {**s, "initial": {**s["initial"], "speed": 0.0}}})
     if (isinstance(s, dict) and s.get("method") == "newell" and "dt" in s
             and ref[0] == 0):  # sim.dt is checked when present, whatever the method
         dt = outcome(lambda d: _number("sim.dt", d["sim"]["dt"], 0, exclusive=True), doc)
@@ -682,6 +685,7 @@ def with_change(base, path, value):
     (2, ("fd", "table", 1), [0.05, 0.5, 0.0], 2),
     (0, ("stability", "count"), config.INT_CAP, 0),
     (0, ("stability", "count"), config.INT_CAP + 1, 2),
+    (4, ("sim", "initial", "speed"), DROP, 2),
 ])
 def test_edges_match_reference(base, path, value, code):
     """Each rule at its boundary, and the list shapes the reference reports at
@@ -714,6 +718,13 @@ def test_edges_match_reference(base, path, value, code):
                  fault("sim.dt", NEWELL_DT), id="newell-with-dt"),
     pytest.param(with_change(1, ("pde", "boundary", "v_in"), 10.0), (0, None, None),
                  fault("pde.boundary.v_in", LWR_V_IN), id="lwr-with-v_in"),
+    # the spacing rules never read the initial speed, so they need not be given it
+    pytest.param(with_change(3, ("sim", "initial", "speed"), DROP),
+                 fault("sim.initial.speed", "missing required key"), (0, None, None),
+                 id="newell-without-initial-speed"),
+    pytest.param(with_change(17, ("sim", "initial", "speed"), DROP),
+                 fault("sim.initial.speed", "missing required key"), (0, None, None),
+                 id="pipes-without-initial-speed"),
     pytest.param(with_change(9, ("model", "inner", "name"), "third_order"),
                  fault("model.inner.name", "third-order laws cannot nest"),
                  fault("model.inner.name", f"must be one of {sorted(_MODEL_PARAM_SPECS)}"),

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from trafficlab import (AccelerationLaw, SingularityError, TriangularDiagram,
-                        amplification_ratio, continuum_linear_stability, make_fvdm,
-                        make_idm, make_ovm, partials_at, stability_map, stability_report,
-                        string_stability_exact, string_stability_classic)
+from trafficlab import (AccelerationLaw, DomainError, Linearisation, SingularityError,
+                        TriangularDiagram, amplification_ratio, continuum_linear_stability,
+                        linearise, make_arz_cf, make_fvdm, make_idm, make_ovm, mode_growth,
+                        partials_at, stability_map, stability_report, string_stability_exact,
+                        string_stability_classic)
+from trafficlab.cli import DEMO_CONFIG
+from trafficlab.config import build_law, k_grid_from
 
-from conftest import TRI
+from conftest import TRI, assert_bits_equal, stackable_pairs
 
 
 def synthetic_law(p_v, p_s, p_dv, v0=10.0, s0=20.0):
@@ -282,3 +285,139 @@ class TestStabilityMap:
         from trafficlab import make_arz_cf
         rows = stability_map(make_arz_cf(gs), np.array([0.05, 0.1]))
         assert all(r.degenerate and r.report is None for r in rows)
+
+
+def criterion_07_states():
+    """Criterion 07's 50 sampled states, drawn in its order, as records."""
+    rng = np.random.default_rng(7)
+    states = []
+    for _ in range(50):
+        law = synthetic_law(-rng.uniform(0.1, 3.0), rng.uniform(-1.0, 2.0),
+                            rng.uniform(-0.5, 1.5))
+        states.append(linearise(law, rng.uniform(2.0, 20.0), rng.uniform(6.0, 40.0)))
+    return states
+
+
+def catalog_reports():
+    """Each judged row of the demo stability grid, for two laws of every form
+    in the catalog that stacks, plus ARZ (degenerate, so never judged)."""
+    fd = TriangularDiagram(**TRI)
+    laws = [law for pair in stackable_pairs(fd).values() for law in pair] + [make_arz_cf(fd)]
+    grid = k_grid_from(DEMO_CONFIG["stability"])
+    return [(law, row.report) for law in laws for row in stability_map(law, grid)
+            if not row.degenerate]
+
+
+class TestLinearisation:
+    def test_continuum_growth_is_the_symbol_at_i_theta(self):
+        for rec in criterion_07_states():
+            growth = float(mode_growth(rec, 1j * rec.s0))
+            eulerian = max(root.imag for root in rec.continuum(1.0).roots)
+            assert abs(growth - eulerian) <= 1e-9 * abs(eulerian)
+
+    @pytest.mark.parametrize("m", [1e-3, 1e-2, 0.1, 1.0, 10.0])
+    def test_continuum_growth_across_wavenumbers(self, m):
+        # Long waves grow at O(theta^2) out of O(1) terms: the bound is absolute,
+        # on the scale of the symbol's terms.
+        for rec in criterion_07_states():
+            theta = m * rec.s0
+            growth = float(mode_growth(rec, 1j * theta))
+            eulerian = max(root.imag for root in rec.continuum(m).roots)
+            scale = (abs(rec.psi_v) + abs(rec.psi_dv) * theta
+                     + math.sqrt(abs(rec.psi_s) * theta))
+            assert abs(growth - eulerian) <= 1e-12 * scale
+
+    def test_continuum_criterion_in_closed_form(self, rng):
+        records = [rec for _, rec in catalog_reports()] + criterion_07_states()
+        for _ in range(2000):
+            records.append(linearise(synthetic_law(rng.uniform(-3.0, 1.0),
+                                                   rng.uniform(-1.0, 2.0),
+                                                   rng.uniform(-1.5, 1.5)),
+                                     rng.uniform(0.0, 30.0), rng.uniform(5.0, 50.0)))
+        for rec in records:
+            closed = rec.psi_v < 0 and rec.psi_s * (rec.psi_s + rec.psi_v * rec.psi_dv) < 0
+            assert rec.continuum().stable_criterion == closed
+
+    def test_continuum_stable_implies_string_stable(self):
+        # With psi_s > 0 the string margin is psi_v^2 - 2 (psi_s + psi_v psi_dv).
+        judged = continuum_stable = 0
+        for law, rep in catalog_reports():
+            if rep.psi_s > 0 and rep.psi_v < 0:
+                judged += 1
+                if rep.continuum_linear_stable:
+                    continuum_stable += 1
+                    assert rep.exact_string_stable, (law.name, rep)
+        assert judged == 96 and continuum_stable >= 1
+
+    @pytest.mark.parametrize("entry", range(6))
+    def test_ring_growth_is_the_symbol_at_each_harmonic(self, entry):
+        # The demo ring: 80 vehicles at k0 = 0.08, vehicle j following j - 1.
+        law = build_law({**DEMO_CONFIG, "model": DEMO_CONFIG["suite"]["entries"][entry]["model"]})
+        rec = stability_report(law, 0.08)
+        n = 80
+        follow = np.roll(np.eye(n), 1, axis=1)  # row j picks vehicle j - 1
+        gap_rate = follow - np.eye(n)  # v_{j-1} - v_j
+        jac = np.block([[np.zeros((n, n)), gap_rate],
+                        [rec.psi_s * np.eye(n), rec.psi_v * np.eye(n) + rec.psi_dv * gap_rate]])
+        eigs = list(np.linalg.eigvals(jac))
+        z = np.exp(-2j * np.pi * np.arange(n) / n) - 1.0
+        growth = mode_growth(rec, z)
+        for z_h, g_h in zip(z, growth):
+            roots = np.roots([1.0, -(rec.psi_v + rec.psi_dv * z_h), -rec.psi_s * z_h])
+            assert abs(g_h - max(roots.real)) <= 1e-9
+            for root in roots:
+                nearest = min(range(len(eigs)), key=lambda i: abs(eigs[i] - root))
+                assert abs(eigs.pop(nearest) - root) <= 1e-9
+        assert not eigs
+        assert abs(growth.max() - np.linalg.eigvals(jac).real.max()) <= 1e-9
+
+    def test_wrappers_are_the_record_methods(self):
+        for law, rep in catalog_reports():
+            rec = linearise(law, rep.v0, rep.s0)
+            assert repr(rec) == repr(Linearisation(rep.v0, rep.s0, rep.psi_v, rep.psi_s,
+                                                   rep.psi_dv))
+            for omega in (0.3, 1.7):
+                ratio, own = amplification_ratio(law, rep.v0, rep.s0, omega), rec.ratio(omega)
+                assert_bits_equal([ratio.real, ratio.imag], [own.real, own.imag])
+            assert string_stability_classic(law, rep.v0, rep.s0) is rec.classic()
+            assert repr(string_stability_exact(law, rep.v0, rep.s0)) == repr(rec.exact())
+            for m in (1.0, 0.25):
+                assert (repr(continuum_linear_stability(law, rep.v0, rep.s0, m=m))
+                        == repr(rec.continuum(m)))
+            exact, cont = rec.exact(), rec.continuum()
+            assert (rep.classic_string_stable, rep.exact_string_stable,
+                    rep.continuum_linear_stable) == (rec.classic(), exact.stable,
+                                                     cont.stable_criterion and cont.stable_roots)
+            assert_bits_equal([rep.worst_omega, rep.worst_ratio],
+                              [exact.worst_omega, exact.worst_ratio])
+
+
+class TestRefusals:
+    """States no verdict can judge raise DomainError, not NaN or NumPy's errors."""
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.0])
+    def test_frequency_not_finite_and_positive(self, tri, omega):
+        with pytest.raises(DomainError, match="frequency must be finite and > 0"):
+            amplification_ratio(make_ovm(0.5, tri), 5.0, 10.0, omega)
+
+    def test_zero_density(self, tri):
+        with pytest.raises(DomainError):
+            stability_report(make_ovm(0.5, tri), 0.0)
+
+    def test_zero_density_with_a_given_speed(self, tri):
+        with pytest.raises(DomainError, match="no steady state to judge"):
+            stability_report(make_ovm(0.5, tri), 0.0, v0=5.0)
+
+    def test_nan_density(self, tri):
+        with pytest.raises(DomainError, match="no steady state to judge"):
+            stability_report(make_ovm(0.5, tri), math.nan)
+
+    def test_nan_density_in_a_map(self, tri):
+        with pytest.raises(DomainError, match="no steady state to judge"):
+            stability_map(make_ovm(0.5, tri), [0.1, math.nan])
+
+    @pytest.mark.parametrize("v0, s0", [(math.nan, 10.0), (math.inf, 10.0), (5.0, math.inf),
+                                        (5.0, -1.0), (5.0, 0.0)])
+    def test_linearise_refuses_what_it_cannot_judge(self, tri, v0, s0):
+        with pytest.raises(DomainError, match="no steady state to judge"):
+            linearise(make_ovm(0.5, tri), v0, s0)
