@@ -1,5 +1,8 @@
 """The demo's outputs, byte for byte: every CSV the demo commands write is
-checked against the sha256 manifest ``tests/outputs_manifest.json``.
+checked against the sha256 manifest ``tests/outputs_manifest.json``. Besides
+the demo commands, ``transform`` takes the demo's ``trajectories.csv`` to a
+field and that field back to trajectories, so the CSV readers are covered too
+and the writer gets a file of several blocks.
 
 A change that means to alter an output updates the manifest in the same
 change and names each file that moved, with the reason. The manifest
@@ -17,6 +20,14 @@ from trafficlab.cli import main
 
 MANIFEST = Path(__file__).resolve().parent / "outputs_manifest.json"
 COMMANDS = ["fd", "steady", "stability", "simulate-cf", "simulate-pde", "compare"]
+# Each transform writes into its own subdirectory (so its output keeps its own
+# name), reading the output of the command before it.
+TRANSFORMS = [
+    ("eulerian", {"direction": "to_eulerian", "input": "trajectories.csv",
+                  "x0": -500.0, "dx": 12.5, "cells": 56}),
+    ("lagrangian", {"direction": "to_trajectories", "input": "eulerian/field.csv",
+                    "n_vehicles": 40}),
+]
 
 
 def demo_digests(directory: Path) -> dict[str, str]:
@@ -26,6 +37,13 @@ def demo_digests(directory: Path) -> dict[str, str]:
     config = str(directory / "demo_scenario.json")
     for command in COMMANDS:
         assert main([command, "--config", config, "--out", str(directory)]) == 0, command
+    demo = json.loads(Path(config).read_text())
+    for subdirectory, transform in TRANSFORMS:
+        path = directory / f"{subdirectory}.json"
+        path.write_text(json.dumps({**demo, "transform": {
+            **transform, "input": str(directory / transform["input"])}}))
+        assert main(["transform", "--config", str(path),
+                     "--out", str(directory / subdirectory)]) == 0, subdirectory
     return {path.relative_to(directory).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(directory.rglob("*.csv"))}
@@ -42,4 +60,4 @@ def test_demo_outputs_match_the_manifest(tmp_path, capsys):
                f" (manifest written under numpy {manifest['numpy']}, "
                f"this run numpy {np.__version__})")
     assert not differ, f"{len(differ)} demo outputs differ{version}: {differ}"
-    assert len(digests) == 24
+    assert len(digests) == 26
