@@ -8,9 +8,9 @@ shortest round-trip decimals, so identical configs give byte-identical files.
 Every CSV goes through one writer, which builds the file column by column;
 rows are formatted and written one fixed-size block at a time, so no file's
 whole text is held in memory. A numeric column calls repr once per distinct
-value (bit pattern) of a block that the block before did not hold, a grid
-axis once per distinct value of the file, not once per cell. Text fields are
-quoted where csv.writer quotes them, so the bytes are csv.writer's.
+value (bit pattern) of a block, a grid axis once per distinct value of the
+file, not once per cell. Text fields are quoted where csv.writer quotes them,
+so the bytes are csv.writer's.
 """
 
 from __future__ import annotations
@@ -48,29 +48,22 @@ def _field(value) -> str:
     return str(value).lower() if isinstance(value, bool) else repr(float(value))
 
 
-def _column_text(column: np.ndarray, previous: tuple) -> tuple[np.ndarray, tuple]:
-    """Text of each value of ``column``, and ``(keys, text)`` of its distinct values.
+def _column_text(column: np.ndarray) -> np.ndarray:
+    """Text of each value of ``column``.
 
-    Values are keyed on their 64-bit pattern, so ``-0.0`` stays apart from
-    ``0.0`` and every NaN reads ``nan``. A value found in ``previous`` (the
-    block before's second result) reuses its text; the others get ``repr``, the
-    shortest round-trip decimals. A text column goes value by value through
-    ``_field`` and passes ``previous`` on.
+    A number's text is ``repr``, the shortest round-trip decimals, called once
+    per distinct value. Values are keyed on their 64-bit pattern, so ``-0.0``
+    stays apart from ``0.0`` and every NaN reads ``nan``. A text column goes
+    value by value through ``_field``.
     """
     column = np.ravel(column)
     if column.dtype.kind in "OU":
-        return np.array([_field(v) for v in column.tolist()], dtype=object), previous
+        return np.array([_field(v) for v in column.tolist()], dtype=object)
     column = column.astype(np.float64 if column.dtype.kind == "f" else np.int64,
                            copy=False)
     keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    seen_keys, seen_text = previous
-    at = np.searchsorted(seen_keys, keys)
-    found = at < len(seen_keys)
-    found[found] = seen_keys[at[found]] == keys[found]
-    text = np.empty(len(keys), dtype=object)
-    text[found] = seen_text[at[found]]
-    text[~found] = [repr(u) for u in keys[~found].view(column.dtype).tolist()]
-    return text[inverse], (keys, text)
+    text = np.array([repr(u) for u in keys.view(column.dtype).tolist()], dtype=object)
+    return text[inverse]
 
 
 # Rows formatted and written at a time; bounds the text held for one file.
@@ -83,23 +76,19 @@ def _csv_blocks(header: list[str], columns):
     each as a list of lines.
 
     Rows are formatted one block at a time, so only one block's text is held,
-    never the whole file's; each column keeps the text of the block before,
-    for the values that recur. A column given as ``(values, index)`` stands
-    for ``values[index]``: ``values`` is formatted once per file and each
-    block takes its text by index, sorting nothing. A ``repr`` of a number
-    holds no comma, quote or line break, so only text fields can need quoting.
+    never the whole file's. A column given as ``(values, index)`` stands for
+    ``values[index]``: ``values`` is formatted once per file and each block
+    takes its text by index, sorting nothing. A ``repr`` of a number holds no
+    comma, quote or line break, so only text fields can need quoting.
     """
-    fresh = (np.empty(0, np.int64), np.empty(0, dtype=object))
-    columns = [(_column_text(c[0], fresh)[0], np.ravel(c[1])) if isinstance(c, tuple)
+    columns = [(_column_text(c[0]), np.ravel(c[1])) if isinstance(c, tuple)
                else np.ravel(c) for c in columns]
     n_rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
-    seen = [fresh] * len(columns)
     yield [",".join(map(_field, header))]
     for start in range(0, n_rows, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        block, seen = zip(*((c[0][c[1][rows]], prev) if isinstance(c, tuple)
-                            else _column_text(c[rows], prev)
-                            for c, prev in zip(columns, seen)))
+        block = [c[0][c[1][rows]] if isinstance(c, tuple) else _column_text(c[rows])
+                 for c in columns]
         yield list(map(",".join, zip(*block)))
 
 

@@ -937,9 +937,8 @@ def test_field_csv_write_memory_is_bounded(tmp_path):
 
 def reprs_needed(keys, rows):
     """``repr`` calls a column needs at ``rows`` rows a block: each block's
-    distinct keys that the block before it did not hold."""
-    blocks = [set(keys[i:i + rows]) for i in range(0, len(keys), rows)]
-    return sum(len(block - before) for before, block in zip([set()] + blocks, blocks))
+    distinct keys."""
+    return sum(len(set(keys[i:i + rows])) for i in range(0, len(keys), rows))
 
 
 def write_counting_reprs(path, columns, rows):
@@ -962,9 +961,9 @@ RECURRING = st.sampled_from([0.0, -0.0, math.nan, 1.5, 1.0 / 3.0, -2.5e-320, 1e3
 @given(floats=hnp.arrays(float, st.tuples(st.just(2), st.integers(1, 24)),
                          elements=RECURRING))
 @settings(max_examples=60, deadline=None)
-def test_writer_formats_a_value_once_while_it_recurs(floats):
-    """Values recurring in the next block reuse their text; one that skips a
-    block is formatted again. The bytes are ``csv.writer``'s at every block size."""
+def test_writer_formats_a_value_once_per_block(floats):
+    """A value recurring within a block is formatted once; each block formats
+    its own values. The bytes are ``csv.writer``'s at every block size."""
     ids = np.arange(floats.shape[1]) % 3
     with tempfile.TemporaryDirectory() as tmp:
         path, reference = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
@@ -978,13 +977,13 @@ def test_writer_formats_a_value_once_while_it_recurs(floats):
                                 [*floats.view(np.int64).tolist(), ids.tolist()]), rows
 
 
-def test_writer_reformats_only_what_the_block_before_lacks(tmp_path):
+def test_writer_formats_each_blocks_distinct_values(tmp_path):
     """Two rows a block: 1.5 recurs, 2.5 skips a block, -0.0 sits next to 0.0."""
     a = np.array([1.5, 2.5, 1.5, 0.0, 1.5, 2.5, -0.0, 0.0, math.nan, math.nan])
     b = np.full(a.size, math.nan)
     calls = write_counting_reprs(tmp_path / "f.csv", [a, b, np.zeros(a.size, int)], 2)
-    # a: 1.5, 2.5 | 0.0 | 2.5 | -0.0, 0.0 | nan; b: nan once; n: 0 once
-    assert calls == 7 + 1 + 1
+    # a: 1.5, 2.5 | 1.5, 0.0 | 1.5, 2.5 | -0.0, 0.0 | nan; b: nan a block; n: 0 a block
+    assert calls == 9 + 5 + 5
     assert tmp_path.joinpath("f.csv").read_bytes().split(b"\r\n")[7:9] == [
         b"-0.0,nan,0", b"0.0,nan,0"]
 
