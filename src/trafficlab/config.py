@@ -18,9 +18,9 @@ import numpy as np
 
 from .continuum import EulerianScenario, InflowOutflow, Periodic
 from .equivalence import RingScenario, SuiteEntry
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, DomainError, ParameterError
 from .fundamental import FundamentalDiagram, cfl_max_dt, diagram_from_config
-from .laws import AccelerationLaw, law_from_config
+from .laws import AccelerationLaw, law_from_config, reads_fd
 from .platoon import (ConstantLeader, PiecewiseConstantLeader, PlatoonState,
                       Ring, SinusoidLeader)
 from .steady_state import EquilibriumStatus, solve_equilibrium_speed
@@ -309,12 +309,18 @@ def _given_where(key: str, needed, missing: str, unread: str):
 
 _K_RANGE = _rule("k_max", "must exceed k_min",
                  lambda c, d: float(c["k_max"]) <= float(c["k_min"]))
+# A law built on the fd has no steady state above the fd's jam density.
+_K_JAM = _rule("k_max", "must not exceed the jam density fd.k_j",
+               lambda c, d: "fd" in d and "model" in d and reads_fd(d["model"])
+               and c["k_max"] > _jam_density(d["fd"]))
 # Each check runs right after the leaves of the section it is listed under: a
 # section's dotted path, or a variant's choice wherever that variant appears.
 RULES = (
     ("gfm", _rule("T_brake", "must be smaller than T", lambda c, d: c["T_brake"] >= c["T"])),
     ("steady", _K_RANGE),
+    ("steady", _K_JAM),
     ("stability", _K_RANGE),
+    ("stability", _K_JAM),
     ("stability", _sweep),
     ("sinusoid", _rule("amplitude", "must not exceed v0 (speeds stay >= 0)",
                        lambda c, d: float(c["amplitude"]) > float(c["v0"]))),
@@ -456,7 +462,11 @@ def _equilibrium_speeds(law, k_init):
     speeds = {}
     for k, density in zip(k_init, densities):
         if density not in speeds:
-            res = solve_equilibrium_speed(law, density)
+            try:
+                res = solve_equilibrium_speed(law, density)
+            except DomainError as exc:  # e.g. a density above the fd's jam density
+                raise ConfigurationError(f"{law.name} has no steady state at k={k:g}: "
+                                         f"{exc}", path="pde.initial") from exc
             if res.status is not EquilibriumStatus.OK:
                 raise ConfigurationError(
                     f"{law.name} has no equilibrium speed at k={k:g}; "

@@ -468,18 +468,25 @@ MODEL_CATALOG: dict[str, Callable[..., AccelerationLaw]] = {
 }
 
 
+def reads_fd(cfg: dict) -> bool:
+    """Whether the law a scenario-JSON ``model`` section names is built on the
+    fundamental diagram: its factory takes ``fd``, and a third-order law reads
+    it where its inner law does."""
+    if cfg["name"] == "third_order":
+        return reads_fd(cfg["inner"])
+    return "fd" in inspect.signature(MODEL_CATALOG[cfg["name"]]).parameters
+
+
 def law_from_config(cfg: dict, fd: FundamentalDiagram | None) -> AccelerationLaw:
     """Build a law from a scenario-JSON ``model`` section (already validated);
-    a factory that takes ``fd`` gets the diagram, and ``lambda`` is its ``lam``."""
-    cfg = dict(cfg)
-    name = cfg.pop("name")
+    a law that :func:`reads_fd` gets the diagram, and ``lambda`` is its ``lam``."""
+    name = cfg["name"]
     if name == "third_order":
         return make_third_order(law_from_config(cfg["inner"], fd), cfg["t_delay"])
-    factory = MODEL_CATALOG[name]
-    if "fd" in inspect.signature(factory).parameters:
+    params = {"lam" if key == "lambda" else key: value
+              for key, value in cfg.items() if key != "name"}
+    if reads_fd(cfg):
         if fd is None:
             raise ParameterError(f"model {name!r} requires an fd section")
-        cfg["fd"] = fd
-    if "lambda" in cfg:
-        cfg["lam"] = cfg.pop("lambda")
-    return factory(**cfg)
+        params["fd"] = fd
+    return MODEL_CATALOG[name](**params)

@@ -74,8 +74,11 @@ def solve_equilibrium_speed(law: AccelerationLaw, k: float) -> EquilibriumResult
     after it is the bare ``psi`` at that spacing. Returns DEGENERATE when psi
     is independent of v on the bracket (the whole slice is numerically zero),
     NO_ROOT when no sign change exists, and the smallest nonnegative root
-    otherwise (with the count of sign changes as ``multiplicity``).
+    otherwise (with the count of sign changes as ``multiplicity``). A
+    density that is not finite or not positive raises ``DomainError``.
     """
+    if not math.isfinite(k):
+        raise DomainError(f"density must be finite, got {k!r}")
     if k <= 0:
         raise DomainError("density must be > 0")
     s = 1.0 / k

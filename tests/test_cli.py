@@ -36,6 +36,17 @@ def demo_config(tmp_path):
     return path
 
 
+# The demo's stability grid with no sweep, for models that take no T.
+UNSWEPT = {key: value for key, value in DEMO_CONFIG["stability"].items() if key != "sweep"}
+
+
+def above_jam(section, model):
+    """Config changes: ``model``, and ``section``'s k_max above the demo's jam
+    density 0.2."""
+    change = {"model": model, "stability": UNSWEPT}
+    return change | {section: {**change.get(section, DEMO_CONFIG[section]), "k_max": 0.25}}
+
+
 TRAJ_HEADER = "t,vehicle,x,v\n"
 FIELD_HEADER = "t,x,k,v,q\n"
 
@@ -180,6 +191,22 @@ class TestExitCodes:
                      id="pipes-dt-above-time-gap"),
         pytest.param("fd", {"output": {"dir": "."}}, "output: unknown section",
                      id="output-section"),
+        # above the jam density a law built on the fd has no steady state; these
+        # exited 1 with the law's DomainError and no path
+        *[pytest.param(command, above_jam(section, model),
+            f"{section}.k_max: must not exceed the jam density fd.k_j",
+            id=f"{command}-{model['name']}-above-k_j")
+          for command, section in (("steady", "steady"), ("stability", "stability"))
+          for model in ({"name": "ovm", "T": 0.4}, {"name": "fvdm", "T": 0.6, "lambda": 0.5},
+                        {"name": "arz"},
+                        {"name": "third_order", "t_delay": 0.3,
+                         "inner": {"name": "ovm", "T": 0.4}})],
+        *[pytest.param("simulate-pde", {"model": model, "stability": UNSWEPT, "pde": {
+            **DEMO_CONFIG["pde"], "solver": "second_order",
+            "initial": {"kind": "uniform", "k": 0.25}}},
+            f"pde.initial: {name} has no steady state at k=0.25",
+            id=f"second-order-{name}-above-k_j")
+          for name, model in (("ovm", {"name": "ovm", "T": 0.4}), ("arz", {"name": "arz"}))],
     ])
     def test_config_fault_names_path(self, tmp_path, capsys, command, change, path):
         doc = {k: v for k, v in {**DEMO_CONFIG, **change}.items() if v is not None}
@@ -188,6 +215,18 @@ class TestExitCodes:
         assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert path in capsys.readouterr().err
         assert not any((tmp_path / "o").glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["steady", "stability"])
+    def test_idm_with_an_fd_section_may_exceed_its_jam_density(self, tmp_path, capsys,
+                                                               command):
+        # IDM keeps its own jam spacing d, so fd.k_j does not bound its densities
+        idm = {"name": "idm", "a": 2.0, "b": 2.0, "delta": 4, "v_f": 30.0, "tau": 1.0,
+               "d": 2.0}
+        cfg = tmp_path / "idm.json"
+        cfg.write_text(json.dumps({**DEMO_CONFIG, **above_jam(command, idm)}))
+        assert run([command, "--config", cfg, "--out", tmp_path]) == 0
+        assert (tmp_path / f"{command}.csv").exists()
+        capsys.readouterr()
 
     def test_runtime_fault_is_exit_one(self, tmp_path, capsys):
         doc = json.loads(json.dumps(DEMO_CONFIG))

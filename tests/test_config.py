@@ -501,6 +501,16 @@ def jam_density(fd):
     return fd["k_j"] if "k_j" in fd else fd["table"][-1][0]
 
 
+def reads_fd(model):
+    """Whether a (valid) model section's law is built on the fd."""
+    if model["name"] == "third_order":
+        return reads_fd(model["inner"])
+    return model["name"] in {"ovm", "gfm", "fvdm", "arz", "jwz"}
+
+
+JAM_K_MAX = "must not exceed the jam density fd.k_j"
+
+
 def expected(doc):
     """The reference's verdict on a document with at most one fault, with the
     deliberate changes applied."""
@@ -525,6 +535,11 @@ def expected(doc):
             if type(value) is int and value > config.INT_CAP]
     if ref[0] == 0 and huge:  # integer values are capped
         return fault(dotted(huge[0]), f"must be <= {config.INT_CAP}")
+    # A law built on the fd has no steady state above its jam density.
+    if ref[0] == 0 and "fd" in doc and "model" in doc and reads_fd(doc["model"]):
+        for section in ("steady", "stability"):
+            if section in doc and doc[section]["k_max"] > jam_density(doc["fd"]):
+                return fault(f"{section}.k_max", JAM_K_MAX)
     if (ref[0] == 0 and isinstance(s, dict) and s["method"] != "rk4" and "fd" in doc
             and doc["fd"]["kind"] != "triangular"):
         return fault("sim.method", SPACING_RULE)
@@ -686,6 +701,10 @@ def with_change(base, path, value):
     (0, ("stability", "count"), config.INT_CAP, 0),
     (0, ("stability", "count"), config.INT_CAP + 1, 2),
     (4, ("sim", "initial", "speed"), DROP, 2),
+    (0, ("steady", "k_max"), 0.2, 0),  # at the jam density
+    (0, ("steady", "k_max"), math.nextafter(0.2, math.inf), 2),
+    (0, ("stability", "k_max"), 0.2, 0),
+    (0, ("stability", "k_max"), math.nextafter(0.2, math.inf), 2),
 ])
 def test_edges_match_reference(base, path, value, code):
     """Each rule at its boundary, and the list shapes the reference reports at
@@ -744,6 +763,20 @@ def test_edges_match_reference(base, path, value, code):
                  id="pipes-dt-above-time-gap"),
     pytest.param(with_change(17, ("sim", "dt"), 1.0), (0, None, None), (0, None, None),
                  id="pipes-dt-at-time-gap"),
+    # a law built on the fd ran into its jam spacing at run time (exit 1)
+    pytest.param(with_change(0, ("steady", "k_max"), 0.25), (0, None, None),
+                 fault("steady.k_max", JAM_K_MAX), id="steady-above-k_j"),
+    pytest.param(with_change(0, ("stability", "k_max"), 0.25), (0, None, None),
+                 fault("stability.k_max", JAM_K_MAX), id="stability-above-k_j"),
+    pytest.param(with_change(7, ("steady", "k_max"), 0.25), (0, None, None),
+                 fault("steady.k_max", JAM_K_MAX), id="arz-above-k_j"),
+    pytest.param(with_change(9, ("stability", "k_max"), 0.25), (0, None, None),
+                 fault("stability.k_max", JAM_K_MAX), id="third-order-ovm-above-k_j"),
+    # IDM keeps its own jam spacing and does not read the fd
+    pytest.param(with_change(4, ("fd",), TRI) | {"steady": {**K_GRID, "k_max": 0.25}},
+                 (0, None, None), (0, None, None), id="idm-with-fd-above-k_j"),
+    pytest.param(with_change(10, ("fd",), TRI) | {"stability": {**K_GRID, "k_max": 0.25}},
+                 (0, None, None), (0, None, None), id="third-order-idm-with-fd-above-k_j"),
     # BASES[11] held an output section, which nothing read
     pytest.param(with_change(11, ("output",), {"dir": "out"}), (0, None, None),
                  fault("output", "unknown section"), id="output-section"),

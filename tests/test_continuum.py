@@ -171,6 +171,36 @@ class TestGodunov:
             solve_lwr_godunov(sc)
 
 
+@pytest.mark.parametrize("branch, c", [("congested", 0.05), ("congested", 0.1),
+                                       ("congested", 0.225), ("free", 0.05),
+                                       ("free", 0.45), ("free", 0.9)])
+def test_godunov_inside_one_branch_is_the_upwind_multiplier(tri, branch, c):
+    """On a state strictly inside one branch of the triangular diagram,
+    periodic Godunov is linear upwinding: each step multiplies the Fourier mode
+    e^{i j theta} by 1 - c + c e^{-i theta} in free flow (c = v_f dt / dx) and by
+    1 - c + c e^{+i theta} in congestion (c = w dt / dx), to 1e-12 of the
+    density's scale. Out of scope: states that cross k_c, where the flux
+    switches branch, non-triangular diagrams, and ``compare_lwr``'s bump
+    prediction."""
+    cells, steps = 200, 400
+    grid = SpatialGrid(0.0, 10.0, cells)
+    bump = np.exp(-((np.arange(cells) - 60) / 8.0) ** 2)
+    if branch == "free":  # k in [0.02, 0.03], below k_c = 0.04
+        k0, speed, sign = 0.02 + 0.01 * bump, tri.v_f, -1
+    else:  # k in [0.12, 0.17], above k_c
+        k0, speed, sign = 0.12 + 0.05 * bump, tri.w, 1
+    sc = EulerianScenario(grid=grid, dt=c * grid.dx / speed, steps=steps,
+                          initial_density=k0, fd=tri, record_every=50)
+    field, _ = solve_lwr_godunov(sc)
+    assert field.n_steps == 9
+    in_branch = field.density < tri.critical_density
+    assert np.all(in_branch if branch == "free" else ~in_branch)
+    growth = 1 - c + c * np.exp(sign * 1j * 2 * np.pi * np.fft.fftfreq(cells))
+    for row, density in enumerate(field.density):
+        want = np.fft.ifft(np.fft.fft(k0) * growth ** (row * sc.record_every)).real
+        assert np.max(np.abs(density - want)) <= 1e-12 * np.max(want), row
+
+
 def two_call_godunov(scenario):
     """The Godunov loop with one ``phi`` call for demand and one for supply."""
     fd, k = scenario.fd, scenario.initial_density.copy()
@@ -539,6 +569,19 @@ class TestBatch:
         assert stats.substeps == 30
         godunov = dataclasses.replace(steady, dt=0.25, fd=tri)
         assert solve_lwr_godunov(godunov)[1].max_substeps == 0
+
+    def test_clamp_counters_count_each_cell_and_substep(self):
+        """A periodic uniform state stays uniform, so a clamp that one cell
+        takes every cell takes on every substep: 12 cells x 10 substeps."""
+        # OVM's s_min is 1.01 / k_j = 5.05 m, above the spacing 1 / 0.199
+        dense = ring_member(OVM, 0.199, 0.0, 0.0, cells=12, steps=10, record_every=5)
+        # IDM brakes below its jam spacing d = 2 m, and a stopped car cannot reverse
+        braking = ring_member(IDM, 1 / 1.5, 0.0, 0.0, cells=12, steps=10, record_every=5)
+        runs = [solve_second_order(sc)[1] for sc in (dense, braking)]
+        assert [(r.substeps, r.dense_spacing_clamps, r.speed_clamps) for r in runs] == [
+            (10, 120, 0), (10, 0, 120)]
+        batch = solve_second_order_batch([dense, braking])
+        assert [stats for _, stats in batch] == runs
 
     def test_members_must_share_steps_and_boundary_kind(self):
         one = ring_member(OVM, 0.08, 0.05, 3.0)

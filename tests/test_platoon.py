@@ -857,6 +857,28 @@ class TestSpacingRule:
         steps = np.diff(surf.positions, axis=0)
         assert np.all(steps == v0 * 0.5)
 
+    @pytest.mark.parametrize("c", [0.4, 1.0])
+    def test_congested_platoon_is_the_exact_linear_map(self, tri, c):
+        """In the congested branch each step is X <- (1 - c) X + c (X_lead - S_j),
+        c = dt / tau: to 1e-12 of the positions' scale, and bitwise at c = 1,
+        the Newell step. A vehicle that reaches free flow leaves this map."""
+        n, steps, s_j = 80, 200, tri.jam_spacing
+        spacing = s_j + np.random.default_rng(80).uniform(2.0, 10.0, n - 1)
+        x0 = -np.concatenate([[0.0], np.cumsum(spacing)])
+        init = PlatoonState(time=0.0, positions=x0, speeds=np.zeros(n))
+        x = simulate_pipes_discrete(tri, init, ConstantLeader(3.0), c * tri.time_gap,
+                                    steps).positions
+        # every follower's spacing stays below the free-flow spacing S_j + v_f tau
+        assert np.all(x[:-1, :-1] - x[:-1, 1:] < s_j + tri.v_f * tri.time_gap)
+        want = np.empty_like(x)
+        want[0], want[:, 0] = x0, x[:, 0]
+        for i in range(steps):
+            want[i + 1, 1:] = (1 - c) * want[i, 1:] + c * (want[i, :-1] - s_j)
+        if c == 1.0:
+            assert_bits_equal(x, want)
+        else:
+            assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_cfl_violation_refused(self, tri):
         init = uniform_platoon(3, 15.0, 10.0)
         with pytest.raises(ConfigurationError):

@@ -71,8 +71,14 @@ class TestSolve:
         assert res.multiplicity == 2
 
     def test_bad_density(self, tri):
-        with pytest.raises(DomainError):
-            solve_equilibrium_speed(make_ovm(1.0, tri), 0.0)
+        # Refused before any evaluation: a NaN density once solved to OK with
+        # a NaN residual (OVM), and NaN or inf to DEGENERATE (linear GM).
+        for law in (make_ovm(0.5, tri), make_linear_gm(1.5)):
+            for k, match in ((0.0, "must be > 0"), (-0.1, "must be > 0"),
+                             (math.nan, "finite"), (math.inf, "finite"),
+                             (-math.inf, "finite")):
+                with pytest.raises(DomainError, match=match):
+                    solve_equilibrium_speed(law, k)
 
 
 class TestIdmClosedForm:
@@ -95,6 +101,11 @@ class TestIdmClosedForm:
 
 
 class TestCurves:
+    def test_nan_density_is_refused(self, tri):
+        # the NaN passes the sort check, and once got an OK row
+        with pytest.raises(DomainError, match="density must be finite, got nan"):
+            fundamental_diagram_of(make_ovm(0.5, tri), [0.1, math.nan])
+
     def test_ovm_curve_recovers_flow_density(self, tri):
         law = make_ovm(1.0, tri)
         k = np.linspace(0.01, 0.2, 40)
