@@ -193,10 +193,10 @@ class TestExitCodes:
                      id="output-section"),
         # above the jam density a law built on the fd has no steady state; these
         # exited 1 with the law's DomainError and no path
-        *[pytest.param(command, above_jam(section, model),
-            f"{section}.k_max: must not exceed the jam density fd.k_j",
+        *[pytest.param(command, above_jam(command, model),
+            f"{command}.k_max: must not exceed the jam density fd.k_j",
             id=f"{command}-{model['name']}-above-k_j")
-          for command, section in (("steady", "steady"), ("stability", "stability"))
+          for command in ("steady", "stability")
           for model in ({"name": "ovm", "T": 0.4}, {"name": "fvdm", "T": 0.6, "lambda": 0.5},
                         {"name": "arz"},
                         {"name": "third_order", "t_delay": 0.3,
