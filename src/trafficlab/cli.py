@@ -134,12 +134,12 @@ _STABILITY_FIELDS = ("v0", "psi_v", "psi_s", "psi_dv", "classic_string_stable",
 def write_stability_csv(rows: list[StabilityMapRow], path: Path,
                         extra: dict | None = None) -> None:
     """Stability-map CSV; ``extra`` maps leading columns (e.g. a swept T) to
-    per-row values. A degenerate row reads ``degenerate`` after its k."""
+    per-row values. A row without a report reads ``degenerate`` after its k."""
     extra = extra or {}
     _write_columns(path, list(extra) + STABILITY_CSV_COLUMNS,
                    [np.asarray(v, dtype=float) for v in extra.values()]
                    + [np.array([row.k for row in rows], dtype=float)]
-                   + [np.array(["degenerate" if row.degenerate else getattr(row.report, name)
+                   + [np.array(["degenerate" if row.report is None else getattr(row.report, name)
                                 for row in rows], dtype=object)
                       for name in _STABILITY_FIELDS])
 
@@ -306,7 +306,7 @@ def cmd_stability(doc: dict, out: Path) -> int:
     if sweep:
         print(f"stability: swept {sweep['param']} over {len(sweep['values'])} values -> {path}")
     else:
-        n_stable = sum(1 for r in rows if r.report and r.report.exact_string_stable)
+        n_stable = sum(1 for r in rows if r.report is not None and r.report.exact_string_stable)
         print(f"stability: {law.name}, {n_stable}/{len(rows)} exact-string-stable -> {path}")
     return 0
 

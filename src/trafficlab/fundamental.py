@@ -6,7 +6,6 @@ Each diagram exposes the same surface:
 * ``theta(s)``      speed at spacing ``s`` (m/s), ``theta(s) = s * phi(1/s)``
 * ``eta(k)``        speed at density ``k``, ``eta(k) = theta(1/k)``
 * ``eta_prime(k)``  d(speed)/d(density)
-* ``theta_prime(s)`` d(speed)/d(spacing)
 
 All evaluators accept scalars or numpy arrays and raise
 :class:`~trafficlab.errors.DomainError` outside their domain (no clamping:
@@ -37,9 +36,9 @@ def _checked(formula, check, x, bound):
 
 class _Diagram:
     """Every diagram's jam spacing and checked evaluators: each runs its
-    domain check, then the diagram's bare ``_phi``, ``_eta``, ``_eta_prime``,
-    ``_theta`` or ``_theta_prime``. The laws' kernels call the bare spacing
-    forms directly, behind their own spacing check."""
+    domain check, then the diagram's bare ``_phi``, ``_eta``, ``_eta_prime`` or
+    ``_theta``. The laws' kernels call the bare spacing forms, ``_theta`` and
+    ``_theta_prime``, directly, behind their own spacing check."""
 
     @property
     def jam_spacing(self) -> float:
@@ -59,9 +58,6 @@ class _Diagram:
 
     def theta(self, s):
         return _checked(self._theta, _check_spacing_range, s, self.jam_spacing)
-
-    def theta_prime(self, s):
-        return _checked(self._theta_prime, _check_spacing_range, s, self.jam_spacing)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ sign convention is used everywhere in the package.
 
 Laws are immutable value objects; evaluation is pure and numpy-vectorized,
 so evaluators accept scalars or equal-shaped arrays. ``psi`` is the bare
-formula: ``evaluate``, ``jerk`` and :func:`partials_at` run the law's domain
-``check`` first, and the solvers call ``psi`` on spacings that their own test
-keeps at or above ``s_min``, which every built-in law puts inside its domain.
+formula: ``evaluate`` and :func:`partials_at` run the law's domain ``check``
+first, and the solvers call ``psi`` on spacings that their own test keeps at
+or above ``s_min``, which every built-in law puts inside its domain.
 A built-in law with analytic partials carries the third, ``psi_dv``, as a
 kernel of its own, ``partials.psi_dv``, which the continuum solver's speed
 bound calls unchecked at and above ``s_min`` as well.
@@ -79,12 +79,6 @@ class AccelerationLaw:
         """Acceleration (m/s^2) at speed ``v``, spacing ``s``, speed gap ``dv``."""
         self.check(s)
         return self.psi(v, s, dv)
-
-    def jerk(self, v, s, dv, accel):
-        """Third-order laws: jerk relaxing ``accel`` toward the inner target."""
-        if self.order is not LawOrder.THIRD:
-            raise EvaluationError(f"{self.name} is not a third-order law")
-        return (self.evaluate(v, s, dv) - accel) / self.t_delay
 
 
 def _heaviside(x):
@@ -380,8 +374,8 @@ def make_jwz_cf(T: float, c0: float, fd: FundamentalDiagram) -> AccelerationLaw:
 def make_third_order(inner: AccelerationLaw, t_delay: float) -> AccelerationLaw:
     """Wrap a second-order law with an acceleration-relaxation delay.
 
-    The state gains an acceleration component ``a`` with
-    jerk = (inner(v, s, dv) - a) / t_delay.
+    The state gains an acceleration ``a``, which the RK4 stage in ``platoon``
+    relaxes toward the inner law: da/dt = (inner(v, s, dv) - a) / t_delay.
     """
     if t_delay <= 0:
         raise ParameterError("third-order wrapper needs t_delay > 0")

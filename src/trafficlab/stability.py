@@ -181,7 +181,6 @@ class StabilityReport(Linearisation):
     worst_omega: float
     worst_ratio: float
     continuum_linear_stable: bool
-    notes: str = ""
 
 
 def stability_report(law: AccelerationLaw, k0: float,
@@ -194,28 +193,23 @@ def stability_report(law: AccelerationLaw, k0: float,
                 f"{law.name} has no unique steady state at k={k0:g} ({res.status.value})")
         v0 = res.speed
     record = linearise(law, v0, 1.0 / k0 if k0 else math.inf)  # which refuses s0 = inf
-    exact, cont, classic = record.exact(), record.continuum(), record.classic()
-    notes = ("classic and exact string criteria disagree (psi_dv cross term)"
-             if classic != exact.stable else "")
-    return StabilityReport(**vars(record), classic_string_stable=classic,
+    exact, cont = record.exact(), record.continuum()
+    return StabilityReport(**vars(record), classic_string_stable=record.classic(),
                            exact_string_stable=exact.stable, worst_omega=exact.worst_omega,
-                           worst_ratio=exact.worst_ratio, notes=notes,
+                           worst_ratio=exact.worst_ratio,
                            continuum_linear_stable=cont.stable_criterion and cont.stable_roots)
 
 
 @dataclass(frozen=True)
 class StabilityMapRow:
     k: float
-    degenerate: bool
-    report: StabilityReport | None
+    report: StabilityReport | None  # None: no unique steady state, not judged
 
 
 def stability_map(law: AccelerationLaw, k_grid) -> list[StabilityMapRow]:
-    """Per-density verdicts, in grid order (any order); a density without a
-    unique steady state is flagged degenerate, not judged."""
+    """Per-density verdicts, in grid order (any order)."""
     k_grid = np.asarray(k_grid, dtype=float)
     speeds, statuses = _steady_speeds(law, k_grid)
-    return [StabilityMapRow(k=float(k), degenerate=status is not EquilibriumStatus.OK,
-                            report=stability_report(law, float(k), v0=float(v0))
+    return [StabilityMapRow(k=float(k), report=stability_report(law, float(k), v0=float(v0))
                             if status is EquilibriumStatus.OK else None)
             for k, v0, status in zip(k_grid, speeds, statuses)]

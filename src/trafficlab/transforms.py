@@ -76,9 +76,8 @@ class TrajectorySurface:
                     raise ParameterError(f"{name} must match positions shape")
                 object.__setattr__(self, name, m)
         if x.shape[1] >= 2:
-            gaps = x[:, :-1] - x[:, 1:]
+            gaps = self.spacings()
             if self.ring_length is not None:
-                gaps = np.mod(gaps, self.ring_length)
                 if np.any(np.sum(gaps, axis=1) >= self.ring_length):
                     raise ParameterError("platoon does not fit the ring circumference")
             if np.any(gaps <= 0.0):

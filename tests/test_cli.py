@@ -851,7 +851,7 @@ def reference_write_stability_csv(rows, path, extra=None):
         writer.writerow(list(extra) + STABILITY_CSV_COLUMNS)
         for i, row in enumerate(rows):
             lead = [repr(float(values[i])) for values in extra.values()]
-            if row.degenerate:
+            if row.report is None:
                 writer.writerow(lead + [repr(row.k)] + ["degenerate"] * 7)
                 continue
             r = row.report
@@ -889,7 +889,7 @@ def stability_maps(draw):
     for _ in range(draw(st.integers(0, 6))):
         k = draw(ANY_FLOAT)
         if draw(st.booleans()):
-            rows.append(StabilityMapRow(k=k, degenerate=True, report=None))
+            rows.append(StabilityMapRow(k=k, report=None))
             continue
         flags = draw(st.lists(st.booleans(), min_size=3, max_size=3))
         numbers = {name: draw(ANY_FLOAT) for name in ("v0", "s0", "psi_v", "psi_s",
@@ -898,7 +898,7 @@ def stability_maps(draw):
         report = StabilityReport(classic_string_stable=flags[0],
                                  exact_string_stable=flags[1],
                                  continuum_linear_stable=flags[2], **numbers)
-        rows.append(StabilityMapRow(k=k, degenerate=False, report=report))
+        rows.append(StabilityMapRow(k=k, report=report))
     swept = st.lists(ANY_FLOAT | st.integers(-10**6, 10**6), min_size=len(rows),
                      max_size=len(rows))
     return rows, draw(st.dictionaries(st.text(max_size=4), swept, max_size=2))

@@ -298,9 +298,9 @@ def reference_stability_map(law, k_grid):
     for k in np.asarray(k_grid, dtype=float):
         res = solve_equilibrium_speed(law, float(k))
         if res.status is not EquilibriumStatus.OK:
-            rows.append(StabilityMapRow(k=float(k), degenerate=True, report=None))
+            rows.append(StabilityMapRow(k=float(k), report=None))
             continue
-        rows.append(StabilityMapRow(k=float(k), degenerate=False,
+        rows.append(StabilityMapRow(k=float(k),
                                     report=stability_report(law, float(k), v0=res.speed)))
     return rows
 
