@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from trafficlab import (AccelerationLaw, ConfigurationError, EvaluationError,
+from trafficlab import (AccelerationLaw, ConfigurationError, EvaluationError, equivalence,
                         GaussianBumpProfile, RiemannProfile, RingScenario, SuiteEntry,
                         TriangularDiagram, UniformProfile, compare_lwr,
                         compare_second_order, make_fvdm, make_linear_gm, make_ovm,
@@ -15,7 +15,7 @@ from trafficlab import (AccelerationLaw, ConfigurationError, EvaluationError,
 from trafficlab.cli import DEMO_CONFIG, SUMMARY_COLUMNS, write_summary_csv
 from trafficlab.config import build_suite
 from trafficlab.equivalence import (_arm_run, _isolated, _mode_amplitude,
-                                    _prepare_second_order)
+                                    _prepare_second_order, analytic_lwr_density)
 
 from conftest import TRI, assert_bits_equal
 from test_continuum import FVDM, OVM, assert_same_run, ring_member, standalone
@@ -78,6 +78,38 @@ class TestFirstOrder:
         rep = compare_lwr(tri, profile, 0.0, 3000.0, 60.0, [20.0])
         entry = rep.entries[0]
         assert entry.l1_newell < 0.2 * entry.l1_godunov
+
+    @pytest.mark.parametrize("dx", [40.0, 20.0, 10.0])
+    def test_bump_error_is_the_upwind_map_power(self, tri, dx, monkeypatch):
+        """On the congested branch Godunov is the linear map
+        k_i <- (1 - c) k_i + c k_{i+1}, c = w dt / dx: the inflow row has the
+        same form (a congested inflow density demands the capacity) and the
+        last cell holds its density. That map raised to the run's step count
+        predicts ``l1_godunov`` against the analytic advection to 1e-9
+        relative, while the bump (center 1500 -> 1200 m, sigma 200 m) stays
+        clear of both ends of [0, 3000]. Out of scope: states that cross k_c,
+        where the flux switches branch and the scheme is not linear."""
+        profile = GaussianBumpProfile(0.1, 0.03, 1500.0, 200.0)
+        scenarios, solve = [], equivalence.solve_lwr_godunov
+
+        def recorded(scenario):
+            scenarios.append(scenario)
+            return solve(scenario)
+
+        monkeypatch.setattr(equivalence, "solve_lwr_godunov", recorded)
+        rep = compare_lwr(tri, profile, 0.0, 3000.0, 60.0, [dx])
+        (sc,) = scenarios
+        k0, cells, centers = sc.initial_density, sc.grid.cells, sc.grid.centers
+        assert min(np.min(k0), sc.boundary.k_in) > tri.critical_density
+        analytic = analytic_lwr_density(tri, profile, rep.horizon, centers)
+        for ends in (k0[[0, -1]], analytic[[0, -1]]):
+            assert np.all(np.abs(ends - 0.1) <= 1e-12)
+        c = tri.w * sc.dt / sc.grid.dx
+        step = (1.0 - c) * np.eye(cells) + c * np.eye(cells, k=1)
+        step[-1, -1] = 1.0
+        k_map = np.linalg.matrix_power(step, sc.steps) @ k0
+        predicted = float(np.sum(np.abs(k_map - analytic)) * sc.grid.dx)
+        assert rep.entries[0].l1_godunov == pytest.approx(predicted, rel=1e-9, abs=0.0)
 
 
 class TestSecondOrder:
