@@ -307,12 +307,29 @@ def _given_where(key: str, needed, missing: str, unread: str):
     return check
 
 
+def _not_third_order(message: str, models):
+    """A check that fails at the ``name`` of the first third-order model among
+    the ``(path, model)`` pairs that ``models(section, path, doc)`` gives."""
+    def check(cfg, path, doc):
+        for at, model in models(cfg, path, doc):
+            if model["name"] == "third_order":
+                _fail(f"{at}.name", message)
+    return check
+
+
 _K_RANGE = _rule("k_max", "must exceed k_min",
                  lambda c, d: float(c["k_max"]) <= float(c["k_min"]))
-# A law built on the fd has no steady state above the fd's jam density.
-_K_JAM = _rule("k_max", "must not exceed the jam density fd.k_j",
-               lambda c, d: "fd" in d and "model" in d and reads_fd(d["model"])
+# A law built on the fd has no steady state above the fd's jam density: not
+# at a grid's k_max, nor at the ring density of a suite with such a law.
+_JAM = "must not exceed the jam density fd.k_j"
+_K_JAM = _rule("k_max", _JAM, lambda c, d: "fd" in d and "model" in d and reads_fd(d["model"])
                and c["k_max"] > _jam_density(d["fd"]))
+_RING_K_JAM = _rule("ring.k0", _JAM, lambda c, d: "fd" in d
+                    and any(reads_fd(entry["model"]) for entry in c["entries"])
+                    and c["ring"]["k0"] > _jam_density(d["fd"]))
+# A third-order law's delay is in neither the stability symbol nor the
+# second-order continuum system.
+_NO_CONTINUUM = "the second-order continuum solver does not cover third-order models"
 # Each check runs right after the leaves of the section it is listed under: a
 # section's dotted path, or a variant's choice wherever that variant appears.
 RULES = (
@@ -344,12 +361,20 @@ RULES = (
     ("pde", _rule("steps", f"(steps // record_every + 1) * cells must be <= {INT_CAP}",
                   lambda c, d: (c["steps"] // c.get("record_every", 1) + 1) * c["cells"]
                   > INT_CAP)),
-    ("pde.boundary", _rule("k_in", "must not exceed the jam density fd.k_j",
+    ("pde.boundary", _rule("k_in", _JAM,
                            lambda c, d: "fd" in d and c["k_in"] > _jam_density(d["fd"]))),
     ("pde.boundary", _given_where("v_in", lambda c, d: d["pde"]["solver"] == "second_order",
                                    "missing required key (the second-order solver needs "
                                    "the inflow speed)",
                                    "solver 'lwr' takes no inflow speed")),
+    ("stability", _not_third_order("the stability analysis does not cover third-order models",
+                                   lambda c, p, d: [("model", d["model"])] if "model" in d
+                                   else [])),
+    ("pde", _not_third_order(_NO_CONTINUUM, lambda c, p, d: [("model", d["model"])]
+                             if c["solver"] == "second_order" and "model" in d else [])),
+    ("suite", _RING_K_JAM),
+    ("suite", _not_third_order(_NO_CONTINUUM, lambda c, p, d: [
+        (f"{p}.entries[{i}].model", entry["model"]) for i, entry in enumerate(c["entries"])])),
 )
 
 

@@ -103,7 +103,8 @@ def solve_lwr_godunov(scenario: EulerianScenario) -> tuple[EulerianField, RunSta
     k = scenario.initial_density.copy()
     # NaN fails both comparisons, so non-finite densities are refused too.
     if not np.all((k >= 0) & (k <= fd.k_j * (1 + 1e-12))):
-        raise ConfigurationError("initial densities must be finite and lie in [0, k_j]")
+        raise ConfigurationError("initial densities must be finite and lie in [0, k_j]",
+                                 path="pde.initial")
     dx, dt = scenario.grid.dx, scenario.dt
     cfl = fd.max_wave_speed() * dt / dx
     if cfl > INIT_CFL_LIMIT:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .laws import AccelerationLaw, partials_at
+from .laws import AccelerationLaw, LawOrder, partials_at
 from .steady_state import EquilibriumStatus, _steady_speeds, solve_equilibrium_speed
 
 
@@ -133,7 +133,11 @@ class Linearisation:
 
 def linearise(law: AccelerationLaw, v0: float, s0: float) -> Linearisation:
     """The record at ``(v0, s0)``, the law's domain check and partials run once;
-    DomainError unless v0 is finite and s0 finite and positive."""
+    DomainError unless v0 is finite and s0 finite and positive, and for a
+    third-order law, whose delay the partials of psi leave out."""
+    if law.order is LawOrder.THIRD:
+        raise DomainError(f"{law.name}: the stability analysis does not cover "
+                          "third-order laws")
     if not (math.isfinite(v0) and 0.0 < s0 < math.inf):
         raise DomainError(f"no steady state to judge at v0={v0!r}, s0={s0!r}")
     return Linearisation(float(v0), float(s0),

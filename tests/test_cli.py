@@ -47,6 +47,9 @@ def above_jam(section, model):
     return change | {section: {**change.get(section, DEMO_CONFIG[section]), "k_max": 0.25}}
 
 
+THIRD_ORDER = {"name": "third_order", "t_delay": 2.0, "inner": {"name": "ovm", "T": 0.4}}
+LWR_ABOVE_JAM = {"kind": "uniform", "k": 0.25}  # the demo's jam density is 0.2
+
 TRAJ_HEADER = "t,vehicle,x,v\n"
 FIELD_HEADER = "t,x,k,v,q\n"
 
@@ -207,6 +210,28 @@ class TestExitCodes:
             f"pde.initial: {name} has no steady state at k=0.25",
             id=f"second-order-{name}-above-k_j")
           for name, model in (("ovm", {"name": "ovm", "T": 0.4}), ("arz", {"name": "arz"}))],
+        # Godunov refused this density with no path
+        pytest.param("simulate-pde", {"pde": {**DEMO_CONFIG["pde"], "initial": LWR_ABOVE_JAM}},
+                     "pde.initial: initial densities must be finite and lie in [0, k_j]",
+                     id="lwr-initial-above-k_j"),
+        # compare ran, and its OVM and FVDM reports read incomparable
+        pytest.param("compare", {"suite": {**DEMO_CONFIG["suite"], "ring": {
+            **DEMO_CONFIG["suite"]["ring"], "k0": 0.25}}},
+                     "suite.ring.k0: must not exceed the jam density fd.k_j",
+                     id="suite-k0-above-k_j"),
+        # stability judged the inner law, and the second-order solver refused
+        # the law with no path
+        pytest.param("stability", {"model": THIRD_ORDER, "stability": UNSWEPT},
+                     "model.name: the stability analysis does not cover third-order models",
+                     id="stability-third-order"),
+        pytest.param("simulate-pde", {"model": THIRD_ORDER, "stability": None, "pde": {
+            **DEMO_CONFIG["pde"], "solver": "second_order"}},
+                     "model.name: the second-order continuum solver does not cover",
+                     id="second-order-third-order"),
+        pytest.param("compare", {"suite": {**DEMO_CONFIG["suite"], "entries": [
+            {"scenario": "a", "model": THIRD_ORDER}]}},
+                     "suite.entries[0].model.name: the second-order continuum solver",
+                     id="suite-third-order"),
     ])
     def test_config_fault_names_path(self, tmp_path, capsys, command, change, path):
         doc = {k: v for k, v in {**DEMO_CONFIG, **change}.items() if v is not None}
@@ -457,8 +482,11 @@ class TestOutputDirectory:
          "suite.entries[1].scenario: with model 'ovm' names the report files"),
         (["simulate-cf", "--config", "{ring}", "--out", "{out}"],
          "sim.initial.spacing: n_vehicles * spacing must equal the ring length"),
+        # refused by the Godunov solver
+        (["simulate-pde", "--config", "{lwr}", "--out", "{out}"],
+         "pde.initial: initial densities must be finite and lie in [0, k_j]"),
     ], ids=["no-subcommand", "no-config", "missing-config", "invalid-config",
-            "duplicate-report-stem", "ring-spacing-mismatch"])
+            "duplicate-report-stem", "ring-spacing-mismatch", "lwr-initial-above-k_j"])
     def test_refused_run_makes_no_directory(self, tmp_path, capsys, args, says):
         out = tmp_path / "made" / "here"
         docs = {"invalid": {"fd": {"kind": "triangular"}},
@@ -466,7 +494,8 @@ class TestOutputDirectory:
                     {"scenario": "a", "model": {"name": "ovm", "T": 0.4}},
                     {"scenario": "a", "model": {"name": "ovm", "T": 0.7}}]}},
                 "ring": {**DEMO_CONFIG, "sim": {**DEMO_CONFIG["sim"], "initial": {
-                    **DEMO_CONFIG["sim"]["initial"], "spacing": 12.0}}}}
+                    **DEMO_CONFIG["sim"]["initial"], "spacing": 12.0}}},
+                "lwr": {**DEMO_CONFIG, "pde": {**DEMO_CONFIG["pde"], "initial": LWR_ABOVE_JAM}}}
         names = {"out": out, "missing": tmp_path / "nope.json"}
         for name, doc in docs.items():
             names[name] = tmp_path / f"{name}.json"
@@ -542,6 +571,7 @@ class TestOutputs:
 
     def test_third_order_model_records_acceleration(self, tmp_path):
         doc = json.loads(json.dumps(DEMO_CONFIG))
+        del doc["stability"]  # which refuses a third-order model
         doc["model"] = {"name": "third_order", "t_delay": 0.5,
                         "inner": {"name": "ovm", "T": 0.5}}
         doc["sim"] = {"method": "rk4", "dt": 0.05, "steps": 50,

@@ -454,10 +454,10 @@ BASES = [
      "stability": sweep("lambda", 0.1)},
     {"fd": GS, "model": {"name": "arz"}, "steady": K_GRID},
     {"fd": TRI, "model": {"name": "jwz", "T": 1.0, "c0": 2.0}, "stability": sweep("c0", 1.0)},
+    # config refuses a third-order model under stability (see the departures)
     {"fd": TRI, "model": {"name": "third_order", "t_delay": 0.3, "inner": OVM},
-     "stability": sweep("t_delay", 0.2, 0.4)},
-    {"model": {"name": "third_order", "t_delay": 0.3, "inner": IDM},
-     "stability": sweep("a", 1.0)},
+     "steady": K_GRID},
+    {"model": IDM, "stability": sweep("a", 1.0)},
     {"transform": {"direction": "to_eulerian", "input": "t.csv", "x0": -50.0,
                    "dx": 10.0, "cells": 10}},
     {"transform": {"direction": "to_trajectories", "input": "f.csv", "n_vehicles": 3}},
@@ -468,11 +468,11 @@ BASES = [
     {"fd": TRI, "suite": {
         "ring": {**DEMO_CONFIG["suite"]["ring"]},
         "entries": [{"scenario": "a", "model": GFM, "amplitude": 0.02},
-                    {"scenario": "b", "model": {"name": "third_order", "t_delay": 0.3,
-                                                "inner": OVM}}],
+                    {"scenario": "b", "model": OVM}],
         "resolutions": [4]}},
     {"fd": TAB, "pde": pde("lwr", RIEMANN, boundary={"kind": "inflow", "k_in": 0.2})},
     {"fd": TRI, "sim": sim("pipes", SINUSOID, dt=0.5)},
+    {"model": {"name": "third_order", "t_delay": 0.3, "inner": IDM}, "steady": K_GRID},
 ]
 
 
@@ -509,6 +509,8 @@ def reads_fd(model):
 
 
 JAM_K_MAX = "must not exceed the jam density fd.k_j"
+NO_STABILITY = "the stability analysis does not cover third-order models"
+NO_CONTINUUM = "the second-order continuum solver does not cover third-order models"
 
 
 def expected(doc):
@@ -540,6 +542,12 @@ def expected(doc):
         for section in ("steady", "stability"):
             if section in doc and doc[section]["k_max"] > jam_density(doc["fd"]):
                 return fault(f"{section}.k_max", JAM_K_MAX)
+    # A third-order law's delay is in neither the stability symbol nor the
+    # second-order continuum system; these ran as the inner law or exited 2
+    # with no path.
+    third = isinstance(doc.get("model"), dict) and doc["model"].get("name") == "third_order"
+    if ref[0] == 0 and third and "stability" in doc:
+        return fault("model.name", NO_STABILITY)
     if (ref[0] == 0 and isinstance(s, dict) and s["method"] != "rk4" and "fd" in doc
             and doc["fd"]["kind"] != "triangular"):
         return fault("sim.method", SPACING_RULE)
@@ -565,6 +573,16 @@ def expected(doc):
                          "solver needs the inflow speed)")
         if p["solver"] == "lwr" and "v_in" in bnd:  # Godunov never read v_in
             return fault("pde.boundary.v_in", LWR_V_IN)
+    if ref[0] == 0 and third and isinstance(p, dict) and p["solver"] == "second_order":
+        return fault("model.name", NO_CONTINUUM)
+    u = doc.get("suite")
+    if ref[0] == 0 and isinstance(u, dict):
+        if ("fd" in doc and u["ring"]["k0"] > jam_density(doc["fd"])
+                and any(reads_fd(entry["model"]) for entry in u["entries"])):
+            return fault("suite.ring.k0", JAM_K_MAX)
+        for i, entry in enumerate(u["entries"]):
+            if entry["model"]["name"] == "third_order":
+                return fault(f"suite.entries[{i}].model.name", NO_CONTINUUM)
     return ref
 
 
@@ -687,7 +705,8 @@ def with_change(base, path, value):
     (4, ("sim", "dt"), DROP, 2),
     (3, ("sim", "dt"), 1.0, 2),
     (9, ("model", "inner", "name"), "third_order", 2),
-    (15, ("suite", "entries", 1, "model", "inner"), dict(BASES[9]["model"]), 2),
+    (15, ("suite", "entries", 1, "model"), {"name": "third_order", "t_delay": 0.3,
+                                            "inner": dict(BASES[9]["model"])}, 2),
     (0, ("stability", "sweep", "param"), "w", 2),
     (3, ("stability", "sweep", "values", 1), 2.0, 2),
     (5, ("stability", "sweep", "values", 0), 0.5, 2),
@@ -705,6 +724,8 @@ def with_change(base, path, value):
     (0, ("steady", "k_max"), math.nextafter(0.2, math.inf), 2),
     (0, ("stability", "k_max"), 0.2, 0),
     (0, ("stability", "k_max"), math.nextafter(0.2, math.inf), 2),
+    (15, ("suite", "ring", "k0"), 0.2, 0),
+    (15, ("suite", "ring", "k0"), math.nextafter(0.2, math.inf), 2),
 ])
 def test_edges_match_reference(base, path, value, code):
     """Each rule at its boundary, and the list shapes the reference reports at
@@ -770,16 +791,36 @@ def test_edges_match_reference(base, path, value, code):
                  fault("stability.k_max", JAM_K_MAX), id="stability-above-k_j"),
     pytest.param(with_change(7, ("steady", "k_max"), 0.25), (0, None, None),
                  fault("steady.k_max", JAM_K_MAX), id="arz-above-k_j"),
-    pytest.param(with_change(9, ("stability", "k_max"), 0.25), (0, None, None),
+    # the jam density is checked before the third-order model is refused
+    pytest.param({**BASES[9], "stability": {**K_GRID, "k_max": 0.25}}, (0, None, None),
                  fault("stability.k_max", JAM_K_MAX), id="third-order-ovm-above-k_j"),
     # IDM keeps its own jam spacing and does not read the fd
     pytest.param(with_change(4, ("fd",), TRI) | {"steady": {**K_GRID, "k_max": 0.25}},
                  (0, None, None), (0, None, None), id="idm-with-fd-above-k_j"),
-    pytest.param(with_change(10, ("fd",), TRI) | {"stability": {**K_GRID, "k_max": 0.25}},
+    pytest.param(with_change(18, ("fd",), TRI) | {"steady": {**K_GRID, "k_max": 0.25}},
                  (0, None, None), (0, None, None), id="third-order-idm-with-fd-above-k_j"),
     # BASES[11] held an output section, which nothing read
     pytest.param(with_change(11, ("output",), {"dir": "out"}), (0, None, None),
                  fault("output", "unknown section"), id="output-section"),
+    # a third-order law ran as its inner law under stability, and the
+    # second-order solver refused it at run time with no path
+    pytest.param({**BASES[9], "stability": K_GRID}, (0, None, None),
+                 fault("model.name", NO_STABILITY), id="third-order-stability"),
+    pytest.param({**BASES[9], "stability": sweep("t_delay", 0.2, 0.4)}, (0, None, None),
+                 fault("model.name", NO_STABILITY), id="third-order-stability-sweep"),
+    pytest.param({**BASES[13], "model": BASES[9]["model"]}, (0, None, None),
+                 fault("model.name", NO_CONTINUUM), id="third-order-second-order-pde"),
+    pytest.param({"fd": GS, "model": BASES[9]["model"], "pde": BASES[1]["pde"]},
+                 (0, None, None), (0, None, None), id="third-order-lwr-pde"),
+    pytest.param(with_change(15, ("suite", "entries", 1, "model"), BASES[9]["model"]),
+                 (0, None, None), fault("suite.entries[1].model.name", NO_CONTINUUM),
+                 id="third-order-suite-entry"),
+    # the ring density of a suite whose laws read the fd ran into the jam spacing
+    pytest.param(with_change(15, ("suite", "ring", "k0"), 0.25), (0, None, None),
+                 fault("suite.ring.k0", JAM_K_MAX), id="suite-k0-above-k_j"),
+    pytest.param({"fd": TRI, "suite": {**BASES[15]["suite"], "entries": [
+        {"scenario": "a", "model": IDM}], "ring": {**BASES[15]["suite"]["ring"], "k0": 0.25}}},
+                 (0, None, None), (0, None, None), id="idm-suite-k0-above-k_j"),
 ])
 def test_deliberate_changes(doc, reference, walker):
     assert outcome(validate_document, doc) == reference

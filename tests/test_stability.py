@@ -7,9 +7,9 @@ import pytest
 
 from trafficlab import (AccelerationLaw, DomainError, Linearisation, SingularityError,
                         TriangularDiagram, amplification_ratio, continuum_linear_stability,
-                        linearise, make_arz_cf, make_fvdm, make_idm, make_ovm, mode_growth,
-                        partials_at, stability_map, stability_report, string_stability_exact,
-                        string_stability_classic)
+                        linearise, make_arz_cf, make_fvdm, make_idm, make_ovm, make_third_order,
+                        mode_growth, partials_at, stability_map, stability_report,
+                        string_stability_exact, string_stability_classic)
 from trafficlab.cli import DEMO_CONFIG
 from trafficlab.config import build_law, k_grid_from
 
@@ -423,3 +423,15 @@ class TestRefusals:
     def test_linearise_refuses_what_it_cannot_judge(self, tri, v0, s0):
         with pytest.raises(DomainError, match="no steady state to judge"):
             linearise(make_ovm(0.5, tri), v0, s0)
+
+    def test_third_order_law_is_not_judged_as_its_inner_law(self, tri):
+        """The partials of psi leave out the delay, so every verdict refuses a
+        third-order law instead of giving its inner law's."""
+        law = make_third_order(make_ovm(0.4, tri), 2.0)
+        for judge in (lambda: linearise(law, 3.75, 12.5),
+                      lambda: amplification_ratio(law, 3.75, 12.5, 0.5),
+                      lambda: stability_report(law, 0.08),
+                      lambda: stability_map(law, [0.05, 0.1])):
+            with pytest.raises(DomainError, match="ovm[+]delay: the stability analysis "
+                               "does not cover third-order laws"):
+                judge()
