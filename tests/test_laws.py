@@ -195,8 +195,8 @@ def third_order_relaxation(c, a0, t_delay, dt=0.005, steps=800):
 class TestThirdOrder:
     """The RK4 stage is the one statement of the delay rule, so these run it.
     RK4's error on da/dt = (c - a) / t_delay is z^5 / 120 of |a - c| per step
-    (z = dt / t_delay <= 0.01 here): at most 3e-11 of |a0 - c| in all, under
-    the 1e-9 asserted."""
+    (z = dt / t_delay <= 0.01 here), which adds up to at most about 3.1e-11 of
+    |a0 - c|, under the 1e-9 asserted."""
 
     def test_relaxed_state_has_zero_jerk(self):
         got, _ = third_order_relaxation(0.3, 0.3, 0.5)
