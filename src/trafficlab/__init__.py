@@ -12,7 +12,7 @@ from .errors import (CollisionError, ConfigurationError, DomainError,
 from .fundamental import (FundamentalDiagram, GreenshieldsDiagram,
                           TabulatedDiagram, TriangularDiagram, cfl_max_dt,
                           diagram_from_config)
-from .laws import (MODEL_CATALOG, AccelerationLaw, LawOrder, law_from_config,
+from .laws import (MODEL_CATALOG, AccelerationLaw, law_from_config,
                    make_arz_cf, make_aw_rascle_cf, make_fvdm, make_gfm,
                    make_idm, make_idm_alt, make_jwz_cf, make_linear_gm,
                    make_nonlinear_gm, make_ovm, make_third_order, partials_at)

@@ -250,17 +250,12 @@ def _rule(key: str, message: str, broken):
     return check
 
 
-def _sweepable(model: dict) -> set[str]:
-    takes = set(MODELS[model["name"]]) - {"inner"}
-    return takes | _sweepable(model["inner"]) if "inner" in model else takes
-
-
 def _sweep(cfg, path, doc):
-    # Each swept value must keep the (already valid) model valid.
+    # Each swept value must keep the (already valid, second-order) model valid.
     if "sweep" not in cfg or "model" not in doc:
         return
     model, param = doc["model"], cfg["sweep"]["param"]
-    takes = _sweepable(model)
+    takes = set(MODELS[model["name"]])
     if param not in takes:
         _fail(f"{path}.sweep.param", f"model {model['name']!r} takes no parameter "
               f"{param!r} (one of {sorted(takes)})")
@@ -272,13 +267,7 @@ def _sweep(cfg, path, doc):
 
 
 def swept_model(model: dict, param: str, value) -> dict:
-    """The ``model`` section with ``param`` set to ``value``.
-
-    A third-order model passes every parameter but ``t_delay`` on to its
-    inner law.
-    """
-    if model["name"] == "third_order" and param != "t_delay":
-        return {**model, "inner": swept_model(model["inner"], param, value)}
+    """The ``model`` section with ``param`` set to ``value``."""
     return {**model, param: value}
 
 
@@ -338,6 +327,10 @@ RULES = (
     ("steady", _K_JAM),
     ("stability", _K_RANGE),
     ("stability", _K_JAM),
+    # Before the sweep, so that it never sees a third-order model.
+    ("stability", _not_third_order("the stability analysis does not cover third-order models",
+                                   lambda c, p, d: [("model", d["model"])] if "model" in d
+                                   else [])),
     ("stability", _sweep),
     ("sinusoid", _rule("amplitude", "must not exceed v0 (speeds stay >= 0)",
                        lambda c, d: float(c["amplitude"]) > float(c["v0"]))),
@@ -367,9 +360,6 @@ RULES = (
                                    "missing required key (the second-order solver needs "
                                    "the inflow speed)",
                                    "solver 'lwr' takes no inflow speed")),
-    ("stability", _not_third_order("the stability analysis does not cover third-order models",
-                                   lambda c, p, d: [("model", d["model"])] if "model" in d
-                                   else [])),
     ("pde", _not_third_order(_NO_CONTINUUM, lambda c, p, d: [("model", d["model"])]
                              if c["solver"] == "second_order" and "model" in d else [])),
     ("suite", _RING_K_JAM),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SolverFault
-from .laws import AccelerationLaw, LawOrder, law_spans, partials_at
+from .laws import AccelerationLaw, law_spans, partials_at
 from .transforms import EulerianField, SpatialGrid
 
 DENSITY_FLOOR = 1e-8
@@ -166,7 +166,7 @@ def _check_second_order(scenario: EulerianScenario) -> None:
     law = scenario.law
     if law is None:
         raise ConfigurationError("second-order solver needs an acceleration law")
-    if law.order is not LawOrder.SECOND:
+    if law.t_delay is not None:
         raise ConfigurationError("third-order continuum systems are not solved")
     if scenario.initial_speed is None:
         raise ConfigurationError("second-order solver needs an initial speed profile")

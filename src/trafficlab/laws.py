@@ -26,7 +26,6 @@ replaced, stack only with equal neighbours.
 
 from __future__ import annotations
 
-import enum
 import inspect
 import itertools
 import math
@@ -37,11 +36,6 @@ import numpy as np
 
 from .errors import EvaluationError, ParameterError
 from .fundamental import FundamentalDiagram, _least
-
-
-class LawOrder(enum.Enum):
-    SECOND = 2
-    THIRD = 3
 
 
 @dataclass(frozen=True)
@@ -60,20 +54,23 @@ class AccelerationLaw:
     guard explicit integrator steps. ``s_min`` is the smallest spacing at
     which the law may be evaluated during a simulation: the solvers call
     ``psi`` unchecked at and above it, so a law whose ``s_min`` lies outside
-    its domain must check inside its own ``psi``.
+    its domain must check inside its own ``psi``. A law is third-order exactly
+    when it has an acceleration delay ``t_delay`` (see :func:`make_third_order`).
     """
 
     name: str
     params: Mapping[str, float]
     psi: Callable
     partials: Callable | None = None
-    order: LawOrder = LawOrder.SECOND
     s_min: float = 0.1
     v_free: float | None = None
     time_scale: float = 1.0
-    inner: "AccelerationLaw | None" = None
     t_delay: float | None = None
     check: Callable = lambda s: None
+
+    def __post_init__(self):
+        if self.t_delay is not None and not 0.0 < self.t_delay < math.inf:
+            raise ParameterError("t_delay must be finite and > 0")
 
     def evaluate(self, v, s, dv):
         """Acceleration (m/s^2) at speed ``v``, spacing ``s``, speed gap ``dv``."""
@@ -377,17 +374,12 @@ def make_third_order(inner: AccelerationLaw, t_delay: float) -> AccelerationLaw:
     The state gains an acceleration ``a``, which the RK4 stage in ``platoon``
     relaxes toward the inner law: da/dt = (inner(v, s, dv) - a) / t_delay.
     """
-    if t_delay <= 0:
-        raise ParameterError("third-order wrapper needs t_delay > 0")
-    if inner.order is not LawOrder.SECOND:
+    if inner.t_delay is not None:
         raise ParameterError("cannot nest third-order laws")
-
     return AccelerationLaw(
         f"{inner.name}+delay", dict(inner.params) | {"t_delay": t_delay},
-        inner.psi, inner.partials, order=LawOrder.THIRD,
-        s_min=inner.s_min, v_free=inner.v_free,
-        time_scale=min(inner.time_scale, t_delay),
-        inner=inner, t_delay=t_delay, check=inner.check,
+        inner.psi, inner.partials, s_min=inner.s_min, v_free=inner.v_free,
+        time_scale=min(inner.time_scale, t_delay), t_delay=t_delay, check=inner.check,
     )
 
 
@@ -438,7 +430,7 @@ def law_spans(laws) -> list[tuple[AccelerationLaw, int | slice, dict]]:
     full-shape for ``col * v`` on a (2, 80) operand.
     """
     kernels = [(inspect.unwrap(law.psi), inspect.unwrap(law.partials)) for law in laws]
-    keys = [(f.stack_key, law.check) if law.order is LawOrder.SECOND
+    keys = [(f.stack_key, law.check) if law.t_delay is None
             and getattr(f, "stack_key", None) == getattr(p, "stack_key", False)
             and f.__kwdefaults__ == p.__kwdefaults__ else law
             for law, (f, p) in zip(laws, kernels)]

@@ -245,16 +245,15 @@ def simulate_platoons(members, dt: float, steps: int,
         return []
     laws, initials, boundaries = zip(*members)
     ring = isinstance(boundaries[0], Ring)
-    n, order = initials[0].n_vehicles, laws[0].order
+    n, third = initials[0].n_vehicles, laws[0].t_delay is not None
     if not ring and n < 2:
         raise ConfigurationError("linear-road run needs the leader plus a follower")
-    if len({(initial.n_vehicles, law.order, isinstance(b, Ring))
+    if len({(initial.n_vehicles, law.t_delay is None, isinstance(b, Ring))
             for law, initial, b in members}) > 1:
         raise ConfigurationError(
             "batch members must share the vehicle count, law order and boundary kind")
 
-    batch, order = len(members), order.value
-    third = order == 3
+    batch, order = len(members), 3 if third else 2
     first = 0 if ring else 1  # vehicle number of the front follower
     followers = n - first
     # One buffer per RK4 stage: rows [:order] hold the state the stage sees

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .laws import AccelerationLaw, LawOrder, partials_at
+from .laws import AccelerationLaw, partials_at
 from .steady_state import EquilibriumStatus, _steady_speeds, solve_equilibrium_speed
 
 
@@ -135,7 +135,7 @@ def linearise(law: AccelerationLaw, v0: float, s0: float) -> Linearisation:
     """The record at ``(v0, s0)``, the law's domain check and partials run once;
     DomainError unless v0 is finite and s0 finite and positive, and for a
     third-order law, whose delay the partials of psi leave out."""
-    if law.order is LawOrder.THIRD:
+    if law.t_delay is not None:
         raise DomainError(f"{law.name}: the stability analysis does not cover "
                           "third-order laws")
     if not (math.isfinite(v0) and 0.0 < s0 < math.inf):

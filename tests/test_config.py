@@ -544,9 +544,11 @@ def expected(doc):
                 return fault(f"{section}.k_max", JAM_K_MAX)
     # A third-order law's delay is in neither the stability symbol nor the
     # second-order continuum system; these ran as the inner law or exited 2
-    # with no path.
+    # with no path. The stability refusal runs before the sweep's rules, so a
+    # sweep they refuse is refused at the model's name instead.
     third = isinstance(doc.get("model"), dict) and doc["model"].get("name") == "third_order"
-    if ref[0] == 0 and third and "stability" in doc:
+    swept = ref[0] == 2 and ("takes no parameter" in ref[2] or "swept model is" in ref[2])
+    if (ref[0] == 0 or swept) and third and "stability" in doc:
         return fault("model.name", NO_STABILITY)
     if (ref[0] == 0 and isinstance(s, dict) and s["method"] != "rk4" and "fd" in doc
             and doc["fd"]["kind"] != "triangular"):
@@ -808,6 +810,11 @@ def test_edges_match_reference(base, path, value, code):
                  fault("model.name", NO_STABILITY), id="third-order-stability"),
     pytest.param({**BASES[9], "stability": sweep("t_delay", 0.2, 0.4)}, (0, None, None),
                  fault("model.name", NO_STABILITY), id="third-order-stability-sweep"),
+    # the refusal runs before the sweep, whose rule named a parameter the model lacks
+    pytest.param({**BASES[9], "stability": sweep("inner", 0.2)},
+                 fault("stability.sweep.param", "model 'third_order' takes no parameter "
+                       "'inner' (one of ['T', 't_delay'])"),
+                 fault("model.name", NO_STABILITY), id="third-order-stability-sweep-inner"),
     pytest.param({**BASES[13], "model": BASES[9]["model"]}, (0, None, None),
                  fault("model.name", NO_CONTINUUM), id="third-order-second-order-pde"),
     pytest.param({"fd": GS, "model": BASES[9]["model"], "pde": BASES[1]["pde"]},

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import GS, TRI, stackable_pairs
 from trafficlab import (AccelerationLaw, ConstantLeader, DomainError, EvaluationError,
-                        GreenshieldsDiagram, LawOrder, ParameterError, PlatoonState,
+                        GreenshieldsDiagram, ParameterError, PlatoonState,
                         TabulatedDiagram,
                         TrafficLabError, TriangularDiagram, idm_closed_form_density,
-                        law_from_config,
+                        law_from_config, linearise,
                         make_arz_cf, make_aw_rascle_cf, make_fvdm, make_gfm,
                         make_idm, make_idm_alt, make_jwz_cf, make_linear_gm,
                         make_nonlinear_gm, make_ovm, make_third_order,
@@ -220,6 +220,29 @@ class TestThirdOrder:
         with pytest.raises(ParameterError):
             make_third_order(law, 0.5)
 
+    @pytest.mark.parametrize("t_delay", [0.0, -1.0, math.nan, math.inf])
+    def test_delay_must_be_finite_and_positive(self, t_delay):
+        constant = AccelerationLaw("constant", {}, lambda v, s, dv: 0.0 * v)
+        for build in (lambda: AccelerationLaw("constant", {}, constant.psi, t_delay=t_delay),
+                      lambda: make_third_order(constant, t_delay)):
+            with pytest.raises(ParameterError, match="t_delay must be finite and > 0"):
+                build()
+
+    def test_a_delay_alone_makes_a_law_third_order(self):
+        """The delay is the one statement of a law's order: a law given
+        ``t_delay`` directly runs the delay rule, bit for bit as the wrapper
+        does, and the stability analysis refuses it."""
+        law = AccelerationLaw("constant", {}, lambda v, s, dv: 0.7 + 0.0 * v, t_delay=0.8)
+        init = PlatoonState(time=0.0, positions=np.array([0.0, -50.0]),
+                            speeds=np.array([10.0, 10.0]), accels=np.array([0.0, 0.0]))
+        surf = simulate_continuous(law, init, ConstantLeader(10.0), 0.005, 800)
+        got, want = third_order_relaxation(0.7, 0.0, 0.8)
+        assert surf.accels is not None
+        assert surf.accels[:, 1].tobytes() == got.tobytes()
+        assert np.max(np.abs(got - want)) <= 1e-9 * 0.7
+        with pytest.raises(DomainError, match="does not cover third-order laws"):
+            linearise(law, 10.0, 50.0)
+
 
 class TestPartialsConsistency:
     """Analytic gradients agree with central differences at random points."""
@@ -383,7 +406,7 @@ class TestCatalog:
     def test_third_order_from_config(self, tri):
         law = law_from_config({"name": "third_order", "t_delay": 0.5,
                                "inner": {"name": "ovm", "T": 1.0}}, tri)
-        assert law.order is LawOrder.THIRD
+        assert law.t_delay == 0.5
 
 
 # -- Domain checks ---------------------------------------------------------
@@ -455,7 +478,7 @@ def test_domain_checks_raise_where_the_law_is_undefined(law, fd, point, vector):
     if vector:  # the bad spacing beside a good one
         args = (np.array([6.0, 5.0]), np.array([3.0 * fd.jam_spacing, bad]),
                 np.array([-0.5, 0.5]))
-    base = law.inner.name if law.inner is not None else law.name
+    base = law.name.removesuffix("+delay")
     want = expected_fault(base, fd, point)
     with np.errstate(all="ignore"):
         assert fault_of(law.evaluate, *args) == want

@@ -18,7 +18,7 @@ from trafficlab import (CollisionError, ConfigurationError, ConstantLeader,
                         rankine_hugoniot_speed, simulate_continuous,
                         simulate_newell, simulate_pipes_discrete,
                         simulate_platoons, uniform_platoon)
-from trafficlab.laws import AccelerationLaw, LawOrder
+from trafficlab.laws import AccelerationLaw
 from trafficlab.platoon import RK4_DT_FRACTION, _validate_ordering
 from trafficlab.transforms import TrajectorySurface
 
@@ -347,7 +347,7 @@ def reference_simulate_continuous(law: AccelerationLaw, initial: PlatoonState,
             f"dt={dt:g} exceeds stability guard {guard:g} for {law.name}")
     _validate_ordering(initial, boundary)
     ring = isinstance(boundary, Ring)
-    third = law.order is LawOrder.THIRD
+    third = law.t_delay is not None
     n = initial.n_vehicles
     if not ring and n < 2:
         raise ConfigurationError("linear-road run needs the leader plus a follower")
