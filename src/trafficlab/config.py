@@ -282,7 +282,7 @@ def _rises_from_zero(times: list) -> bool:
 def _pipes_dt(cfg, path, doc):
     # The explicit spacing rule runs only within the vehicle-information bound.
     if cfg["method"] == "pipes" and "fd" in doc:
-        bound = cfl_max_dt(build_fd(doc), 1.0)
+        bound = cfl_max_dt(build_fd(doc))
         if cfg["dt"] > bound * (1 + 1e-12):
             _fail(f"{path}.dt", f"dt={cfg['dt']:g} violates the vehicle-information "
                   f"bound {bound:g}")

@@ -271,18 +271,11 @@ def _check_spacing_range(s: np.ndarray, s_j: float):
         raise DomainError(f"spacing below jam spacing {s_j:g}")
 
 
-def cfl_max_dt(fd: FundamentalDiagram, d_n: float = 1.0) -> float:
-    """Largest stable time step for a vehicle-count step ``d_n``.
-
-    Equals ``d_n / max_s |theta'(s)|``; for a triangular diagram with
-    ``d_n = 1`` this is the time gap ``1/(w k_j)``.
-    """
-    if d_n <= 0:
-        raise DomainError("vehicle-count step must be > 0")
+def cfl_max_dt(fd: FundamentalDiagram) -> float:
+    """Largest stable time step for a one-vehicle step: ``1 / max_s |theta'(s)|``,
+    which for a triangular diagram is the time gap ``1/(w k_j)``."""
     slope = fd.max_theta_slope()
-    if slope == 0.0:
-        return math.inf
-    return d_n / slope
+    return math.inf if slope == 0.0 else 1.0 / slope
 
 
 def diagram_from_config(cfg: dict) -> FundamentalDiagram:

@@ -420,7 +420,7 @@ def simulate_pipes_discrete(fd, initial: PlatoonState, leader: LeaderProfile,
     fd = _require_triangular(fd)
     if not dt > 0 or steps < 1:
         raise ConfigurationError("need dt > 0 and steps >= 1")
-    max_dt = cfl_max_dt(fd, 1.0)
+    max_dt = cfl_max_dt(fd)
     if dt > max_dt * (1 + 1e-12):
         raise ConfigurationError(
             f"dt={dt:g} violates the vehicle-information bound {max_dt:g}")

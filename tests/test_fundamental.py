@@ -103,24 +103,21 @@ class TestSpeedDensity:
 
 class TestTimeStepBound:
     def test_triangular_equals_time_gap(self, tri):
-        assert cfl_max_dt(tri, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert cfl_max_dt(tri) == pytest.approx(1.0, rel=1e-12)
         assert tri.time_gap == pytest.approx(1.0, rel=1e-12)
-
-    def test_linear_in_vehicle_step(self, tri):
-        assert cfl_max_dt(tri, 2.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_greenshields_bound(self, gs):
         # theta'(s) = v_f/(s^2 k_j) peaks at the jam spacing: v_f * k_j.
-        assert cfl_max_dt(gs, 1.0) == pytest.approx(0.25, rel=1e-12)
+        assert cfl_max_dt(gs) == pytest.approx(0.25, rel=1e-12)
 
     def test_tabulated_close_to_analytic(self, gs):
         tab = sampled_greenshields_table()
-        assert cfl_max_dt(tab, 1.0) == pytest.approx(0.25, rel=1e-3)
+        assert cfl_max_dt(tab) == pytest.approx(0.25, rel=1e-3)
 
     def test_flat_diagram_gives_infinite_bound(self):
         flat = TabulatedDiagram(k_table=np.array([0.0, 0.1, 0.2]),
                                 q_table=np.zeros(3))
-        assert cfl_max_dt(flat, 1.0) == math.inf
+        assert cfl_max_dt(flat) == math.inf
 
 
 class TestConstruction:
