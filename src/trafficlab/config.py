@@ -22,7 +22,7 @@ from .errors import ConfigurationError, DomainError, ParameterError
 from .fundamental import FundamentalDiagram, cfl_max_dt, diagram_from_config
 from .laws import AccelerationLaw, law_from_config, reads_fd
 from .platoon import (ConstantLeader, PiecewiseConstantLeader, PlatoonState,
-                      Ring, SinusoidLeader)
+                      Ring, SinusoidLeader, _validate_ordering)
 from .steady_state import EquilibriumStatus, solve_equilibrium_speed
 from .transforms import SpatialGrid
 
@@ -431,7 +431,12 @@ def build_initial_platoon(sim_cfg: dict) -> PlatoonState:
         disp = pert["relative_amplitude"] * span / (2 * math.pi * waves)
         x = x + disp * np.sin(2 * math.pi * waves * (base - base[-1]) / span)
     # A spacing-rule run reads no speed, and may give none (see RULES).
-    return PlatoonState(time=0.0, positions=x, speeds=np.full(n, float(init.get("speed", 0.0))))
+    state = PlatoonState(time=0.0, positions=x, speeds=np.full(n, float(init.get("speed", 0.0))))
+    try:  # evenly spaced vehicles keep their order; a large perturbation may not
+        _validate_ordering(state, build_boundary(sim_cfg["boundary"]))
+    except ParameterError as exc:
+        _fail("sim.initial.perturbation.relative_amplitude", str(exc))
+    return state
 
 
 def build_pde_initial(cfg: dict, grid: SpatialGrid):

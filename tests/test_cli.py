@@ -48,6 +48,19 @@ def above_jam(section, model):
 
 
 THIRD_ORDER = {"name": "third_order", "t_delay": 2.0, "inner": {"name": "ovm", "T": 0.4}}
+
+
+def perturbed(amplitude, **boundary):
+    """The demo's sim section with its perturbation's relative amplitude set,
+    and on the given leader profile if one is given."""
+    sim = json.loads(json.dumps(DEMO_CONFIG["sim"]))
+    sim["initial"]["perturbation"]["relative_amplitude"] = amplitude
+    if boundary:
+        sim["boundary"] = boundary
+    return sim
+
+
+OVERLAP = "sim.initial.perturbation.relative_amplitude: "
 LWR_ABOVE_JAM = {"kind": "uniform", "k": 0.25}  # the demo's jam density is 0.2
 
 TRAJ_HEADER = "t,vehicle,x,v\n"
@@ -232,6 +245,13 @@ class TestExitCodes:
             {"scenario": "a", "model": THIRD_ORDER}]}},
                      "suite.entries[0].model.name: the second-order continuum solver",
                      id="suite-third-order"),
+        # a perturbation that reorders the platoon exited 1 with no path
+        pytest.param("simulate-cf", {"sim": perturbed(1.2)},
+                     OVERLAP + "ring platoon gaps must be positive and fit the circumference",
+                     id="ring-perturbation-reorders"),
+        pytest.param("simulate-cf", {"sim": perturbed(1.2, kind="constant", v0=3.75)},
+                     OVERLAP + "platoon must be ordered front to rear",
+                     id="leader-perturbation-reorders"),
     ])
     def test_config_fault_names_path(self, tmp_path, capsys, command, change, path):
         doc = {k: v for k, v in {**DEMO_CONFIG, **change}.items() if v is not None}
@@ -485,8 +505,11 @@ class TestOutputDirectory:
         # refused by the Godunov solver
         (["simulate-pde", "--config", "{lwr}", "--out", "{out}"],
          "pde.initial: initial densities must be finite and lie in [0, k_j]"),
+        (["simulate-cf", "--config", "{overlap}", "--out", "{out}"],
+         OVERLAP + "ring platoon gaps must be positive"),
     ], ids=["no-subcommand", "no-config", "missing-config", "invalid-config",
-            "duplicate-report-stem", "ring-spacing-mismatch", "lwr-initial-above-k_j"])
+            "duplicate-report-stem", "ring-spacing-mismatch", "lwr-initial-above-k_j",
+            "perturbation-reorders"])
     def test_refused_run_makes_no_directory(self, tmp_path, capsys, args, says):
         out = tmp_path / "made" / "here"
         docs = {"invalid": {"fd": {"kind": "triangular"}},
@@ -495,7 +518,8 @@ class TestOutputDirectory:
                     {"scenario": "a", "model": {"name": "ovm", "T": 0.7}}]}},
                 "ring": {**DEMO_CONFIG, "sim": {**DEMO_CONFIG["sim"], "initial": {
                     **DEMO_CONFIG["sim"]["initial"], "spacing": 12.0}}},
-                "lwr": {**DEMO_CONFIG, "pde": {**DEMO_CONFIG["pde"], "initial": LWR_ABOVE_JAM}}}
+                "lwr": {**DEMO_CONFIG, "pde": {**DEMO_CONFIG["pde"], "initial": LWR_ABOVE_JAM}},
+                "overlap": {**DEMO_CONFIG, "sim": perturbed(1.2)}}
         names = {"out": out, "missing": tmp_path / "nope.json"}
         for name, doc in docs.items():
             names[name] = tmp_path / f"{name}.json"
