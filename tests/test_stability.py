@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from trafficlab import (AccelerationLaw, DomainError, Linearisation, SingularityError,
-                        TriangularDiagram, amplification_ratio, continuum_linear_stability,
-                        linearise, make_arz_cf, make_fvdm, make_idm, make_ovm, make_third_order,
-                        mode_growth, partials_at, stability_map, stability_report,
+from trafficlab import (AccelerationLaw, DomainError, Linearisation, Ring, RingScenario,
+                        SingularityError, TriangularDiagram, amplification_ratio,
+                        continuum_linear_stability, linearise, make_arz_cf, make_fvdm, make_idm,
+                        make_ovm, make_third_order, mode_growth, partials_at,
+                        simulate_continuous, stability_map, stability_report,
                         string_stability_exact, string_stability_classic)
 from trafficlab.cli import DEMO_CONFIG
 from trafficlab.config import build_law, k_grid_from
+from trafficlab.equivalence import ring_initial_state
 
 from conftest import TRI, assert_bits_equal, stackable_pairs
 
@@ -370,6 +372,34 @@ class TestLinearisation:
                 assert abs(eigs.pop(nearest) - root) <= 1e-9
         assert not eigs
         assert abs(growth.max() - np.linalg.eigvals(jac).real.max()) <= 1e-9
+
+    @pytest.mark.parametrize("entry", range(6))
+    def test_ring_harmonic_is_the_propagator_over_the_horizon(self, entry):
+        """The demo ring's harmonic-1 coefficients of spacing and speed are
+        exp(M t) y0 at every recorded step of the 60 s run, with
+        M = [[0, z], [psi_s, psi_v + psi_dv z]] at z = exp(-i theta) - 1: no
+        fitted rate and no window. The spacings include the wrap gap. Bounds
+        are relative to each harmonic's largest magnitude. IDM's bound covers
+        the nonlinear residual of its run at amplitude 0.01, which OVM and FVDM,
+        with a theta that is linear on the congested branch, do not have."""
+        ring = RingScenario(**DEMO_CONFIG["suite"]["ring"])
+        law = build_law({**DEMO_CONFIG, "model": DEMO_CONFIG["suite"]["entries"][entry]["model"]})
+        initial = ring_initial_state(law, ring)
+        n = initial.n_vehicles
+        surf = simulate_continuous(law, initial, Ring(ring.circumference), ring.dt_cf,
+                                   int(round(ring.horizon / ring.dt_cf)))
+        x = surf.positions
+        spacing = np.concatenate([x[:, -1:] + ring.circumference - x[:, :1],
+                                  x[:, :-1] - x[:, 1:]], axis=1)
+        got = [np.fft.fft(row, axis=1)[:, 1] / n for row in (spacing, surf.speeds)]
+        rec = stability_report(law, ring.k0)
+        z = np.exp(-2j * np.pi / n) - 1.0
+        lam, vec = np.linalg.eig(np.array([[0.0, z], [rec.psi_s, rec.psi_v + rec.psi_dv * z]]))
+        y0 = np.linalg.solve(vec, [got[0][0], got[1][0]])
+        want = vec @ (np.exp(np.outer(lam, surf.times)) * y0[:, None])
+        bounds = (1e-4, 1e-4) if law.name == "idm" else (1e-8, 1e-6)
+        for have, predicted, bound in zip(got, want, bounds):
+            assert np.max(np.abs(have - predicted)) <= bound * np.max(np.abs(have))
 
     def test_wrappers_are_the_record_methods(self):
         for law, rep in catalog_reports():
