@@ -119,3 +119,42 @@ def test_tracer_installs_and_uninstall_restores_every_binding():
     after = bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+
+FD = trafficlab.TriangularDiagram(v_f=20.0, w=5.0, k_j=0.2)
+OVM = trafficlab.make_ovm(0.4, FD)  # made untraced, so a traced wrapper copies the delayed law
+DELAYED = {  # the names are looked up at call time, so a traced build uses the wrappers
+    "law_from_config": lambda: trafficlab.law_from_config(
+        {"name": "third_order", "t_delay": 0.5, "inner": {"name": "ovm", "T": 0.4}}, FD),
+    "make_third_order": lambda: trafficlab.make_third_order(OVM, 0.5),
+}
+
+
+@pytest.mark.parametrize("build", DELAYED.values(), ids=DELAYED)
+def test_traced_third_order_law_keeps_its_delay(build):
+    """The tracer wraps each law's ``psi`` on a ``dataclasses.replace`` copy,
+    which must keep the law's delay: a traced third-order run is the untraced
+    one bit for bit, accelerations included."""
+    initial = trafficlab.PlatoonState(time=0.0, positions=[37.5, 25.0, 12.5, 0.0],
+                                      speeds=[5.0, 4.0, 6.0, 5.0])
+
+    def run():
+        law = build()
+        return law, trafficlab.simulate_continuous(law, initial, trafficlab.ConstantLeader(5.0),
+                                                   0.02, 200)
+
+    plain_law, plain = run()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        traced_law, traced = run()
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert traced_law.psi is not plain_law.psi and "laws.evaluate" in tracer.ids
+    assert traced_law.t_delay == plain_law.t_delay == 0.5
+    assert traced.accels is not None
+    for name in ("positions", "speeds", "accels"):
+        assert getattr(traced, name).tobytes() == getattr(plain, name).tobytes(), name
