@@ -121,7 +121,6 @@ def test_tracer_installs_and_uninstall_restores_every_binding():
     assert [key for key, value in before.items() if after[key] is not value] == []
 
 
-
 FD = trafficlab.TriangularDiagram(v_f=20.0, w=5.0, k_j=0.2)
 OVM = trafficlab.make_ovm(0.4, FD)  # made untraced, so a traced wrapper copies the delayed law
 DELAYED = {  # the names are looked up at call time, so a traced build uses the wrappers
