@@ -291,23 +291,26 @@ def cmd_steady(doc: dict, out: Path) -> int:
 def cmd_stability(doc: dict, out: Path) -> int:
     section = cfgmod.require_section(doc, "stability")
     grid = cfgmod.k_grid_from(section)
-    model_cfg = cfgmod.require_section(doc, "model")
+    model = cfgmod.require_section(doc, "model")
     sweep = section.get("sweep")
-    rows, swept = [], []
+    rows, swept, lines = [], [], []
     # An unswept run is the model as given, with no leading column.
     for value in sweep["values"] if sweep else [None]:
-        model = cfgmod.swept_model(model_cfg, sweep["param"], value) if sweep else model_cfg
-        law = cfgmod.build_law({**doc, "model": model})
+        law = cfgmod.build_law({**doc, "model": {**model, sweep["param"]: value}}
+                               if sweep else doc)
         law_rows = stability_map(law, grid)
         rows += law_rows
         swept += [value] * len(law_rows)
+        reports = [row.report for row in law_rows if row.report is not None]
+        n_string = sum(r.classic_string_stable for r in reports)
+        n_continuum = sum(r.continuum_linear_stable for r in reports)
+        label = f"{law.name} {sweep['param']}={value:g}" if sweep else law.name
+        lines.append(f"{label}: string-stable {n_string}/{len(law_rows)} densities, "
+                     f"continuum-stable {n_continuum}/{len(law_rows)}")
     path = out / "stability.csv"
     write_stability_csv(rows, path, extra={sweep["param"]: swept} if sweep else None)
-    if sweep:
-        print(f"stability: swept {sweep['param']} over {len(sweep['values'])} values -> {path}")
-    else:
-        n_stable = sum(1 for r in rows if r.report is not None and r.report.exact_string_stable)
-        print(f"stability: {law.name}, {n_stable}/{len(rows)} exact-string-stable -> {path}")
+    for line in lines:  # one line per swept value
+        print(f"stability: {line} -> {path}")
     return 0
 
 

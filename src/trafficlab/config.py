@@ -261,14 +261,9 @@ def _sweep(cfg, path, doc):
               f"{param!r} (one of {sorted(takes)})")
     for i, value in enumerate(cfg["sweep"]["values"]):
         try:
-            _walk(MODEL, swept_model(model, param, value), "model", doc)
+            _walk(MODEL, {**model, param: value}, "model", doc)
         except ConfigurationError as exc:
             _fail(f"{path}.sweep.values[{i}]", f"swept model is invalid: {exc}")
-
-
-def swept_model(model: dict, param: str, value) -> dict:
-    """The ``model`` section with ``param`` set to ``value``."""
-    return {**model, param: value}
 
 
 def _jam_density(fd: dict) -> float:

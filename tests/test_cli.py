@@ -568,17 +568,32 @@ class TestOutputs:
         assert rows[0] == ["k", "v", "q"]
         assert len(rows) == 51
 
-    def test_stability_sweep_flips_verdict(self, demo_config, tmp_path):
+    def test_stability_sweep_flips_verdict(self, demo_config, tmp_path, capsys):
         run(["stability", "--config", demo_config, "--out", tmp_path])
-        rows = read_csv(tmp_path / "stability.csv")
+        path = tmp_path / "stability.csv"
+        assert capsys.readouterr().out.splitlines() == [
+            f"stability: ovm T={T}: string-stable {n}/8 densities, continuum-stable 0/8 -> {path}"
+            for T, n in ((0.4, 8), (0.6, 0))]
+        rows = read_csv(path)
         header = rows[0]
         t_col = header.index("T")
         stable_col = header.index("classic_stable")
+        # the rows come in value order, stability.count rows per value
+        assert [float(row[t_col]) for row in rows[1:]] == [0.4] * 8 + [0.6] * 8
         verdicts = {}
         for row in rows[1:]:
             verdicts.setdefault(float(row[t_col]), set()).add(row[stable_col])
         assert verdicts[0.4] == {"true"}
         assert verdicts[0.6] == {"false"}
+
+    def test_unswept_stability_prints_one_summary_line(self, tmp_path, capsys):
+        cfg = tmp_path / "unswept.json"
+        cfg.write_text(json.dumps({**DEMO_CONFIG, "stability": UNSWEPT}))
+        assert run(["stability", "--config", cfg, "--out", tmp_path]) == 0
+        path = tmp_path / "stability.csv"
+        assert capsys.readouterr().out == ("stability: ovm: string-stable 8/8 densities, "
+                                           f"continuum-stable 0/8 -> {path}\n")
+        assert read_csv(path)[0][0] == "k"
 
     def test_simulate_and_transform_round_trip(self, demo_config, tmp_path):
         run(["simulate-cf", "--config", demo_config, "--out", tmp_path])

@@ -1,4 +1,7 @@
-"""Smoke runs of the scripts under ``scripts/``, each as ``__main__``."""
+"""Smoke runs of the scripts under ``scripts/``, each as ``__main__``.
+
+Each script has one smoke run, the test named after it: ``test_<stem>``.
+"""
 
 import runpy
 import sys
@@ -13,17 +16,15 @@ def run_script(name, args, monkeypatch, capsys):
     return capsys.readouterr().out
 
 
-def test_stability_sweep(tmp_path, monkeypatch, capsys):
-    out = run_script("stability_sweep.py", ["--t-values", "0.4", "0.6", "--out", str(tmp_path)],
-                     monkeypatch, capsys)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["stability_T0.4.csv",
-                                                          "stability_T0.6.csv"]
-    lines = out.splitlines()
-    assert "string-stable 8/8" in lines[1]
-    assert "string-stable 0/8" in lines[2]
-
-
 def test_shock_convergence(monkeypatch, capsys):
     out = run_script("shock_convergence.py", ["--horizon", "60", "--resolutions", "40"],
                      monkeypatch, capsys)
     assert out.startswith("jump speed -2.2222 m/s")
+
+
+def test_each_script_has_one_smoke_run():
+    # A script added without a smoke run fails here, and so does a smoke run
+    # left behind after its script is deleted.
+    runs = {name.removeprefix("test_") for name in globals()
+            if name.startswith("test_")} - {"each_script_has_one_smoke_run"}
+    assert runs == {path.stem for path in SCRIPTS.glob("*.py")}
