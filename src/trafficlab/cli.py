@@ -441,7 +441,7 @@ def seed_demo(out: Path) -> int:
     return 0
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, reads) -> dict:
     if path is None:
         raise ConfigurationError("--config is required for this subcommand")
     try:
@@ -453,13 +453,19 @@ def _load_config(path: str | None) -> dict:
         raise ConfigurationError(f"config is not valid JSON: {exc}")
     except RecursionError:
         raise ConfigurationError("config is nested too deeply")
-    cfgmod.validate_document(doc)
+    cfgmod.validate_document(doc, reads)
     return doc
 
 
 COMMANDS = {"fd": cmd_fd, "steady": cmd_steady, "stability": cmd_stability,
             "simulate-cf": cmd_simulate_cf, "simulate-pde": cmd_simulate_pde,
             "transform": cmd_transform, "compare": cmd_compare}
+# The sections each command reads: only their rules that relate them to other
+# sections are run (see config.validate_document).
+READS = {"fd": {"fd"}, "steady": {"fd", "model", "steady"},
+         "stability": {"fd", "model", "stability"}, "simulate-cf": {"fd", "model", "sim"},
+         "simulate-pde": {"fd", "model", "pde"}, "transform": {"transform"},
+         "compare": {"fd", "suite"}}
 
 
 @functools.cache  # one parser per process: parse_args keeps no state between calls
@@ -504,7 +510,7 @@ def main(argv=None) -> int:
         # The solvers stop on non-finite states themselves, so NumPy's own
         # floating-point warnings would only repeat that fault on stderr.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            config = _load_config(args.config)
+            config = _load_config(args.config, READS[args.command])
             return COMMANDS[args.command](config, _output_dir(args.out, made))
     except ConfigurationError as exc:
         for path in made:  # a refused run leaves no directory that it made

@@ -225,8 +225,13 @@ def _walk(leaf: Leaf, value, path: str, doc: dict) -> None:
                 rule(value, path, doc)
 
 
-def validate_document(doc: dict) -> None:
-    """Validate the whole config document; raises with a dotted path."""
+def validate_document(doc: dict, reads=None) -> None:
+    """Validate the config document; raises with a dotted path.
+
+    Every section's keys are checked. A rule that relates a section to
+    another runs only for the sections in ``reads`` (by default, all): a
+    section that a command does not read is checked as if it stood alone.
+    """
     if not isinstance(doc, dict):
         raise ConfigurationError("config root must be a JSON object")
     for key in doc:
@@ -234,7 +239,7 @@ def validate_document(doc: dict) -> None:
             _fail(key, "unknown section")
     for key, leaf in SECTIONS.items():
         if key in doc:
-            _walk(leaf, doc[key], key, doc)
+            _walk(leaf, doc[key], key, doc if reads is None or key in reads else {key: doc[key]})
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ class TestExitCodes:
         pytest.param("stability", {"model": THIRD_ORDER, "stability": UNSWEPT},
                      "model.name: the stability analysis does not cover third-order models",
                      id="stability-third-order"),
-        pytest.param("simulate-pde", {"model": THIRD_ORDER, "stability": None, "pde": {
+        pytest.param("simulate-pde", {"model": THIRD_ORDER, "pde": {
             **DEMO_CONFIG["pde"], "solver": "second_order"}},
                      "model.name: the second-order continuum solver does not cover",
                      id="second-order-third-order"),
@@ -528,6 +528,31 @@ class TestOutputDirectory:
         assert says in capsys.readouterr().err
         assert not (tmp_path / "made").exists()
 
+    @pytest.mark.parametrize("command, change, says", [
+        # steady.k_max above fd.k_j matters only where steady runs
+        ("fd", {"steady": {**DEMO_CONFIG["steady"], "k_max": 0.3}}, None),
+        ("simulate-pde", {"steady": {**DEMO_CONFIG["steady"], "k_max": 0.3}}, None),
+        ("steady", {"steady": {**DEMO_CONFIG["steady"], "k_max": 0.3}},
+         "steady.k_max: must not exceed the jam density fd.k_j"),
+        # as does a third-order model beside the stability section
+        ("simulate-cf", {"model": THIRD_ORDER}, None),
+        ("stability", {"model": THIRD_ORDER, "stability": UNSWEPT},
+         "model.name: the stability analysis does not cover third-order models"),
+    ])
+    def test_cross_section_rule_runs_where_its_section_is_read(self, tmp_path, capsys,
+                                                                command, change, says):
+        cfg = tmp_path / "doc.json"
+        cfg.write_text(json.dumps({**DEMO_CONFIG, **change}))
+        assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == (2 if says else 0)
+        assert (says or "") in capsys.readouterr().err
+        assert (tmp_path / "o").exists() != bool(says)
+
+    def test_whole_document_validation_runs_every_rule(self):
+        doc = {**DEMO_CONFIG, "steady": {**DEMO_CONFIG["steady"], "k_max": 0.3}}
+        cfgmod.validate_document(doc, cli.READS["fd"])
+        with pytest.raises(ConfigurationError, match="^steady.k_max: must not exceed"):
+            cfgmod.validate_document(doc)
+
     def test_refused_run_keeps_an_existing_directory(self, tmp_path, capsys):
         out = tmp_path / "kept"
         out.mkdir()
@@ -610,7 +635,6 @@ class TestOutputs:
 
     def test_third_order_model_records_acceleration(self, tmp_path):
         doc = json.loads(json.dumps(DEMO_CONFIG))
-        del doc["stability"]  # which refuses a third-order model
         doc["model"] = {"name": "third_order", "t_delay": 0.5,
                         "inner": {"name": "ovm", "T": 0.5}}
         doc["sim"] = {"method": "rk4", "dt": 0.05, "steps": 50,
