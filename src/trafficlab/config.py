@@ -426,6 +426,10 @@ def build_initial_platoon(sim_cfg: dict) -> PlatoonState:
         span = n * spacing
     x = base.astype(float)
     pert = init.get("perturbation")
+    # n samples of a sine carry the harmonics below n / 2; at n / 2 it is zero
+    # at every vehicle, and above it aliases to a lower harmonic.
+    if pert and 2 * pert.get("waves", 1) >= n:
+        _fail("sim.initial.perturbation.waves", f"2 * waves must be < n_vehicles ({n})")
     if pert and pert["relative_amplitude"] > 0:
         waves = pert.get("waves", 1)
         disp = pert["relative_amplitude"] * span / (2 * math.pi * waves)
@@ -448,6 +452,9 @@ def build_pde_initial(cfg: dict, grid: SpatialGrid):
         return np.where(centers < init["x_jump"], init["k_left"],
                         init["k_right"]).astype(float)
     waves = init.get("waves", 1)
+    # Cell centres carry the harmonics up to cells / 2; above it a sine aliases.
+    if 2 * waves > grid.cells:
+        _fail("pde.initial.waves", f"2 * waves must be <= cells ({grid.cells})")
     return init["k0"] * (1.0 + init["relative_amplitude"]
                          * np.sin(2 * math.pi * waves * (centers - grid.x0) / grid.span))
 

@@ -25,6 +25,7 @@ from trafficlab.cli import (DEMO_CONFIG, STABILITY_CSV_COLUMNS, SUMMARY_COLUMNS,
                             read_field_csv, read_trajectory_csv, write_field_csv,
                             write_stability_csv, write_summary_csv, write_trajectory_csv)
 from trafficlab.stability import StabilityMapRow
+from trafficlab.transforms import SpatialGrid
 
 from conftest import assert_bits_equal
 
@@ -58,6 +59,13 @@ def perturbed(amplitude, **boundary):
     if boundary:
         sim["boundary"] = boundary
     return sim
+
+
+def with_waves(section, waves):
+    """The demo's ``sim`` or ``pde`` section with its sine's waves set."""
+    change = json.loads(json.dumps(DEMO_CONFIG[section]))
+    (change["initial"]["perturbation"] if section == "sim" else change["initial"])["waves"] = waves
+    return {section: change}
 
 
 OVERLAP = "sim.initial.perturbation.relative_amplitude: "
@@ -252,14 +260,23 @@ class TestExitCodes:
         pytest.param("simulate-cf", {"sim": perturbed(1.2, kind="constant", v0=3.75)},
                      OVERLAP + "platoon must be ordered front to rear",
                      id="leader-perturbation-reorders"),
+        # n samples of a sine carry the harmonics below n / 2, cell centres up to
+        # cells / 2: these displaced nothing or ran as a lower harmonic (exit 0)
+        *[pytest.param("simulate-cf", with_waves("sim", waves),
+                       "sim.initial.perturbation.waves: 2 * waves must be < n_vehicles (40)",
+                       id=f"sim-waves-{waves}") for waves in (20, 21, 39, 40, 41)],
+        *[pytest.param("simulate-pde", with_waves("pde", waves),
+                       "pde.initial.waves: 2 * waves must be <= cells (100)",
+                       id=f"pde-waves-{waves}") for waves in (51, 99, 100, 101)],
     ])
     def test_config_fault_names_path(self, tmp_path, capsys, command, change, path):
         doc = {k: v for k, v in {**DEMO_CONFIG, **change}.items() if v is not None}
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(doc))
         assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
-        assert path in capsys.readouterr().err
-        assert not any((tmp_path / "o").glob("*.csv"))
+        err = capsys.readouterr().err
+        assert path in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["steady", "stability"])
     def test_idm_with_an_fd_section_may_exceed_its_jam_density(self, tmp_path, capsys,
@@ -460,6 +477,23 @@ class TestExitCodes:
         out = blocker / "x" if below_file else blocker
         assert run(["fd", "--config", demo_config, "--out", out]) == 2
         assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, count", [("sim", 40), ("pde", 100)])
+def test_every_accepted_waves_is_the_largest_harmonic(section, count):
+    # up to the bound: n_vehicles / 2 is zero at every vehicle, while
+    # cells / 2 alternates in sign from cell to cell
+    top = (count - 1) // 2 if section == "sim" else count // 2
+    for waves in range(1, top + 1):
+        cfg = with_waves(section, waves)[section]
+        if section == "sim":
+            init = cfg["initial"]
+            wave = (cfgmod.build_initial_platoon(cfg).positions
+                    + init["spacing"] * np.arange(init["n_vehicles"]))
+        else:
+            grid = SpatialGrid(cfg["x0"], cfg["dx"], cfg["cells"])
+            wave = cfgmod.build_pde_initial(cfg, grid) - cfg["initial"]["k0"]
+        assert np.argmax(np.abs(np.fft.rfft(wave))) == waves
 
 
 class TestOutputDirectory:
