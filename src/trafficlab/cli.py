@@ -321,7 +321,8 @@ def cmd_simulate_cf(doc: dict, out: Path) -> int:
     method = label = sim["method"]
     if method == "rk4":
         law = cfgmod.build_law(doc)
-        surface = simulate_continuous(law, initial, boundary, sim["dt"], sim["steps"])
+        surface = cfgmod.at_paths({"dt": "sim.dt"}, simulate_continuous, law, initial,
+                                  boundary, sim["dt"], sim["steps"])
         label = law.name
     elif method == "pipes":
         surface = simulate_pipes_discrete(cfgmod.build_fd(doc), initial, boundary,
@@ -337,10 +338,8 @@ def cmd_simulate_cf(doc: dict, out: Path) -> int:
 
 def cmd_simulate_pde(doc: dict, out: Path) -> int:
     scenario, solver = cfgmod.build_pde_scenario(doc)
-    if solver == "lwr":
-        field, stats = solve_lwr_godunov(scenario)
-    else:
-        field, stats = solve_second_order(scenario)
+    solve = solve_lwr_godunov if solver == "lwr" else solve_second_order
+    field, stats = cfgmod.at_paths({"dt": "pde.dt"}, solve, scenario)
     path = out / "field.csv"
     write_field_csv(field, path)
     n0 = total_vehicles(field, 0)
@@ -381,7 +380,9 @@ def cmd_transform(doc: dict, out: Path) -> int:
 
 def cmd_compare(doc: dict, out: Path) -> int:
     entries = cfgmod.build_suite(doc)
-    reports = run_suite(entries)
+    # run_suite names the ring value it refuses by its field
+    reports = cfgmod.at_paths({key: f"suite.ring.{key}" for key in (
+        "k0", "dt_cf", "dt_pde", "compare_points")}, run_suite, entries)
     summary = out / "summary.csv"
     header, *rows = write_summary_csv(reports, summary)
     report_dir = out / "reports"

@@ -372,6 +372,17 @@ RULES = (
 # Builders (assume a validated document)
 
 
+def at_paths(paths: dict, run, *args):
+    """``run(*args)``; a refusal that names one of ``paths``' keys (see
+    :class:`ConfigurationError`) is re-raised at that key's dotted path."""
+    try:
+        return run(*args)
+    except ConfigurationError as exc:
+        if exc.path not in paths:
+            raise
+        raise ConfigurationError(exc.reason, path=paths[exc.path]) from exc
+
+
 def require_section(doc: dict, name: str) -> dict:
     if name not in doc:
         raise ConfigurationError("missing required section", path=name)

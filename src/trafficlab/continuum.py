@@ -91,6 +91,15 @@ def total_vehicles(field: EulerianField, step: int) -> float:
     return float(np.sum(field.density[step]) * field.dx)
 
 
+def _check_cfl(cfl) -> None:
+    """Refuse, at the scenario's ``dt``, the first of the members' CFL numbers
+    above INIT_CFL_LIMIT."""
+    over = [number for number in cfl if number > INIT_CFL_LIMIT]
+    if over:
+        raise ConfigurationError(f"CFL number {over[0]:.3f} exceeds {INIT_CFL_LIMIT}",
+                                 path="dt")
+
+
 def _record_shape(scenario: EulerianScenario) -> int:
     return scenario.steps // scenario.record_every + 1
 
@@ -106,10 +115,7 @@ def solve_lwr_godunov(scenario: EulerianScenario) -> tuple[EulerianField, RunSta
         raise ConfigurationError("initial densities must be finite and lie in [0, k_j]",
                                  path="pde.initial")
     dx, dt = scenario.grid.dx, scenario.dt
-    cfl = fd.max_wave_speed() * dt / dx
-    if cfl > INIT_CFL_LIMIT:
-        raise ConfigurationError(
-            f"CFL number {cfl:.3f} exceeds {INIT_CFL_LIMIT} (reduce pde.dt)")
+    _check_cfl([fd.max_wave_speed() * dt / dx])
 
     k_c = fd.critical_density
     periodic = isinstance(scenario.boundary, Periodic)
@@ -250,10 +256,7 @@ def solve_second_order_batch(scenarios) -> list:
 
     shared = derive()
     bound = speed_bound(*shared)
-    cfl = np.array(bound) * dt / dxs
-    if (cfl > INIT_CFL_LIMIT).any():
-        raise ConfigurationError(f"CFL number {cfl[np.argmax(cfl > INIT_CFL_LIMIT)]:.3f} "
-                                 f"exceeds {INIT_CFL_LIMIT} (reduce pde.dt)")
+    _check_cfl(np.array(bound) * dt / dxs)
     if not periodic and any(sc.boundary.v_in is None for sc in scenarios):
         raise ConfigurationError("inflow boundary needs v_in for the second-order solver")
     # Member p's density and speed records are contiguous (records, cells) blocks

@@ -322,7 +322,8 @@ def ring_initial_state(law: AccelerationLaw, scenario: RingScenario) -> PlatoonS
     L, k0 = scenario.circumference, scenario.k0
     n = int(round(L * k0))
     if abs(n - L * k0) > 1e-9:
-        raise ConfigurationError("circumference * k0 must be a whole vehicle count")
+        raise ConfigurationError("circumference * k0 must be a whole vehicle count",
+                                 path="k0")
     res = solve_equilibrium_speed(law, n / L)
     if res.status is not EquilibriumStatus.OK:
         raise ConfigurationError(
@@ -340,9 +341,10 @@ def _ring_steps(scenario: RingScenario) -> tuple[int, int]:
     for what, dt in (("dt_cf", scenario.dt_cf), ("dt_pde", scenario.dt_pde)):
         steps.append(int(round(horizon / dt)))
         if steps[-1] < 1 or abs(steps[-1] * dt - horizon) > 1e-9 * max(horizon, 1.0):
-            raise ConfigurationError(f"{what}: dt={dt:g} does not divide horizon {horizon:g}")
+            raise ConfigurationError(f"dt={dt:g} does not divide horizon {horizon:g}",
+                                     path=what)
     if any(n % scenario.compare_points for n in steps):
-        raise ConfigurationError("compare_points must divide both step counts")
+        raise ConfigurationError("must divide both step counts", path="compare_points")
     return steps[0], steps[1]
 
 
@@ -453,16 +455,18 @@ def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
     runs each member alone (:func:`_batched`). Every report equals the entry's
     own one-entry suite, faults included; where that raises (a
     :class:`ConfigurationError`), the suite raises the first such entry's
-    exception.
+    exception. A refusal of a ring value names its field as its ``path``
+    (``k0``, ``dt_cf``, ``dt_pde`` or ``compare_points``); an arm solver's
+    refusal of its step is named at the ring's ``dt_cf`` or ``dt_pde``.
     """
     rings = [replace(e.ring, name=e.scenario) for e in entries]
-    arms = _car_following_arms([(e.law, e.ring) for e in entries])
+    arms = _ring_dt(_car_following_arms([(e.law, e.ring) for e in entries]), "dt_cf")
     # Per entry: (car-following field, continuum run), or its fault.
     runs = [arm if isinstance(arm, Exception) else
             _outcome(_prepare_second_order, e.law, ring, e.cells, arm)
             for e, ring, arm in zip(entries, rings, arms)]
-    solved = _batched(solve_second_order_batch,
-                      [run if isinstance(run, Exception) else (run[1],) for run in runs])
+    solved = _ring_dt(_batched(solve_second_order_batch, [
+        run if isinstance(run, Exception) else (run[1],) for run in runs]), "dt_pde")
     reports = [result if isinstance(result, Exception) else _outcome(
         _finish_second_order, e.law, ring, e.cells, run[0], *result)
         for e, ring, run, result in zip(entries, rings, runs, solved)]
@@ -472,6 +476,13 @@ def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
     return [report if isinstance(report, EquivalenceReport) else
             _incomparable(ring.name, e.law.name, f"cells={e.cells}", str(report))
             for e, ring, report in zip(entries, rings, reports)]
+
+
+def _ring_dt(results: list, key: str) -> list:
+    """``results``, with an arm solver's refusal of its step ``dt`` named at the
+    ring's ``key``, the field that the arm's step comes from."""
+    return [ConfigurationError(r.reason, path=key) if isinstance(r, ConfigurationError)
+            and r.path == "dt" else r for r in results]
 
 
 def _car_following_arms(arms: list[tuple[AccelerationLaw, RingScenario]]) -> list:

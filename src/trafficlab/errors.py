@@ -21,11 +21,13 @@ class ConfigurationError(TrafficLabError, ValueError):
     """A scenario/CLI configuration violates a precondition.
 
     ``path`` carries the dotted config location (e.g. ``"fd.k_j"``) when the
-    error originates from a config document.
+    error originates from a config document. A solver that refuses one of its
+    own arguments or a scenario's field names that key instead (e.g. ``"dt"``),
+    and the config layer re-raises the ``reason`` at the key's dotted path.
     """
 
     def __init__(self, message: str, path: str | None = None):
-        self.path = path
+        self.path, self.reason = path, message
         if path is not None:
             message = f"{path}: {message}"
         super().__init__(message)

@@ -239,7 +239,7 @@ def simulate_platoons(members, dt: float, steps: int,
         guard = RK4_DT_FRACTION * law.time_scale
         if dt > guard * (1 + 1e-12):
             raise ConfigurationError(
-                f"dt={dt:g} exceeds stability guard {guard:g} for {law.name}")
+                f"dt={dt:g} exceeds stability guard {guard:g} for {law.name}", path="dt")
         _validate_ordering(initial, boundary)
     if not members:
         return []

@@ -68,6 +68,12 @@ def with_waves(section, waves):
     return {section: change}
 
 
+def ringed(resolutions=None, **change):
+    """The demo's suite section with its ring values changed."""
+    suite = {**DEMO_CONFIG["suite"], "ring": {**DEMO_CONFIG["suite"]["ring"], **change}}
+    return {"suite": suite | ({"resolutions": resolutions} if resolutions else {})}
+
+
 OVERLAP = "sim.initial.perturbation.relative_amplitude: "
 LWR_ABOVE_JAM = {"kind": "uniform", "k": 0.25}  # the demo's jam density is 0.2
 
@@ -268,6 +274,31 @@ class TestExitCodes:
         *[pytest.param("simulate-pde", with_waves("pde", waves),
                        "pde.initial.waves: 2 * waves must be <= cells (100)",
                        id=f"pde-waves-{waves}") for waves in (51, 99, 100, 101)],
+        # the solvers refused these step sizes and ring values with no path
+        pytest.param("simulate-cf", {"sim": {**DEMO_CONFIG["sim"], "dt": 0.05}},
+                     "sim.dt: dt=0.05 exceeds stability guard 0.04 for ovm", id="rk4-dt-guard"),
+        pytest.param("compare", ringed(dt_cf=0.05),
+                     "suite.ring.dt_cf: dt=0.05 exceeds stability guard 0.04 for ovm",
+                     id="suite-dt_cf-guard"),
+        pytest.param("compare", ringed(dt_cf=0.07),
+                     "suite.ring.dt_cf: dt=0.07 does not divide horizon 60",
+                     id="suite-dt_cf-divides"),
+        pytest.param("compare", ringed(dt_pde=0.11),
+                     "suite.ring.dt_pde: dt=0.11 does not divide horizon 60",
+                     id="suite-dt_pde-divides"),
+        pytest.param("compare", ringed([40], horizon=12.0, compare_points=4, dt_pde=1.5),
+                     "suite.ring.dt_pde: CFL number 1.251 exceeds 0.9", id="suite-dt_pde-cfl"),
+        pytest.param("compare", ringed(compare_points=7),
+                     "suite.ring.compare_points: must divide both step counts",
+                     id="suite-compare_points"),
+        pytest.param("compare", ringed(k0=0.0805),
+                     "suite.ring.k0: circumference * k0 must be a whole vehicle count",
+                     id="suite-k0-vehicle-count"),
+        pytest.param("simulate-pde", {"pde": {**DEMO_CONFIG["pde"], "dt": 1.0}},
+                     "pde.dt: CFL number 2.000 exceeds 0.9", id="lwr-cfl"),
+        pytest.param("simulate-pde", {"pde": {**DEMO_CONFIG["pde"], "dt": 2.0,
+                                              "solver": "second_order"}},
+                     "pde.dt: CFL number 2.125 exceeds 0.9", id="second-order-cfl"),
     ])
     def test_config_fault_names_path(self, tmp_path, capsys, command, change, path):
         doc = {k: v for k, v in {**DEMO_CONFIG, **change}.items() if v is not None}
@@ -466,7 +497,7 @@ class TestExitCodes:
         cfg = tmp_path / "suite.json"
         cfg.write_text(json.dumps(doc))
         assert run(["compare", "--config", cfg, "--out", tmp_path / "o"]) == 2
-        assert "CFL number 1.251 exceeds 0.9 (reduce pde.dt)" in capsys.readouterr().err
+        assert "suite.ring.dt_pde: CFL number 1.251 exceeds 0.9" in capsys.readouterr().err
         assert not list((tmp_path / "o").rglob("*.csv"))
 
     @pytest.mark.parametrize("below_file", [False, True],

@@ -163,7 +163,7 @@ class TestSecondOrder:
     @pytest.mark.parametrize("law, change, fault", [
         (None, dict(dt_cf=0.07, dt_pde=0.11), "dt_cf: dt=0.07 does not divide horizon 12"),
         (None, dict(dt_pde=0.11, k0=0.0811), "dt_pde: dt=0.11 does not divide horizon 12"),
-        (None, dict(compare_points=7), "compare_points must divide both step counts"),
+        (None, dict(compare_points=7), "compare_points: must divide both step counts"),
         (make_linear_gm(1.0), {},
          "linear_gm has no unique steady state at k0=0.08 (degenerate)"),
         (None, dict(amplitude=0.9), "spacing below minimum at t=0 s, vehicle 29"),
@@ -372,7 +372,7 @@ class TestSuite:
                    ring_member(OVM, 0.08, 0.05, 80.0, dx=40.0),  # refused by the CFL check
                    ring_member(FVDM, 0.08, 0.05, 3.0, dx=40.0)]
         # the batch stops at the first fault, the CFL check before any step
-        with pytest.raises(ConfigurationError, match="^CFL number"):
+        with pytest.raises(ConfigurationError, match="^dt: CFL number"):
             solve_second_order_batch(members)
         results = _isolated(solve_second_order_batch, members)
         for sc, got in zip(members, results):
@@ -401,7 +401,7 @@ class TestSuite:
             except ConfigurationError as exc:
                 alone.append(str(exc))
         assert alone == ["within-threshold"] * 4 + [
-            "CFL number 1.251 exceeds 0.9 (reduce pde.dt)", "within-threshold"]
+            "dt_pde: CFL number 1.251 exceeds 0.9", "within-threshold"]
         calls = []
 
         def counting(scenarios):
