@@ -442,7 +442,7 @@ def seed_demo(out: Path) -> int:
     return 0
 
 
-def _load_config(path: str | None, reads) -> dict:
+def _load_config(path: str | None, reads: set[str]) -> dict:
     if path is None:
         raise ConfigurationError("--config is required for this subcommand")
     try:
@@ -461,8 +461,8 @@ def _load_config(path: str | None, reads) -> dict:
 COMMANDS = {"fd": cmd_fd, "steady": cmd_steady, "stability": cmd_stability,
             "simulate-cf": cmd_simulate_cf, "simulate-pde": cmd_simulate_pde,
             "transform": cmd_transform, "compare": cmd_compare}
-# The sections each command reads: only their rules that relate them to other
-# sections are run (see config.validate_document).
+# The sections each command reads. A rule that relates a section to another
+# runs only for a command that reads the section (config.validate_document).
 READS = {"fd": {"fd"}, "steady": {"fd", "model", "steady"},
          "stability": {"fd", "model", "stability"}, "simulate-cf": {"fd", "model", "sim"},
          "simulate-pde": {"fd", "model", "pde"}, "transform": {"transform"},

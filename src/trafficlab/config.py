@@ -242,6 +242,17 @@ def validate_document(doc: dict, reads=None) -> None:
             _walk(leaf, doc[key], key, doc if reads is None or key in reads else {key: doc[key]})
 
 
+def at_paths(paths: dict, run, *args):
+    """``run(*args)``; a refusal that names one of ``paths``' keys (see
+    :class:`ConfigurationError`) is re-raised at that key's dotted path."""
+    try:
+        return run(*args)
+    except ConfigurationError as exc:
+        if exc.path not in paths:
+            raise
+        raise ConfigurationError(exc.reason, path=paths[exc.path]) from exc
+
+
 # ---------------------------------------------------------------------------
 # Rules relating two values. Each check gets a section whose keys already
 # passed their leaves, the section's path and the whole document.
@@ -372,17 +383,6 @@ RULES = (
 # Builders (assume a validated document)
 
 
-def at_paths(paths: dict, run, *args):
-    """``run(*args)``; a refusal that names one of ``paths``' keys (see
-    :class:`ConfigurationError`) is re-raised at that key's dotted path."""
-    try:
-        return run(*args)
-    except ConfigurationError as exc:
-        if exc.path not in paths:
-            raise
-        raise ConfigurationError(exc.reason, path=paths[exc.path]) from exc
-
-
 def require_section(doc: dict, name: str) -> dict:
     if name not in doc:
         raise ConfigurationError("missing required section", path=name)
@@ -437,12 +437,12 @@ def build_initial_platoon(sim_cfg: dict) -> PlatoonState:
         span = n * spacing
     x = base.astype(float)
     pert = init.get("perturbation")
+    waves = pert.get("waves", 1) if pert else 1
     # n samples of a sine carry the harmonics below n / 2; at n / 2 it is zero
     # at every vehicle, and above it aliases to a lower harmonic.
-    if pert and 2 * pert.get("waves", 1) >= n:
+    if pert and 2 * waves >= n:
         _fail("sim.initial.perturbation.waves", f"2 * waves must be < n_vehicles ({n})")
     if pert and pert["relative_amplitude"] > 0:
-        waves = pert.get("waves", 1)
         disp = pert["relative_amplitude"] * span / (2 * math.pi * waves)
         x = x + disp * np.sin(2 * math.pi * waves * (base - base[-1]) / span)
     # A spacing-rule run reads no speed, and may give none (see RULES).
