@@ -225,7 +225,7 @@ def _walk(leaf: Leaf, value, path: str, doc: dict) -> None:
                 rule(value, path, doc)
 
 
-def validate_document(doc: dict, reads=None) -> None:
+def validate_document(doc: dict, reads: set[str] | None = None) -> None:
     """Validate the config document; raises with a dotted path.
 
     Every section's keys are checked. A rule that relates a section to
