@@ -30,7 +30,7 @@ import numpy as np
 from . import config as cfgmod
 from .continuum import solve_lwr_godunov, solve_second_order, total_vehicles
 from .equivalence import EquivalenceReport, run_suite
-from .errors import ConfigurationError, ParameterError, TrafficLabError
+from .errors import ConfigurationError, ParameterError, TrafficLabError, at_paths
 from .platoon import simulate_continuous, simulate_newell, simulate_pipes_discrete
 from .stability import StabilityMapRow, stability_map
 from .steady_state import fundamental_diagram_of
@@ -321,8 +321,8 @@ def cmd_simulate_cf(doc: dict, out: Path) -> int:
     method = label = sim["method"]
     if method == "rk4":
         law = cfgmod.build_law(doc)
-        surface = cfgmod.at_paths({"dt": "sim.dt"}, simulate_continuous, law, initial,
-                                  boundary, sim["dt"], sim["steps"])
+        surface = at_paths({"dt": "sim.dt"}, simulate_continuous, law, initial, boundary,
+                           sim["dt"], sim["steps"])
         label = law.name
     elif method == "pipes":
         surface = simulate_pipes_discrete(cfgmod.build_fd(doc), initial, boundary,
@@ -339,7 +339,7 @@ def cmd_simulate_cf(doc: dict, out: Path) -> int:
 def cmd_simulate_pde(doc: dict, out: Path) -> int:
     scenario, solver = cfgmod.build_pde_scenario(doc)
     solve = solve_lwr_godunov if solver == "lwr" else solve_second_order
-    field, stats = cfgmod.at_paths({"dt": "pde.dt"}, solve, scenario)
+    field, stats = at_paths({"dt": "pde.dt"}, solve, scenario)
     path = out / "field.csv"
     write_field_csv(field, path)
     n0 = total_vehicles(field, 0)
@@ -380,9 +380,12 @@ def cmd_transform(doc: dict, out: Path) -> int:
 
 def cmd_compare(doc: dict, out: Path) -> int:
     entries = cfgmod.build_suite(doc)
-    # run_suite names the ring value it refuses by its field
-    reports = cfgmod.at_paths({key: f"suite.ring.{key}" for key in (
-        "k0", "dt_cf", "dt_pde", "compare_points")}, run_suite, entries)
+    # run_suite names a refused ring value by its field and a law by its first
+    # entry, of the n that build_suite makes of each suite entry in turn
+    n = len(doc["suite"]["resolutions"])
+    paths = {key: f"suite.ring.{key}" for key in ("k0", "dt_cf", "dt_pde", "compare_points")}
+    reports = at_paths(paths | {f"entries[{j}].model": f"suite.entries[{j // n}].model"
+                                for j in range(len(entries))}, run_suite, entries)
     summary = out / "summary.csv"
     header, *rows = write_summary_csv(reports, summary)
     report_dir = out / "reports"

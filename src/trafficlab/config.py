@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .continuum import EulerianScenario, InflowOutflow, Periodic
-from .equivalence import RingScenario, SuiteEntry
-from .errors import ConfigurationError, DomainError, ParameterError
+from .equivalence import RingScenario, SuiteEntry, ring_positions
+from .errors import ConfigurationError, DomainError, ParameterError, at_paths
 from .fundamental import FundamentalDiagram, cfl_max_dt, diagram_from_config
 from .laws import AccelerationLaw, law_from_config, reads_fd
 from .platoon import (ConstantLeader, PiecewiseConstantLeader, PlatoonState,
@@ -240,17 +240,6 @@ def validate_document(doc: dict, reads: set[str] | None = None) -> None:
     for key, leaf in SECTIONS.items():
         if key in doc:
             _walk(leaf, doc[key], key, doc if reads is None or key in reads else {key: doc[key]})
-
-
-def at_paths(paths: dict, run, *args):
-    """``run(*args)``; a refusal that names one of ``paths``' keys (see
-    :class:`ConfigurationError`) is re-raised at that key's dotted path."""
-    try:
-        return run(*args)
-    except ConfigurationError as exc:
-        if exc.path not in paths:
-            raise
-        raise ConfigurationError(exc.reason, path=paths[exc.path]) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +520,8 @@ def build_suite(doc: dict) -> list[SuiteEntry]:
         stems.add(stem)
         ring = RingScenario(**{**ring_cfg, "amplitude": entry.get("amplitude",
                                                                   ring_cfg["amplitude"])})
+        at_paths({"k0": "suite.ring.k0", "amplitude": f"{path}.amplitude" if "amplitude"
+                  in entry else "suite.ring.amplitude"}, ring_positions, ring)
         entries += [SuiteEntry(scenario=name, law=law, ring=ring, cells=cells)
                     for cells in cfg["resolutions"]]
     return entries

@@ -179,7 +179,8 @@ def _check_second_order(scenario: EulerianScenario) -> None:
     for name, x in (("densities", scenario.initial_density),
                     ("speeds", scenario.initial_speed)):
         if not (np.isfinite(x).all() and (x >= 0).all()):
-            raise ConfigurationError(f"initial {name} must be finite and >= 0")
+            raise ConfigurationError(f"initial {name} must be finite and >= 0",
+                                     path="pde.initial")
 
 
 def solve_second_order_batch(scenarios) -> list:

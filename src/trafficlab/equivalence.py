@@ -7,8 +7,9 @@ agree:
   model, measured against the analytic Riemann/advection solution where one
   exists.
 * :func:`compare_second_order` -- RK4 ring platoon vs the upwind continuum
-  solver for one acceleration law, with matched initial fields, terminal
-  error norms, and growth rates of the fundamental perturbation mode.
+  solver for one acceleration law, both from one ring platoon and its field,
+  with terminal error norms and growth rates of the fundamental perturbation
+  mode; :func:`run_suite` plans a suite, raising every refusal, then runs it.
 
 Ring topology is used for the second-order comparison so that neither arm
 needs a boundary condition, which would otherwise dominate the discrepancy.
@@ -17,20 +18,21 @@ needs a boundary condition, which would otherwise dominate the discrepancy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .continuum import (EulerianScenario, Periodic, InflowOutflow, RunStats,
                         solve_lwr_godunov, solve_second_order_batch)
 from .errors import (CollisionError, ConfigurationError, DomainError,
-                     EvaluationError, SolverFault)
+                     EvaluationError, ParameterError, SolverFault, at_paths)
 from .fundamental import FundamentalDiagram, GreenshieldsDiagram, TriangularDiagram
 from .laws import AccelerationLaw
-from .platoon import (ConstantLeader, PlatoonState, Ring, simulate_newell,
-                      simulate_platoons)
+from .platoon import (ConstantLeader, PlatoonState, Ring, _check_member,
+                      _validate_ordering, simulate_newell, simulate_platoons)
 from .steady_state import EquilibriumStatus, solve_equilibrium_speed
-from .transforms import EulerianField, SpatialGrid, to_eulerian, to_trajectories
+from .transforms import (EulerianField, SpatialGrid, TrajectorySurface, to_eulerian,
+                         to_trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +298,6 @@ class EquivalenceReport:
 _RUN_FAULTS = (CollisionError, SolverFault, DomainError, EvaluationError)
 
 
-def _incomparable(scenario: str, model: str, resolution: str,
-                  fault: str) -> EquivalenceReport:
-    """The report of a run that could not be compared: NaN norms and the fault."""
-    return EquivalenceReport(scenario, model, resolution, *[math.nan] * 6,
-                             verdict="incomparable", fault=fault)
-
-
 def _mode_amplitude(k_rows: np.ndarray) -> np.ndarray:
     # One rfft(axis=1) gives each row's harmonic bit for bit as a per-row rfft.
     # The modulus is hypot, as Python's abs() of a complex: np.abs of a complex
@@ -318,21 +313,34 @@ def _fit_growth(times: np.ndarray, amps: np.ndarray, k0: float) -> float:
     return float(np.polyfit(times[mask], np.log(amps[mask]), 1)[0])
 
 
-def ring_initial_state(law: AccelerationLaw, scenario: RingScenario) -> PlatoonState:
+def ring_positions(scenario: RingScenario) -> np.ndarray:
+    """The ring platoon's positions, front first: round(L k0) >= 1 vehicles
+    evenly spaced, displaced by a one-lap sine of relative spacing
+    ``amplitude``; refused at ``k0`` or at an ``amplitude`` that reorders them."""
     L, k0 = scenario.circumference, scenario.k0
     n = int(round(L * k0))
-    if abs(n - L * k0) > 1e-9:
-        raise ConfigurationError("circumference * k0 must be a whole vehicle count",
+    if abs(n - L * k0) > 1e-9 or n < 1:
+        raise ConfigurationError("circumference * k0 must be a whole vehicle count >= 1",
                                  path="k0")
-    res = solve_equilibrium_speed(law, n / L)
-    if res.status is not EquilibriumStatus.OK:
-        raise ConfigurationError(
-            f"{law.name} has no unique steady state at k0={k0:g} ({res.status.value})")
-    s0 = L / n
-    base = (n - 1 - np.arange(n)) * s0
+    base = (n - 1 - np.arange(n)) * (L / n)
     disp = scenario.amplitude * L / (2.0 * math.pi)
     x = base + disp * np.sin(2.0 * math.pi * base / L)
-    return PlatoonState(time=0.0, positions=x, speeds=np.full(n, res.speed))
+    try:  # evenly spaced vehicles keep their order; a large amplitude may not
+        _validate_ordering(PlatoonState(0.0, x, np.zeros(n)), Ring(L))
+    except ParameterError as exc:
+        raise ConfigurationError(str(exc), path="amplitude") from exc
+    return x
+
+
+def ring_initial_state(law: AccelerationLaw, scenario: RingScenario) -> PlatoonState:
+    """The :func:`ring_positions` platoon at the law's steady speed; a law with
+    no unique steady state at k0 is refused at ``model``."""
+    x = ring_positions(scenario)
+    res = solve_equilibrium_speed(law, x.size / scenario.circumference)
+    if res.status is not EquilibriumStatus.OK:
+        raise ConfigurationError(f"{law.name} has no unique steady state at "
+                                 f"k0={scenario.k0:g} ({res.status.value})", path="model")
+    return PlatoonState(time=0.0, positions=x, speeds=np.full(x.size, res.speed))
 
 
 def _ring_steps(scenario: RingScenario) -> tuple[int, int]:
@@ -348,47 +356,29 @@ def _ring_steps(scenario: RingScenario) -> tuple[int, int]:
     return steps[0], steps[1]
 
 
-def _arm_run(law: AccelerationLaw, scenario: RingScenario):
-    """A car-following arm as a batch item: the member, then the step size,
-    step count and record stride it runs with."""
-    steps_cf, _ = _ring_steps(scenario)
-    member = (law, ring_initial_state(law, scenario), Ring(scenario.circumference))
-    return member, scenario.dt_cf, steps_cf, steps_cf // scenario.compare_points
-
-
 def compare_second_order(law: AccelerationLaw, scenario: RingScenario,
                          cells: int) -> EquivalenceReport:
     """One paired ring run at the given continuum resolution: the one-entry
-    :func:`run_suite`. The continuum arm starts from the car-following arm's
-    first row, reconstructed on the resolution's grid.
-    """
+    :func:`run_suite`. Both arms start from the ring platoon's initial state."""
     return run_suite([SuiteEntry(scenario.name, law, scenario, cells)])[0]
 
 
-def _prepare_second_order(law: AccelerationLaw, scenario: RingScenario, cells: int,
-                          cf_surface) -> tuple[EulerianField, EulerianScenario]:
-    """The car-following field on the resolution's grid, and the continuum run."""
-    _, steps_pde = _ring_steps(scenario)
-    grid = SpatialGrid(0.0, scenario.circumference / cells, cells)
-    cf_field = to_eulerian(cf_surface, grid)
-    return cf_field, EulerianScenario(
-        grid=grid, dt=scenario.dt_pde, steps=steps_pde,
-        initial_density=cf_field.density[0], initial_speed=cf_field.speed[0],
-        boundary=Periodic(), law=law, record_every=steps_pde // scenario.compare_points)
-
-
-def _finish_second_order(law: AccelerationLaw, scenario: RingScenario, cells: int,
-                         cf_field: EulerianField, pde_field: EulerianField,
-                         pde_stats: RunStats) -> EquivalenceReport:
-    """Growth fits, terminal norms and verdict of the two arms' fields."""
-    n_cmp, dx = scenario.compare_points, cf_field.dx
+def _report(entry: SuiteEntry, run: EulerianScenario, surface, solved) -> EquivalenceReport:
+    """The entry's report from its arms' results: incomparable, with NaN norms,
+    where one is a run fault (the car-following arm's first); else growth
+    fits, terminal norms and verdict of the two arms' fields on ``run``'s grid."""
+    scenario, labels = entry.ring, (entry.scenario, entry.law.name, f"cells={entry.cells}")
+    fault = next((r for r in (surface, solved) if isinstance(r, Exception)), None)
+    if fault is not None:
+        return EquivalenceReport(*labels, *[math.nan] * 6, "incomparable", str(fault))
+    cf_field, (pde_field, pde_stats) = to_eulerian(surface, run.grid), solved
+    n_cmp, dx = scenario.compare_points, run.grid.dx
     times = scenario.horizon * np.arange(n_cmp + 1) / n_cmp
     dk = np.abs(cf_field.density[-1] - pde_field.density[-1])
     dv = np.abs(cf_field.speed[-1] - pde_field.speed[-1])
     linf_k = float(np.max(dk))
     return EquivalenceReport(
-        scenario=scenario.name, model=law.name, resolution=f"cells={cells}",
-        l1_k=float(np.sum(dk) * dx), linf_k=linf_k,
+        *labels, l1_k=float(np.sum(dk) * dx), linf_k=linf_k,
         l1_v=float(np.nansum(dv) * dx), linf_v=float(np.nanmax(dv)),
         growth_cf=_fit_growth(times, _mode_amplitude(cf_field.density), scenario.k0),
         growth_pde=_fit_growth(times, _mode_amplitude(pde_field.density), scenario.k0),
@@ -408,91 +398,88 @@ class SuiteEntry:
     cells: int
 
 
-def _outcome(fn, *args):
-    """``fn(*args)``, or the exception it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # fault isolation: one run must not stop the others
-        return exc
+def _arm(law: AccelerationLaw, ring: RingScenario, j: int) -> tuple:
+    """A car-following arm as a :func:`_batched` item for
+    :func:`simulate_platoons`, then its continuum step count."""
+    steps_cf, steps_pde = _ring_steps(ring)
+    initial = at_paths({"model": f"entries[{j}].model"}, ring_initial_state, law, ring)
+    member = (law, initial, Ring(ring.circumference))
+    at_paths({"dt": "dt_cf"}, _check_member, *member, ring.dt_cf)
+    return (member, (ring.dt_cf, steps_cf, steps_cf // ring.compare_points),
+            (initial.n_vehicles, law.t_delay is None), steps_pde)
+
+
+def _continuum_run(entry: SuiteEntry, arm: tuple) -> EulerianScenario:
+    """The entry's continuum run, from its arm's initial state on its grid."""
+    (law, initial, road), _, _, steps = arm
+    grid = SpatialGrid(0.0, road.length / entry.cells, entry.cells)
+    start = to_eulerian(TrajectorySurface(0.0, 1.0, initial.positions[None],
+                                          initial.speeds[None], ring_length=road.length), grid)
+    return EulerianScenario(grid=grid, dt=entry.ring.dt_pde, steps=steps, law=law,
+                            initial_density=start.density[0], initial_speed=start.speed[0],
+                            record_every=steps // entry.ring.compare_points)
+
+
+def _plan(entries: list[SuiteEntry]) -> tuple[list, list[int], list]:
+    """Each distinct (law, ring) arm's :func:`_arm`, in entry order; each
+    entry's arm, as an index into them; and each entry's
+    :func:`_continuum_run`. A run fault met in building one takes its place."""
+    keys, arms, runs = [], [], []
+    for j, e in enumerate(entries):
+        if (e.law, e.ring) not in keys:
+            keys.append((e.law, e.ring))
+            try:  # e.g. a steady spacing outside the law's domain
+                arms.append(_arm(e.law, e.ring, j))
+            except _RUN_FAULTS as exc:
+                arms.append(exc)
+        arm = arms[keys.index((e.law, e.ring))]
+        try:  # e.g. a ring of one vehicle, whose field is not reconstructed
+            runs.append(arm if isinstance(arm, Exception) else _continuum_run(e, arm))
+        except _RUN_FAULTS as exc:
+            runs.append(exc)
+    return arms, [keys.index((e.law, e.ring)) for e in entries], runs
 
 
 def _isolated(run, members, *args) -> list:
     """``run(members, *args)``, a list with one result per member; when that
-    raises, each member's own ``run([member], *args)`` result or exception."""
+    raises a run fault, each member's own ``run([member], *args)`` result or
+    run fault. A refusal propagates."""
     try:
         return run(members, *args)
-    except Exception as exc:  # a batch stops at its first fault
+    except _RUN_FAULTS as exc:  # a batch stops at its first fault
         if len(members) == 1:
             return [exc]
     return [_isolated(run, [member], *args)[0] for member in members]
 
 
-def _batched(run, items: list) -> list:
-    """One result per item: an item that is an exception passes through, and
-    an item ``(member, *args)`` gets ``run``'s result for its member. Items of
-    equal ``args`` run as one ``run(members, *args)``; whether the members may
-    share a batch is ``run``'s own check, and a batch it refuses runs member by
-    member like any batch that raises (:func:`_isolated`)."""
-    results = list(items)
-    batches: dict[tuple, list[int]] = {}
-    for i, item in enumerate(items):
-        if not isinstance(item, Exception):
-            batches.setdefault(item[1:], []).append(i)
-    for batch in batches.values():
-        members = [items[i][0] for i in batch]
-        for i, result in zip(batch, _isolated(run, members, *items[batch[0]][1:])):
-            results[i] = result
+def _batched(run, items: dict) -> dict:
+    """Each item's result, under the item's key. Items ``(member, args, shared)``
+    of equal ``args`` and ``shared`` (what ``run`` needs its members to share
+    besides its arguments) run as one ``run(members, *args)`` (:func:`_isolated`)."""
+    batches, results = {}, {}
+    for i, (_, *key) in items.items():
+        batches.setdefault(tuple(key), []).append(i)
+    for (args, _), batch in batches.items():
+        results.update(zip(batch, _isolated(run, [items[i][0] for i in batch], *args)))
     return results
 
 
 def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
-    """Execute all suite entries; run faults are isolated per report.
+    """Execute all suite entries: plan, then run; run faults are isolated per
+    report, so each report equals its entry's own one-entry suite.
 
-    Each distinct car-following arm runs once, and a failed arm's exception
-    goes straight to each of its reports. The continuum arms, every
-    resolution's together, are offered to :func:`solve_second_order_batch` as
-    one batch; a batch of either arm that its solver refuses or that raises
-    runs each member alone (:func:`_batched`). Every report equals the entry's
-    own one-entry suite, faults included; where that raises (a
-    :class:`ConfigurationError`), the suite raises the first such entry's
-    exception. A refusal of a ring value names its field as its ``path``
-    (``k0``, ``dt_cf``, ``dt_pde`` or ``compare_points``); an arm solver's
-    refusal of its step is named at the ring's ``dt_cf`` or ``dt_pde``.
+    The plan (:func:`_plan`) raises every refusal before any arm steps: a ring
+    value at its field, the RK4 step guard at ``dt_cf`` and a law with no
+    unique steady state at ``entries[j].model``, j its arm's first entry. The
+    run sends the continuum arms to :func:`solve_second_order_batch`, whose
+    CFL check refuses at ``dt_pde`` before any step, then the car-following
+    arms to :func:`simulate_platoons`, each in batches (:func:`_batched`).
     """
-    rings = [replace(e.ring, name=e.scenario) for e in entries]
-    arms = _ring_dt(_car_following_arms([(e.law, e.ring) for e in entries]), "dt_cf")
-    # Per entry: (car-following field, continuum run), or its fault.
-    runs = [arm if isinstance(arm, Exception) else
-            _outcome(_prepare_second_order, e.law, ring, e.cells, arm)
-            for e, ring, arm in zip(entries, rings, arms)]
-    solved = _ring_dt(_batched(solve_second_order_batch, [
-        run if isinstance(run, Exception) else (run[1],) for run in runs]), "dt_pde")
-    reports = [result if isinstance(result, Exception) else _outcome(
-        _finish_second_order, e.law, ring, e.cells, run[0], *result)
-        for e, ring, run, result in zip(entries, rings, runs, solved)]
-    for report in reports:
-        if isinstance(report, Exception) and not isinstance(report, _RUN_FAULTS):
-            raise report
-    return [report if isinstance(report, EquivalenceReport) else
-            _incomparable(ring.name, e.law.name, f"cells={e.cells}", str(report))
-            for e, ring, report in zip(entries, rings, reports)]
-
-
-def _ring_dt(results: list, key: str) -> list:
-    """``results``, with an arm solver's refusal of its step ``dt`` named at the
-    ring's ``key``, the field that the arm's step comes from."""
-    return [ConfigurationError(r.reason, path=key) if isinstance(r, ConfigurationError)
-            and r.path == "dt" else r for r in results]
-
-
-def _car_following_arms(arms: list[tuple[AccelerationLaw, RingScenario]]) -> list:
-    """Each (law, ring) arm's surface, recorded at the compare points, or the
-    exception the arm raised. Equal arms run once. Arms with the same step size,
-    step count and stride are offered to :func:`simulate_platoons` as one
-    batch (:func:`_batched`)."""
-    distinct: list[tuple[AccelerationLaw, RingScenario]] = []
-    for arm in arms:
-        if arm not in distinct:
-            distinct.append(arm)
-    surfaces = _batched(simulate_platoons, [_outcome(_arm_run, *arm) for arm in distinct])
-    return [surfaces[distinct.index(arm)] for arm in arms]
+    arms, at, runs = _plan(entries)
+    solved = at_paths({"dt": "dt_pde"}, _batched, solve_second_order_batch, {
+        i: (run, (), (run.dt, run.steps, run.record_every))
+        for i, run in enumerate(runs) if not isinstance(run, Exception)})
+    surfaces = _batched(simulate_platoons, {
+        a: arm[:3] for a, arm in enumerate(arms) if not isinstance(arm, Exception)})
+    return [_report(e, run, surfaces.get(a, arms[a]), solved.get(i, run))
+            for i, (e, a, run) in enumerate(zip(entries, at, runs))]

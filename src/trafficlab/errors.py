@@ -33,6 +33,17 @@ class ConfigurationError(TrafficLabError, ValueError):
         super().__init__(message)
 
 
+def at_paths(paths: dict, run, *args):
+    """``run(*args)``; a refusal that names one of ``paths``' keys (see
+    :class:`ConfigurationError`) is re-raised at that key's dotted path."""
+    try:
+        return run(*args)
+    except ConfigurationError as exc:
+        if exc.path not in paths:
+            raise
+        raise ConfigurationError(exc.reason, path=paths[exc.path]) from exc
+
+
 class CollisionError(TrafficLabError, RuntimeError):
     """A simulated vehicle closed below the minimum spacing."""
 

@@ -182,6 +182,16 @@ def _validate_ordering(state: PlatoonState, boundary) -> None:
         raise ParameterError("platoon must be ordered front to rear")
 
 
+def _check_member(law: AccelerationLaw, initial: PlatoonState, boundary, dt: float) -> None:
+    """What :func:`simulate_platoons` checks of one member before its first
+    step: ``dt`` within the law's step guard, and the platoon's order."""
+    guard = RK4_DT_FRACTION * law.time_scale
+    if dt > guard * (1 + 1e-12):
+        raise ConfigurationError(
+            f"dt={dt:g} exceeds stability guard {guard:g} for {law.name}", path="dt")
+    _validate_ordering(initial, boundary)
+
+
 def simulate_platoons(members, dt: float, steps: int,
                       record_every: int = 1) -> list[TrajectorySurface]:
     """Fixed-step RK4 integration of a batch of coupled car-following systems.
@@ -235,12 +245,8 @@ def simulate_platoons(members, dt: float, steps: int,
     if int(record_every) != record_every or record_every < 1:
         raise ConfigurationError("record_every must be a whole number >= 1")
     members = [tuple(m) for m in members]
-    for law, initial, boundary in members:
-        guard = RK4_DT_FRACTION * law.time_scale
-        if dt > guard * (1 + 1e-12):
-            raise ConfigurationError(
-                f"dt={dt:g} exceeds stability guard {guard:g} for {law.name}", path="dt")
-        _validate_ordering(initial, boundary)
+    for member in members:
+        _check_member(*member, dt)
     if not members:
         return []
     laws, initials, boundaries = zip(*members)

@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from trafficlab import (ConfigurationError, EquivalenceReport, EulerianField,
                         StabilityReport, SteadyStateCurve, TrajectorySurface, cli)
-from trafficlab import config as cfgmod
+from trafficlab import config as cfgmod, equivalence
 from trafficlab.cli import (DEMO_CONFIG, STABILITY_CSV_COLUMNS, SUMMARY_COLUMNS, main,
                             read_field_csv, read_trajectory_csv, write_field_csv,
                             write_stability_csv, write_summary_csv, write_trajectory_csv)
@@ -74,8 +74,41 @@ def ringed(resolutions=None, **change):
     return {"suite": suite | ({"resolutions": resolutions} if resolutions else {})}
 
 
+def with_entry(i, amplitude=None, **model):
+    """The demo's suite section with entry i's model values, or its amplitude, set."""
+    suite = json.loads(json.dumps(DEMO_CONFIG["suite"]))
+    suite["entries"][i]["model"].update(model)
+    if amplitude is not None:
+        suite["entries"][i]["amplitude"] = amplitude
+    return {"suite": suite}
+
+
+# Each refusal of a suite, and the continuum batch calls made before it: the CFL
+# check is the continuum solver's own, before its first step. A steady state, a
+# ring of no vehicles and a reordering amplitude exited 0 or 1 with no path.
+SUITE_REFUSALS = {
+    "dt_cf-guard": (ringed(dt_cf=0.05),
+                    "suite.ring.dt_cf: dt=0.05 exceeds stability guard 0.04 for ovm", 0),
+    # the stable IDM arm breaks the continuum CFL limit, as simulate-pde would
+    "dt_pde-cfl": (ringed([40], horizon=12.0, compare_points=4, dt_pde=1.5),
+                   "suite.ring.dt_pde: CFL number 1.251 exceeds 0.9", 1),
+    "compare_points": (ringed(compare_points=7),
+                       "suite.ring.compare_points: must divide both step counts", 0),
+    "k0-vehicle-count": (ringed(k0=0.0805),
+                         "suite.ring.k0: circumference * k0 must be a whole vehicle count", 0),
+    "no-steady-state": (with_entry(4, d=20.0), "suite.entries[4].model: idm has no "
+                        "unique steady state at k0=0.08 (no_root)", 0),
+    "no-vehicle": (ringed(circumference=1e-9),
+                   "suite.ring.k0: circumference * k0 must be a whole vehicle count >= 1", 0),
+    "ring-amplitude-reorders": (ringed(amplitude=1.5), "suite.ring.amplitude: ring "
+                                "platoon gaps must be positive and fit the circumference", 0),
+    "entry-amplitude-reorders": (with_entry(0, amplitude=1.5), "suite.entries[0].amplitude: "
+                                 "ring platoon gaps must be positive", 0),
+}
+
 OVERLAP = "sim.initial.perturbation.relative_amplitude: "
 LWR_ABOVE_JAM = {"kind": "uniform", "k": 0.25}  # the demo's jam density is 0.2
+SINE_BELOW_ZERO = {**DEMO_CONFIG["pde"]["initial"], "relative_amplitude": 1.5}
 
 TRAJ_HEADER = "t,vehicle,x,v\n"
 FIELD_HEADER = "t,x,k,v,q\n"
@@ -277,29 +310,24 @@ class TestExitCodes:
         # the solvers refused these step sizes and ring values with no path
         pytest.param("simulate-cf", {"sim": {**DEMO_CONFIG["sim"], "dt": 0.05}},
                      "sim.dt: dt=0.05 exceeds stability guard 0.04 for ovm", id="rk4-dt-guard"),
-        pytest.param("compare", ringed(dt_cf=0.05),
-                     "suite.ring.dt_cf: dt=0.05 exceeds stability guard 0.04 for ovm",
-                     id="suite-dt_cf-guard"),
         pytest.param("compare", ringed(dt_cf=0.07),
                      "suite.ring.dt_cf: dt=0.07 does not divide horizon 60",
                      id="suite-dt_cf-divides"),
         pytest.param("compare", ringed(dt_pde=0.11),
                      "suite.ring.dt_pde: dt=0.11 does not divide horizon 60",
                      id="suite-dt_pde-divides"),
-        # the stable IDM arm breaks the continuum CFL limit, as simulate-pde would
-        pytest.param("compare", ringed([40], horizon=12.0, compare_points=4, dt_pde=1.5),
-                     "suite.ring.dt_pde: CFL number 1.251 exceeds 0.9", id="suite-dt_pde-cfl"),
-        pytest.param("compare", ringed(compare_points=7),
-                     "suite.ring.compare_points: must divide both step counts",
-                     id="suite-compare_points"),
-        pytest.param("compare", ringed(k0=0.0805),
-                     "suite.ring.k0: circumference * k0 must be a whole vehicle count",
-                     id="suite-k0-vehicle-count"),
+        *[pytest.param("compare", change, says, id=f"suite-{name}")
+          for name, (change, says, _) in SUITE_REFUSALS.items()],
         pytest.param("simulate-pde", {"pde": {**DEMO_CONFIG["pde"], "dt": 1.0}},
                      "pde.dt: CFL number 2.000 exceeds 0.9", id="lwr-cfl"),
         pytest.param("simulate-pde", {"pde": {**DEMO_CONFIG["pde"], "dt": 2.0,
                                               "solver": "second_order"}},
                      "pde.dt: CFL number 2.125 exceeds 0.9", id="second-order-cfl"),
+        # the second-order solver refused a negative density with no path
+        pytest.param("simulate-pde", {"pde": {**DEMO_CONFIG["pde"], "solver": "second_order",
+                                              "initial": SINE_BELOW_ZERO}},
+                     "pde.initial: initial densities must be finite and >= 0",
+                     id="second-order-initial-below-zero"),
     ])
     def test_config_fault_names_path(self, tmp_path, capsys, command, change, path):
         doc = {k: v for k, v in {**DEMO_CONFIG, **change}.items() if v is not None}
@@ -309,6 +337,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert path in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", SUITE_REFUSALS)
+    def test_suite_refuses_before_any_arm_steps(self, tmp_path, capsys, monkeypatch, name):
+        change, says, continuum_calls = SUITE_REFUSALS[name]
+        calls = []
+
+        def counting(run):
+            def counted(members, *args):
+                calls.append(run.__name__)
+                return run(members, *args)
+            return counted
+
+        for solver in ("simulate_platoons", "solve_second_order_batch"):
+            monkeypatch.setattr(equivalence, solver, counting(getattr(equivalence, solver)))
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**DEMO_CONFIG, **change}))
+        assert run(["compare", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert says in capsys.readouterr().err
+        # no car-following call, and no continuum call but the one that refuses
+        assert calls == ["solve_second_order_batch"] * continuum_calls
 
     @pytest.mark.parametrize("command", ["steady", "stability"])
     def test_idm_with_an_fd_section_may_exceed_its_jam_density(self, tmp_path, capsys,
@@ -562,9 +610,15 @@ class TestOutputDirectory:
          "pde.initial: initial densities must be finite and lie in [0, k_j]"),
         (["simulate-cf", "--config", "{overlap}", "--out", "{out}"],
          OVERLAP + "ring platoon gaps must be positive"),
+        # refused by the second-order solver, and by run_suite's plan
+        (["simulate-pde", "--config", "{below_zero}", "--out", "{out}"],
+         "pde.initial: initial densities must be finite and >= 0"),
+        *[(["compare", "--config", f"{{{name}}}", "--out", "{out}"], SUITE_REFUSALS[name][1])
+          for name in ("no-steady-state", "no-vehicle", "ring-amplitude-reorders")],
     ], ids=["no-subcommand", "no-config", "missing-config", "invalid-config",
             "duplicate-report-stem", "ring-spacing-mismatch", "lwr-initial-above-k_j",
-            "perturbation-reorders"])
+            "perturbation-reorders", "second-order-initial-below-zero",
+            "suite-no-steady-state", "suite-no-vehicle", "suite-amplitude-reorders"])
     def test_refused_run_makes_no_directory(self, tmp_path, capsys, args, says):
         out = tmp_path / "made" / "here"
         docs = {"invalid": {"fd": {"kind": "triangular"}},
@@ -574,7 +628,12 @@ class TestOutputDirectory:
                 "ring": {**DEMO_CONFIG, "sim": {**DEMO_CONFIG["sim"], "initial": {
                     **DEMO_CONFIG["sim"]["initial"], "spacing": 12.0}}},
                 "lwr": {**DEMO_CONFIG, "pde": {**DEMO_CONFIG["pde"], "initial": LWR_ABOVE_JAM}},
-                "overlap": {**DEMO_CONFIG, "sim": perturbed(1.2)}}
+                "overlap": {**DEMO_CONFIG, "sim": perturbed(1.2)},
+                "below_zero": {**DEMO_CONFIG, "pde": {**DEMO_CONFIG["pde"], "solver":
+                                                      "second_order",
+                                                      "initial": SINE_BELOW_ZERO}},
+                **{name: {**DEMO_CONFIG, **SUITE_REFUSALS[name][0]}
+                   for name in ("no-steady-state", "no-vehicle", "ring-amplitude-reorders")}}
         names = {"out": out, "missing": tmp_path / "nope.json"}
         for name, doc in docs.items():
             names[name] = tmp_path / f"{name}.json"

@@ -14,8 +14,9 @@ from trafficlab import (AccelerationLaw, ConfigurationError, EvaluationError, eq
                         solve_second_order_batch)
 from trafficlab.cli import DEMO_CONFIG, SUMMARY_COLUMNS, write_summary_csv
 from trafficlab.config import build_suite
-from trafficlab.equivalence import (_arm_run, _isolated, _mode_amplitude,
-                                    _prepare_second_order, analytic_lwr_density)
+from trafficlab.equivalence import (_isolated, _mode_amplitude, _plan,
+                                    analytic_lwr_density)
+from trafficlab.transforms import to_eulerian
 
 from conftest import TRI, assert_bits_equal
 from test_continuum import FVDM, OVM, assert_same_run, ring_member, standalone
@@ -40,9 +41,8 @@ def test_mode_amplitude_matches_per_row_reference_on_a_demo_field():
     doc = copy.deepcopy(DEMO_CONFIG)
     doc["suite"]["ring"].update(horizon=18.0)
     entry = build_suite(doc)[3]  # the unstable OVM arm at 10 cells
-    member, *run = _arm_run(entry.law, entry.ring)
-    surface = simulate_platoons([member], *run)[0]
-    cf_field, scenario = _prepare_second_order(entry.law, entry.ring, entry.cells, surface)
+    [(member, run, _, _)], _, [scenario] = _plan([entry])
+    cf_field = to_eulerian(simulate_platoons([member], *run)[0], scenario.grid)
     for k_rows in (cf_field.density, solve_second_order(scenario)[0].density):
         assert_bits_equal(_mode_amplitude(k_rows), reference_mode_amplitude(k_rows))
 
@@ -186,6 +186,11 @@ class TestSecondOrder:
             compare_second_order(law, ring, 20)
         with pytest.raises(ConfigurationError) as suite:
             run_suite(entries)
+        if law.name == "linear_gm":  # named at the law's first entry
+            assert alone.value.reason == suite.value.reason == fault
+            assert (alone.value.path, suite.value.path) == ("entries[0].model",
+                                                            "entries[1].model")
+            return
         assert str(alone.value) == str(suite.value) == fault
 
     def test_one_batch_call_per_arm(self, tri, monkeypatch):
@@ -203,7 +208,8 @@ class TestSecondOrder:
         ring = RingScenario(**{**RING.__dict__, "horizon": 12.0})
         report = compare_second_order(make_ovm(0.4, tri), ring, 20)
         assert report.verdict == "within-threshold"
-        assert calls == [("simulate_platoons", 1), ("solve_second_order_batch", 1)]
+        # the continuum arm first: its CFL check refuses before any arm steps
+        assert calls == [("solve_second_order_batch", 1), ("simulate_platoons", 1)]
 
     def test_non_integer_vehicle_count_rejected(self, tri):
         ring = RingScenario(circumference=1000.0, k0=0.0811, amplitude=0.01,
@@ -275,7 +281,7 @@ class TestSuite:
 
     def test_arms_the_solver_refuses_to_batch_run_alone(self, tri, monkeypatch):
         # Equal step size, step count and stride, but 80 and 40 vehicles:
-        # simulate_platoons refuses the batch, so each arm runs by itself.
+        # simulate_platoons would refuse the batch, so each arm runs by itself.
         from trafficlab import equivalence
         law = make_ovm(0.4, tri)
         rings = [RingScenario(**{**RING.__dict__, "horizon": 12.0, "circumference": length,
@@ -290,7 +296,7 @@ class TestSuite:
         simulate = equivalence.simulate_platoons
         monkeypatch.setattr(equivalence, "simulate_platoons", counting)
         reports = run_suite([SuiteEntry(ring.name, law, ring, 20) for ring in rings])
-        assert calls == [2, 1, 1]
+        assert calls == [1, 1]
         assert reports == standalone
         assert all(report.verdict == "within-threshold" for report in reports)
 
@@ -369,11 +375,13 @@ class TestSuite:
                    ring_member(raiser, 0.05, 0.0, 5.0, dx=40.0),  # raises after 2 s
                    ring_member(raiser, 0.05, 0.0, 1.0, dx=40.0),  # settles at 3 m/s
                    ring_member(blowup, 0.05, 0.0, 5.0, dx=40.0),  # non-finite after 4 s
-                   ring_member(OVM, 0.08, 0.05, 80.0, dx=40.0),  # refused by the CFL check
                    ring_member(FVDM, 0.08, 0.05, 3.0, dx=40.0)]
-        # the batch stops at the first fault, the CFL check before any step
-        with pytest.raises(ConfigurationError, match="^dt: CFL number"):
-            solve_second_order_batch(members)
+        refused = ring_member(OVM, 0.08, 0.05, 80.0, dx=40.0)  # by the CFL check
+        # the batch stops at the first fault, the CFL check before any step, and
+        # a refusal is no member's own fault: it is not run member by member
+        for batch in (members + [refused], [refused]):
+            with pytest.raises(ConfigurationError, match="^dt: CFL number"):
+                _isolated(solve_second_order_batch, batch)
         results = _isolated(solve_second_order_batch, members)
         for sc, got in zip(members, results):
             own = standalone(sc)
@@ -382,7 +390,7 @@ class TestSuite:
             else:
                 assert_same_run(got, own)
         faults = [type(r).__name__ for r in results if isinstance(r, Exception)]
-        assert faults == ["EvaluationError", "SolverFault", "ConfigurationError"]
+        assert faults == ["EvaluationError", "SolverFault"]
         assert str(results[1]) == "speed above 6 m/s"
         assert str(results[3]) == "non-finite solution (step 9, cell 0)"
 
@@ -404,21 +412,24 @@ class TestSuite:
             "dt_pde: CFL number 1.251 exceeds 0.9", "within-threshold"]
         calls = []
 
-        def counting(scenarios):
-            calls.append(len(scenarios))
-            return solve(scenarios)
+        def counting(run):
+            def counted(members, *args):
+                calls.append((run.__name__, len(members)))
+                return run(members, *args)
+            return counted
 
-        solve = equivalence.solve_second_order_batch
-        monkeypatch.setattr(equivalence, "solve_second_order_batch", counting)
+        for name in ("simulate_platoons", "solve_second_order_batch"):
+            monkeypatch.setattr(equivalence, name, counting(getattr(equivalence, name)))
         with pytest.raises(ConfigurationError) as suite:
             run_suite(entries)
         assert str(suite.value) == alone[4]
-        # the batch, then each arm alone
-        assert calls == [6, 1, 1, 1, 1, 1, 1]
+        # one continuum batch, refused before its first step; no arm runs alone
+        # and no car-following arm runs
+        assert calls == [("solve_second_order_batch", 6)]
 
     def test_demo_batches_arrive_as_neighbouring_stacks(self, monkeypatch):
-        """The demo suite sends one car-following batch of its six laws and one
-        continuum batch of all 18 arms, each as two stacks of neighbours (its
+        """The demo suite sends one continuum batch of all 18 arms and then one
+        car-following batch of its six laws, each as two stacks of neighbours (its
         OVM and FVDM members share the relaxation kernel, its IDMs the other):
         an entry order that split a stack, or a batch key that a solver refused
         (so that every member ran alone), would change these counts."""
@@ -438,7 +449,7 @@ class TestSuite:
             monkeypatch.setattr(module, "law_spans", recording(module))
         reports = run_suite(build_suite(doc))
         assert all(report.verdict != "incomparable" for report in reports)
-        assert batches == [("trafficlab.platoon", 6, 2), ("trafficlab.continuum", 18, 2)]
+        assert batches == [("trafficlab.continuum", 18, 2), ("trafficlab.platoon", 6, 2)]
 
     def test_demo_reports_carry_each_continuum_arms_own_counters(self):
         doc = copy.deepcopy(DEMO_CONFIG)
@@ -446,9 +457,7 @@ class TestSuite:
         entries = build_suite(doc)
         reports = run_suite(entries)
         for entry, report in zip(entries, reports):
-            member, *run = _arm_run(entry.law, entry.ring)
-            surface = simulate_platoons([member], *run)[0]
-            _, scenario = _prepare_second_order(entry.law, entry.ring, entry.cells, surface)
+            _, _, [scenario] = _plan([entry])
             own = solve_second_order(scenario)[1]
             assert report.pde_stats == own
             assert own.substeps >= scenario.steps
