@@ -380,8 +380,7 @@ def cmd_transform(doc: dict, out: Path) -> int:
 
 def cmd_compare(doc: dict, out: Path) -> int:
     entries = cfgmod.build_suite(doc)
-    # run_suite names a refused ring value by its field and a law by its first
-    # entry, of the n that build_suite makes of each suite entry in turn
+    # run_suite names a law by its first entry; build_suite makes n per suite entry
     n = len(doc["suite"]["resolutions"])
     paths = {key: f"suite.ring.{key}" for key in ("k0", "dt_cf", "dt_pde", "compare_points")}
     reports = at_paths(paths | {f"entries[{j}].model": f"suite.entries[{j // n}].model"

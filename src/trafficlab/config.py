@@ -520,8 +520,12 @@ def build_suite(doc: dict) -> list[SuiteEntry]:
         stems.add(stem)
         ring = RingScenario(**{**ring_cfg, "amplitude": entry.get("amplitude",
                                                                   ring_cfg["amplitude"])})
-        at_paths({"k0": "suite.ring.k0", "amplitude": f"{path}.amplitude" if "amplitude"
-                  in entry else "suite.ring.amplitude"}, ring_positions, ring)
+        x = at_paths({"k0": "suite.ring.k0"}, ring_positions, ring)
+        try:  # evenly spaced vehicles keep their order; a large amplitude may not
+            _validate_ordering(PlatoonState(0.0, x, np.zeros(x.size)), Ring(ring.circumference))
+        except ParameterError as exc:
+            _fail(f"{path}.amplitude" if "amplitude" in entry else "suite.ring.amplitude",
+                  str(exc))
         entries += [SuiteEntry(scenario=name, law=law, ring=ring, cells=cells)
                     for cells in cfg["resolutions"]]
     return entries

@@ -7,9 +7,8 @@ agree:
   model, measured against the analytic Riemann/advection solution where one
   exists.
 * :func:`compare_second_order` -- RK4 ring platoon vs the upwind continuum
-  solver for one acceleration law, both from one ring platoon and its field,
-  with terminal error norms and growth rates of the fundamental perturbation
-  mode; :func:`run_suite` plans a suite, raising every refusal, then runs it.
+  solver, both from one ring platoon and its field: terminal error norms and
+  the fundamental mode's growth rates (:func:`run_suite` plans, then runs).
 
 Ring topology is used for the second-order comparison so that neither arm
 needs a boundary condition, which would otherwise dominate the discrepancy.
@@ -25,11 +24,11 @@ import numpy as np
 from .continuum import (EulerianScenario, Periodic, InflowOutflow, RunStats,
                         solve_lwr_godunov, solve_second_order_batch)
 from .errors import (CollisionError, ConfigurationError, DomainError,
-                     EvaluationError, ParameterError, SolverFault, at_paths)
+                     EvaluationError, SolverFault, at_paths)
 from .fundamental import FundamentalDiagram, GreenshieldsDiagram, TriangularDiagram
 from .laws import AccelerationLaw
 from .platoon import (ConstantLeader, PlatoonState, Ring, _check_member,
-                      _validate_ordering, simulate_newell, simulate_platoons)
+                      simulate_newell, simulate_platoons)
 from .steady_state import EquilibriumStatus, solve_equilibrium_speed
 from .transforms import (EulerianField, SpatialGrid, TrajectorySurface, to_eulerian,
                          to_trajectories)
@@ -316,7 +315,7 @@ def _fit_growth(times: np.ndarray, amps: np.ndarray, k0: float) -> float:
 def ring_positions(scenario: RingScenario) -> np.ndarray:
     """The ring platoon's positions, front first: round(L k0) >= 1 vehicles
     evenly spaced, displaced by a one-lap sine of relative spacing
-    ``amplitude``; refused at ``k0`` or at an ``amplitude`` that reorders them."""
+    ``amplitude``. A count that is not a whole number >= 1 is refused at ``k0``."""
     L, k0 = scenario.circumference, scenario.k0
     n = int(round(L * k0))
     if abs(n - L * k0) > 1e-9 or n < 1:
@@ -324,22 +323,21 @@ def ring_positions(scenario: RingScenario) -> np.ndarray:
                                  path="k0")
     base = (n - 1 - np.arange(n)) * (L / n)
     disp = scenario.amplitude * L / (2.0 * math.pi)
-    x = base + disp * np.sin(2.0 * math.pi * base / L)
-    try:  # evenly spaced vehicles keep their order; a large amplitude may not
-        _validate_ordering(PlatoonState(0.0, x, np.zeros(n)), Ring(L))
-    except ParameterError as exc:
-        raise ConfigurationError(str(exc), path="amplitude") from exc
-    return x
+    return base + disp * np.sin(2.0 * math.pi * base / L)
 
 
 def ring_initial_state(law: AccelerationLaw, scenario: RingScenario) -> PlatoonState:
     """The :func:`ring_positions` platoon at the law's steady speed; a law with
     no unique steady state at k0 is refused at ``model``."""
     x = ring_positions(scenario)
-    res = solve_equilibrium_speed(law, x.size / scenario.circumference)
-    if res.status is not EquilibriumStatus.OK:
+    try:
+        res = solve_equilibrium_speed(law, x.size / scenario.circumference)
+        fault = None if res.status is EquilibriumStatus.OK else res.status.value
+    except (DomainError, EvaluationError) as exc:  # e.g. k0 above the law's jam density
+        fault = str(exc)
+    if fault is not None:
         raise ConfigurationError(f"{law.name} has no unique steady state at "
-                                 f"k0={scenario.k0:g} ({res.status.value})", path="model")
+                                 f"k0={scenario.k0:g} ({fault})", path="model")
     return PlatoonState(time=0.0, positions=x, speeds=np.full(x.size, res.speed))
 
 
@@ -364,9 +362,8 @@ def compare_second_order(law: AccelerationLaw, scenario: RingScenario,
 
 
 def _report(entry: SuiteEntry, run: EulerianScenario, surface, solved) -> EquivalenceReport:
-    """The entry's report from its arms' results: incomparable, with NaN norms,
-    where one is a run fault (the car-following arm's first); else growth
-    fits, terminal norms and verdict of the two arms' fields on ``run``'s grid."""
+    """The entry's report: incomparable, with NaN norms, at its arms' run fault
+    (the car-following one's first); else both fields' fits, norms and verdict."""
     scenario, labels = entry.ring, (entry.scenario, entry.law.name, f"cells={entry.cells}")
     fault = next((r for r in (surface, solved) if isinstance(r, Exception)), None)
     if fault is not None:
@@ -409,41 +406,43 @@ def _arm(law: AccelerationLaw, ring: RingScenario, j: int) -> tuple:
             (initial.n_vehicles, law.t_delay is None), steps_pde)
 
 
-def _continuum_run(entry: SuiteEntry, arm: tuple) -> EulerianScenario:
-    """The entry's continuum run, from its arm's initial state on its grid."""
-    (law, initial, road), _, _, steps = arm
+def _continuum_runs(pairs: list[tuple[SuiteEntry, tuple]]) -> list[EulerianScenario]:
+    """The continuum runs of (entry, arm) pairs on one grid, from one
+    ``to_eulerian`` call on a surface whose rows are the arms' initial states
+    (of one vehicle count): each row's field is bitwise its own call's."""
+    (entry, ((_, _, road), *_)), states = pairs[0], [arm[0][1] for _, arm in pairs]
     grid = SpatialGrid(0.0, road.length / entry.cells, entry.cells)
-    start = to_eulerian(TrajectorySurface(0.0, 1.0, initial.positions[None],
-                                          initial.speeds[None], ring_length=road.length), grid)
-    return EulerianScenario(grid=grid, dt=entry.ring.dt_pde, steps=steps, law=law,
-                            initial_density=start.density[0], initial_speed=start.speed[0],
-                            record_every=steps // entry.ring.compare_points)
+    rows = [[x.positions for x in states], [x.speeds for x in states]]
+    start = to_eulerian(TrajectorySurface(0.0, 1.0, *rows, ring_length=road.length), grid)
+    return [EulerianScenario(grid=grid, dt=e.ring.dt_pde, steps=steps, law=law,
+                             initial_density=k, initial_speed=v,
+                             record_every=steps // e.ring.compare_points)
+            for (e, ((law, *_), *_, steps)), k, v in zip(pairs, start.density, start.speed)]
 
 
 def _plan(entries: list[SuiteEntry]) -> tuple[list, list[int], list]:
     """Each distinct (law, ring) arm's :func:`_arm`, in entry order; each
-    entry's arm, as an index into them; and each entry's
-    :func:`_continuum_run`. A run fault met in building one takes its place."""
-    keys, arms, runs = [], [], []
+    entry's arm, as an index into them; and each entry's continuum run, or the
+    run fault met in building it (:func:`_continuum_runs`, one call per grid)."""
+    keys, arms, at, grids = [], [], [], {}
     for j, e in enumerate(entries):
         if (e.law, e.ring) not in keys:
             keys.append((e.law, e.ring))
-            try:  # e.g. a steady spacing outside the law's domain
-                arms.append(_arm(e.law, e.ring, j))
-            except _RUN_FAULTS as exc:
-                arms.append(exc)
-        arm = arms[keys.index((e.law, e.ring))]
+            arms.append(_arm(e.law, e.ring, j))
+        at.append(keys.index((e.law, e.ring)))
+        grids.setdefault((e.ring.circumference, e.cells, arms[at[j]][2][0]), []).append(j)
+    runs = {}
+    for group in grids.values():
         try:  # e.g. a ring of one vehicle, whose field is not reconstructed
-            runs.append(arm if isinstance(arm, Exception) else _continuum_run(e, arm))
+            runs.update(zip(group, _continuum_runs([(entries[j], arms[at[j]]) for j in group])))
         except _RUN_FAULTS as exc:
-            runs.append(exc)
-    return arms, [keys.index((e.law, e.ring)) for e in entries], runs
+            runs.update(dict.fromkeys(group, exc))
+    return arms, at, [runs[j] for j in range(len(entries))]
 
 
 def _isolated(run, members, *args) -> list:
-    """``run(members, *args)``, a list with one result per member; when that
-    raises a run fault, each member's own ``run([member], *args)`` result or
-    run fault. A refusal propagates."""
+    """``run(members, *args)``, one result per member; on a run fault, each
+    member's own ``run([member], *args)`` result or run fault."""
     try:
         return run(members, *args)
     except _RUN_FAULTS as exc:  # a batch stops at its first fault
@@ -479,7 +478,6 @@ def run_suite(entries: list[SuiteEntry]) -> list[EquivalenceReport]:
     solved = at_paths({"dt": "dt_pde"}, _batched, solve_second_order_batch, {
         i: (run, (), (run.dt, run.steps, run.record_every))
         for i, run in enumerate(runs) if not isinstance(run, Exception)})
-    surfaces = _batched(simulate_platoons, {
-        a: arm[:3] for a, arm in enumerate(arms) if not isinstance(arm, Exception)})
-    return [_report(e, run, surfaces.get(a, arms[a]), solved.get(i, run))
+    surfaces = _batched(simulate_platoons, {a: arm[:3] for a, arm in enumerate(arms)})
+    return [_report(e, run, surfaces[a], solved.get(i, run))
             for i, (e, a, run) in enumerate(zip(entries, at, runs))]

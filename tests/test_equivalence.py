@@ -166,8 +166,11 @@ class TestSecondOrder:
         (None, dict(compare_points=7), "compare_points: must divide both step counts"),
         (make_linear_gm(1.0), {},
          "linear_gm has no unique steady state at k0=0.08 (degenerate)"),
+        # a steady spacing outside the law's domain was a run fault, reported
+        (None, dict(k0=0.25),
+         "ovm has no unique steady state at k0=0.25 (spacing below jam spacing 5)"),
         (None, dict(amplitude=0.9), "spacing below minimum at t=0 s, vehicle 29"),
-    ], ids=["dt_cf", "dt_pde", "compare_points", "degenerate", "collision"])
+    ], ids=["dt_cf", "dt_pde", "compare_points", "degenerate", "above-jam", "collision"])
     def test_faults_take_the_same_precedence_directly_and_in_suite(self, tri, law,
                                                                    change, fault):
         # Where a case breaks two checks, the one checked first names the fault.
@@ -186,7 +189,7 @@ class TestSecondOrder:
             compare_second_order(law, ring, 20)
         with pytest.raises(ConfigurationError) as suite:
             run_suite(entries)
-        if law.name == "linear_gm":  # named at the law's first entry
+        if "steady state" in fault:  # named at the law's first entry
             assert alone.value.reason == suite.value.reason == fault
             assert (alone.value.path, suite.value.path) == ("entries[0].model",
                                                             "entries[1].model")
@@ -300,12 +303,15 @@ class TestSuite:
         assert reports == standalone
         assert all(report.verdict == "within-threshold" for report in reports)
 
-    @pytest.mark.parametrize("law, amplitude", [
-        pytest.param(make_ovm(0.4, TriangularDiagram(**TRI)), 0.9, id="collision"),
+    @pytest.mark.parametrize("law, change", [
+        pytest.param(make_ovm(0.4, TriangularDiagram(**TRI)), {"amplitude": 0.9},
+                     id="collision"),
+        # one vehicle runs, but has no field to compare
+        pytest.param(make_ovm(0.4, TriangularDiagram(**TRI)), {"circumference": 12.5},
+                     id="one-vehicle"),
     ])
-    def test_failing_arm_reported_at_every_resolution(self, law, amplitude):
-        ring = RingScenario(**{**RING.__dict__, "horizon": 12.0,
-                               "amplitude": amplitude, "name": "broken"})
+    def test_failing_arm_reported_at_every_resolution(self, law, change):
+        ring = RingScenario(**{**RING.__dict__, "horizon": 12.0, **change, "name": "broken"})
         entries = [SuiteEntry(scenario="broken", law=law, ring=ring, cells=c)
                    for c in (10, 20, 40)]
         reports = run_suite(entries)
@@ -456,8 +462,15 @@ class TestSuite:
         doc["suite"]["ring"].update(horizon=12.0, compare_points=4)
         entries = build_suite(doc)
         reports = run_suite(entries)
-        for entry, report in zip(entries, reports):
-            _, _, [scenario] = _plan([entry])
+        for entry, report, run in zip(entries, reports, _plan(entries)[2]):
+            [(member, args, _, _)], _, [scenario] = _plan([entry])
+            # both arms start from one state: the car-following field's row 0,
+            # bitwise, whether its grid's fields are built together or alone
+            cf_field = to_eulerian(simulate_platoons([member], *args)[0], scenario.grid)
+            for k_v in ((run.initial_density, run.initial_speed),
+                        (scenario.initial_density, scenario.initial_speed)):
+                assert_bits_equal(np.array(k_v), np.array([cf_field.density[0],
+                                                            cf_field.speed[0]]))
             own = solve_second_order(scenario)[1]
             assert report.pde_stats == own
             assert own.substeps >= scenario.steps
